@@ -12,6 +12,7 @@ import sys
 
 from . import machine as m
 from .compiler import (
+    VERIFY_FUEL_SLACK,
     CompiledProgram,
     CompileError,
     compile_declaration,
@@ -27,6 +28,16 @@ EXIT_OK = 0
 EXIT_STATIC = 1
 EXIT_DYNAMIC = 2
 EXIT_INTERNAL = 3
+
+
+class UsageError(Exception):
+    """A command-line value outside its domain."""
+
+
+def _natural(value: int, flag: str) -> int:
+    if value < 0:
+        raise UsageError(f"{flag} takes a natural number, got {value}")
+    return value
 
 
 def _regime_of(flag: str | None) -> Regime | None:
@@ -61,7 +72,6 @@ def _compile_decl(mod, name: str) -> CompiledProgram:
         raise CheckError(
             "Tm", f"{name!r} lives in the erased fragment and has no runtime code"
         )
-    infer_usage_check(mod.regime, (), 1, d.body, d.ty)
     return compile_declaration(mod.regime, d.ty, d.body)
 
 
@@ -100,6 +110,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    n = _natural(args.input, "--input")
     mod = _load(args.file, args.regime)
     _check_module(mod, None)
     prog = _compile_decl(mod, args.decl)
@@ -108,10 +119,10 @@ def cmd_run(args) -> int:
     if prog.input_arity != 1:
         raise CheckError("Tm", f"{args.decl!r} does not take a natural input")
     report = extract_bound(prog)
-    bound = report.bound_at(args.input)
-    fuel = args.fuel if args.fuel is not None else bound + 4096
+    bound = report.bound_at(n)
+    fuel = args.fuel if args.fuel is not None else bound + VERIFY_FUEL_SLACK
     trace: list | None = [] if args.trace else None
-    out = m.eval_expr(prog.code, (m.nat_value(args.input),), fuel, trace=trace)
+    out = m.eval_expr(prog.code, (m.nat_value(n),), fuel, trace=trace)
     if trace is not None:
         for i, rule in enumerate(trace[:10_000]):
             print(f"trace {i}: {rule}", file=sys.stderr)
@@ -157,6 +168,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    max_n = _natural(args.max_n, "--max-n")
     mod = _load(args.file, args.regime)
     _check_module(mod, None)
     prog = _compile_decl(mod, args.decl)
@@ -165,7 +177,7 @@ def cmd_verify(args) -> int:
     report = extract_bound(prog)
     rows = []
     overall = True
-    for n in range(args.max_n + 1):
+    for n in range(max_n + 1):
         r = run_and_verify(prog, n)
         rows.append(
             {
@@ -244,7 +256,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FrontendError, CheckError, CompileError, OSError) as e:
+    except (FrontendError, CheckError, CompileError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STATIC
     except Exception as e:  # noqa: BLE001  (contract: internal errors exit 3)

@@ -1,6 +1,12 @@
 """Translation of checked runtime-fragment terms to machine code, with
 compositional potential accounting in the zero-size sub-monoid.
 
+The compiler is untyped.  compile_declaration checks its input once with
+kernel.elaborate and translates the core term that returns; the only
+typing fact the translation needs, the usage of each application's
+function type and each pair's tensor type, is read from the `usage`
+field of the App and Pair nodes.
+
 Code is emitted in A-normal form: machine eliminators take environment
 indices, so every compound subterm is bound by sequencing first.  Every
 kernel binder occupies exactly one machine slot; erased positions hold
@@ -21,27 +27,20 @@ from dataclasses import dataclass
 
 from . import machine as m
 from . import potentials as pot
-from .kernel import branch_target, normalize_type, synth
+from .kernel import elaborate, normalize_type
 from .potentials import ExtNat, MonoidKind, Poly, Potential
 from .syntax import (
     Ann,
     App,
-    BOOL_TY,
     CodeTy,
     Cons,
-    Context,
-    CtxEntry,
-    DIAMOND_TY,
-    DiamondStar,
     DupNat,
     FalseC,
     If,
     Lam,
     LetPair,
     LetUnit,
-    ListTy,
     MatchList,
-    NAT_TY,
     NatTy,
     Nil,
     Pair,
@@ -49,23 +48,16 @@ from .syntax import (
     RecNatCF,
     RecNatL,
     Refl,
-    Reflect,
     ReflectElim,
     ReflectIntro,
     Regime,
     Star,
-    SuccCF,
     SuccL,
-    Tensor,
     Term,
     TrueC,
     TypeExpr,
-    UNIT_TY,
     Var,
-    ZeroCF,
     ZeroL,
-    instantiate_type,
-    shift_type,
 )
 
 # Administrative step constants of the emitted recursor shapes, computed
@@ -156,32 +148,31 @@ def _branch_join(a: Potential, b: Potential) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# Compilation environment: kernel context plus machine slot positions
+# Compilation environment: machine slot positions of kernel variables
 
 @dataclass(frozen=True)
 class EnvLayout:
-    """Maps kernel context positions to machine environment slots.
+    """Maps kernel variables to machine environment slots.
 
     Machine-only slots (sequencing temporaries and dummies) advance the
-    depth without extending the kernel context, so every kernel entry
+    depth without binding a kernel variable, so every kernel variable
     keeps exactly one live slot.
     """
 
-    ctx: Context
-    positions: tuple  # slot position (from the left) per context entry
+    positions: tuple  # slot position (from the left) per kernel variable
     depth: int  # current machine environment depth
 
     def var_index(self, kernel_index: int) -> int:
         slot = self.positions[len(self.positions) - 1 - kernel_index]
         return self.depth - 1 - slot
 
-    def bind(self, entry: CtxEntry) -> "EnvLayout":
-        return EnvLayout(
-            self.ctx + (entry,), self.positions + (self.depth,), self.depth + 1
-        )
+    def bind(self, count: int) -> "EnvLayout":
+        """Bind count kernel variables to the next count slots."""
+        new = tuple(range(self.depth, self.depth + count))
+        return EnvLayout(self.positions + new, self.depth + count)
 
     def slot(self, offset: int = 1) -> "EnvLayout":
-        return EnvLayout(self.ctx, self.positions, self.depth + offset)
+        return EnvLayout(self.positions, self.depth + offset)
 
 
 def _seq(*exprs: m.MachineExpr) -> m.MachineExpr:
@@ -260,52 +251,30 @@ def compile_rec_lfpl(
 # ---------------------------------------------------------------------------
 # Term translation
 
-def _subject_type(regime: Regime, env: EnvLayout, t: Term) -> TypeExpr:
-    _, ty = synth(regime, env.ctx, 1, t)
-    return normalize_type(regime, env.ctx, ty)
-
-
-def _norm_target(regime: Regime, env: EnvLayout, ty: TypeExpr | None):
-    return None if ty is None else normalize_type(regime, env.ctx, ty)
-
-
 def compile_term(
-    regime: Regime, env: EnvLayout, t: Term, ty: TypeExpr | None = None
+    regime: Regime, env: EnvLayout, t: Term
 ) -> tuple[m.MachineExpr, Potential]:
-    """Compile a checked runtime-fragment term.
-
-    ty, when given, is the checking target; introduction forms read
-    their usage annotations from it, synthesisable terms ignore it.
-    """
+    """Compile a core runtime-fragment term (see kernel.elaborate)."""
     cls = t.__class__
 
     if cls is Var:
         return m.Var(env.var_index(t.index)), _acct(regime, 1)
 
     if cls is Ann:
-        return compile_term(regime, env, t.term, t.ty)
+        return compile_term(regime, env, t.term)
 
     if cls is Lam:
-        ty_n = _norm_target(regime, env, ty)
-        if not isinstance(ty_n, Pi):
-            ty_n = _subject_type(regime, env, t)
-        if not isinstance(ty_n, Pi):
-            raise CompileError(f"function term at non-function type {ty_n!r}")
         # the body runs in [captured env, self closure, argument]
-        inner = env.slot(1).bind(CtxEntry("_", ty_n.usage, ty_n.dom))
-        body_code, body_pot = compile_term(regime, inner, t.body, ty_n.cod)
+        body_code, body_pot = compile_term(regime, env.slot(1).bind(1), t.body)
         return m.Lam(body_code), _plus(regime, _acct(regime, 1), body_pot)
 
     if cls is App:
-        fn_ty = _subject_type(regime, env, t.fn)
-        if not isinstance(fn_ty, Pi):
-            raise CompileError(f"application head has type {fn_ty!r}")
-        fn_code, fn_pot = compile_term(regime, env, t.fn, fn_ty)
-        pi = fn_ty.usage
+        fn_code, fn_pot = compile_term(regime, env, t.fn)
+        pi = t.usage
         if pi == 0:
             arg_code, arg_contrib = m.MkUnit(), _acct(regime, 1)
         else:
-            arg_code, arg_pot = compile_term(regime, env.slot(1), t.arg, fn_ty.dom)
+            arg_code, arg_pot = compile_term(regime, env.slot(1), t.arg)
             arg_contrib = pot.n_action(_kind_for(regime), pi, arg_pot)
         code = _seq(fn_code, arg_code, m.App(1, 0))
         return code, _plus(regime, fn_pot, arg_contrib, _acct(regime, 3))
@@ -318,53 +287,33 @@ def compile_term(
         return m.MkFalse(), _acct(regime, 1)
 
     if cls is Pair:
-        ty_n = _norm_target(regime, env, ty)
-        if not isinstance(ty_n, Tensor):
-            raise CompileError(f"pair at unknown type {ty_n!r}")
-        pi = ty_n.usage
+        pi = t.usage
         if pi == 0:
             fst_code, fst_contrib = m.MkUnit(), _acct(regime, 1)
         else:
-            fst_code, fst_pot = compile_term(regime, env, t.fst, ty_n.fst)
+            fst_code, fst_pot = compile_term(regime, env, t.fst)
             fst_contrib = pot.n_action(_kind_for(regime), pi, fst_pot)
-        snd_code, snd_pot = compile_term(
-            regime, env.slot(1), t.snd, instantiate_type(ty_n.snd, (t.fst,))
-        )
+        snd_code, snd_pot = compile_term(regime, env.slot(1), t.snd)
         code = _seq(fst_code, snd_code, m.MkPair(1, 0))
         return code, _plus(regime, fst_contrib, snd_pot, _acct(regime, 3))
 
     if cls is LetPair:
-        scrut_ty = _subject_type(regime, env, t.scrut)
-        if not isinstance(scrut_ty, Tensor):
-            raise CompileError(f"pair split at type {scrut_ty!r}")
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut, scrut_ty)
-        inner = (
-            env.slot(1)
-            .bind(CtxEntry("_", scrut_ty.usage, scrut_ty.fst))
-            .bind(CtxEntry("_", 1, scrut_ty.snd))
-        )
-        body_ty = branch_target(t.motive, ty, 2, Pair(Var(1), Var(0)))
-        body_code, body_pot = compile_term(regime, inner, t.body, body_ty)
+        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
+        body_code, body_pot = compile_term(regime, env.slot(1).bind(2), t.body)
         code = m.Seq(scrut_code, m.LetPair(0, body_code))
         return code, _plus(regime, scrut_pot, body_pot, _acct(regime, 2))
 
     if cls is LetUnit:
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut, UNIT_TY)
-        body_ty = branch_target(t.motive, ty, 0, Star())
-        body_code, body_pot = compile_term(regime, env.slot(1), t.body, body_ty)
+        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
+        body_code, body_pot = compile_term(regime, env.slot(1), t.body)
         return m.Seq(scrut_code, body_code), _plus(
             regime, scrut_pot, body_pot, _acct(regime, 1)
         )
 
     if cls is If:
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut, BOOL_TY)
-        inner = env.slot(1)
-        then_code, then_pot = compile_term(
-            regime, inner, t.then_branch, branch_target(t.motive, ty, 0, TrueC())
-        )
-        else_code, else_pot = compile_term(
-            regime, inner, t.else_branch, branch_target(t.motive, ty, 0, FalseC())
-        )
+        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
+        then_code, then_pot = compile_term(regime, env.slot(1), t.then_branch)
+        else_code, else_pot = compile_term(regime, env.slot(1), t.else_branch)
         code = m.Seq(scrut_code, m.If(0, then_code, else_code))
         return code, _plus(
             regime, scrut_pot, _acct(regime, 2), _branch_join(then_pot, else_pot)
@@ -376,12 +325,8 @@ def compile_term(
         return code, _acct(regime, 5)
 
     if cls is Cons:
-        ty_n = _norm_target(regime, env, ty)
-        if not isinstance(ty_n, ListTy):
-            ty_n = None
-        elem_ty = ty_n.elem if ty_n is not None else None
-        head_code, head_pot = compile_term(regime, env, t.head, elem_ty)
-        tail_code, tail_pot = compile_term(regime, env.slot(1), t.tail, ty_n)
+        head_code, head_pot = compile_term(regime, env, t.head)
+        tail_code, tail_pot = compile_term(regime, env.slot(1), t.tail)
         # (true, (head, tail))
         code = _seq(
             head_code, tail_code, m.MkPair(1, 0), m.MkTrue(), m.MkPair(0, 1)
@@ -389,25 +334,11 @@ def compile_term(
         return code, _plus(regime, head_pot, tail_pot, _acct(regime, 7))
 
     if cls is MatchList:
-        scrut_ty = _subject_type(regime, env, t.scrut)
-        if not isinstance(scrut_ty, ListTy):
-            raise CompileError(f"list match at type {scrut_ty!r}")
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut, scrut_ty)
+        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
         # split (tag, payload); a true tag marks a cons cell
-        nil_code, nil_pot = compile_term(
-            regime, env.slot(3), t.nil_branch, branch_target(t.motive, ty, 0, Nil())
-        )
-        elem = scrut_ty.elem
-        cons_env = (
-            env.slot(3)
-            .bind(CtxEntry("_", 1, elem))
-            .bind(CtxEntry("_", 1, ListTy(shift_type(elem, 1))))
-        )
+        nil_code, nil_pot = compile_term(regime, env.slot(3), t.nil_branch)
         cons_code, cons_pot = compile_term(
-            regime,
-            cons_env,
-            t.cons_branch,
-            branch_target(t.motive, ty, 2, Cons(Var(1), Var(0))),
+            regime, env.slot(3).bind(2), t.cons_branch
         )
         code = m.Seq(
             scrut_code,
@@ -425,20 +356,20 @@ def compile_term(
             # a single pairing of the input slot with itself: one step
             idx = env.var_index(t.arg.index)
             return m.MkPair(idx, idx), _acct(regime, 1)
-        arg_code, arg_pot = compile_term(regime, env, t.arg, NAT_TY)
+        arg_code, arg_pot = compile_term(regime, env, t.arg)
         return m.Seq(arg_code, m.MkPair(0, 0)), _plus(
             regime, arg_pot, _acct(regime, 2)
         )
 
     if cls is ZeroL:
-        pay_code, pay_pot = compile_term(regime, env, t.pay, DIAMOND_TY)
+        pay_code, pay_pot = compile_term(regime, env, t.pay)
         # (true, <paid diamond>): the diamond dummy is the unit leaf
         code = _seq(pay_code, m.MkTrue(), m.MkPair(0, 1))
         return code, _plus(regime, pay_pot, _acct(regime, 4))
 
     if cls is SuccL:
-        pay_code, pay_pot = compile_term(regime, env, t.pay, DIAMOND_TY)
-        pred_code, pred_pot = compile_term(regime, env.slot(1), t.pred, NAT_TY)
+        pay_code, pay_pot = compile_term(regime, env, t.pay)
+        pred_code, pred_pot = compile_term(regime, env.slot(1), t.pred)
         # (false, predecessor); the diamond is consumed silently
         code = _seq(pay_code, pred_code, m.MkFalse(), m.MkPair(0, 1))
         return code, _plus(regime, pay_pot, pred_pot, _acct(regime, 5))
@@ -446,23 +377,18 @@ def compile_term(
     if cls is RecNatCF:
         if regime is not Regime.CONS_FREE:
             raise CompileError("cons-free recursor under the wrong regime")
-        return _compile_rec(regime, env, t, ty, lfpl=False)
+        return _compile_rec(regime, env, t, lfpl=False)
 
     if cls is RecNatL:
         if regime is not Regime.LFPL:
             raise CompileError("payment recursor under the wrong regime")
-        return _compile_rec(regime, env, t, ty, lfpl=True)
+        return _compile_rec(regime, env, t, lfpl=True)
 
     if cls is Refl:
         # equation witnesses have no runtime content
         return m.MkUnit(), _acct(regime, 1)
 
-    if cls is ReflectIntro:
-        ty_n = _norm_target(regime, env, ty)
-        inner_ty = ty_n.inner if isinstance(ty_n, Reflect) else None
-        return compile_term(regime, env, t.body, inner_ty)
-
-    if cls is ReflectElim:
+    if cls is ReflectIntro or cls is ReflectElim:
         return compile_term(regime, env, t.body)
 
     if cls is CodeTy:
@@ -472,32 +398,16 @@ def compile_term(
     raise CompileError(f"term form {cls.__name__} cannot occur at runtime")
 
 
-def _compile_rec(regime: Regime, env: EnvLayout, t, ty, lfpl: bool):
-    scrut_code, scrut_pot = compile_term(regime, env, t.scrut, NAT_TY)
-    if t.motive is None and ty is None:
-        raise CompileError("recursor needs a motive or a target type")
-    # branch compile depths per the assembly layout documented above
-    if not lfpl:
-        zero_env = env.slot(5)
-        succ_env = (
-            env.slot(5)
-            .bind(CtxEntry("_", 0, NAT_TY))
-            .bind(CtxEntry("_", 1, branch_target(t.motive, ty, 1, Var(0))))
-        )
-        zero_ty = branch_target(t.motive, ty, 0, ZeroCF())
-        succ_ty = branch_target(t.motive, ty, 2, SuccCF(Var(1)))
-    else:
-        zero_env = env.slot(5).bind(CtxEntry("_", 1, DIAMOND_TY))
-        succ_env = (
-            env.slot(5)
-            .bind(CtxEntry("_", 1, DIAMOND_TY))
-            .bind(CtxEntry("_", 0, NAT_TY))
-            .bind(CtxEntry("_", 1, branch_target(t.motive, ty, 2, Var(0))))
-        )
-        zero_ty = branch_target(t.motive, ty, 1, ZeroL(DiamondStar()))
-        succ_ty = branch_target(t.motive, ty, 3, SuccL(DiamondStar(), Var(1)))
-    zero_code, zero_pot = compile_term(regime, zero_env, t.zero_branch, zero_ty)
-    succ_code, succ_pot = compile_term(regime, succ_env, t.succ_branch, succ_ty)
+def _compile_rec(regime: Regime, env: EnvLayout, t, lfpl: bool):
+    scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
+    # branch compile depths per the assembly layout documented above:
+    # cons-free binds (erased predecessor, previous result) in the
+    # successor branch; the payment regime adds a diamond to both branches
+    diamond = 1 if lfpl else 0
+    zero_env = env.slot(5).bind(diamond)
+    succ_env = env.slot(5).bind(diamond + 2)
+    zero_code, zero_pot = compile_term(regime, zero_env, t.zero_branch)
+    succ_code, succ_pot = compile_term(regime, succ_env, t.succ_branch)
     assemble = compile_rec_lfpl if lfpl else compile_rec_consfree
     return assemble(scrut_code, scrut_pot, zero_code, zero_pot, succ_code, succ_pot)
 
@@ -506,20 +416,23 @@ def _compile_rec(regime: Regime, env: EnvLayout, t, ty, lfpl: bool):
 # Whole-declaration compilation
 
 def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
-    """Compile a closed checked runtime-fragment declaration.
+    """Check and compile a closed runtime-fragment declaration.
 
-    A declaration whose type is a usage-1 function from naturals takes
-    one machine input (the encoded natural); anything else runs closed.
+    The body is elaborated once (raising CheckError if it does not
+    check) and its core term compiled.  A declaration whose type is a
+    usage-1 function from naturals takes one machine input (the encoded
+    natural); anything else runs closed.
     """
     kind = _kind_for(regime)
+    _, core = elaborate(regime, (), 1, body, ty)
     ty_n = normalize_type(regime, (), ty)
     arity = (
         1
         if isinstance(ty_n, Pi) and ty_n.usage == 1 and isinstance(ty_n.dom, NatTy)
         else 0
     )
-    env = EnvLayout((), (), arity)
-    code, potential = compile_term(regime, env, body, ty_n)
+    env = EnvLayout((), arity)
+    code, potential = compile_term(regime, env, core)
     if arity == 1:
         # apply the compiled closure to the input slot
         code = m.Seq(code, m.App(0, 1))

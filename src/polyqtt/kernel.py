@@ -8,6 +8,12 @@ inferred vector they dominate pointwise.  Binder annotations are
 enforced when a binder is popped; premises that demand a fully erased
 context (recursor branches, reflection introduction) require an all-zero
 inferred vector.
+
+Checking also returns the core term: the input term with the usage of
+each application's function type and each pair's tensor type stored in
+the `usage` field of the App or Pair node.  That is the one typing fact
+the compiler needs, so the compiler reads it from the core term and
+carries no types of its own.
 """
 
 from __future__ import annotations
@@ -510,7 +516,7 @@ def _whnf_ty(regime, ctx, ty: TypeExpr) -> TypeExpr:
 
 
 def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
-    """Synthesise (usage vector, type) for t in the given fragment."""
+    """Synthesise (usage vector, type, core term) for t in the given fragment."""
     zeros = zero_usage(len(ctx))
     cls = t.__class__
 
@@ -519,42 +525,42 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
         entry = ctx[pos]
         u = list(zeros)
         u[pos] = sigma
-        return tuple(u), shift_type(entry.ty, t.index + 1)
+        return tuple(u), shift_type(entry.ty, t.index + 1), t
 
     if cls is Ann:
         check_type(regime, ctx_zero(ctx), t.ty)
-        u = check(regime, ctx, sigma, t.term, t.ty)
-        return u, t.ty
+        u, term = check(regime, ctx, sigma, t.term, t.ty)
+        return u, t.ty, Ann(term, t.ty)
 
     if cls is App:
-        u_fn, fn_ty = synth(regime, ctx, sigma, t.fn)
+        u_fn, fn_ty, fn = synth(regime, ctx, sigma, t.fn)
         fn_ty = _whnf_ty(regime, ctx, fn_ty)
         if not isinstance(fn_ty, Pi):
             raise CheckError("Tm-App", f"applied a non-function of type {fn_ty!r}")
         pi = fn_ty.usage
         sigma_arg = 0 if (pi == 0 or sigma == 0) else 1
-        u_arg = check(regime, ctx, sigma_arg, t.arg, fn_ty.dom)
+        u_arg, arg = check(regime, ctx, sigma_arg, t.arg, fn_ty.dom)
         u = usage_add(u_fn, usage_scale(pi, u_arg))
-        return u, instantiate_type(fn_ty.cod, (t.arg,))
+        return u, instantiate_type(fn_ty.cod, (t.arg,)), App(fn, arg, pi)
 
     if cls is Star:
-        return zeros, UNIT_TY
+        return zeros, UNIT_TY, t
 
     if cls is TrueC or cls is FalseC:
-        return zeros, BOOL_TY
+        return zeros, BOOL_TY, t
 
     if cls is Cons:
-        u_h, elem_ty = synth(regime, ctx, sigma, t.head)
-        u_t = check(regime, ctx, sigma, t.tail, ListTy(elem_ty))
-        return usage_add(u_h, u_t), ListTy(elem_ty)
+        u_h, elem_ty, head = synth(regime, ctx, sigma, t.head)
+        u_t, tail = check(regime, ctx, sigma, t.tail, ListTy(elem_ty))
+        return usage_add(u_h, u_t), ListTy(elem_ty), Cons(head, tail)
 
     if cls is DupNat:
         if regime is not Regime.CONS_FREE:
             raise CheckError(
                 "Tm-CF-DupNat", "duplication of naturals belongs to the cons-free regime"
             )
-        u = check(regime, ctx, sigma, t.arg, NAT_TY)
-        return u, Tensor(1, NAT_TY, NAT_TY)
+        u, arg = check(regime, ctx, sigma, t.arg, NAT_TY)
+        return u, Tensor(1, NAT_TY, NAT_TY), DupNat(arg)
 
     if cls is ZeroCF:
         if regime is not Regime.CONS_FREE:
@@ -563,7 +569,7 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
             raise CheckError(
                 "Tm-CF-Zero", "cons-free constructors live in the erased fragment only"
             )
-        return zeros, NAT_TY
+        return zeros, NAT_TY, t
 
     if cls is SuccCF:
         if regime is not Regime.CONS_FREE:
@@ -572,8 +578,8 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
             raise CheckError(
                 "Tm-CF-Succ", "cons-free constructors live in the erased fragment only"
             )
-        u = check(regime, ctx, 0, t.pred, NAT_TY)
-        return u, NAT_TY
+        u, pred = check(regime, ctx, 0, t.pred, NAT_TY)
+        return u, NAT_TY, SuccCF(pred)
 
     if cls is DiamondStar:
         if regime is not Regime.LFPL:
@@ -582,20 +588,20 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
             raise CheckError(
                 "Tm-LFPL-Star", "the dummy diamond lives in the erased fragment only"
             )
-        return zeros, DIAMOND_TY
+        return zeros, DIAMOND_TY, t
 
     if cls is ZeroL:
         if regime is not Regime.LFPL:
             raise CheckError("Tm-LFPL-Zero", "paid zero belongs to the payment regime")
-        u = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
-        return u, NAT_TY
+        u, pay = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
+        return u, NAT_TY, ZeroL(pay)
 
     if cls is SuccL:
         if regime is not Regime.LFPL:
             raise CheckError("Tm-LFPL-Succ", "paid successor belongs to the payment regime")
-        u_d = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
-        u_n = check(regime, ctx, sigma, t.pred, NAT_TY)
-        return usage_add(u_d, u_n), NAT_TY
+        u_d, pay = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
+        u_n, pred = check(regime, ctx, sigma, t.pred, NAT_TY)
+        return usage_add(u_d, u_n), NAT_TY, SuccL(pay, pred)
 
     if cls is Fst or cls is Snd:
         if sigma != 0:
@@ -603,7 +609,7 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
                 "Tm-Fst" if cls is Fst else "Tm-Snd",
                 "projections live in the erased fragment only",
             )
-        u, pair_ty = synth(regime, ctx, 0, t.pair)
+        u, pair_ty, pair = synth(regime, ctx, 0, t.pair)
         pair_ty = _whnf_ty(regime, ctx, pair_ty)
         if not isinstance(pair_ty, Tensor):
             raise CheckError(
@@ -611,65 +617,37 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
                 f"projection from a non-pair of type {pair_ty!r}",
             )
         if cls is Fst:
-            return u, pair_ty.fst
-        return u, instantiate_type(pair_ty.snd, (Fst(t.pair),))
+            return u, pair_ty.fst, Fst(pair)
+        return u, instantiate_type(pair_ty.snd, (Fst(t.pair),)), Snd(pair)
 
     if cls is Refl:
-        u, ty = synth(regime, ctx, sigma, t.body)
-        return u, IdTy(ty, t.body, t.body)
+        u, ty, body = synth(regime, ctx, sigma, t.body)
+        return u, IdTy(ty, t.body, t.body), Refl(body)
 
     if cls is ReflectIntro:
-        u, ty = synth(regime, ctx, 1, t.body)
+        u, ty, body = synth(regime, ctx, 1, t.body)
         _require_erased_ambient(u, "Tm-R")
-        return zeros, Reflect(ty)
+        return zeros, Reflect(ty), ReflectIntro(body)
 
     if cls is ReflectElim:
-        u, ty = synth(regime, ctx, sigma, t.body)
+        u, ty, body = synth(regime, ctx, sigma, t.body)
         ty = _whnf_ty(regime, ctx, ty)
         if not isinstance(ty, Reflect):
             raise CheckError("Tm-R-Inv", f"unreflecting a non-reflected type {ty!r}")
-        return u, ty.inner
+        return u, ty.inner, ReflectElim(body)
 
     if cls is CodeTy:
         if _mentions_universe(t.ty):
             raise CheckError("Tm-U-Code", "the universe has no code for itself")
         check_type(regime, ctx_zero(ctx), t.ty)
-        return zeros, UNIVERSE
+        return zeros, UNIVERSE, t
 
-    if cls is If:
+    elim = _ELIMINATORS.get(cls)
+    if elim is not None:
+        rule, check_elim = elim
         if t.motive is None:
-            raise CheckError("Tm-If", "motive required to synthesise a conditional")
-        return _check_if(regime, ctx, sigma, t, None)
-
-    if cls is LetPair:
-        if t.motive is None:
-            raise CheckError("Tm-Let-Pair", "motive required to synthesise")
-        return _check_let_pair(regime, ctx, sigma, t, None)
-
-    if cls is LetUnit:
-        if t.motive is None:
-            raise CheckError("Tm-Let-Unit", "motive required to synthesise")
-        return _check_let_unit(regime, ctx, sigma, t, None)
-
-    if cls is MatchList:
-        if t.motive is None:
-            raise CheckError("Tm-List-Match", "motive required to synthesise")
-        return _check_match_list(regime, ctx, sigma, t, None)
-
-    if cls is RecList:
-        if t.motive is None:
-            raise CheckError("Tm-List-Rec", "motive required to synthesise")
-        return _check_rec_list(regime, ctx, sigma, t, None)
-
-    if cls is RecNatCF:
-        if t.motive is None:
-            raise CheckError("Tm-CF-Rec", "motive required to synthesise")
-        return _check_rec_cf(regime, ctx, sigma, t, None)
-
-    if cls is RecNatL:
-        if t.motive is None:
-            raise CheckError("Tm-LFPL-Rec", "motive required to synthesise")
-        return _check_rec_lfpl(regime, ctx, sigma, t, None)
+            raise CheckError(rule, "motive required to synthesise")
+        return check_elim(regime, ctx, sigma, t, None)
 
     if cls is Lam:
         raise CheckError("Tm-Lam", "cannot synthesise a bare function; annotate it")
@@ -683,8 +661,8 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
 
 def check(
     regime: Regime, ctx: Context, sigma: int, t: Term, ty: TypeExpr
-) -> UsageVector:
-    """Check t against ty, returning the minimal usage vector."""
+) -> tuple[UsageVector, Term]:
+    """Check t against ty, returning (minimal usage vector, core term)."""
     cls = t.__class__
     ty_n = _whnf_ty(regime, ctx, ty)
 
@@ -693,24 +671,25 @@ def check(
             raise CheckError("Tm-Lam", f"function against non-function type {ty_n!r}")
         cap = sigma * ty_n.usage
         inner = ctx + (CtxEntry("_", cap, ty_n.dom),)
-        u = check(regime, inner, sigma, t.body, ty_n.cod)
-        return _pop_binders(u, (cap,), "Tm-Lam")
+        u, body = check(regime, inner, sigma, t.body, ty_n.cod)
+        return _pop_binders(u, (cap,), "Tm-Lam"), Lam(body)
 
     if cls is Pair:
         if not isinstance(ty_n, Tensor):
             raise CheckError("Tm-Pair", f"pair against non-pair type {ty_n!r}")
         pi = ty_n.usage
         sigma_fst = 0 if (pi == 0 or sigma == 0) else 1
-        u_fst = check(regime, ctx, sigma_fst, t.fst, ty_n.fst)
-        u_snd = check(
+        u_fst, fst = check(regime, ctx, sigma_fst, t.fst, ty_n.fst)
+        u_snd, snd = check(
             regime, ctx, sigma, t.snd, instantiate_type(ty_n.snd, (t.fst,))
         )
-        return usage_add(usage_scale(pi, u_fst), u_snd)
+        u = usage_add(usage_scale(pi, u_fst), u_snd)
+        return u, Pair(fst, snd, pi)
 
     if cls is Nil:
         if not isinstance(ty_n, ListTy):
             raise CheckError("Tm-List-Nil", f"nil against non-list type {ty_n!r}")
-        return zero_usage(len(ctx))
+        return zero_usage(len(ctx)), t
 
     if cls is Star and isinstance(ty_n, DiamondTy):
         # the surface star doubles as the dummy diamond
@@ -720,10 +699,10 @@ def check(
             raise CheckError(
                 "Tm-LFPL-Star", "the dummy diamond lives in the erased fragment only"
             )
-        return zero_usage(len(ctx))
+        return zero_usage(len(ctx)), t
 
     if cls is Refl and isinstance(ty_n, IdTy):
-        u = check(regime, ctx, sigma, t.body, ty_n.ty)
+        u, body = check(regime, ctx, sigma, t.body, ty_n.ty)
         s = _NormSession(DEFAULT_NORM_BUDGET)
         body_n = _norm(t.body, s)
         if not (
@@ -731,139 +710,119 @@ def check(
             and _terms_equal_at(ty_n.ty, body_n, _norm(ty_n.rhs, s))
         ):
             raise CheckError("Id-Refl", "refl does not prove this equation")
-        return u
+        return u, Refl(body)
 
     if cls is ReflectIntro and isinstance(ty_n, Reflect):
-        u = check(regime, ctx, 1, t.body, ty_n.inner)
+        u, body = check(regime, ctx, 1, t.body, ty_n.inner)
         _require_erased_ambient(u, "Tm-R")
-        return zero_usage(len(ctx))
+        return zero_usage(len(ctx)), ReflectIntro(body)
 
-    if cls is If and t.motive is None:
-        return _check_if(regime, ctx, sigma, t, ty_n)[0]
-    if cls is LetPair and t.motive is None:
-        return _check_let_pair(regime, ctx, sigma, t, ty_n)[0]
-    if cls is LetUnit and t.motive is None:
-        return _check_let_unit(regime, ctx, sigma, t, ty_n)[0]
-    if cls is MatchList and t.motive is None:
-        return _check_match_list(regime, ctx, sigma, t, ty_n)[0]
-    if cls is RecList and t.motive is None:
-        return _check_rec_list(regime, ctx, sigma, t, ty_n)[0]
-    if cls is RecNatCF and t.motive is None:
-        return _check_rec_cf(regime, ctx, sigma, t, ty_n)[0]
-    if cls is RecNatL and t.motive is None:
-        return _check_rec_lfpl(regime, ctx, sigma, t, ty_n)[0]
+    elim = _ELIMINATORS.get(cls)
+    if elim is not None and t.motive is None:
+        u, _, core = elim[1](regime, ctx, sigma, t, ty_n)
+        return u, core
 
-    u, got = synth(regime, ctx, sigma, t)
+    u, got, core = synth(regime, ctx, sigma, t)
     if not types_equal(regime, ctx, got, ty):
         s = _NormSession(DEFAULT_NORM_BUDGET)
         raise CheckError(
             "Conv",
             f"expected {_norm_type(ty, s)!r} but synthesised {_norm_type(got, s)!r}",
         )
-    return u
+    return u, core
 
 
 # --- dependent eliminators -------------------------------------------------
 #
 # Each _check_* takes either an explicit motive on the term or a target
-# type (for the non-dependent reading) and returns (usage, result type).
-
-def _motive_targets(motive: TypeExpr | None, target: TypeExpr | None, rule: str):
-    if motive is None and target is None:
-        raise CheckError(rule, "motive required")
-    return motive
-
+# type (for the non-dependent reading) and returns (usage, result type,
+# core term).
 
 def branch_target(motive, target, binders: int, inst_with):
     """Target type for a branch under `binders` pushed entries.
 
     With a motive (one binder over the ambient context), free variables
     shift under the pushed binders and the motive variable is replaced
-    by inst_with; without one, the non-dependent target shifts.  Both
-    absent yields None (an unconstrained branch).
+    by inst_with; without one, the non-dependent target shifts.
     """
     if motive is None:
-        if target is None:
-            return None
         return shift_type(target, binders)
     shifted = shift_type(motive, binders, cutoff=1)
     return instantiate_type(shifted, (inst_with,))
 
 
-_branch_target = branch_target
+def _check_motive(regime, ctx, motive, scrut_ty: TypeExpr) -> None:
+    if motive is not None:
+        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, scrut_ty),), motive)
+
+
+def _result_type(t: Term, target):
+    return target if t.motive is None else instantiate_type(t.motive, (t.scrut,))
 
 
 def _check_if(regime, ctx, sigma, t: If, target):
-    motive = _motive_targets(t.motive, target, "Tm-If")
-    if motive is not None:
-        check_type(
-            regime, ctx_zero(ctx) + (CtxEntry("_", 0, BOOL_TY),), motive
-        )
-    u_s = check(regime, ctx, sigma, t.scrut, BOOL_TY)
-    tgt_true = _branch_target(motive, target, 0, TrueC())
-    tgt_false = _branch_target(motive, target, 0, FalseC())
-    u_t = check(regime, ctx, sigma, t.then_branch, tgt_true)
-    u_f = check(regime, ctx, sigma, t.else_branch, tgt_false)
+    motive = t.motive
+    _check_motive(regime, ctx, motive, BOOL_TY)
+    u_s, scrut = check(regime, ctx, sigma, t.scrut, BOOL_TY)
+    tgt_true = branch_target(motive, target, 0, TrueC())
+    tgt_false = branch_target(motive, target, 0, FalseC())
+    u_t, then_branch = check(regime, ctx, sigma, t.then_branch, tgt_true)
+    u_f, else_branch = check(regime, ctx, sigma, t.else_branch, tgt_false)
     u = usage_add(u_s, _join_usage(u_t, u_f))
-    result = target if motive is None else instantiate_type(motive, (t.scrut,))
-    return u, result
+    core = If(scrut, then_branch, else_branch, motive)
+    return u, _result_type(t, target), core
 
 
 def _check_let_pair(regime, ctx, sigma, t: LetPair, target):
-    motive = _motive_targets(t.motive, target, "Tm-Let-Pair")
-    u_s, scrut_ty = synth(regime, ctx, sigma, t.scrut)
+    motive = t.motive
+    u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
     scrut_ty = _whnf_ty(regime, ctx, scrut_ty)
     if not isinstance(scrut_ty, Tensor):
         raise CheckError("Tm-Let-Pair", f"splitting a non-pair of type {scrut_ty!r}")
-    if motive is not None:
-        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, scrut_ty),), motive)
+    _check_motive(regime, ctx, motive, scrut_ty)
     pi = scrut_ty.usage
     inner = ctx + (
         CtxEntry("_", sigma * pi, scrut_ty.fst),
         CtxEntry("_", sigma, scrut_ty.snd),
     )
-    tgt = _branch_target(motive, target, 2, Pair(Var(1), Var(0)))
-    u_b = check(regime, inner, sigma, t.body, tgt)
+    tgt = branch_target(motive, target, 2, Pair(Var(1), Var(0)))
+    u_b, body = check(regime, inner, sigma, t.body, tgt)
     u_b = _pop_binders(u_b, (sigma * pi, sigma), "Tm-Let-Pair")
     u = usage_add(u_s, u_b)
-    result = target if motive is None else instantiate_type(motive, (t.scrut,))
-    return u, result
+    return u, _result_type(t, target), LetPair(scrut, body, motive)
 
 
 def _check_let_unit(regime, ctx, sigma, t: LetUnit, target):
-    motive = _motive_targets(t.motive, target, "Tm-Let-Unit")
-    if motive is not None:
-        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, UNIT_TY),), motive)
-    u_s = check(regime, ctx, sigma, t.scrut, UNIT_TY)
-    tgt = _branch_target(motive, target, 0, Star())
-    u_b = check(regime, ctx, sigma, t.body, tgt)
+    motive = t.motive
+    _check_motive(regime, ctx, motive, UNIT_TY)
+    u_s, scrut = check(regime, ctx, sigma, t.scrut, UNIT_TY)
+    tgt = branch_target(motive, target, 0, Star())
+    u_b, body = check(regime, ctx, sigma, t.body, tgt)
     u = usage_add(u_s, u_b)
-    result = target if motive is None else instantiate_type(motive, (t.scrut,))
-    return u, result
+    return u, _result_type(t, target), LetUnit(scrut, body, motive)
 
 
 def _check_match_list(regime, ctx, sigma, t: MatchList, target):
-    motive = _motive_targets(t.motive, target, "Tm-List-Match")
-    u_s, scrut_ty = synth(regime, ctx, sigma, t.scrut)
+    motive = t.motive
+    u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
     scrut_ty = _whnf_ty(regime, ctx, scrut_ty)
     if not isinstance(scrut_ty, ListTy):
         raise CheckError("Tm-List-Match", f"matching a non-list of type {scrut_ty!r}")
-    if motive is not None:
-        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, scrut_ty),), motive)
+    _check_motive(regime, ctx, motive, scrut_ty)
     elem = scrut_ty.elem
-    u_nil = check(
-        regime, ctx, sigma, t.nil_branch, _branch_target(motive, target, 0, Nil())
+    u_nil, nil_branch = check(
+        regime, ctx, sigma, t.nil_branch, branch_target(motive, target, 0, Nil())
     )
     inner = ctx + (
         CtxEntry("_", sigma, elem),
         CtxEntry("_", sigma, ListTy(shift_type(elem, 1))),
     )
-    tgt = _branch_target(motive, target, 2, Cons(Var(1), Var(0)))
-    u_cons = check(regime, inner, sigma, t.cons_branch, tgt)
+    tgt = branch_target(motive, target, 2, Cons(Var(1), Var(0)))
+    u_cons, cons_branch = check(regime, inner, sigma, t.cons_branch, tgt)
     u_cons = _pop_binders(u_cons, (sigma, sigma), "Tm-List-Match")
     u = usage_add(u_s, _join_usage(u_nil, u_cons))
-    result = target if motive is None else instantiate_type(motive, (t.scrut,))
-    return u, result
+    core = MatchList(scrut, nil_branch, cons_branch, motive)
+    return u, _result_type(t, target), core
 
 
 def _check_rec_list(regime, ctx, sigma, t: RecList, target):
@@ -871,25 +830,25 @@ def _check_rec_list(regime, ctx, sigma, t: RecList, target):
         raise CheckError(
             "Tm-List-Rec", "list recursion lives in the erased fragment only"
         )
-    motive = _motive_targets(t.motive, target, "Tm-List-Rec")
-    u_s, scrut_ty = synth(regime, ctx, 0, t.scrut)
+    motive = t.motive
+    _, scrut_ty, scrut = synth(regime, ctx, 0, t.scrut)
     scrut_ty = _whnf_ty(regime, ctx, scrut_ty)
     if not isinstance(scrut_ty, ListTy):
         raise CheckError("Tm-List-Rec", f"recursing on a non-list of type {scrut_ty!r}")
-    if motive is not None:
-        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, scrut_ty),), motive)
+    _check_motive(regime, ctx, motive, scrut_ty)
     elem = scrut_ty.elem
-    check(regime, ctx, 0, t.nil_branch, _branch_target(motive, target, 0, Nil()))
-    p_ty = _branch_target(motive, target, 2, Var(0))
+    tgt_nil = branch_target(motive, target, 0, Nil())
+    _, nil_branch = check(regime, ctx, 0, t.nil_branch, tgt_nil)
+    p_ty = branch_target(motive, target, 2, Var(0))
     inner = ctx + (
         CtxEntry("_", 0, elem),
         CtxEntry("_", 0, ListTy(shift_type(elem, 1))),
         CtxEntry("_", 0, p_ty),
     )
-    tgt = _branch_target(motive, target, 3, Cons(Var(2), Var(1)))
-    check(regime, inner, 0, t.cons_branch, tgt)
-    result = target if motive is None else instantiate_type(motive, (t.scrut,))
-    return zero_usage(len(ctx)), result
+    tgt = branch_target(motive, target, 3, Cons(Var(2), Var(1)))
+    _, cons_branch = check(regime, inner, 0, t.cons_branch, tgt)
+    core = RecList(scrut, nil_branch, cons_branch, motive)
+    return zero_usage(len(ctx)), _result_type(t, target), core
 
 
 def _check_rec_cf(regime, ctx, sigma, t: RecNatCF, target):
@@ -897,22 +856,20 @@ def _check_rec_cf(regime, ctx, sigma, t: RecNatCF, target):
         raise CheckError(
             "Tm-CF-Rec", "this recursor shape belongs to the cons-free regime"
         )
-    motive = _motive_targets(t.motive, target, "Tm-CF-Rec")
-    if motive is not None:
-        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, NAT_TY),), motive)
-    u_s = check(regime, ctx, sigma, t.scrut, NAT_TY)
-    u_z = check(
-        regime, ctx, sigma, t.zero_branch, _branch_target(motive, target, 0, ZeroCF())
-    )
+    motive = t.motive
+    _check_motive(regime, ctx, motive, NAT_TY)
+    u_s, scrut = check(regime, ctx, sigma, t.scrut, NAT_TY)
+    tgt_z = branch_target(motive, target, 0, ZeroCF())
+    u_z, zero_branch = check(regime, ctx, sigma, t.zero_branch, tgt_z)
     _require_erased_ambient(u_z, "Tm-CF-Rec")
-    p_ty = _branch_target(motive, target, 1, Var(0))
+    p_ty = branch_target(motive, target, 1, Var(0))
     inner = ctx + (CtxEntry("_", 0, NAT_TY), CtxEntry("_", sigma, p_ty))
-    tgt = _branch_target(motive, target, 2, SuccCF(Var(1)))
-    u_sb = check(regime, inner, sigma, t.succ_branch, tgt)
+    tgt = branch_target(motive, target, 2, SuccCF(Var(1)))
+    u_sb, succ_branch = check(regime, inner, sigma, t.succ_branch, tgt)
     u_sb = _pop_binders(u_sb, (0, sigma), "Tm-CF-Rec")
     _require_erased_ambient(u_sb, "Tm-CF-Rec")
-    result = target if motive is None else instantiate_type(motive, (t.scrut,))
-    return u_s, result
+    core = RecNatCF(scrut, zero_branch, succ_branch, motive)
+    return u_s, _result_type(t, target), core
 
 
 def _check_rec_lfpl(regime, ctx, sigma, t: RecNatL, target):
@@ -920,45 +877,60 @@ def _check_rec_lfpl(regime, ctx, sigma, t: RecNatL, target):
         raise CheckError(
             "Tm-LFPL-Rec", "this recursor shape belongs to the payment regime"
         )
-    motive = _motive_targets(t.motive, target, "Tm-LFPL-Rec")
-    if motive is not None:
-        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, NAT_TY),), motive)
-    u_s = check(regime, ctx, sigma, t.scrut, NAT_TY)
+    motive = t.motive
+    _check_motive(regime, ctx, motive, NAT_TY)
+    u_s, scrut = check(regime, ctx, sigma, t.scrut, NAT_TY)
     inner_z = ctx + (CtxEntry("_", sigma, DIAMOND_TY),)
-    tgt_z = _branch_target(motive, target, 1, ZeroL(DiamondStar()))
-    u_z = check(regime, inner_z, sigma, t.zero_branch, tgt_z)
+    tgt_z = branch_target(motive, target, 1, ZeroL(DiamondStar()))
+    u_z, zero_branch = check(regime, inner_z, sigma, t.zero_branch, tgt_z)
     u_z = _pop_binders(u_z, (sigma,), "Tm-LFPL-Rec")
     _require_erased_ambient(u_z, "Tm-LFPL-Rec")
-    p_ty = _branch_target(motive, target, 2, Var(0))
+    p_ty = branch_target(motive, target, 2, Var(0))
     inner_s = ctx + (
         CtxEntry("_", sigma, DIAMOND_TY),
         CtxEntry("_", 0, NAT_TY),
         CtxEntry("_", sigma, p_ty),
     )
-    tgt_s = _branch_target(motive, target, 3, SuccL(DiamondStar(), Var(1)))
-    u_sb = check(regime, inner_s, sigma, t.succ_branch, tgt_s)
+    tgt_s = branch_target(motive, target, 3, SuccL(DiamondStar(), Var(1)))
+    u_sb, succ_branch = check(regime, inner_s, sigma, t.succ_branch, tgt_s)
     u_sb = _pop_binders(u_sb, (sigma, 0, sigma), "Tm-LFPL-Rec")
     _require_erased_ambient(u_sb, "Tm-LFPL-Rec")
-    result = target if motive is None else instantiate_type(motive, (t.scrut,))
-    return u_s, result
+    core = RecNatL(scrut, zero_branch, succ_branch, motive)
+    return u_s, _result_type(t, target), core
+
+
+# The eliminators with an optional motive: the rule label that reports a
+# missing motive in synthesis mode, and the checker shared by both modes.
+_ELIMINATORS = {
+    If: ("Tm-If", _check_if),
+    LetPair: ("Tm-Let-Pair", _check_let_pair),
+    LetUnit: ("Tm-Let-Unit", _check_let_unit),
+    MatchList: ("Tm-List-Match", _check_match_list),
+    RecList: ("Tm-List-Rec", _check_rec_list),
+    RecNatCF: ("Tm-CF-Rec", _check_rec_cf),
+    RecNatL: ("Tm-LFPL-Rec", _check_rec_lfpl),
+}
 
 
 # ---------------------------------------------------------------------------
-# Public entry point
+# Public entry points
 
-def infer_usage_check(
+def elaborate(
     regime: Regime, ctx: Context, sigma: int, term: Term, ty: TypeExpr
-) -> UsageVector:
-    """Check term against ty and return the minimal usage vector.
+) -> tuple[UsageVector, Term]:
+    """Check term against ty; return the minimal usage vector and the
+    core term.
 
-    The declared annotations in ctx must dominate the inferred vector
-    pointwise; in the erased fragment the result is all zeros.
+    The core term is term with the usage of each application's function
+    type and each pair's tensor type stored on the node.  The declared
+    annotations in ctx must dominate the inferred vector pointwise; in
+    the erased fragment the vector is all zeros.
     """
     if sigma not in (0, 1):
         raise CheckError("Tm", "fragment marker must be 0 or 1")
     _ensure_stack()
     check_type(regime, ctx_zero(ctx), ty)
-    u = check(regime, ctx, sigma, term, ty)
+    u, core = check(regime, ctx, sigma, term, ty)
     for entry, got in zip(ctx, u):
         if got > entry.usage:
             raise CheckError(
@@ -966,4 +938,11 @@ def infer_usage_check(
                 f"usage overflow for {entry.name}: inferred {got}, "
                 f"declared {entry.usage}",
             )
-    return u
+    return u, core
+
+
+def infer_usage_check(
+    regime: Regime, ctx: Context, sigma: int, term: Term, ty: TypeExpr
+) -> UsageVector:
+    """Check term against ty and return the minimal usage vector."""
+    return elaborate(regime, ctx, sigma, term, ty)[0]

@@ -144,36 +144,14 @@ class Stuck(EvalOutcome):
 OUT_OF_FUEL = OutOfFuel()
 
 
-# --------------------------------------------------------------------------
-# Cost model.  Every rule costs one step; the table exists as a single
-# configuration point for experiments with non-uniform costs.
-
-@dataclass(frozen=True)
-class CostModel:
-    mk_clo: int = 1
-    mk_unit: int = 1
-    mk_pair: int = 1
-    mk_true: int = 1
-    mk_false: int = 1
-    access: int = 1
-    seq: int = 1
-    app: int = 1
-    let_pair: int = 1
-    if_true: int = 1
-    if_false: int = 1
-
-
-DEFAULT_COSTS = CostModel()
-
-
 def eval_expr(
     expr: MachineExpr,
     env: Env = (),
     fuel: int = 10_000_000,
-    costs: CostModel = DEFAULT_COSTS,
     trace: list | None = None,
 ) -> EvalOutcome:
-    """Run the big-step evaluator, counting exact steps.
+    """Run the big-step evaluator, counting exact steps: every rule,
+    including the resumption of a sequencing frame, costs one step.
 
     Returns Done(v, k) exactly when a derivation of cost k <= fuel
     exists; OutOfFuel when the derivation would exceed the fuel; Stuck
@@ -198,7 +176,7 @@ def eval_expr(
                 i = expr.i
                 if i < 0 or i >= len(env):
                     return Stuck(f"index {i} out of range for depth {len(env)}")
-                steps += costs.access
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 value = env[-1 - i]
@@ -209,7 +187,7 @@ def eval_expr(
                 fn = env[-1 - i]
                 if fn.__class__ is not Clo:
                     return Stuck(f"applied a non-closure {fn.__class__.__name__}")
-                steps += costs.app
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 arg = env[-1 - j]
@@ -224,12 +202,12 @@ def eval_expr(
                     return Stuck(f"index {i} out of range for depth {len(env)}")
                 scrut = env[-1 - i]
                 if scrut.__class__ is VTrue:
-                    steps += costs.if_true
+                    steps += 1
                     if steps > fuel:
                         return OUT_OF_FUEL
                     expr = expr.then_branch
                 elif scrut.__class__ is VFalse:
-                    steps += costs.if_false
+                    steps += 1
                     if steps > fuel:
                         return OUT_OF_FUEL
                     expr = expr.else_branch
@@ -246,7 +224,7 @@ def eval_expr(
                     return Stuck(
                         f"pair elimination on a {scrut.__class__.__name__}"
                     )
-                steps += costs.let_pair
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 env = env + (scrut.fst, scrut.snd)
@@ -255,27 +233,27 @@ def eval_expr(
                 i, j = expr.i, expr.j
                 if max(i, j) >= len(env) or min(i, j) < 0:
                     return Stuck(f"index out of range in pairing ({i}, {j})")
-                steps += costs.mk_pair
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 value = VPair(env[-1 - i], env[-1 - j])
             elif cls is Lam:
-                steps += costs.mk_clo
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 value = Clo(expr.body, env)
             elif cls is MkUnit:
-                steps += costs.mk_unit
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 value = UNIT
             elif cls is MkTrue:
-                steps += costs.mk_true
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 value = TRUE
             elif cls is MkFalse:
-                steps += costs.mk_false
+                steps += 1
                 if steps > fuel:
                     return OUT_OF_FUEL
                 value = FALSE
@@ -285,7 +263,7 @@ def eval_expr(
             if not stack:
                 return Done(value, steps)
             # Resume a sequencing frame: charge its own step, bind the value.
-            steps += costs.seq
+            steps += 1
             if steps > fuel:
                 return OUT_OF_FUEL
             expr, env0 = stack.pop()

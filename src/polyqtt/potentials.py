@@ -68,22 +68,6 @@ class Poly:
         return acc
 
 
-def poly_eval(p: Poly, x: int) -> int:
-    return p(x)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_scale(k: int, p: Poly) -> Poly:
-    return p.scale(k)
-
-
-def poly_shift_up(p: Poly) -> Poly:
-    return p.shift_up()
-
-
 def _shifted_coeffs(p: Poly, m: int) -> list[int]:
     # Coefficients of x |-> p(x + m), computed by binomial expansion.
     out = [0] * max(len(p.coeffs), 1)

@@ -13,7 +13,7 @@ every constructor with a diamond and releases diamonds during recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 
@@ -118,12 +118,17 @@ class Lam(Term):
 class App(Term):
     fn: Term
     arg: Term
+    # usage of the function type: None until the checker stores it in the
+    # core term (kernel.elaborate); it takes no part in equality
+    usage: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Pair(Term):
     fst: Term
     snd: Term
+    # usage of the tensor type, stored like App.usage
+    usage: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -334,8 +339,8 @@ _SCHEMA: dict[type, tuple[tuple[str, str, int], ...]] = {
     Reflect: (("inner", _Y, 0),),
     Var: (("index", _P, 0),),
     Lam: (("body", _T, 1),),
-    App: (("fn", _T, 0), ("arg", _T, 0)),
-    Pair: (("fst", _T, 0), ("snd", _T, 0)),
+    App: (("fn", _T, 0), ("arg", _T, 0), ("usage", _P, 0)),
+    Pair: (("fst", _T, 0), ("snd", _T, 0), ("usage", _P, 0)),
     LetPair: (("scrut", _T, 0), ("body", _T, 2), ("motive", _M, 1)),
     Star: (),
     LetUnit: (("scrut", _T, 0), ("body", _T, 0), ("motive", _M, 1)),

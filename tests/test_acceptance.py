@@ -332,9 +332,9 @@ def test_criterion_8_agreement_with_normalisation():
 
 def test_criterion_9_dup_costs_one_step():
     from polyqtt.compiler import EnvLayout, compile_term
-    from polyqtt.syntax import CtxEntry, DupNat, NAT_TY, Var
+    from polyqtt.syntax import DupNat, Var
 
-    env = EnvLayout((CtxEntry("n", 1, NAT_TY),), (0,), 1)
+    env = EnvLayout((0,), 1)
     code, _ = compile_term(Regime.CONS_FREE, env, DupNat(Var(0)))
     out = m.eval_expr(code, (m.nat_value(9),), 10)
     assert out == m.Done(m.VPair(m.nat_value(9), m.nat_value(9)), 1)

@@ -179,3 +179,18 @@ def test_unknown_declaration_exit_1(capsys):
     rc = main(["run", str(CORPUS / "consfree_iter.qtt"), "nope", "--input", "1"])
     assert rc == 1
     assert "no definition named" in capsys.readouterr().err
+
+
+def test_verify_negative_max_n_rejected(capsys):
+    # a sweep over no inputs must not report a pass
+    rc = main(["verify", str(CORPUS / "consfree_iter.qtt"), "parity1", "--max-n", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "--max-n" in captured.err
+
+
+def test_run_negative_input_rejected(capsys):
+    rc = main(["run", str(CORPUS / "consfree_iter.qtt"), "idNat", "--input", "-1"])
+    assert rc == 1
+    assert "--input" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import pytest
+
 from polyqtt import machine as m
 from polyqtt import potentials as pot
 from polyqtt.compiler import (
@@ -10,14 +12,13 @@ from polyqtt.compiler import (
     run_and_verify,
     sabotage,
 )
-from polyqtt.kernel import infer_usage_check, normalize_sigma0
+from polyqtt.kernel import CheckError, elaborate, normalize_sigma0
 from polyqtt.potentials import ExtNat, MonoidKind, Poly
 from polyqtt.syntax import (
     App,
     BOOL_TY,
     Ann,
     Cons,
-    CtxEntry,
     DupNat,
     FalseC,
     If,
@@ -41,8 +42,13 @@ CF = Regime.CONS_FREE
 LF = Regime.LFPL
 
 
+def core(regime, term, ty):
+    """The core term of a closed runtime-fragment term."""
+    return elaborate(regime, (), 1, term, ty)[1]
+
+
 def checked_program(regime, ty, body):
-    infer_usage_check(regime, (), 1, body, ty)
+    # compile_declaration checks the body before compiling it
     return compile_declaration(regime, ty, body)
 
 
@@ -62,9 +68,8 @@ REBUILD_TY = Pi(1, NAT_TY, NAT_TY)
 def test_identity_function_compiles_and_runs_within_potential():
     body = Lam(Var(0))
     ty = Pi(1, BOOL_TY, BOOL_TY)
-    infer_usage_check(CF, (), 1, body, ty)
-    env = EnvLayout((), (), 0)
-    code, gamma = compile_term(CF, env, body, ty)
+    env = EnvLayout((), 0)
+    code, gamma = compile_term(CF, env, core(CF, body, ty))
     assert pot.in_submonoid(gamma)
     # the bare program evaluates to a closure within its own potential
     out = m.eval_expr(code, (), 1000)
@@ -85,7 +90,7 @@ def test_identity_on_naturals_decodes_input():
 
 
 def test_dup_costs_exactly_one_step():
-    env = EnvLayout((CtxEntry("n", 1, NAT_TY),), (0,), 1)
+    env = EnvLayout((0,), 1)
     code, gamma = compile_term(CF, env, DupNat(Var(0)))
     assert code == m.MkPair(0, 0)
     out = m.eval_expr(code, (m.nat_value(5),), 10)
@@ -94,18 +99,17 @@ def test_dup_costs_exactly_one_step():
 
 
 def test_nil_builds_tagged_pair():
-    env = EnvLayout((), (), 0)
-    code, gamma = compile_term(CF, env, Nil(), ListTy(BOOL_TY))
+    env = EnvLayout((), 0)
+    code, gamma = compile_term(CF, env, core(CF, Nil(), ListTy(BOOL_TY)))
     out = m.eval_expr(code, (), 100)
     assert out.value == m.VPair(m.FALSE, m.UNIT)
     assert out.steps == 5 and gamma == pot.acct(MonoidKind.MAX_POLY, 5)
 
 
 def test_cons_encoding_and_exact_admin_cost():
-    env = EnvLayout((), (), 0)
+    env = EnvLayout((), 0)
     term = Ann(Cons(TrueC(), Nil()), ListTy(BOOL_TY))
-    infer_usage_check(CF, (), 1, term, ListTy(BOOL_TY))
-    code, gamma = compile_term(CF, env, term)
+    code, gamma = compile_term(CF, env, core(CF, term, ListTy(BOOL_TY)))
     out = m.eval_expr(code, (), 100)
     assert out.value == m.encode_list([m.TRUE])
     # head 1 + nil 5 + seven administrative steps
@@ -215,9 +219,8 @@ def test_erased_subterms_compile_to_dummies():
     fn = Lam(TrueC())
     ty = Pi(0, NAT_TY, BOOL_TY)
     body = App(Ann(fn, ty), ZeroCF())
-    infer_usage_check(CF, (), 1, body, BOOL_TY)
-    env = EnvLayout((), (), 0)
-    code, gamma = compile_term(CF, env, body, BOOL_TY)
+    env = EnvLayout((), 0)
+    code, gamma = compile_term(CF, env, core(CF, body, BOOL_TY))
     out = m.eval_expr(code, (), 100)
     assert out.value == m.TRUE
     # the argument contributes exactly one dummy step
@@ -231,10 +234,11 @@ def test_usage_two_argument_potential_scaled():
     )
     fn_ty = Pi(2, Pi(1, BOOL_TY, BOOL_TY), Pi(1, BOOL_TY, BOOL_TY))
     twice = Ann(Lam(Lam(App(Var(1), App(Var(1), Var(0))))), fn_ty)
-    env = EnvLayout((), (), 0)
-    _, gamma_flip = compile_term(CF, env, flip)
-    _, gamma_twice = compile_term(CF, env, twice)
-    _, gamma_app = compile_term(CF, env, App(twice, flip))
+    applied = core(CF, App(twice, flip), Pi(1, BOOL_TY, BOOL_TY))
+    env = EnvLayout((), 0)
+    _, gamma_flip = compile_term(CF, env, applied.arg)
+    _, gamma_twice = compile_term(CF, env, applied.fn)
+    _, gamma_app = compile_term(CF, env, applied)
     kind = MonoidKind.MAX_POLY
     want = pot.plus(
         kind,
@@ -243,7 +247,7 @@ def test_usage_two_argument_potential_scaled():
     )
     assert gamma_app == want
     # and the double application runs within the potential end to end
-    code, gamma = compile_term(CF, env, App(twice, flip))
+    code, gamma = compile_term(CF, env, applied)
     harness = m.Seq(code, m.Seq(m.MkTrue(), m.App(1, 0)))
     out = m.eval_expr(harness, (), 10_000)
     assert out.value == m.TRUE  # two flips cancel
@@ -257,9 +261,8 @@ def test_erased_pair_component_compiles_to_dummy():
     # the erased first component occupies a unit dummy slot
     pair = Ann(Pair(ZeroCF(), TrueC()), Tensor(0, NAT_TY, BOOL_TY))
     term = LetPair(pair, Var(0), None)
-    infer_usage_check(CF, (), 1, term, BOOL_TY)
-    env = EnvLayout((), (), 0)
-    code, gamma = compile_term(CF, env, term, BOOL_TY)
+    env = EnvLayout((), 0)
+    code, gamma = compile_term(CF, env, core(CF, term, BOOL_TY))
     out = m.eval_expr(code, (), 100)
     assert out.value == m.TRUE
     assert ExtNat.fin(out.steps) <= pot.diff(MonoidKind.MAX_POLY, gamma, pot.EMPTY)
@@ -270,7 +273,16 @@ def test_equation_witness_compiles_to_dummy():
 
     term = Refl(TrueC())
     ty = IdTy(BOOL_TY, TrueC(), TrueC())
-    infer_usage_check(CF, (), 1, term, ty)
-    env = EnvLayout((), (), 0)
-    code, gamma = compile_term(CF, env, term, ty)
+    env = EnvLayout((), 0)
+    code, gamma = compile_term(CF, env, core(CF, term, ty))
     assert m.eval_expr(code, (), 10) == m.Done(m.UNIT, 1)
+
+
+def test_compile_declaration_checks_its_input():
+    # f is used twice under a usage-1 binder: the checker's Tm-Lam
+    # rejection, not a program with a potential
+    ty = Pi(1, Pi(1, BOOL_TY, BOOL_TY), BOOL_TY)
+    body = Lam(App(Var(0), App(Var(0), TrueC())))
+    with pytest.raises(CheckError) as e:
+        compile_declaration(CF, ty, body)
+    assert e.value.rule == "Tm-Lam"

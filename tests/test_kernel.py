@@ -219,7 +219,7 @@ def test_rec_list_sigma0_only():
     t = RecList(Nil(), TrueC(), Var(0), BOOL_TY)
     assert (
         check(CF, (entry("l", 0, ListTy(BOOL_TY)),), 0,
-              RecList(Var(0), TrueC(), Var(0), BOOL_TY), BOOL_TY)
+              RecList(Var(0), TrueC(), Var(0), BOOL_TY), BOOL_TY)[0]
         == (0,)
     )
     with pytest.raises(CheckError) as e:
@@ -247,21 +247,21 @@ def test_rec_branches_must_not_consume_ambient_resources():
         check(CF, ctx, 1, t, BOOL_TY)
     assert e.value.rule == "Tm-CF-Rec"
     # but referencing it at usage 0 (erased fragment) is fine
-    assert check(CF, ctx, 0, t, BOOL_TY) == (0, 0)
+    assert check(CF, ctx, 0, t, BOOL_TY)[0] == (0, 0)
 
 
 def test_cons_free_rec_sigma1_checks():
     # rec n { zero => true | succ(m, p) => if p then false else true }
     ctx = (entry("n", 1, NAT_TY),)
     t = RecNatCF(Var(0), TrueC(), If(Var(0), FalseC(), TrueC(), None), BOOL_TY)
-    assert check(CF, ctx, 1, t, BOOL_TY) == (1,)
+    assert check(CF, ctx, 1, t, BOOL_TY)[0] == (1,)
 
 
 def test_lfpl_rec_sigma1_checks():
     # rec n { zero(d) => zero(d) | succ(d, m, p) => succ(d, p) }  (rebuild)
     ctx = (entry("n", 1, NAT_TY),)
     t = RecNatL(Var(0), ZeroL(Var(0)), SuccL(Var(2), Var(0)), NAT_TY)
-    assert check(LF, ctx, 1, t, NAT_TY) == (1,)
+    assert check(LF, ctx, 1, t, NAT_TY)[0] == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_reflect_intro_requires_realisable_premise():
 
 def test_reflect_elim_round_trip():
     ctx = (entry("r", 1, Reflect(BOOL_TY)),)
-    u, ty = synth(CF, ctx, 1, ReflectElim(Var(0)))
+    u, ty, _ = synth(CF, ctx, 1, ReflectElim(Var(0)))
     assert ty == BOOL_TY and u == (1,)
 
 

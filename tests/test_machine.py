@@ -5,7 +5,6 @@ import pytest
 from polyqtt.machine import (
     App,
     Clo,
-    CostModel,
     DecodeError,
     Done,
     FALSE,
@@ -262,14 +261,6 @@ def test_stuck_on_variant_mismatch():
     assert isinstance(out, Stuck) and "non-closure" in out.reason
     out = eval_expr(LetPair(0, Var(0)), (TRUE,), 10)
     assert isinstance(out, Stuck) and "pair" in out.reason
-
-
-# ---------------------------------------------------------------------------
-# Cost table configuration
-
-def test_cost_table_is_configurable():
-    costs = CostModel(mk_true=5, seq=2)
-    assert eval_expr(Seq(MkTrue(), Var(0)), (), 100, costs=costs) == Done(TRUE, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,6 @@ from polyqtt.potentials import (
     in_submonoid,
     n_action,
     plus,
-    poly_add,
-    poly_eval,
-    poly_scale,
-    poly_shift_up,
     raise_,
     scale,
     size,
@@ -39,15 +35,15 @@ def potentials_for(kind):
 # Polynomial arithmetic
 
 def test_poly_eval_examples():
-    assert poly_eval(Poly([1, 2]), 3) == 7
-    assert poly_eval(Poly([]), 5) == 0
-    assert poly_eval(Poly([0, 0, 1]), 4) == 16
+    assert Poly([1, 2])(3) == 7
+    assert Poly([])(5) == 0
+    assert Poly([0, 0, 1])(4) == 16
 
 
 def test_poly_ops_examples():
-    assert poly_add(Poly([1]), Poly([0, 1])) == Poly([1, 1])
-    assert poly_shift_up(Poly([1, 1])) == Poly([0, 1, 1])
-    assert poly_scale(3, Poly([2, 1])) == Poly([6, 3])
+    assert Poly([1]) + Poly([0, 1]) == Poly([1, 1])
+    assert Poly([1, 1]).shift_up() == Poly([0, 1, 1])
+    assert Poly([2, 1]).scale(3) == Poly([6, 3])
 
 
 def test_poly_canonical_form():
