@@ -15,13 +15,13 @@ from .compiler import (
     VERIFY_FUEL_SLACK,
     CompiledProgram,
     CompileError,
-    compile_declaration,
+    compile_core,
     extract_bound,
     run_and_verify,
     sabotage,
 )
 from .frontend import FrontendError, parse_module, resolve_module
-from .kernel import CheckError, infer_usage_check
+from .kernel import CheckError, elaborate
 from .syntax import Regime
 
 EXIT_OK = 0
@@ -52,11 +52,13 @@ def _load(path: str, regime_flag: str | None):
     return resolve_module(parse_module(text), _regime_of(regime_flag))
 
 
-def _check_module(mod, sigma_override: int | None) -> None:
+def _check_module(mod, sigma_override: int | None) -> dict:
+    """Check every declaration; return the core terms by name."""
+    cores = {}
     for d in mod.decls:
         sigma = d.sigma if sigma_override is None else sigma_override
-        ctx = ()
-        infer_usage_check(mod.regime, ctx, sigma, d.body, d.ty)
+        cores[d.name] = elaborate(mod.regime, (), sigma, d.body, d.ty)[1]
+    return cores
 
 
 def _find_decl(mod, name: str):
@@ -66,13 +68,13 @@ def _find_decl(mod, name: str):
     raise CheckError("Resolve", f"no definition named {name!r}")
 
 
-def _compile_decl(mod, name: str) -> CompiledProgram:
+def _compile_decl(mod, cores: dict, name: str) -> CompiledProgram:
     d = _find_decl(mod, name)
     if d.sigma != 1:
         raise CheckError(
             "Tm", f"{name!r} lives in the erased fragment and has no runtime code"
         )
-    return compile_declaration(mod.regime, d.ty, d.body)
+    return compile_core(mod.regime, d.ty, cores[name])
 
 
 def _show_value(v) -> str:
@@ -112,8 +114,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     n = _natural(args.input, "--input")
     mod = _load(args.file, args.regime)
-    _check_module(mod, None)
-    prog = _compile_decl(mod, args.decl)
+    prog = _compile_decl(mod, _check_module(mod, None), args.decl)
     if args.emit_machine:
         print(m.expr_to_sexp(prog.code))
     if prog.input_arity != 1:
@@ -139,8 +140,7 @@ def cmd_run(args) -> int:
 
 def cmd_bound(args) -> int:
     mod = _load(args.file, args.regime)
-    _check_module(mod, None)
-    prog = _compile_decl(mod, args.decl)
+    prog = _compile_decl(mod, _check_module(mod, None), args.decl)
     if args.emit_machine:
         print(m.expr_to_sexp(prog.code))
     report = extract_bound(prog)
@@ -170,8 +170,7 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     max_n = _natural(args.max_n, "--max-n")
     mod = _load(args.file, args.regime)
-    _check_module(mod, None)
-    prog = _compile_decl(mod, args.decl)
+    prog = _compile_decl(mod, _check_module(mod, None), args.decl)
     if args.sabotage:
         prog = sabotage(prog)
     report = extract_bound(prog)

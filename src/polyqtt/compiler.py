@@ -2,7 +2,8 @@
 compositional potential accounting in the zero-size sub-monoid.
 
 The compiler is untyped.  compile_declaration checks its input once with
-kernel.elaborate and translates the core term that returns; the only
+kernel.elaborate and translates the core term that returns (compile_core
+translates a core term the caller has already elaborated); the only
 typing fact the translation needs, the usage of each application's
 function type and each pair's tensor type, is read from the `usage`
 field of the App and Pair nodes.
@@ -419,12 +420,20 @@ def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledPro
     """Check and compile a closed runtime-fragment declaration.
 
     The body is elaborated once (raising CheckError if it does not
-    check) and its core term compiled.  A declaration whose type is a
-    usage-1 function from naturals takes one machine input (the encoded
-    natural); anything else runs closed.
+    check) and its core term compiled by compile_core.
+    """
+    _, core = elaborate(regime, (), 1, body, ty)
+    return compile_core(regime, ty, core)
+
+
+def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
+    """Compile the core term that kernel.elaborate returned for a closed
+    runtime-fragment declaration of type ty.
+
+    A declaration whose type is a usage-1 function from naturals takes
+    one machine input (the encoded natural); anything else runs closed.
     """
     kind = _kind_for(regime)
-    _, core = elaborate(regime, (), 1, body, ty)
     ty_n = normalize_type(regime, (), ty)
     arity = (
         1

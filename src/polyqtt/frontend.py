@@ -62,7 +62,7 @@ from .syntax import (
     Var,
     ZeroCF,
     ZeroL,
-    shift_type,
+    shift,
     has_free_var,
     strengthen,
 )
@@ -857,7 +857,7 @@ class _Resolver:
             dom_k = self.type(dom, scope)
             if name is None:
                 # non-dependent sugar: weaken the codomain under the binder
-                cod_k = shift_type(self.type(cod, scope), 1)
+                cod_k = shift(self.type(cod, scope), 1)
             else:
                 cod_k = self.type(cod, scope + (name,))
             return Pi(usage, dom_k, cod_k)
@@ -865,7 +865,7 @@ class _Resolver:
             _, usage, name, fst, snd = node
             fst_k = self.type(fst, scope)
             if name is None:
-                snd_k = shift_type(self.type(snd, scope), 1)
+                snd_k = shift(self.type(snd, scope), 1)
             else:
                 snd_k = self.type(snd, scope + (name,))
             return Tensor(usage, fst_k, snd_k)

@@ -2,6 +2,14 @@
 definitional equality decided by normalisation over the erased-fragment
 equations.
 
+Normal forms come from normalisation by evaluation (Berger and
+Schwichtenberg, LICS 1991; Coquand, 1996): a term or type is evaluated
+in an environment, so a beta-step extends the environment instead of
+substituting into the body, and the value is read back on fresh de
+Bruijn levels, where the eta laws for functions and pairs apply.
+Checking puts a target type into weak-head form only; conversion
+compares full normal forms unless the two types are syntactically equal.
+
 Usage handling is algorithmic: checking a term synthesises the minimal
 usage vector for the free variables, and declared annotations admit any
 inferred vector they dominate pointwise.  Binder annotations are
@@ -70,11 +78,11 @@ from .syntax import (
     Var,
     ZeroCF,
     ZeroL,
+    _SCHEMA,
     ctx_zero,
     has_free_var,
     instantiate,
-    instantiate_type,
-    shift_type,
+    shift,
     strengthen,
     usage_add,
     usage_scale,
@@ -105,19 +113,26 @@ def _ensure_stack() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Normalisation (erased-fragment equations)
+# Normalisation by evaluation (erased-fragment equations)
+#
+# A value is a syntax node.  Its eager fields hold values; its binder
+# fields, and the branches and motive of an eliminator, hold closures
+# (env, body) that are evaluated when the eliminator fires or when the
+# value is read back.  An environment is a tuple of values, innermost
+# binder last; arguments are evaluated before a beta-step.  Variables in
+# values are de Bruijn levels: the k-th binder that read-back enters has
+# level k, and a free index j of the term being normalised has level
+# -1 - j, so indices past the environment read back unchanged.
 
-class _NormSession:
-    __slots__ = ("budget", "memo", "pins")
+class _Budget:
+    __slots__ = ("left",)
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.memo: dict[int, object] = {}
-        self.pins: list = []  # keeps memo keys alive
+    def __init__(self, steps: int):
+        self.left = steps
 
     def spend(self) -> None:
-        self.budget -= 1
-        if self.budget < 0:
+        self.left -= 1
+        if self.left < 0:
             raise CheckError("Normalize", "normalisation step budget exhausted")
 
 
@@ -134,204 +149,187 @@ def _eta_contract(t: Term) -> Term:
     return t
 
 
-def _norm(t: Term, s: _NormSession) -> Term:
-    key = id(t)
-    hit = s.memo.get(key)
-    if hit is not None:
-        return hit
-    out = _norm_uncached(t, s)
-    s.memo[key] = out
-    s.pins.append(t)
-    return out
+_PLAIN, _EAGER, _SCRUT, _CLOSURE = range(4)
 
 
-def _norm_uncached(t: Term, s: _NormSession) -> Term:
-    # Head reductions iterate in place so long redex chains cannot
-    # overflow the host stack; subterms recurse structurally.
+def _value_fields(spec) -> tuple:
+    # an eliminator (a node with a motive) evaluates only its scrutinee
+    elim = any(kind == "motive" for _, kind, _ in spec)
+    out = []
+    for name, kind, binders in spec:
+        if kind == "plain":
+            mode = _PLAIN
+        elif elim and name == "scrut":
+            mode = _SCRUT
+        elif elim or binders:
+            mode = _CLOSURE
+        else:
+            mode = _EAGER
+        out.append((name, mode, binders))
+    return tuple(out)
+
+
+_FIELDS = {cls: _value_fields(spec) for cls, spec in _SCHEMA.items()}
+
+# case analysis: {scrutinee form: (branch, scrutinee fields it binds)}
+_CASES = {
+    If: {TrueC: ("then_branch", ()), FalseC: ("else_branch", ())},
+    LetUnit: {Star: ("body", ())},
+    LetPair: {Pair: ("body", ("fst", "snd"))},
+    MatchList: {Nil: ("nil_branch", ()), Cons: ("cons_branch", ("head", "tail"))},
+}
+
+# recursion: (base form, branch, fields it binds), (step form, branch,
+# fields it binds before the previous result; the last is recursed on)
+_RECURSORS = {
+    RecList: ((Nil, "nil_branch", ()), (Cons, "cons_branch", ("head", "tail"))),
+    RecNatCF: ((ZeroCF, "zero_branch", ()), (SuccCF, "succ_branch", ("pred",))),
+    RecNatL: (
+        (ZeroL, "zero_branch", ("pay",)),
+        (SuccL, "succ_branch", ("pay", "pred")),
+    ),
+}
+
+# one-field eliminators: (field, the form it cancels, the field returned)
+_PROJECTIONS = {
+    Fst: ("pair", Pair, "fst"),
+    Snd: ("pair", Pair, "snd"),
+    ReflectElim: ("body", ReflectIntro, "body"),
+    ReflectIntro: ("body", ReflectElim, "body"),
+    El: ("code", CodeTy, "ty"),
+}
+
+# every diamond is definitionally the dummy diamond
+_DIAMOND = DiamondStar()
+_ZERO_L = ZeroL(_DIAMOND)
+
+# eta for the unit and diamond types: their one canonical inhabitant
+_CANONICAL = {UnitTy: Star(), DiamondTy: _DIAMOND}
+
+
+def _eval(t, env: tuple, b: _Budget):
+    """The value of a term or type whose innermost len(env) indices are
+    bound to the values in env."""
+    # a redex whose result is the value of another term continues the
+    # loop, so chains of beta- and iota-steps do not grow the host stack
     while True:
         cls = t.__class__
-        if cls in (Var, Star, TrueC, FalseC, Nil, ZeroCF, DiamondStar):
-            return t
+        if cls is Var:
+            i, n = t.index, len(env)
+            return env[n - 1 - i] if i < n else Var(n - 1 - i)
         if cls is Ann:
             t = t.term
             continue
-        if cls is Lam:
-            return _eta_contract(Lam(_norm(t.body, s)))
         if cls is App:
-            fn = _norm(t.fn, s)
-            if isinstance(fn, Lam):
-                s.spend()
-                t = instantiate(fn.body, (t.arg,))
-                continue
-            return App(fn, _norm(t.arg, s))
-        if cls is Pair:
-            return _eta_contract(Pair(_norm(t.fst, s), _norm(t.snd, s)))
-        if cls is LetPair:
-            scrut = _norm(t.scrut, s)
-            if isinstance(scrut, Pair):
-                s.spend()
-                t = instantiate(t.body, (scrut.snd, scrut.fst))
-                continue
-            return LetPair(scrut, _norm(t.body, s), _norm_motive(t.motive, s))
-        if cls is LetUnit:
-            scrut = _norm(t.scrut, s)
-            if isinstance(scrut, Star):
-                s.spend()
-                t = t.body
-                continue
-            return LetUnit(scrut, _norm(t.body, s), _norm_motive(t.motive, s))
-        if cls is If:
-            scrut = _norm(t.scrut, s)
-            if isinstance(scrut, TrueC):
-                s.spend()
-                t = t.then_branch
-                continue
-            if isinstance(scrut, FalseC):
-                s.spend()
-                t = t.else_branch
-                continue
-            return If(
-                scrut,
-                _norm(t.then_branch, s),
-                _norm(t.else_branch, s),
-                _norm_motive(t.motive, s),
-            )
-        if cls is Cons:
-            return Cons(_norm(t.head, s), _norm(t.tail, s))
-        if cls is MatchList:
-            scrut = _norm(t.scrut, s)
-            if isinstance(scrut, Nil):
-                s.spend()
-                t = t.nil_branch
-                continue
-            if isinstance(scrut, Cons):
-                s.spend()
-                t = instantiate(t.cons_branch, (scrut.tail, scrut.head))
-                continue
-            return MatchList(
-                scrut,
-                _norm(t.nil_branch, s),
-                _norm(t.cons_branch, s),
-                _norm_motive(t.motive, s),
-            )
-        if cls is RecList:
-            scrut = _norm(t.scrut, s)
-            if isinstance(scrut, Nil):
-                s.spend()
-                t = t.nil_branch
-                continue
-            if isinstance(scrut, Cons):
-                s.spend()
-                rest = RecList(scrut.tail, t.nil_branch, t.cons_branch, t.motive)
-                t = instantiate(t.cons_branch, (rest, scrut.tail, scrut.head))
-                continue
-            return RecList(
-                scrut,
-                _norm(t.nil_branch, s),
-                _norm(t.cons_branch, s),
-                _norm_motive(t.motive, s),
-            )
-        if cls is SuccCF:
-            return SuccCF(_norm(t.pred, s))
+            fn = _eval(t.fn, env, b)
+            arg = _eval(t.arg, env, b)
+            if fn.__class__ is not Lam:
+                return App(fn, arg)
+            b.spend()
+            env, t = fn.body
+            env += (arg,)
+            continue
+        cases = _CASES.get(cls)
+        if cases is not None:
+            scrut = _eval(t.scrut, env, b)
+            hit = cases.get(scrut.__class__)
+            if hit is None:
+                return _node(t, env, b, scrut)
+            b.spend()
+            branch, binds = hit
+            env += tuple(getattr(scrut, f) for f in binds)
+            t = getattr(t, branch)
+            continue
+        if cls in _RECURSORS:
+            return _fold(t, env, b, _eval(t.scrut, env, b))
+        proj = _PROJECTIONS.get(cls)
+        if proj is not None:
+            field, form, out = proj
+            v = _eval(getattr(t, field), env, b)
+            if v.__class__ is not form:
+                return cls(v)
+            b.spend()
+            return getattr(v, out)
         if cls is DupNat:
-            s.spend()
-            inner = _norm(t.arg, s)
-            return _eta_contract(Pair(inner, inner))
-        if cls is RecNatCF:
-            scrut = _norm(t.scrut, s)
-            if isinstance(scrut, ZeroCF):
-                s.spend()
-                t = t.zero_branch
-                continue
-            if isinstance(scrut, SuccCF):
-                s.spend()
-                rest = RecNatCF(scrut.pred, t.zero_branch, t.succ_branch, t.motive)
-                t = instantiate(t.succ_branch, (rest, scrut.pred))
-                continue
-            return RecNatCF(
-                scrut,
-                _norm(t.zero_branch, s),
-                _norm(t.succ_branch, s),
-                _norm_motive(t.motive, s),
-            )
+            b.spend()
+            v = _eval(t.arg, env, b)
+            return Pair(v, v)
         if cls is ZeroL:
-            # every diamond is definitionally the dummy diamond
-            return ZeroL(DiamondStar())
+            return _ZERO_L
         if cls is SuccL:
-            return SuccL(DiamondStar(), _norm(t.pred, s))
-        if cls is RecNatL:
-            scrut = _norm(t.scrut, s)
-            if isinstance(scrut, ZeroL):
-                s.spend()
-                t = instantiate(t.zero_branch, (scrut.pay,))
-                continue
-            if isinstance(scrut, SuccL):
-                s.spend()
-                rest = RecNatL(scrut.pred, t.zero_branch, t.succ_branch, t.motive)
-                t = instantiate(t.succ_branch, (rest, scrut.pred, scrut.pay))
-                continue
-            return RecNatL(
-                scrut,
-                _norm(t.zero_branch, s),
-                _norm(t.succ_branch, s),
-                _norm_motive(t.motive, s),
-            )
-        if cls is Refl:
-            return Refl(_norm(t.body, s))
-        if cls is ReflectIntro:
-            body = _norm(t.body, s)
-            if isinstance(body, ReflectElim):
-                s.spend()
-                return body.body
-            return ReflectIntro(body)
-        if cls is ReflectElim:
-            body = _norm(t.body, s)
-            if isinstance(body, ReflectIntro):
-                s.spend()
-                return body.body
-            return ReflectElim(body)
-        if cls is Fst:
-            scrut = _norm(t.pair, s)
-            if isinstance(scrut, Pair):
-                s.spend()
-                return scrut.fst
-            return Fst(scrut)
-        if cls is Snd:
-            scrut = _norm(t.pair, s)
-            if isinstance(scrut, Pair):
-                s.spend()
-                return scrut.snd
-            return Snd(scrut)
-        if cls is CodeTy:
-            return CodeTy(_norm_type(t.ty, s))
-        raise CheckError("Normalize", f"unknown term form {cls.__name__}")
+            return SuccL(_DIAMOND, _eval(t.pred, env, b))
+        return _node(t, env, b)
 
 
-def _norm_motive(m: TypeExpr | None, s: _NormSession) -> TypeExpr | None:
-    return None if m is None else _norm_type(m, s)
+def _node(t, env: tuple, b: _Budget, scrut=None):
+    """The value of a node that does not reduce at the head."""
+    fields = _FIELDS[t.__class__]
+    if not fields:
+        return t
+    vals = []
+    for name, mode, _ in fields:
+        val = getattr(t, name)
+        if mode == _EAGER:
+            val = _eval(val, env, b)
+        elif mode == _SCRUT:
+            val = scrut
+        elif mode == _CLOSURE and val is not None:
+            val = (env, val)
+        vals.append(val)
+    return t.__class__(*vals)
 
 
-def _norm_type(ty: TypeExpr, s: _NormSession) -> TypeExpr:
-    cls = ty.__class__
-    if cls in (UnitTy, BoolTy, NatTy, DiamondTy, Universe):
-        return ty
-    if cls is Pi:
-        return Pi(ty.usage, _norm_type(ty.dom, s), _norm_type(ty.cod, s))
-    if cls is Tensor:
-        return Tensor(ty.usage, _norm_type(ty.fst, s), _norm_type(ty.snd, s))
-    if cls is ListTy:
-        return ListTy(_norm_type(ty.elem, s))
-    if cls is IdTy:
-        return IdTy(_norm_type(ty.ty, s), _norm(ty.lhs, s), _norm(ty.rhs, s))
-    if cls is El:
-        code = _norm(ty.code, s)
-        if isinstance(code, CodeTy):
-            s.spend()
-            return code.ty  # already normalised by _norm
-        return El(code)
-    if cls is Reflect:
-        return Reflect(_norm_type(ty.inner, s))
-    raise CheckError("Normalize", f"unknown type form {cls.__name__}")
+def _fold(t, env: tuple, b: _Budget, scrut):
+    """A recursor on a scrutinee value.  The step branch fires once per
+    step form, innermost first, in a loop."""
+    (base_form, base, base_binds), (step_form, step, step_binds) = _RECURSORS[
+        t.__class__
+    ]
+    steps = []
+    while scrut.__class__ is step_form:
+        bound = tuple(getattr(scrut, f) for f in step_binds)
+        steps.append(bound)
+        scrut = bound[-1]
+    if scrut.__class__ is base_form:
+        b.spend()
+        bound = tuple(getattr(scrut, f) for f in base_binds)
+        acc = _eval(getattr(t, base), env + bound, b)
+    else:
+        acc = _node(t, env, b, scrut)
+    body = getattr(t, step)
+    for bound in reversed(steps):
+        b.spend()
+        acc = _eval(body, env + bound + (acc,), b)
+    return acc
+
+
+def _quote(v, depth: int, b: _Budget):
+    """Read a value back as a normal term or type under depth binders."""
+    cls = v.__class__
+    if cls is Var:
+        return Var(depth - 1 - v.index)
+    if cls is IdTy and v.ty.__class__ in _CANONICAL:
+        side = _CANONICAL[v.ty.__class__]
+        return IdTy(_quote(v.ty, depth, b), side, side)
+    fields = _FIELDS[cls]
+    if not fields:
+        return v
+    vals = []
+    for name, mode, binders in fields:
+        val = getattr(v, name)
+        if mode == _CLOSURE:
+            if val is not None:
+                env, body = val
+                fresh = tuple(Var(depth + k) for k in range(binders))
+                val = _quote(_eval(body, env + fresh, b), depth + binders, b)
+        elif mode != _PLAIN:
+            val = _quote(val, depth, b)
+        vals.append(val)
+    return _eta_contract(cls(*vals))
+
+
+def _nf(t, b: _Budget):
+    return _quote(_eval(t, (), b), 0, b)
 
 
 def normalize_sigma0(
@@ -347,61 +345,23 @@ def normalize_sigma0(
     the eta laws collapse the term to the canonical inhabitant.
     """
     _ensure_stack()
-    s = _NormSession(budget)
+    b = _Budget(budget)
     if ty is not None:
-        ty_n = _norm_type(ty, s)
-        if isinstance(ty_n, UnitTy):
-            return Star()
-        if isinstance(ty_n, DiamondTy):
-            return DiamondStar()
-    return _norm(term, s)
+        canonical = _CANONICAL.get(_eval(ty, (), b).__class__)
+        if canonical is not None:
+            return canonical
+    return _nf(term, b)
 
 
 def normalize_type(
     regime: Regime, ctx: Context, ty: TypeExpr, budget: int = DEFAULT_NORM_BUDGET
 ) -> TypeExpr:
     _ensure_stack()
-    return _norm_type(ty, _NormSession(budget))
+    return _nf(ty, _Budget(budget))
 
 
 # ---------------------------------------------------------------------------
 # Definitional equality
-
-def _terms_equal_at(ty_n: TypeExpr | None, a: Term, b: Term) -> bool:
-    if isinstance(ty_n, (UnitTy, DiamondTy)):
-        return True
-    return a == b
-
-
-def _types_equal(a: TypeExpr, b: TypeExpr) -> bool:
-    # both arguments normalised
-    if a.__class__ is not b.__class__:
-        return False
-    cls = a.__class__
-    if cls in (UnitTy, BoolTy, NatTy, DiamondTy, Universe):
-        return True
-    if cls is Pi or cls is Tensor:
-        lhs = (a.usage, a.dom if cls is Pi else a.fst)
-        rhs = (b.usage, b.dom if cls is Pi else b.fst)
-        if lhs[0] != rhs[0] or not _types_equal(lhs[1], rhs[1]):
-            return False
-        return _types_equal(
-            a.cod if cls is Pi else a.snd, b.cod if cls is Pi else b.snd
-        )
-    if cls is ListTy:
-        return _types_equal(a.elem, b.elem)
-    if cls is Reflect:
-        return _types_equal(a.inner, b.inner)
-    if cls is IdTy:
-        if not _types_equal(a.ty, b.ty):
-            return False
-        return _terms_equal_at(a.ty, a.lhs, b.lhs) and _terms_equal_at(
-            a.ty, a.rhs, b.rhs
-        )
-    if cls is El:
-        return a.code == b.code
-    return False
-
 
 def types_equal(
     regime: Regime,
@@ -411,14 +371,15 @@ def types_equal(
     budget: int = DEFAULT_NORM_BUDGET,
 ) -> bool:
     _ensure_stack()
-    s = _NormSession(budget)
-    return _types_equal(_norm_type(a, s), _norm_type(b, s))
+    if a == b:
+        return True
+    s = _Budget(budget)
+    return _nf(a, s) == _nf(b, s)
 
 
 def conv_type(regime: Regime, ctx: Context, a: TypeExpr, b: TypeExpr) -> None:
-    s = _NormSession(DEFAULT_NORM_BUDGET)
-    an, bn = _norm_type(a, s), _norm_type(b, s)
-    if not _types_equal(an, bn):
+    if not types_equal(regime, ctx, a, b):
+        an, bn = normalize_type(regime, ctx, a), normalize_type(regime, ctx, b)
         raise CheckError("Conv", f"type mismatch: {an!r} /= {bn!r}")
 
 
@@ -511,8 +472,13 @@ def _require_erased_ambient(u: UsageVector, rule: str) -> None:
         )
 
 
-def _whnf_ty(regime, ctx, ty: TypeExpr) -> TypeExpr:
-    return normalize_type(regime, ctx, ty)
+def _whnf_ty(ty: TypeExpr) -> TypeExpr:
+    """Weak-head form of a type: only El of a code reduces at the head."""
+    if ty.__class__ is not El:
+        return ty
+    b = _Budget(DEFAULT_NORM_BUDGET)
+    v = _eval(ty, (), b)
+    return ty if v.__class__ is El else _quote(v, 0, b)
 
 
 def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
@@ -525,7 +491,7 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
         entry = ctx[pos]
         u = list(zeros)
         u[pos] = sigma
-        return tuple(u), shift_type(entry.ty, t.index + 1), t
+        return tuple(u), shift(entry.ty, t.index + 1), t
 
     if cls is Ann:
         check_type(regime, ctx_zero(ctx), t.ty)
@@ -534,14 +500,14 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
 
     if cls is App:
         u_fn, fn_ty, fn = synth(regime, ctx, sigma, t.fn)
-        fn_ty = _whnf_ty(regime, ctx, fn_ty)
+        fn_ty = _whnf_ty(fn_ty)
         if not isinstance(fn_ty, Pi):
             raise CheckError("Tm-App", f"applied a non-function of type {fn_ty!r}")
         pi = fn_ty.usage
         sigma_arg = 0 if (pi == 0 or sigma == 0) else 1
         u_arg, arg = check(regime, ctx, sigma_arg, t.arg, fn_ty.dom)
         u = usage_add(u_fn, usage_scale(pi, u_arg))
-        return u, instantiate_type(fn_ty.cod, (t.arg,)), App(fn, arg, pi)
+        return u, instantiate(fn_ty.cod, (t.arg,)), App(fn, arg, pi)
 
     if cls is Star:
         return zeros, UNIT_TY, t
@@ -578,8 +544,15 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
             raise CheckError(
                 "Tm-CF-Succ", "cons-free constructors live in the erased fragment only"
             )
-        u, pred = check(regime, ctx, 0, t.pred, NAT_TY)
-        return u, NAT_TY, SuccCF(pred)
+        # a literal's successor chain is walked in a loop, not on the host
+        # stack; the inner successors pass the same two tests
+        length = 0
+        while t.__class__ is SuccCF:
+            t, length = t.pred, length + 1
+        u, core = check(regime, ctx, 0, t, NAT_TY)
+        for _ in range(length):
+            core = SuccCF(core)
+        return u, NAT_TY, core
 
     if cls is DiamondStar:
         if regime is not Regime.LFPL:
@@ -599,9 +572,16 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
     if cls is SuccL:
         if regime is not Regime.LFPL:
             raise CheckError("Tm-LFPL-Succ", "paid successor belongs to the payment regime")
-        u_d, pay = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
-        u_n, pred = check(regime, ctx, sigma, t.pred, NAT_TY)
-        return usage_add(u_d, u_n), NAT_TY, SuccL(pay, pred)
+        # walked in a loop like SuccCF, checking the payments outermost first
+        u, pays = zeros, []
+        while t.__class__ is SuccL:
+            u_d, pay = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
+            u, t = usage_add(u, u_d), t.pred
+            pays.append(pay)
+        u_n, core = check(regime, ctx, sigma, t, NAT_TY)
+        for pay in reversed(pays):
+            core = SuccL(pay, core)
+        return usage_add(u, u_n), NAT_TY, core
 
     if cls is Fst or cls is Snd:
         if sigma != 0:
@@ -610,7 +590,7 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
                 "projections live in the erased fragment only",
             )
         u, pair_ty, pair = synth(regime, ctx, 0, t.pair)
-        pair_ty = _whnf_ty(regime, ctx, pair_ty)
+        pair_ty = _whnf_ty(pair_ty)
         if not isinstance(pair_ty, Tensor):
             raise CheckError(
                 "Tm-Fst" if cls is Fst else "Tm-Snd",
@@ -618,7 +598,7 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
             )
         if cls is Fst:
             return u, pair_ty.fst, Fst(pair)
-        return u, instantiate_type(pair_ty.snd, (Fst(t.pair),)), Snd(pair)
+        return u, instantiate(pair_ty.snd, (Fst(t.pair),)), Snd(pair)
 
     if cls is Refl:
         u, ty, body = synth(regime, ctx, sigma, t.body)
@@ -631,7 +611,7 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
 
     if cls is ReflectElim:
         u, ty, body = synth(regime, ctx, sigma, t.body)
-        ty = _whnf_ty(regime, ctx, ty)
+        ty = _whnf_ty(ty)
         if not isinstance(ty, Reflect):
             raise CheckError("Tm-R-Inv", f"unreflecting a non-reflected type {ty!r}")
         return u, ty.inner, ReflectElim(body)
@@ -664,7 +644,7 @@ def check(
 ) -> tuple[UsageVector, Term]:
     """Check t against ty, returning (minimal usage vector, core term)."""
     cls = t.__class__
-    ty_n = _whnf_ty(regime, ctx, ty)
+    ty_n = _whnf_ty(ty)
 
     if cls is Lam:
         if not isinstance(ty_n, Pi):
@@ -681,7 +661,7 @@ def check(
         sigma_fst = 0 if (pi == 0 or sigma == 0) else 1
         u_fst, fst = check(regime, ctx, sigma_fst, t.fst, ty_n.fst)
         u_snd, snd = check(
-            regime, ctx, sigma, t.snd, instantiate_type(ty_n.snd, (t.fst,))
+            regime, ctx, sigma, t.snd, instantiate(ty_n.snd, (t.fst,))
         )
         u = usage_add(usage_scale(pi, u_fst), u_snd)
         return u, Pair(fst, snd, pi)
@@ -703,13 +683,11 @@ def check(
 
     if cls is Refl and isinstance(ty_n, IdTy):
         u, body = check(regime, ctx, sigma, t.body, ty_n.ty)
-        s = _NormSession(DEFAULT_NORM_BUDGET)
-        body_n = _norm(t.body, s)
-        if not (
-            _terms_equal_at(ty_n.ty, body_n, _norm(ty_n.lhs, s))
-            and _terms_equal_at(ty_n.ty, body_n, _norm(ty_n.rhs, s))
-        ):
-            raise CheckError("Id-Refl", "refl does not prove this equation")
+        if _whnf_ty(ty_n.ty).__class__ not in _CANONICAL:
+            s = _Budget(DEFAULT_NORM_BUDGET)
+            body_n = _nf(t.body, s)
+            if body_n != _nf(ty_n.lhs, s) or body_n != _nf(ty_n.rhs, s):
+                raise CheckError("Id-Refl", "refl does not prove this equation")
         return u, Refl(body)
 
     if cls is ReflectIntro and isinstance(ty_n, Reflect):
@@ -724,11 +702,8 @@ def check(
 
     u, got, core = synth(regime, ctx, sigma, t)
     if not types_equal(regime, ctx, got, ty):
-        s = _NormSession(DEFAULT_NORM_BUDGET)
-        raise CheckError(
-            "Conv",
-            f"expected {_norm_type(ty, s)!r} but synthesised {_norm_type(got, s)!r}",
-        )
+        want, have = normalize_type(regime, ctx, ty), normalize_type(regime, ctx, got)
+        raise CheckError("Conv", f"expected {want!r} but synthesised {have!r}")
     return u, core
 
 
@@ -746,9 +721,9 @@ def branch_target(motive, target, binders: int, inst_with):
     by inst_with; without one, the non-dependent target shifts.
     """
     if motive is None:
-        return shift_type(target, binders)
-    shifted = shift_type(motive, binders, cutoff=1)
-    return instantiate_type(shifted, (inst_with,))
+        return shift(target, binders)
+    shifted = shift(motive, binders, cutoff=1)
+    return instantiate(shifted, (inst_with,))
 
 
 def _check_motive(regime, ctx, motive, scrut_ty: TypeExpr) -> None:
@@ -757,7 +732,7 @@ def _check_motive(regime, ctx, motive, scrut_ty: TypeExpr) -> None:
 
 
 def _result_type(t: Term, target):
-    return target if t.motive is None else instantiate_type(t.motive, (t.scrut,))
+    return target if t.motive is None else instantiate(t.motive, (t.scrut,))
 
 
 def _check_if(regime, ctx, sigma, t: If, target):
@@ -776,7 +751,7 @@ def _check_if(regime, ctx, sigma, t: If, target):
 def _check_let_pair(regime, ctx, sigma, t: LetPair, target):
     motive = t.motive
     u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
-    scrut_ty = _whnf_ty(regime, ctx, scrut_ty)
+    scrut_ty = _whnf_ty(scrut_ty)
     if not isinstance(scrut_ty, Tensor):
         raise CheckError("Tm-Let-Pair", f"splitting a non-pair of type {scrut_ty!r}")
     _check_motive(regime, ctx, motive, scrut_ty)
@@ -805,7 +780,7 @@ def _check_let_unit(regime, ctx, sigma, t: LetUnit, target):
 def _check_match_list(regime, ctx, sigma, t: MatchList, target):
     motive = t.motive
     u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
-    scrut_ty = _whnf_ty(regime, ctx, scrut_ty)
+    scrut_ty = _whnf_ty(scrut_ty)
     if not isinstance(scrut_ty, ListTy):
         raise CheckError("Tm-List-Match", f"matching a non-list of type {scrut_ty!r}")
     _check_motive(regime, ctx, motive, scrut_ty)
@@ -815,7 +790,7 @@ def _check_match_list(regime, ctx, sigma, t: MatchList, target):
     )
     inner = ctx + (
         CtxEntry("_", sigma, elem),
-        CtxEntry("_", sigma, ListTy(shift_type(elem, 1))),
+        CtxEntry("_", sigma, ListTy(shift(elem, 1))),
     )
     tgt = branch_target(motive, target, 2, Cons(Var(1), Var(0)))
     u_cons, cons_branch = check(regime, inner, sigma, t.cons_branch, tgt)
@@ -832,7 +807,7 @@ def _check_rec_list(regime, ctx, sigma, t: RecList, target):
         )
     motive = t.motive
     _, scrut_ty, scrut = synth(regime, ctx, 0, t.scrut)
-    scrut_ty = _whnf_ty(regime, ctx, scrut_ty)
+    scrut_ty = _whnf_ty(scrut_ty)
     if not isinstance(scrut_ty, ListTy):
         raise CheckError("Tm-List-Rec", f"recursing on a non-list of type {scrut_ty!r}")
     _check_motive(regime, ctx, motive, scrut_ty)
@@ -842,7 +817,7 @@ def _check_rec_list(regime, ctx, sigma, t: RecList, target):
     p_ty = branch_target(motive, target, 2, Var(0))
     inner = ctx + (
         CtxEntry("_", 0, elem),
-        CtxEntry("_", 0, ListTy(shift_type(elem, 1))),
+        CtxEntry("_", 0, ListTy(shift(elem, 1))),
         CtxEntry("_", 0, p_ty),
     )
     tgt = branch_target(motive, target, 3, Cons(Var(2), Var(1)))

@@ -425,7 +425,9 @@ def _map_vars(node, depth: int, on_var):
     return cls(*new_vals)
 
 
-def shift_term(t: Term, amount: int, cutoff: int = 0) -> Term:
+def shift(t, amount: int, cutoff: int = 0):
+    """Add amount to every free index at or above cutoff; works on terms
+    and types alike."""
     if amount == 0:
         return t
 
@@ -437,19 +439,7 @@ def shift_term(t: Term, amount: int, cutoff: int = 0) -> Term:
     return _map_vars(t, 0, on_var)
 
 
-def shift_type(t: TypeExpr, amount: int, cutoff: int = 0) -> TypeExpr:
-    if amount == 0:
-        return t
-
-    def on_var(v, depth):
-        if v.index - depth >= cutoff:
-            return Var(v.index + amount)
-        return v
-
-    return _map_vars(t, 0, on_var)
-
-
-def instantiate(body, subs: tuple) -> Term:
+def instantiate(body, subs: tuple):
     """Substitute the innermost len(subs) binders of body.
 
     subs[0] replaces index 0 (the innermost binder), subs[1] index 1, and
@@ -465,14 +455,10 @@ def instantiate(body, subs: tuple) -> Term:
         if j < 0:
             return v
         if j < k:
-            return shift_term(subs[j], depth)
+            return shift(subs[j], depth)
         return Var(v.index - k)
 
     return _map_vars(body, 0, on_var)
-
-
-def instantiate_type(body: TypeExpr, subs: tuple) -> TypeExpr:
-    return instantiate(body, subs)
 
 
 def has_free_var(node, index: int) -> bool:

@@ -169,7 +169,7 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(cli_mod, "compile_declaration", boom)
+    monkeypatch.setattr(cli_mod, "compile_core", boom)
     rc = main(["bound", str(CORPUS / "consfree_iter.qtt"), "parity1"])
     assert rc == 3
     assert "internal error" in capsys.readouterr().err
@@ -194,3 +194,34 @@ def test_run_negative_input_rejected(capsys):
     rc = main(["run", str(CORPUS / "consfree_iter.qtt"), "idNat", "--input", "-1"])
     assert rc == 1
     assert "--input" in capsys.readouterr().err
+
+
+def test_run_elaborates_each_declaration_once(monkeypatch, capsys):
+    # the module check hands the target's core term to the compiler
+    import polyqtt.cli as cli_mod
+    import polyqtt.compiler as compiler_mod
+    import polyqtt.kernel as kernel_mod
+
+    calls = []
+    real = kernel_mod.elaborate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (kernel_mod, compiler_mod, cli_mod):
+        if hasattr(module, "elaborate"):
+            monkeypatch.setattr(module, "elaborate", counting)
+    rc = main(["run", str(CORPUS / "consfree_iter.qtt"), "nested3", "--input", "3"])
+    assert rc == 0
+    assert "value:" in capsys.readouterr().out
+    assert len(calls) == 13  # one per declaration in the module
+
+
+def test_check_long_literal_both_regimes(tmp_path, capsys):
+    # a literal's successor chain is checked without host recursion
+    for regime in ("consfree", "lfpl"):
+        path = tmp_path / f"{regime}.qtt"
+        path.write_text(f"regime {regime}\ndef big ^0 : Nat = 20000\n")
+        assert main(["check", str(path)]) == 0
+        assert "ok: 1 definition(s)" in capsys.readouterr().out

@@ -39,6 +39,7 @@ from polyqtt.syntax import (
     RecList,
     RecNatCF,
     RecNatL,
+    Refl,
     Reflect,
     ReflectElim,
     ReflectIntro,
@@ -56,7 +57,7 @@ from polyqtt.syntax import (
     ZeroL,
     ctx_zero,
     instantiate,
-    shift_term,
+    shift,
 )
 
 CF = Regime.CONS_FREE
@@ -86,8 +87,8 @@ def nat_lit_lfpl(n):
 
 def test_shift_and_instantiate():
     t = Lam(App(Var(0), Var(1)))
-    assert shift_term(t, 2) == Lam(App(Var(0), Var(3)))
-    assert shift_term(t, 2, cutoff=2) == Lam(App(Var(0), Var(1)))
+    assert shift(t, 2) == Lam(App(Var(0), Var(3)))
+    assert shift(t, 2, cutoff=2) == Lam(App(Var(0), Var(1)))
     body = App(Var(0), Var(1))
     assert instantiate(body, (TrueC(),)) == App(TrueC(), Var(0))
     assert instantiate(body, (TrueC(), FalseC())) == App(TrueC(), FalseC())
@@ -318,6 +319,15 @@ def test_computed_code_via_if():
 # ---------------------------------------------------------------------------
 # Conversion and normalisation
 
+def test_refl_at_a_computed_unit_type():
+    # the equation's type is a code for the unit type: eta makes x = *
+    ctx = (entry("x", 0, UNIT_TY),)
+    for eq_ty in (UNIT_TY, El(CodeTy(UNIT_TY))):
+        ty = IdTy(eq_ty, Var(0), Star())
+        assert infer_usage_check(CF, ctx, 0, Refl(Var(0)), ty) == (0,)
+        assert types_equal(CF, ctx, ty, IdTy(UNIT_TY, Star(), Star()))
+
+
 def test_dupnat_converts_to_pair_in_types():
     ctx = (entry("n", 0, NAT_TY),)
     s = IdTy(NAT_TY, Fst(DupNat(Var(0))), ZeroCF())
@@ -334,12 +344,17 @@ def test_rec_cf_beta_addition():
     # addition via recursion: 2 + 3 = 5
     add = RecNatCF(nat_lit_cf(2), nat_lit_cf(3), SuccCF(Var(0)), NAT_TY)
     assert normalize_sigma0(CF, (), add) == nat_lit_cf(5)
+    # the outermost step sees the outermost predecessor
+    pred = RecNatCF(nat_lit_cf(3), ZeroCF(), Var(1), NAT_TY)
+    assert normalize_sigma0(CF, (), pred) == nat_lit_cf(2)
 
 
 def test_rec_lfpl_beta():
     # rebuilding recursor applied to a literal gives the literal back
     t = RecNatL(nat_lit_lfpl(3), ZeroL(Var(0)), SuccL(Var(2), Var(0)), NAT_TY)
     assert normalize_sigma0(LF, (), t) == nat_lit_lfpl(3)
+    pred = RecNatL(nat_lit_lfpl(3), ZeroL(Var(0)), Var(1), NAT_TY)
+    assert normalize_sigma0(LF, (), pred) == nat_lit_lfpl(2)
 
 
 def test_rec_lfpl_succ_branch_instance():
@@ -384,6 +399,9 @@ def test_match_and_rec_list_beta():
     # or-fold over the list
     r = RecList(l, FalseC(), If(Var(2), TrueC(), Var(0), None), BOOL_TY)
     assert normalize_sigma0(CF, (), r) == TrueC()
+    # a fold that rebuilds the list keeps its order
+    copy = RecList(l, Nil(), Cons(Var(2), Var(0)), ListTy(BOOL_TY))
+    assert normalize_sigma0(CF, (), copy) == l
 
 
 def test_let_beta():
