@@ -11,15 +11,18 @@ field of the App and Pair nodes.
 Code is emitted in A-normal form: machine eliminators take environment
 indices, so every compound subterm is bound by sequencing first.  Every
 kernel binder occupies exactly one machine slot; erased positions hold
-unit dummies so index arithmetic stays uniform.  Each emitted machine
-instruction contributes its exact step cost to the program potential;
-recursor potentials use the degree-raising operation so that the bound
-polynomial picks up one degree per nested recursion.
+unit dummies so index arithmetic stays uniform.
 
-The recursor's administrative constants are derived from the emitted
-code shapes by direct step counting (see REC_CONSTANTS and the unit
-tests that pin them) and validated end to end by the bound-soundness
-sweeps.
+Each potential is summed from the instructions the compiler emits, under
+the machine's cost rule: every instruction costs one step, and so does
+every resumption of a sequencing frame.  Code and potential are built in
+one step by two helpers, _seq for sequences and _run for instructions
+that run one of their bodies, so no step count is written by hand.  An
+instruction with several bodies is charged the join of their potentials;
+the recursor's step path is charged once per successor by the
+degree-raising operation, so the bound polynomial picks up one degree
+per nested recursion.  Bound soundness is checked end to end by the
+sweeps, and exactness on branch-free code by the compiler tests.
 """
 
 from __future__ import annotations
@@ -60,17 +63,6 @@ from .syntax import (
     Var,
     ZeroL,
 )
-
-# Administrative step constants of the emitted recursor shapes, computed
-# by static counting of the instruction sequences assembled below and
-# pinned by exact-step unit tests.
-REC_CONSTANTS = {
-    "setup": 4,  # scrutinee bind, loop bind, closure creation, initial call
-    "cf_base": 2,  # pair split + tag test reaching the zero branch
-    "cf_iter": 6,  # split, test, erased-number dummy, recursive call, seqs
-    "lfpl_base": 4,  # split, test, diamond dummy bind
-    "lfpl_iter": 8,  # split, test, diamond + erased-number dummies, call
-}
 
 VERIFY_FUEL_SLACK = 4096
 
@@ -119,18 +111,16 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Potential helpers
+# Costed code.  Code is built together with its potential under one cost
+# rule: every machine instruction costs one step, and so does every
+# resumption of a sequencing frame.  Costed code is a (code, potential)
+# pair.
 
-def _acct(regime: Regime, k: int) -> Potential:
-    return pot.acct(_kind_for(regime), k)
-
-
-def _plus(regime: Regime, *parts: Potential) -> Potential:
+def _plus(regime: Regime, first: Potential, *rest: Potential) -> Potential:
     kind = _kind_for(regime)
-    out = pot.EMPTY
-    for p in parts:
-        out = pot.plus(kind, out, p)
-    return out
+    for p in rest:
+        first = pot.plus(kind, first, p)
+    return first
 
 
 def _branch_join(a: Potential, b: Potential) -> Potential:
@@ -146,6 +136,39 @@ def _branch_join(a: Potential, b: Potential) -> Potential:
     ca = ca + (0,) * (n - len(ca))
     cb = cb + (0,) * (n - len(cb))
     return Potential(0, Poly(tuple(max(x, y) for x, y in zip(ca, cb))))
+
+
+def _seq(regime: Regime, *parts) -> tuple[m.MachineExpr, Potential]:
+    """Sequence the parts, each costed code or a bare instruction.
+
+    A bare instruction costs one step, and so does each link; the step
+    count is charged once for the whole sequence.
+    """
+    kind = _kind_for(regime)
+    steps = len(parts) - 1
+    code = cost = None
+    for part in reversed(parts):
+        if part.__class__ is tuple:
+            part, p = part
+            cost = p if cost is None else pot.plus(kind, p, cost)
+        else:
+            steps += 1
+        code = part if code is None else m.Seq(part, code)
+    charge = pot.acct(kind, steps)
+    return code, charge if cost is None else pot.plus(kind, cost, charge)
+
+
+def _run(regime: Regime, instr, *fields) -> tuple[m.MachineExpr, Potential]:
+    """An instruction that runs one of its bodies (the costed-code
+    fields): one step plus the join of the bodies."""
+    args, joined = [], None
+    for f in fields:
+        if f.__class__ is tuple:
+            f, p = f
+            joined = p if joined is None else _branch_join(joined, p)
+        args.append(f)
+    code, step = _seq(regime, instr(*args))
+    return code, _plus(regime, step, joined)
 
 
 # ---------------------------------------------------------------------------
@@ -176,81 +199,49 @@ class EnvLayout:
         return EnvLayout(self.positions, self.depth + offset)
 
 
-def _seq(*exprs: m.MachineExpr) -> m.MachineExpr:
-    out = exprs[-1]
-    for e in reversed(exprs[:-1]):
-        out = m.Seq(e, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Recursor assembly, exposed for direct testing.  With the scrutinee
 # bound at depth D and the loop closure at D + 1, the loop body starts
 # at depth D + 3 (captured environment, self reference, argument) and
-# splits the argument, so the zero branch runs at depth D + 5; the
-# successor branch runs at D + 7 (cons-free: erased-number dummy and
-# recursive result) or D + 8 (payment regime: an extra diamond dummy).
+# splits the argument, so the zero branch runs at depth D + 5 + d and
+# the successor branch at D + 7 + d, after the erased-number dummy and
+# the recursive result; d is the number of diamond dummies, 1 in the
+# payment regime and 0 in the cons-free one.
 
-def compile_rec_consfree(
-    scrut_code: m.MachineExpr,
-    scrut_pot: Potential,
-    zero_code: m.MachineExpr,
-    zero_pot: Potential,
-    succ_code: m.MachineExpr,
-    succ_pot: Potential,
-) -> tuple[m.MachineExpr, Potential]:
-    regime = Regime.CONS_FREE
-    body = m.LetPair(
-        0,
-        m.If(
-            1,
-            zero_code,
-            _seq(m.MkUnit(), m.App(4, 1), succ_code),
-        ),
-    )
-    code = _seq(scrut_code, m.Lam(body), m.App(0, 1))
-    c = REC_CONSTANTS
-    potential = _plus(
-        regime,
-        scrut_pot,
-        _acct(regime, c["setup"] + c["cf_base"]),
-        zero_pot,
-        pot.raise_(_plus(regime, _acct(regime, c["cf_iter"]), succ_pot)),
-    )
-    return code, potential
+def assemble_rec(regime: Regime, scrut, zero, succ) -> tuple[m.MachineExpr, Potential]:
+    """The recursor loop over costed scrutinee and branch code.
 
+    The base path and the step path are costed apart: the step path runs
+    once per successor, so its potential is raised one degree.
+    """
+    d = 1 if regime is Regime.LFPL else 0
+    dummies = (m.MkUnit(),) * d
+    base = _seq(regime, *dummies, zero)
+    step = _seq(regime, *dummies, m.MkUnit(), m.App(4 + d, 1 + d), succ)
 
-def compile_rec_lfpl(
-    scrut_code: m.MachineExpr,
-    scrut_pot: Potential,
-    zero_code: m.MachineExpr,
-    zero_pot: Potential,
-    succ_code: m.MachineExpr,
-    succ_pot: Potential,
-) -> tuple[m.MachineExpr, Potential]:
-    regime = Regime.LFPL
-    body = m.LetPair(
-        0,
-        m.If(
-            1,
-            _seq(m.MkUnit(), zero_code),
-            _seq(m.MkUnit(), m.MkUnit(), m.App(5, 2), succ_code),
-        ),
-    )
-    code = _seq(scrut_code, m.Lam(body), m.App(0, 1))
-    c = REC_CONSTANTS
-    potential = _plus(
-        regime,
-        scrut_pot,
-        _acct(regime, c["setup"] + c["lfpl_base"]),
-        zero_pot,
-        pot.raise_(_plus(regime, _acct(regime, c["lfpl_iter"]), succ_pot)),
-    )
-    return code, potential
+    def loop(on_zero, on_succ):
+        # split the argument into (tag, predecessor) and test the tag
+        return _run(regime, m.LetPair, 0, _run(regime, m.If, 1, on_zero, on_succ))
+
+    body, _ = loop(base, step)
+    # a path's potential is the loop body's with both branches on that path
+    _, base_pot = loop(base, base)
+    _, step_pot = loop(step, step)
+    code, setup_pot = _seq(regime, scrut, m.Lam(body), m.App(0, 1))
+    return code, _plus(regime, setup_pot, base_pot, pot.raise_(step_pot))
 
 
 # ---------------------------------------------------------------------------
 # Term translation
+
+def _operand(regime: Regime, env: EnvLayout, t: Term, usage: int):
+    """Costed code for an argument or a first pair component of the given
+    usage: a unit dummy when erased, else charged usage times."""
+    if usage == 0:
+        return _seq(regime, m.MkUnit())
+    code, p = compile_term(regime, env, t)
+    return code, pot.n_action(_kind_for(regime), usage, p)
+
 
 def compile_term(
     regime: Regime, env: EnvLayout, t: Term
@@ -259,158 +250,105 @@ def compile_term(
     cls = t.__class__
 
     if cls is Var:
-        return m.Var(env.var_index(t.index)), _acct(regime, 1)
+        return _seq(regime, m.Var(env.var_index(t.index)))
 
     if cls is Ann:
         return compile_term(regime, env, t.term)
 
     if cls is Lam:
         # the body runs in [captured env, self closure, argument]
-        body_code, body_pot = compile_term(regime, env.slot(1).bind(1), t.body)
-        return m.Lam(body_code), _plus(regime, _acct(regime, 1), body_pot)
+        return _run(regime, m.Lam, compile_term(regime, env.slot(1).bind(1), t.body))
 
     if cls is App:
-        fn_code, fn_pot = compile_term(regime, env, t.fn)
-        pi = t.usage
-        if pi == 0:
-            arg_code, arg_contrib = m.MkUnit(), _acct(regime, 1)
-        else:
-            arg_code, arg_pot = compile_term(regime, env.slot(1), t.arg)
-            arg_contrib = pot.n_action(_kind_for(regime), pi, arg_pot)
-        code = _seq(fn_code, arg_code, m.App(1, 0))
-        return code, _plus(regime, fn_pot, arg_contrib, _acct(regime, 3))
+        fn = compile_term(regime, env, t.fn)
+        arg = _operand(regime, env.slot(1), t.arg, t.usage)
+        return _seq(regime, fn, arg, m.App(1, 0))
 
     if cls is Star:
-        return m.MkUnit(), _acct(regime, 1)
+        return _seq(regime, m.MkUnit())
     if cls is TrueC:
-        return m.MkTrue(), _acct(regime, 1)
+        return _seq(regime, m.MkTrue())
     if cls is FalseC:
-        return m.MkFalse(), _acct(regime, 1)
+        return _seq(regime, m.MkFalse())
 
     if cls is Pair:
-        pi = t.usage
-        if pi == 0:
-            fst_code, fst_contrib = m.MkUnit(), _acct(regime, 1)
-        else:
-            fst_code, fst_pot = compile_term(regime, env, t.fst)
-            fst_contrib = pot.n_action(_kind_for(regime), pi, fst_pot)
-        snd_code, snd_pot = compile_term(regime, env.slot(1), t.snd)
-        code = _seq(fst_code, snd_code, m.MkPair(1, 0))
-        return code, _plus(regime, fst_contrib, snd_pot, _acct(regime, 3))
+        fst = _operand(regime, env, t.fst, t.usage)
+        snd = compile_term(regime, env.slot(1), t.snd)
+        return _seq(regime, fst, snd, m.MkPair(1, 0))
 
     if cls is LetPair:
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
-        body_code, body_pot = compile_term(regime, env.slot(1).bind(2), t.body)
-        code = m.Seq(scrut_code, m.LetPair(0, body_code))
-        return code, _plus(regime, scrut_pot, body_pot, _acct(regime, 2))
+        scrut = compile_term(regime, env, t.scrut)
+        body = compile_term(regime, env.slot(1).bind(2), t.body)
+        return _seq(regime, scrut, _run(regime, m.LetPair, 0, body))
 
     if cls is LetUnit:
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
-        body_code, body_pot = compile_term(regime, env.slot(1), t.body)
-        return m.Seq(scrut_code, body_code), _plus(
-            regime, scrut_pot, body_pot, _acct(regime, 1)
-        )
+        scrut = compile_term(regime, env, t.scrut)
+        return _seq(regime, scrut, compile_term(regime, env.slot(1), t.body))
 
     if cls is If:
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
-        then_code, then_pot = compile_term(regime, env.slot(1), t.then_branch)
-        else_code, else_pot = compile_term(regime, env.slot(1), t.else_branch)
-        code = m.Seq(scrut_code, m.If(0, then_code, else_code))
-        return code, _plus(
-            regime, scrut_pot, _acct(regime, 2), _branch_join(then_pot, else_pot)
-        )
+        scrut = compile_term(regime, env, t.scrut)
+        then_ = compile_term(regime, env.slot(1), t.then_branch)
+        else_ = compile_term(regime, env.slot(1), t.else_branch)
+        return _seq(regime, scrut, _run(regime, m.If, 0, then_, else_))
 
     if cls is Nil:
         # (false, *)
-        code = _seq(m.MkFalse(), m.MkUnit(), m.MkPair(1, 0))
-        return code, _acct(regime, 5)
+        return _seq(regime, m.MkFalse(), m.MkUnit(), m.MkPair(1, 0))
 
     if cls is Cons:
-        head_code, head_pot = compile_term(regime, env, t.head)
-        tail_code, tail_pot = compile_term(regime, env.slot(1), t.tail)
+        head = compile_term(regime, env, t.head)
+        tail = compile_term(regime, env.slot(1), t.tail)
         # (true, (head, tail))
-        code = _seq(
-            head_code, tail_code, m.MkPair(1, 0), m.MkTrue(), m.MkPair(0, 1)
-        )
-        return code, _plus(regime, head_pot, tail_pot, _acct(regime, 7))
+        return _seq(regime, head, tail, m.MkPair(1, 0), m.MkTrue(), m.MkPair(0, 1))
 
     if cls is MatchList:
-        scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
+        scrut = compile_term(regime, env, t.scrut)
         # split (tag, payload); a true tag marks a cons cell
-        nil_code, nil_pot = compile_term(regime, env.slot(3), t.nil_branch)
-        cons_code, cons_pot = compile_term(
-            regime, env.slot(3).bind(2), t.cons_branch
-        )
-        code = m.Seq(
-            scrut_code,
-            m.LetPair(0, m.If(1, m.LetPair(0, cons_code), nil_code)),
-        )
-        return code, _plus(
-            regime,
-            scrut_pot,
-            _acct(regime, 3),
-            _branch_join(nil_pot, _plus(regime, _acct(regime, 1), cons_pot)),
-        )
+        nil = compile_term(regime, env.slot(3), t.nil_branch)
+        cons = compile_term(regime, env.slot(3).bind(2), t.cons_branch)
+        split_cell = _run(regime, m.LetPair, 0, cons)
+        test = _run(regime, m.If, 1, split_cell, nil)
+        return _seq(regime, scrut, _run(regime, m.LetPair, 0, test))
 
     if cls is DupNat:
         if isinstance(t.arg, Var):
             # a single pairing of the input slot with itself: one step
             idx = env.var_index(t.arg.index)
-            return m.MkPair(idx, idx), _acct(regime, 1)
-        arg_code, arg_pot = compile_term(regime, env, t.arg)
-        return m.Seq(arg_code, m.MkPair(0, 0)), _plus(
-            regime, arg_pot, _acct(regime, 2)
-        )
+            return _seq(regime, m.MkPair(idx, idx))
+        return _seq(regime, compile_term(regime, env, t.arg), m.MkPair(0, 0))
 
     if cls is ZeroL:
-        pay_code, pay_pot = compile_term(regime, env, t.pay)
         # (true, <paid diamond>): the diamond dummy is the unit leaf
-        code = _seq(pay_code, m.MkTrue(), m.MkPair(0, 1))
-        return code, _plus(regime, pay_pot, _acct(regime, 4))
+        pay = compile_term(regime, env, t.pay)
+        return _seq(regime, pay, m.MkTrue(), m.MkPair(0, 1))
 
     if cls is SuccL:
-        pay_code, pay_pot = compile_term(regime, env, t.pay)
-        pred_code, pred_pot = compile_term(regime, env.slot(1), t.pred)
+        pay = compile_term(regime, env, t.pay)
+        pred = compile_term(regime, env.slot(1), t.pred)
         # (false, predecessor); the diamond is consumed silently
-        code = _seq(pay_code, pred_code, m.MkFalse(), m.MkPair(0, 1))
-        return code, _plus(regime, pay_pot, pred_pot, _acct(regime, 5))
+        return _seq(regime, pay, pred, m.MkFalse(), m.MkPair(0, 1))
 
-    if cls is RecNatCF:
-        if regime is not Regime.CONS_FREE:
-            raise CompileError("cons-free recursor under the wrong regime")
-        return _compile_rec(regime, env, t, lfpl=False)
+    if cls is RecNatCF or cls is RecNatL:
+        if (cls is RecNatL) != (regime is Regime.LFPL):
+            raise CompileError(f"{cls.__name__} under the wrong regime")
+        # branch depths per the assembly layout above: the successor branch
+        # binds (erased predecessor, previous result) after the diamonds
+        d = 1 if regime is Regime.LFPL else 0
+        return assemble_rec(
+            regime,
+            compile_term(regime, env, t.scrut),
+            compile_term(regime, env.slot(5).bind(d), t.zero_branch),
+            compile_term(regime, env.slot(5).bind(d + 2), t.succ_branch),
+        )
 
-    if cls is RecNatL:
-        if regime is not Regime.LFPL:
-            raise CompileError("payment recursor under the wrong regime")
-        return _compile_rec(regime, env, t, lfpl=True)
-
-    if cls is Refl:
-        # equation witnesses have no runtime content
-        return m.MkUnit(), _acct(regime, 1)
+    if cls is Refl or cls is CodeTy:
+        # equation witnesses and type codes have no runtime content
+        return _seq(regime, m.MkUnit())
 
     if cls is ReflectIntro or cls is ReflectElim:
         return compile_term(regime, env, t.body)
 
-    if cls is CodeTy:
-        # type codes carry no runtime content
-        return m.MkUnit(), _acct(regime, 1)
-
     raise CompileError(f"term form {cls.__name__} cannot occur at runtime")
-
-
-def _compile_rec(regime: Regime, env: EnvLayout, t, lfpl: bool):
-    scrut_code, scrut_pot = compile_term(regime, env, t.scrut)
-    # branch compile depths per the assembly layout documented above:
-    # cons-free binds (erased predecessor, previous result) in the
-    # successor branch; the payment regime adds a diamond to both branches
-    diamond = 1 if lfpl else 0
-    zero_env = env.slot(5).bind(diamond)
-    succ_env = env.slot(5).bind(diamond + 2)
-    zero_code, zero_pot = compile_term(regime, zero_env, t.zero_branch)
-    succ_code, succ_pot = compile_term(regime, succ_env, t.succ_branch)
-    assemble = compile_rec_lfpl if lfpl else compile_rec_consfree
-    return assemble(scrut_code, scrut_pot, zero_code, zero_pot, succ_code, succ_pot)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +382,7 @@ def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
     code, potential = compile_term(regime, env, core)
     if arity == 1:
         # apply the compiled closure to the input slot
-        code = m.Seq(code, m.App(0, 1))
-        potential = _plus(regime, potential, _acct(regime, 2))
+        code, potential = _seq(regime, (code, potential), m.App(0, 1))
     return CompiledProgram(code, potential, kind, arity)
 
 

@@ -22,10 +22,12 @@ from .syntax import (
     Ann,
     App,
     BOOL_TY,
+    BoolTy,
     CodeTy,
     Cons,
     DIAMOND_TY,
     DiamondStar,
+    DiamondTy,
     DupNat,
     El,
     FalseC,
@@ -38,6 +40,7 @@ from .syntax import (
     ListTy,
     MatchList,
     NAT_TY,
+    NatTy,
     Nil,
     Pair,
     Pi,
@@ -59,6 +62,8 @@ from .syntax import (
     TypeExpr,
     UNIT_TY,
     UNIVERSE,
+    UnitTy,
+    Universe,
     Var,
     ZeroCF,
     ZeroL,
@@ -102,11 +107,13 @@ def _err(message: str, span: Span, rule: str = "Parse") -> FrontendError:
 # ---------------------------------------------------------------------------
 # Lexer
 
+# the type formers that may also stand in term position, as universe codes
+_TYPE_FORMERS = ("Bool", "Nat", "I", "U", "List", "Id")
+
 _KEYWORDS = {
     "def", "regime", "consfree", "lfpl", "let", "in", "if", "then", "else",
     "rec", "match", "reclist", "at", "zero", "succ", "nil", "cons", "dup",
-    "fst", "snd", "refl", "true", "false", "dia",
-    "Bool", "Nat", "I", "U", "List", "Id", "El", "R",
+    "fst", "snd", "refl", "true", "false", "dia", "El", "R", *_TYPE_FORMERS,
 }
 
 _PUNCT = ["^-1", "->", "=>", "<>", "(", ")", "{", "}", ",", ".", ":", "=",
@@ -514,14 +521,10 @@ class _Parser:
             lhs_ty = ("pi", 1, None, lhs_ty, self.type_expr())
         return ("code", lhs_ty)
 
-    _BUILTIN_TYPE_HEADS = {"Bool", "Nat", "I", "U", "List", "Id", "<>"}
-
     def term_app(self) -> tuple:
         t = self.peek()
         # a type former in term position becomes a universe code
-        if (t.kind == "kw" and t.text in ("Bool", "Nat", "I", "U", "List", "Id")) or (
-            t.kind == "<>"
-        ):
+        if (t.kind == "kw" and t.text in _TYPE_FORMERS) or t.kind == "<>":
             return ("code", self.type_atom())
         if t.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == "^":
             return ("code", self.type_atom())
@@ -574,13 +577,13 @@ class _Parser:
         t = self.peek()
         if t.kind in ("ident", "int", "(", "<>"):
             return True
-        if t.kind == "kw" and t.text in (
-            "true", "false", "nil", "zero", "succ", "cons", "dup", "fst",
-            "snd", "refl", "dia", "R", "El",
-            "Bool", "Nat", "I", "U", "List", "Id",
-        ):
-            return True
-        return False
+        return t.kind == "kw" and (
+            t.text in _TYPE_FORMERS
+            or t.text in (
+                "true", "false", "nil", "zero", "succ", "cons", "dup", "fst",
+                "snd", "refl", "dia", "R", "El",
+            )
+        )
 
     def term_atom(self) -> tuple:
         t = self.peek()
@@ -593,9 +596,7 @@ class _Parser:
         if t.kind == "*":
             self.next()
             return ("star",)
-        if t.kind == "<>" or (
-            t.kind == "kw" and t.text in ("Bool", "Nat", "I", "U", "List", "Id")
-        ):
+        if t.kind == "<>" or (t.kind == "kw" and t.text in _TYPE_FORMERS):
             # a type former used as a universe code
             return ("code", self.type_atom())
         if t.kind == "kw":
@@ -1077,15 +1078,15 @@ def pretty_type(ty: TypeExpr, depth: int = 0, prec: int = 0) -> str:
         return f"({s})" if need else s
 
     cls = ty.__class__
-    if cls is BoolTyCls:
+    if cls is BoolTy:
         return "Bool"
-    if cls is NatTyCls:
+    if cls is NatTy:
         return "Nat"
-    if cls is UnitTyCls:
+    if cls is UnitTy:
         return "I"
-    if cls is UniverseCls:
+    if cls is Universe:
         return "U"
-    if cls is DiamondTyCls:
+    if cls is DiamondTy:
         return "<>"
     if cls is Pi:
         if ty.usage == 1 and not has_free_var(ty.cod, 0):
@@ -1117,10 +1118,3 @@ def pretty_type(ty: TypeExpr, depth: int = 0, prec: int = 0) -> str:
         return wrap(f"R {pretty_type(ty.inner, depth, 2)}", prec >= 2)
     raise ValueError(f"unknown type {cls.__name__}")
 
-
-# late imports for the singleton classes used in pretty_type dispatch
-from .syntax import BoolTy as BoolTyCls  # noqa: E402
-from .syntax import DiamondTy as DiamondTyCls  # noqa: E402
-from .syntax import NatTy as NatTyCls  # noqa: E402
-from .syntax import UnitTy as UnitTyCls  # noqa: E402
-from .syntax import Universe as UniverseCls  # noqa: E402

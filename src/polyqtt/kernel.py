@@ -26,6 +26,8 @@ carries no types of its own.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .syntax import (
     Ann,
     App,
@@ -144,7 +146,7 @@ def _eta_contract(t: Term) -> Term:
             return strengthen(t.body.fn)
     # (fst m, snd m)  ~~>  m
     if isinstance(t, Pair) and isinstance(t.fst, Fst) and isinstance(t.snd, Snd):
-        if t.fst.pair == t.snd.pair:
+        if _same(t.fst.pair, t.snd.pair):
             return t.fst.pair
     return t
 
@@ -256,8 +258,16 @@ def _eval(t, env: tuple, b: _Budget):
             return Pair(v, v)
         if cls is ZeroL:
             return _ZERO_L
-        if cls is SuccL:
-            return SuccL(_DIAMOND, _eval(t.pred, env, b))
+        if cls is SuccCF or cls is SuccL:
+            # a literal's successor chain is walked in a loop
+            chain = []
+            while t.__class__ is SuccCF or t.__class__ is SuccL:
+                chain.append(t.__class__)
+                t = t.pred
+            v = _eval(t, env, b)
+            for succ in reversed(chain):
+                v = SuccCF(v) if succ is SuccCF else SuccL(_DIAMOND, v)
+            return v
         return _node(t, env, b)
 
 
@@ -308,6 +318,19 @@ def _quote(v, depth: int, b: _Budget):
     cls = v.__class__
     if cls is Var:
         return Var(depth - 1 - v.index)
+    if cls is SuccCF or cls is SuccL:
+        # a successor chain is read back in a loop, as _eval builds it
+        chain = []
+        while v.__class__ is SuccCF or v.__class__ is SuccL:
+            chain.append(v)
+            v = v.pred
+        out = _quote(v, depth, b)
+        for succ in reversed(chain):
+            if succ.__class__ is SuccCF:
+                out = SuccCF(out)
+            else:
+                out = SuccL(_quote(succ.pay, depth, b), out)
+        return out
     if cls is IdTy and v.ty.__class__ in _CANONICAL:
         side = _CANONICAL[v.ty.__class__]
         return IdTy(_quote(v.ty, depth, b), side, side)
@@ -363,6 +386,29 @@ def normalize_type(
 # ---------------------------------------------------------------------------
 # Definitional equality
 
+# the fields that take part in a node's equality (App.usage and
+# Pair.usage do not)
+_COMPARED = {
+    cls: tuple(f.name for f in fields(cls) if f.compare) for cls in _SCHEMA
+}
+
+
+def _same(a, b) -> bool:
+    """Structural equality of terms and types, as the dataclass == but
+    in a loop, so long constructor chains do not grow the host stack."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        names = _COMPARED.get(x.__class__)
+        if x.__class__ is not y.__class__ or (names is None and x != y):
+            return False
+        if names is not None:
+            todo.extend((getattr(x, n), getattr(y, n)) for n in names)
+    return True
+
+
 def types_equal(
     regime: Regime,
     ctx: Context,
@@ -371,10 +417,10 @@ def types_equal(
     budget: int = DEFAULT_NORM_BUDGET,
 ) -> bool:
     _ensure_stack()
-    if a == b:
+    if _same(a, b):
         return True
     s = _Budget(budget)
-    return _nf(a, s) == _nf(b, s)
+    return _same(_nf(a, s), _nf(b, s))
 
 
 def conv_type(regime: Regime, ctx: Context, a: TypeExpr, b: TypeExpr) -> None:
@@ -686,7 +732,8 @@ def check(
         if _whnf_ty(ty_n.ty).__class__ not in _CANONICAL:
             s = _Budget(DEFAULT_NORM_BUDGET)
             body_n = _nf(t.body, s)
-            if body_n != _nf(ty_n.lhs, s) or body_n != _nf(ty_n.rhs, s):
+            same = _same(body_n, _nf(ty_n.lhs, s))
+            if not (same and _same(body_n, _nf(ty_n.rhs, s))):
                 raise CheckError("Id-Refl", "refl does not prove this equation")
         return u, Refl(body)
 

@@ -219,9 +219,19 @@ def test_run_elaborates_each_declaration_once(monkeypatch, capsys):
 
 
 def test_check_long_literal_both_regimes(tmp_path, capsys):
-    # a literal's successor chain is checked without host recursion
+    # a literal's successor chain is checked, normalised and compared
+    # without host recursion
     for regime in ("consfree", "lfpl"):
         path = tmp_path / f"{regime}.qtt"
-        path.write_text(f"regime {regime}\ndef big ^0 : Nat = 20000\n")
-        assert main(["check", str(path)]) == 0
-        assert "ok: 1 definition(s)" in capsys.readouterr().out
+        for decl in (
+            "def big ^0 : Nat = 20000",
+            "def big ^0 : Id Nat 20000 20000 = refl 20000",
+        ):
+            path.write_text(f"regime {regime}\n{decl}\n")
+            assert main(["check", str(path)]) == 0
+            assert "ok: 1 definition(s)" in capsys.readouterr().out
+        path.write_text(
+            f"regime {regime}\ndef big ^0 : Id Nat 20000 19999 = refl 20000\n"
+        )
+        assert main(["check", str(path)]) == 1
+        assert "[Id-Refl]" in capsys.readouterr().err

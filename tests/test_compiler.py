@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polyqtt import machine as m
@@ -5,8 +7,8 @@ from polyqtt import potentials as pot
 from polyqtt.compiler import (
     BoundReport,
     EnvLayout,
+    assemble_rec,
     compile_declaration,
-    compile_rec_consfree,
     compile_term,
     extract_bound,
     run_and_verify,
@@ -18,21 +20,33 @@ from polyqtt.syntax import (
     App,
     BOOL_TY,
     Ann,
+    CodeTy,
     Cons,
+    CtxEntry,
+    DIAMOND_TY,
     DupNat,
     FalseC,
+    IdTy,
     If,
     Lam,
+    LetPair,
+    LetUnit,
     ListTy,
     NAT_TY,
     Nil,
+    Pair,
     Pi,
     RecNatCF,
     RecNatL,
+    Refl,
     Regime,
+    Star,
     SuccCF,
     SuccL,
+    Tensor,
     TrueC,
+    UNIT_TY,
+    UNIVERSE,
     Var,
     ZeroCF,
     ZeroL,
@@ -144,13 +158,11 @@ def test_rec_assembly_direct():
     zero_code = m.MkTrue()
     succ_code = m.Seq(m.Var(0), m.If(0, m.MkFalse(), m.MkTrue()))
     kind = MonoidKind.MAX_POLY
-    code, potential = compile_rec_consfree(
-        m.Var(0),
-        pot.acct(kind, 1),
-        zero_code,
-        pot.acct(kind, 1),
-        succ_code,
-        pot.acct(kind, 4),
+    code, potential = assemble_rec(
+        CF,
+        (m.Var(0), pot.acct(kind, 1)),
+        (zero_code, pot.acct(kind, 1)),
+        (succ_code, pot.acct(kind, 4)),
     )
     for n in (0, 1, 4):
         out = m.eval_expr(code, (m.nat_value(n),), 100000)
@@ -286,3 +298,96 @@ def test_compile_declaration_checks_its_input():
     with pytest.raises(CheckError) as e:
         compile_declaration(CF, ty, body)
     assert e.value.rule == "Tm-Lam"
+
+
+# --- exact potentials on branch-free code ----------------------------------
+#
+# Without a conditional, a list match or a recursor, every emitted
+# instruction runs exactly once, so the potential the compiler sums from
+# its code must equal the measured step count, not merely bound it.
+
+_ID_BOOL = IdTy(BOOL_TY, TrueC(), TrueC())
+_LIST_BOOL = ListTy(BOOL_TY)
+_NAT_FREE = [UNIT_TY, BOOL_TY, _LIST_BOOL]
+
+
+def _exact_term(rng, ty, depth, scope, pool):
+    """A runtime term of type ty without branching code.
+
+    `scope` counts the variables in scope and `pool` holds the levels of
+    the context's diamonds not spent yet.  Every natural spends a diamond,
+    so a term of type Nat asks for at most one subterm of type Nat.
+    """
+
+    def sub(t, binders=0, p=pool):
+        return _exact_term(rng, t, depth - 1, scope + binders, p)
+
+    nat = ty == NAT_TY
+    r = rng.random() if depth > 0 else 1.0
+    if r < 0.2:
+        # a usage-1 function applied once: the identity, or a body that
+        # ignores its argument
+        arg_ty = ty if nat else rng.choice([ty] + _NAT_FREE)
+        if arg_ty == ty and (nat or rng.random() < 0.5):
+            body = Var(0)
+        else:
+            body = sub(ty, 1)
+        return App(Ann(Lam(body), Pi(1, arg_ty, ty)), sub(arg_ty))
+    if r < 0.27:
+        # an erased argument
+        return App(Ann(Lam(sub(ty, 1)), Pi(0, BOOL_TY, ty)), TrueC())
+    if r < 0.42:
+        usage = rng.choice([0, 1])
+        fst_ty = rng.choice(_NAT_FREE + ([] if nat else [ty]))
+        snd_ty = ty if nat else rng.choice([ty, UNIT_TY])
+        pair_ty = Tensor(usage, fst_ty, snd_ty)
+        scrut = Ann(sub(pair_ty), pair_ty)
+        if snd_ty == ty and (nat or rng.random() < 0.5):
+            body = Var(0)
+        elif usage == 1 and fst_ty == ty and rng.random() < 0.5:
+            body = Var(1)
+        else:
+            body = sub(ty, 2)
+        return LetPair(scrut, body, None)
+    if r < 0.52:
+        return LetUnit(sub(UNIT_TY), sub(ty), None)
+    # introduction forms of ty
+    if ty == UNIT_TY:
+        return Star()
+    if ty == BOOL_TY:
+        return rng.choice([TrueC(), FalseC()])
+    if ty == _LIST_BOOL:
+        if depth <= 0 or rng.random() < 0.3:
+            return Nil()
+        return Cons(Ann(sub(BOOL_TY), BOOL_TY), sub(_LIST_BOOL))
+    if ty == _ID_BOOL:
+        return Refl(TrueC())
+    if ty == UNIVERSE:
+        return CodeTy(rng.choice([BOOL_TY, _LIST_BOOL, NAT_TY]))
+    if nat:
+        pay = Var(scope - 1 - pool.pop())
+        if pool and depth > 0:
+            return SuccL(pay, sub(NAT_TY))
+        return ZeroL(pay)
+    # a tensor; an erased first component spends no diamond
+    return Pair(sub(ty.fst, p=pool if ty.usage else []), sub(ty.snd))
+
+
+def test_branch_free_potentials_are_exact():
+    rng = random.Random(20261018)
+    types = [UNIT_TY, BOOL_TY, _LIST_BOOL, _ID_BOOL, UNIVERSE]
+    # the last case runs in a context of four diamonds that pay for naturals
+    for regime, diamonds in ((CF, 0), (LF, 0), (LF, 4)):
+        kind = MonoidKind.MAX_POLY if regime is CF else MonoidKind.PLUS_POLY
+        ctx = (CtxEntry("d", 1, DIAMOND_TY),) * diamonds
+        env = EnvLayout(tuple(range(diamonds)), diamonds)
+        for _ in range(150):
+            ty = rng.choice(types + [NAT_TY] * (diamonds > 0) * 3)
+            pool = list(range(diamonds))
+            rng.shuffle(pool)
+            term = _exact_term(rng, ty, rng.randint(0, 4), diamonds, pool)
+            _, core_term = elaborate(regime, ctx, 1, term, ty)
+            code, gamma = compile_term(regime, env, core_term)
+            out = m.eval_expr(code, (m.UNIT,) * diamonds, 100_000)
+            assert isinstance(out, m.Done), term
+            assert gamma == pot.acct(kind, out.steps), term
