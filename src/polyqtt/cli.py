@@ -52,13 +52,12 @@ def _load(path: str, regime_flag: str | None):
     return resolve_module(parse_module(text), _regime_of(regime_flag))
 
 
-def _check_module(mod, sigma_override: int | None) -> dict:
-    """Check every declaration; return the core terms by name."""
-    cores = {}
+def _check_module(mod, sigma_override: int | None) -> None:
+    """Check every declaration through its definition node, so a body is
+    checked once, whether as a declaration or at a reference."""
     for d in mod.decls:
         sigma = d.sigma if sigma_override is None else sigma_override
-        cores[d.name] = elaborate(mod.regime, (), sigma, d.body, d.ty)[1]
-    return cores
+        elaborate(mod.regime, (), sigma, d.defn, d.ty)
 
 
 def _find_decl(mod, name: str):
@@ -68,13 +67,16 @@ def _find_decl(mod, name: str):
     raise CheckError("Resolve", f"no definition named {name!r}")
 
 
-def _compile_decl(mod, cores: dict, name: str) -> CompiledProgram:
+def _compile_decl(mod, name: str) -> CompiledProgram:
+    """Check the module and compile the runtime declaration name; its core
+    term is the definition node the check elaborated."""
+    _check_module(mod, None)
     d = _find_decl(mod, name)
     if d.sigma != 1:
         raise CheckError(
             "Tm", f"{name!r} lives in the erased fragment and has no runtime code"
         )
-    return compile_core(mod.regime, d.ty, cores[name])
+    return compile_core(mod.regime, d.ty, d.defn)
 
 
 def _show_value(v) -> str:
@@ -114,7 +116,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     n = _natural(args.input, "--input")
     mod = _load(args.file, args.regime)
-    prog = _compile_decl(mod, _check_module(mod, None), args.decl)
+    prog = _compile_decl(mod, args.decl)
     if args.emit_machine:
         print(m.expr_to_sexp(prog.code))
     if prog.input_arity != 1:
@@ -140,7 +142,7 @@ def cmd_run(args) -> int:
 
 def cmd_bound(args) -> int:
     mod = _load(args.file, args.regime)
-    prog = _compile_decl(mod, _check_module(mod, None), args.decl)
+    prog = _compile_decl(mod, args.decl)
     if args.emit_machine:
         print(m.expr_to_sexp(prog.code))
     report = extract_bound(prog)
@@ -170,7 +172,7 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     max_n = _natural(args.max_n, "--max-n")
     mod = _load(args.file, args.regime)
-    prog = _compile_decl(mod, _check_module(mod, None), args.decl)
+    prog = _compile_decl(mod, args.decl)
     if args.sabotage:
         prog = sabotage(prog)
     report = extract_bound(prog)

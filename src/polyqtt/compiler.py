@@ -8,6 +8,13 @@ typing fact the translation needs, the usage of each application's
 function type and each pair's tensor type, is read from the `usage`
 field of the App and Pair nodes.
 
+A definition is closed, and closed code addresses only the slots it
+binds itself, so it does not depend on the depth of the environment it
+is compiled in.  Each definition is therefore compiled once per regime
+and its code and potential are shared by every reference to it: the
+emitted code is a DAG.  machine.expr_to_sexp, and so --emit-machine,
+still print it as a tree.
+
 Code is emitted in A-normal form: machine eliminators take environment
 indices, so every compound subterm is bound by sequencing first.  Every
 kernel binder occupies exactly one machine slot; erased positions hold
@@ -40,6 +47,7 @@ from .syntax import (
     Cons,
     DupNat,
     FalseC,
+    Global,
     If,
     Lam,
     LetPair,
@@ -255,6 +263,17 @@ def compile_term(
     if cls is Ann:
         return compile_term(regime, env, t.term)
 
+    if cls is Global:
+        # closed code does not depend on the environment depth, so a
+        # definition is compiled once per regime and shared by every use
+        code = t.code.get(regime)
+        if code is None:
+            core = t.core.get((regime, 1))
+            if core is None:
+                raise CompileError(f"{t.name} was not checked in the runtime fragment")
+            code = t.code[regime] = compile_term(regime, EnvLayout((), 0), core)
+        return code
+
     if cls is Lam:
         # the body runs in [captured env, self closure, argument]
         return _run(regime, m.Lam, compile_term(regime, env.slot(1).bind(1), t.body))
@@ -372,7 +391,7 @@ def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
     one machine input (the encoded natural); anything else runs closed.
     """
     kind = _kind_for(regime)
-    ty_n = normalize_type(regime, (), ty)
+    ty_n = normalize_type(ty)
     arity = (
         1
         if isinstance(ty_n, Pi) and ty_n.usage == 1 and isinstance(ty_n.dom, NatTy)

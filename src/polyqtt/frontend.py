@@ -10,8 +10,10 @@ Usage annotations are written ``^k``; arrows and tensors without a
 binder default to usage one.  Type formers may appear in term position
 (they resolve to universe codes) and terms may appear in type position
 (they resolve through the code-to-type embedding), so universe
-programming reads naturally.  Definitions unfold transparently: a name
-reference inlines the definition it resolves to.
+programming reads naturally.  A name that refers to a definition
+resolves to that definition's one shared `syntax.Global` node, which
+unfolds transparently during conversion; the pretty printer prints it by
+name.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .syntax import (
     El,
     FalseC,
     Fst,
+    Global,
     IdTy,
     If,
     Lam,
@@ -641,24 +644,29 @@ class _Parser:
         raise _err(f"expected a term, found {t.text or 'end of input'!r}", t.span)
 
 
+def _parse(text: str, rule):
+    p = _Parser(tokenize(text))
+    try:
+        out = rule(p)
+    except RecursionError:
+        # the parser recurses once per nesting level; input nested deeper
+        # than the host stack allows is reported where the stack ran out
+        raise _err("expression nested too deeply to parse", p.peek().span) from None
+    if not p.at_eof():
+        raise _err(f"trailing input at {p.peek().text!r}", p.peek().span)
+    return out
+
+
 def parse_module(text: str) -> SourceModule:
-    return _Parser(tokenize(text)).module()
+    return _parse(text, _Parser.module)
 
 
 def parse_term(text: str) -> tuple:
-    p = _Parser(tokenize(text))
-    t = p.term()
-    if not p.at_eof():
-        raise _err(f"trailing input at {p.peek().text!r}", p.peek().span)
-    return t
+    return _parse(text, _Parser.term)
 
 
 def parse_type(text: str) -> tuple:
-    p = _Parser(tokenize(text))
-    t = p.type_expr()
-    if not p.at_eof():
-        raise _err(f"trailing input at {p.peek().text!r}", p.peek().span)
-    return t
+    return _parse(text, _Parser.type_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +674,21 @@ def parse_type(text: str) -> tuple:
 
 @dataclass(frozen=True)
 class ResolvedDecl:
-    name: str
     sigma: int
-    ty: TypeExpr
-    body: Term
     span: Span
+    defn: Global  # the node every reference to the declaration resolves to
+
+    @property
+    def name(self) -> str:
+        return self.defn.name
+
+    @property
+    def ty(self) -> TypeExpr:
+        return self.defn.ty
+
+    @property
+    def body(self) -> Term:
+        return self.defn.body
 
 
 @dataclass(frozen=True)
@@ -682,7 +700,7 @@ class ResolvedModule:
 class _Resolver:
     def __init__(self, regime: Regime, globals_: dict):
         self.regime = regime
-        self.globals = globals_  # name -> (TypeExpr, Term) closed kernel forms
+        self.globals = globals_  # name -> Global
 
     def term(self, node: tuple, scope: tuple) -> Term:
         tag = node[0]
@@ -693,8 +711,7 @@ class _Resolver:
                 if bound == name:
                     return Var(i)
             if name in self.globals:
-                ty, body = self.globals[name]
-                return Ann(body, ty)
+                return self.globals[name]
             raise _err(f"unbound name {name!r}", span, rule="Resolve")
         if tag == "lit":
             n = node[1]
@@ -892,10 +909,15 @@ def resolve_module(
         if d.name in globals_:
             raise _err(f"duplicate definition {d.name!r}", d.span, rule="Resolve")
         r = _Resolver(regime, globals_)
-        ty = r.type(d.ty, ())
-        body = r.term(d.body, ())
-        globals_[d.name] = (ty, body)
-        out.append(ResolvedDecl(d.name, d.sigma, ty, body, d.span))
+        try:
+            defn = Global(d.name, r.type(d.ty, ()), r.term(d.body, ()))
+        except RecursionError:
+            # as in the parser: the resolver recurses once per binder
+            raise _err(
+                f"{d.name!r} is nested too deeply to resolve", d.span, rule="Resolve"
+            ) from None
+        globals_[d.name] = defn
+        out.append(ResolvedDecl(d.sigma, d.span, defn))
     return ResolvedModule(regime, tuple(out))
 
 
@@ -1058,6 +1080,8 @@ def pretty_term(t: Term, depth: int = 0, prec: int = 0) -> str:
         return wrap(pretty_type(t.ty, depth, 1), prec > 1)
     if cls is Ann:
         return f"({pretty_term(t.term, depth, 0)} : {pretty_type(t.ty, depth, 0)})"
+    if cls is Global:
+        return t.name
     raise ValueError(f"unknown term {cls.__name__}")
 
 

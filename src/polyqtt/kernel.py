@@ -17,6 +17,11 @@ enforced when a binder is popped; premises that demand a fully erased
 context (recursor branches, reflection introduction) require an all-zero
 inferred vector.
 
+A reference to a top-level definition is the definition's one shared
+`Global` node.  Its body is checked once per regime and fragment, and a
+reference synthesises the declared type with a zero usage vector, since
+the body is closed; evaluation unfolds it to that body.
+
 Checking also returns the core term: the input term with the usage of
 each application's function type and each pair's tensor type stored in
 the `usage` field of the App or Pair node.  That is the one typing fact
@@ -44,6 +49,7 @@ from .syntax import (
     El,
     FalseC,
     Fst,
+    Global,
     IdTy,
     If,
     Lam,
@@ -222,6 +228,10 @@ def _eval(t, env: tuple, b: _Budget):
         if cls is Ann:
             t = t.term
             continue
+        if cls is Global:
+            # a definition unfolds to its closed body
+            t, env = t.body, ()
+            continue
         if cls is App:
             fn = _eval(t.fn, env, b)
             arg = _eval(t.arg, env, b)
@@ -376,9 +386,7 @@ def normalize_sigma0(
     return _nf(term, b)
 
 
-def normalize_type(
-    regime: Regime, ctx: Context, ty: TypeExpr, budget: int = DEFAULT_NORM_BUDGET
-) -> TypeExpr:
+def normalize_type(ty: TypeExpr, budget: int = DEFAULT_NORM_BUDGET) -> TypeExpr:
     _ensure_stack()
     return _nf(ty, _Budget(budget))
 
@@ -409,13 +417,7 @@ def _same(a, b) -> bool:
     return True
 
 
-def types_equal(
-    regime: Regime,
-    ctx: Context,
-    a: TypeExpr,
-    b: TypeExpr,
-    budget: int = DEFAULT_NORM_BUDGET,
-) -> bool:
+def types_equal(a: TypeExpr, b: TypeExpr, budget: int = DEFAULT_NORM_BUDGET) -> bool:
     _ensure_stack()
     if _same(a, b):
         return True
@@ -423,9 +425,9 @@ def types_equal(
     return _same(_nf(a, s), _nf(b, s))
 
 
-def conv_type(regime: Regime, ctx: Context, a: TypeExpr, b: TypeExpr) -> None:
-    if not types_equal(regime, ctx, a, b):
-        an, bn = normalize_type(regime, ctx, a), normalize_type(regime, ctx, b)
+def conv_type(a: TypeExpr, b: TypeExpr) -> None:
+    if not types_equal(a, b):
+        an, bn = normalize_type(a), normalize_type(b)
         raise CheckError("Conv", f"type mismatch: {an!r} /= {bn!r}")
 
 
@@ -543,6 +545,15 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
         check_type(regime, ctx_zero(ctx), t.ty)
         u, term = check(regime, ctx, sigma, t.term, t.ty)
         return u, t.ty, Ann(term, t.ty)
+
+    if cls is Global:
+        # the body is checked once per regime and fragment and its core
+        # term kept on the definition; being closed, it uses nothing of ctx
+        key = (regime, sigma)
+        if key not in t.core:
+            check_type(regime, (), t.ty)
+            t.core[key] = check(regime, (), sigma, t.body, t.ty)[1]
+        return zeros, t.ty, t
 
     if cls is App:
         u_fn, fn_ty, fn = synth(regime, ctx, sigma, t.fn)
@@ -748,8 +759,8 @@ def check(
         return u, core
 
     u, got, core = synth(regime, ctx, sigma, t)
-    if not types_equal(regime, ctx, got, ty):
-        want, have = normalize_type(regime, ctx, ty), normalize_type(regime, ctx, got)
+    if not types_equal(got, ty):
+        want, have = normalize_type(ty), normalize_type(got)
         raise CheckError("Conv", f"expected {want!r} but synthesised {have!r}")
     return u, core
 

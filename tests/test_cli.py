@@ -1,8 +1,12 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 from polyqtt.cli import main
 
-from conftest import CORPUS, FIXTURES
+from conftest import CORPUS, FIXTURES, ROOT
 
 
 def test_check_ok(capsys):
@@ -235,3 +239,38 @@ def test_check_long_literal_both_regimes(tmp_path, capsys):
         )
         assert main(["check", str(path)]) == 1
         assert "[Id-Refl]" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_diagnostic(tmp_path):
+    # the front end recurses once per nesting level; in a fresh interpreter
+    # (default recursion limit) nesting past the host stack is reported as
+    # a diagnostic with a span, and shallower nesting still checks
+    def nest(n, inner, wrap):
+        for _ in range(n):
+            inner = wrap.format(inner)
+        return inner
+
+    def check(decl):
+        path = tmp_path / "deep.qtt"
+        path.write_text(f"regime consfree\n{decl}\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        cmd = [sys.executable, "-m", "polyqtt.cli", "check", str(path)]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+    def conses(n):
+        return f"def xs ^0 : List Bool = {nest(n, 'nil', '(cons true {})')}"
+
+    ok = check(conses(120))
+    assert ok.returncode == 0, ok.stderr
+    arrows = nest(600, "Bool", "(Bool -> {})")
+    # a chain of 600 binders parses, but its resolution recurses deeper
+    flat_arrows = nest(600, "Bool", "Bool -> {}")
+    lams = nest(600, "true", "\\x. {}")
+    for decl, rule in (
+        (conses(300), "Parse"),
+        (f"def f ^0 : {arrows} = true", "Parse"),
+        (f"def f ^0 : {flat_arrows} = {lams}", "Resolve"),
+    ):
+        out = check(decl)
+        assert out.returncode == 1, out.stderr
+        assert re.search(rf"error at \d+:\d+: \[{rule}\] .*nested too deeply", out.stderr)

@@ -391,3 +391,33 @@ def test_branch_free_potentials_are_exact():
             out = m.eval_expr(code, (m.UNIT,) * diamonds, 100_000)
             assert isinstance(out, m.Done), term
             assert gamma == pot.acct(kind, out.steps), term
+
+
+def test_shared_definitions_compile_to_linear_code():
+    # each definition is compiled once and its code shared at every use,
+    # so the code of a fan-out chain is a DAG whose distinct nodes grow
+    # linearly with the depth, while the tree it denotes doubles per level
+    from polyqtt.frontend import parse_module, resolve_module
+
+    from conftest import fanout_chain
+
+    def distinct_nodes(k):
+        mod = resolve_module(parse_module(fanout_chain(k)))
+        drive = mod.decls[-1]
+        prog = compile_declaration(mod.regime, drive.ty, drive.body)
+        seen, todo = set(), [prog.code]
+        while todo:
+            x = todo.pop()
+            if id(x) in seen:
+                continue
+            seen.add(id(x))
+            for f in x.__dataclass_fields__:
+                v = getattr(x, f)
+                if isinstance(v, m.MachineExpr):
+                    todo.append(v)
+        return len(seen)
+
+    # depth 10 first: unshared code of depth 20 would take gigabytes
+    n5, n10 = distinct_nodes(5), distinct_nodes(10)
+    assert 0 < n10 - n5 and n10 < 40 * 10
+    assert distinct_nodes(20) - n10 == 2 * (n10 - n5)

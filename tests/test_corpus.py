@@ -4,7 +4,7 @@ import pytest
 
 from polyqtt import machine as m
 from polyqtt.compiler import extract_bound, run_and_verify
-from polyqtt.frontend import parse_module, pretty_term, pretty_type, resolve_module, resolve_term, resolve_type
+from polyqtt.frontend import parse_module, pretty_term, pretty_type, resolve_module
 from polyqtt.kernel import CheckError, infer_usage_check, normalize_sigma0
 from polyqtt.syntax import Regime
 
@@ -129,13 +129,21 @@ def test_corpus_zeroing_admissibility():
 
 
 def test_corpus_pretty_roundtrip():
+    # every declaration printed back as source; references print as names
+    # and resolve to the definitions read back before them
     for name in CORPUS_FILES:
         mod = load_corpus(name)
-        for d in mod.decls:
-            ty_text = pretty_type(d.ty)
-            body_text = pretty_term(d.body)
-            assert resolve_type(ty_text, mod.regime) == d.ty, (name, d.name)
-            assert resolve_term(body_text, mod.regime) == d.body, (name, d.name)
+        text = f"regime {mod.regime.value}\n" + "".join(
+            f"def {d.name} ^{d.sigma} : {pretty_type(d.ty)} = {pretty_term(d.body)}\n"
+            for d in mod.decls
+        )
+        again = resolve_module(parse_module(text))
+        assert [(d.name, d.sigma) for d in again.decls] == [
+            (d.name, d.sigma) for d in mod.decls
+        ]
+        for d, e in zip(mod.decls, again.decls):
+            assert e.ty == d.ty, (name, d.name)
+            assert e.body == d.body, (name, d.name)
 
 
 def test_erased_arithmetic_normalises():

@@ -11,6 +11,7 @@ from polyqtt.frontend import (
     resolve_term,
     resolve_type,
 )
+from polyqtt.kernel import infer_usage_check
 from polyqtt.syntax import (
     Ann,
     App,
@@ -23,6 +24,7 @@ from polyqtt.syntax import (
     El,
     FalseC,
     Fst,
+    Global,
     IdTy,
     If,
     Lam,
@@ -113,16 +115,22 @@ def test_duplicate_names_rejected():
         resolve_module(parse_module(src))
 
 
-def test_definitions_inline():
+def test_definitions_resolve_to_one_global():
     src = """regime consfree
 def not ^1 : Bool -> Bool = \\b. if b then false else true
 def f ^1 : Bool -> Bool = \\b. not (not b)
 """
     rm = resolve_module(parse_module(src))
     body = rm.decls[1].body
-    # `not` occurrences are inlined, annotated definitions
-    inner = body.body.fn
-    assert isinstance(inner, Ann) and inner.ty == Pi(1, BOOL_TY, BOOL_TY)
+    # both `not` occurrences are the one definition node, with its type
+    outer, inner = body.body.fn, body.body.arg.fn
+    assert outer is inner is rm.decls[0].defn
+    assert isinstance(inner, Global) and inner.name == "not"
+    assert inner.ty == Pi(1, BOOL_TY, BOOL_TY)
+    # what the checker keeps on the node takes no part in equality
+    fresh = Global(inner.name, inner.ty, inner.body)
+    infer_usage_check(CF, (), 1, body, rm.decls[1].ty)
+    assert inner.core and inner == fresh and hash(inner) == hash(fresh)
 
 
 def test_regime_override():

@@ -152,7 +152,7 @@ def test_corpus_normal_forms_pinned(file):
     mod = load_corpus(file)
     r = mod.regime
     for d in mod.decls:
-        ty = _digest(lambda: normalize_type(r, (), d.ty))
+        ty = _digest(lambda: normalize_type(d.ty))
         body = None
         if d.sigma == 0:
             body = _digest(lambda: normalize_sigma0(r, (), d.body, d.ty))
