@@ -21,8 +21,26 @@ from .compiler import (
     sabotage,
 )
 from .frontend import FrontendError, parse_module, resolve_module
-from .kernel import CheckError, elaborate
-from .syntax import Regime
+from .kernel import CheckError, elaborate, normalize_type
+from .syntax import (
+    BoolTy,
+    DiamondTy,
+    FalseC,
+    ListTy,
+    NatTy,
+    Pi,
+    Reflect,
+    Regime,
+    Tensor,
+    Term,
+    TrueC,
+    TypeExpr,
+    UnitTy,
+    has_free_var,
+    instantiate,
+    nat_literal,
+    strengthen,
+)
 
 EXIT_OK = 0
 EXIT_STATIC = 1
@@ -79,22 +97,81 @@ def _compile_decl(mod, name: str) -> CompiledProgram:
     return compile_core(mod.regime, d.ty, d.defn)
 
 
-def _show_value(v) -> str:
+def _nested(parts: list[str]) -> str:
+    """(a, (b, c)) for the parts a, b, c."""
+    return "".join(f"({p}, " for p in parts[:-1]) + parts[-1] + ")" * (len(parts) - 1)
+
+
+def _show_raw(v) -> str:
+    """The structure of a machine value, read as no type."""
+    parts = []
+    while v.__class__ is m.VPair:
+        parts.append(_show_raw(v.fst))
+        v = v.snd
+    cls = v.__class__
+    if cls is m.Clo:
+        last = "<closure>"
+    elif cls is m.VTrue or cls is m.VFalse:
+        last = "true" if cls is m.VTrue else "false"
+    else:
+        last = "*" if cls is m.VUnit else m.value_to_sexp(v)
+    return _nested(parts + [last])
+
+
+def _literal(regime: Regime, ty: TypeExpr, v) -> Term | None:
+    """The term of a runtime Nat or Bool value, for a dependent type to
+    be instantiated with; None for any other type."""
+    if ty.__class__ is BoolTy:
+        return TrueC() if m.decode_bool(v) else FalseC()
+    if ty.__class__ is NatTy:
+        return nat_literal(regime, m.decode_nat(v))
+    return None
+
+
+def _show_value(regime: Regime, v, ty: TypeExpr) -> str:
+    """A machine value decoded by its type: Nat as a numeral, Bool as
+    true/false, unit and diamond as *, pairs as (a, b), lists as [a, b]
+    and functions as <closure>.  A value that does not decode at its
+    type, and a pair component whose type depends on an erased or
+    non-data component, is shown by its structure."""
     try:
-        return str(m.decode_nat(v))
-    except m.DecodeError:
+        ty = normalize_type(ty)
+        cls = ty.__class__
+        if cls is NatTy:
+            return str(m.decode_nat(v))
+        if cls is BoolTy:
+            return "true" if m.decode_bool(v) else "false"
+        if (cls is UnitTy or cls is DiamondTy) and v.__class__ is m.VUnit:
+            return "*"
+        if cls is Pi and v.__class__ is m.Clo:
+            return "<closure>"
+        if cls is Reflect:
+            return _show_value(regime, v, ty.inner)
+        if cls is ListTy:
+            items = (_show_value(regime, x, ty.elem) for x in m.decode_list(v))
+            return f"[{', '.join(items)}]"
+        if cls is Tensor and v.__class__ is m.VPair:
+            # a right-nested chain of pairs is walked, not recursed
+            parts = []
+            while cls is Tensor and v.__class__ is m.VPair:
+                erased = ty.usage == 0
+                fst = _show_raw(v.fst) if erased else _show_value(regime, v.fst, ty.fst)
+                parts.append(fst)
+                snd = ty.snd
+                if not has_free_var(snd, 0):
+                    snd = strengthen(snd)
+                else:
+                    lit = None if erased else _literal(regime, ty.fst, v.fst)
+                    if lit is None:
+                        parts.append(_show_raw(v.snd))
+                        return _nested(parts)
+                    snd = instantiate(snd, (lit,))
+                ty, v = normalize_type(snd), v.snd
+                cls = ty.__class__
+            return _nested(parts + [_show_value(regime, v, ty)])
+    except (m.DecodeError, CheckError):
         pass
-    try:
-        return "true" if m.decode_bool(v) else "false"
-    except m.DecodeError:
-        pass
-    if isinstance(v, m.VPair):
-        return f"({_show_value(v.fst)}, {_show_value(v.snd)})"
-    if isinstance(v, m.VUnit):
-        return "*"
-    if isinstance(v, m.Clo):
-        return "<closure>"
-    return m.value_to_sexp(v)
+    return _show_raw(v)
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -134,7 +211,9 @@ def cmd_run(args) -> int:
         reason = f": {out.reason}" if isinstance(out, m.Stuck) else ""
         print(f"run failed ({kind}{reason})", file=sys.stderr)
         return EXIT_DYNAMIC
-    print(f"value: {_show_value(out.value)}")
+    ty = normalize_type(_find_decl(mod, args.decl).ty)
+    result_ty = instantiate(ty.cod, (nat_literal(mod.regime, n),))
+    print(f"value: {_show_value(mod.regime, out.value, result_ty)}")
     print(f"steps: {out.steps}")
     print(f"bound_at_n: {bound}")
     return EXIT_OK

@@ -422,10 +422,13 @@ def extract_bound(p: CompiledProgram) -> BoundReport:
 
 
 def run_and_verify(p: CompiledProgram, n: int) -> RunResult:
-    """Run on the encoded input n and compare steps against the bound."""
+    """Run on the encoded input n and compare steps against the bound,
+    q(n + 1) for the program potential (0, q): the value
+    extract_bound(p).bound_at(n) has, read without extract_bound's
+    differencing probes, which a sweep runs once."""
     if p.input_arity != 1:
         raise CompileError("verification runs need a single natural input")
-    bound = extract_bound(p).bound_at(n)
+    bound = p.potential.poly(n + 1)
     out = m.eval_expr(p.code, (m.nat_value(n),), bound + VERIFY_FUEL_SLACK)
     if isinstance(out, m.Done):
         return RunResult(out.steps, out.value, bound, out.steps <= bound, "done")

@@ -72,6 +72,7 @@ from .syntax import (
     ZeroL,
     shift,
     has_free_var,
+    nat_literal,
     strengthen,
 )
 
@@ -714,16 +715,7 @@ class _Resolver:
                 return self.globals[name]
             raise _err(f"unbound name {name!r}", span, rule="Resolve")
         if tag == "lit":
-            n = node[1]
-            if self.regime is Regime.CONS_FREE:
-                t: Term = ZeroCF()
-                for _ in range(n):
-                    t = SuccCF(t)
-                return t
-            t = ZeroL(DiamondStar())
-            for _ in range(n):
-                t = SuccL(DiamondStar(), t)
-            return t
+            return nat_literal(self.regime, node[1])
         if tag == "lam":
             return self._pattern_body(node[1], list(scope), node[2])
         if tag == "app":

@@ -6,11 +6,47 @@ and sequencing nest.  Environments extend on the right and indices count
 from the right, index 0 being the most recently bound value.  Closure
 application installs the closure environment extended with the closure
 itself (for self reference) and the argument.
+
+eval_expr runs a program on one of two paths with the same contract and
+the same step count.
+
+- The reference loop (_eval_reference) interprets one rule per
+  iteration, checking and charging each on its own.  It is the
+  definition the tests compare against, and the only path that records
+  a trace.
+- The compiled path (_eval_compiled) prepares each distinct code node
+  it enters once, lazily, into a block: the instructions from that node
+  up to the first whose successor is only known at run time (an
+  application, a conditional, or a value returned to a frame), merged
+  into one closure (Feeley and Lapalme, "Using closures for code
+  generation", 1987).  A block adds its steps and compares them with
+  the fuel once.  Values are Python tuples, singletons and slotted
+  closures, and environments linked cells, so extending one costs no
+  copy; results become machine values again only in the outcome.  A
+  block that cannot finish (it would cross the fuel limit, or an index
+  or a variant is wrong) is handed to the reference loop, which runs it
+  from its entry state with the fuel that is left and stops inside it,
+  so OutOfFuel and Stuck, with its reason, are the reference's own.
+  Indices are checked as they are read, not when a block is prepared:
+  a shared definition's code runs at more than one environment depth.
+
+eval_expr takes the reference loop for a traced run, for one with less
+than COMPILE_MIN_FUEL fuel and for an environment holding a value of no
+machine value class, and the compiled path otherwise.
+Preparing blocks costs more than interpreting a short run: timed on
+every corpus declaration with an input and on fan-out chains of depth
+6, 8 and 10, at n <= 20 with the fuel run_and_verify gives (the bound
+plus 4,096; Python 3.11, 2 shared Xeon cores), the compiled path took a
+median 1.91 times the reference's time on the 93 runs below 5,000 fuel,
+was faster on 8 of the 9 runs between 5,000 and 6,000, and took 0.26 to
+0.88 times (median 0.41) on all 34 runs from 6,000 on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +193,24 @@ def eval_expr(
     exists; OutOfFuel when the derivation would exceed the fuel; Stuck
     with a diagnostic on an out-of-range index or a variant mismatch.
 
+    A traced run, or one with less fuel than COMPILE_MIN_FUEL, takes the
+    reference loop; any other run takes the compiled path (see the
+    module docstring).  Both give the same outcome.
+    """
+    if trace is None and fuel >= COMPILE_MIN_FUEL:
+        return _eval_compiled(expr, env, fuel)
+    return _eval_reference(expr, env, fuel, trace)
+
+
+def _eval_reference(
+    expr: MachineExpr,
+    env: Env = (),
+    fuel: int = 10_000_000,
+    trace: list | None = None,
+) -> EvalOutcome:
+    """The reference path: one rule per iteration, each checked and
+    charged on its own, and the one that records a trace.
+
     Evaluation is a loop over an explicit continuation stack (only the
     first component of a sequencing construct is a non-tail position),
     so deep recursion in object programs cannot overflow the host
@@ -269,6 +323,353 @@ def eval_expr(
             expr, env0 = stack.pop()
             env = env0 + (value,)
             value = None
+
+
+# --------------------------------------------------------------------------
+# The compiled path (see the module docstring).  A pair is a tuple, a
+# closure a _Closure, unit None and the booleans True and False.  An
+# environment is a linked list of (value, rest) cells ending in ().
+
+# Below this much fuel the reference loop is faster (module docstring).
+COMPILE_MIN_FUEL = 6000
+
+# A block is a list [cost, run, kind, a, b, c, node], patched in place
+# when a stub is prepared.  cost is every step from entering the block
+# to its last instruction; run (None when there is nothing to run) maps
+# the entry environment to the environment of the last instruction,
+# pushing the frames of the sequences it enters; a, b, c are the
+# operands of the last instruction, by kind:
+_APP = 0  # getter of the (function, argument) pair
+_VALUE = 1  # function from the environment to the value
+_IF = 2  # scrutinee getter, then block, else block
+_STUB = 3  # not prepared yet
+_REFER = 4  # an instruction only the reference loop handles
+_NODE = 6
+
+# Index i of a linked environment, and the environment extended by it,
+# written out once at import: e[1][1][0] runs several times faster than
+# a loop over the cells.
+_SHORT = 24
+_GET = tuple(eval(f"lambda e: e{'[1]' * i}[0]") for i in range(_SHORT))
+_BIND = tuple(eval(f"lambda e: (e{'[1]' * i}[0], e)") for i in range(_SHORT))
+_SHORT_PAIR = 6
+_PAIR = tuple(
+    tuple(
+        eval(f"lambda e: (e{'[1]' * i}[0], e{'[1]' * j}[0])") for j in range(_SHORT_PAIR)
+    )
+    for i in range(_SHORT_PAIR)
+)
+
+
+def _pair_getter(i: int, j: int):
+    """The pair of the values at indices i and j."""
+    if i < _SHORT_PAIR and j < _SHORT_PAIR:
+        return _PAIR[i][j]
+    fst, snd = _getter(i), _getter(j)
+    return lambda e: (fst(e), snd(e))
+
+
+def _getter(i: int):
+    if i < _SHORT:
+        return _GET[i]
+
+    def get(e):
+        for _ in range(i):
+            e = e[1]
+        return e[0]
+
+    return get
+
+
+def _binder(f):
+    """The environment extended by the value of f."""
+    return lambda e: (f(e), e)
+
+
+def _split(get):
+    """The environment extended by both components of a pair."""
+
+    def split(e):
+        p = get(e)
+        return (p[1], (p[0], e))
+
+    return split
+
+
+def _pusher(push, rest):
+    """Push the frame that resumes at rest in the environment."""
+
+    def push_frame(e):
+        push((rest, e))
+        return e
+
+    return push_frame
+
+
+def _sequence(segs):
+    """Run each environment transformer in turn."""
+    if not segs:
+        return None
+    if len(segs) == 1:
+        return segs[0]
+
+    def run(e):
+        for s in segs:
+            e = s(e)
+        return e
+
+    return run
+
+
+class _Closure:
+    __slots__ = ("block", "env")
+
+    def __init__(self, block, env):
+        self.block = block
+        self.env = env
+
+
+class _Foreign(Exception):
+    """An input value of no machine value class."""
+
+
+_LEAF_IN = {VTrue: True, VFalse: False, VUnit: None}
+_MISSING = object()
+
+
+def _cells(env) -> list:
+    """The values of a linked environment, innermost first."""
+    out = []
+    while env:
+        v, env = env
+        out.append(v)
+    return out
+
+
+class _Program:
+    """The blocks and the frame stack of one run.  Blocks are keyed by the
+    id of their node; the table lives only as long as the run, whose code
+    keeps every node alive, so an id cannot be reused while it is a key."""
+
+    def __init__(self):
+        self.blocks: dict[int, list] = {}
+        self.stack: list[tuple[list, object]] = []
+
+    def block(self, node: MachineExpr) -> list:
+        b = self.blocks.get(id(node))
+        if b is None:
+            b = self.blocks[id(node)] = [0, None, _STUB, None, None, None, node]
+        return b
+
+    def _value(self, e):
+        """(value function, steps) of a straight-line instruction, or of a
+        sequence of them, or None."""
+        cls = e.__class__
+        if cls is Var and e.i >= 0:
+            return _getter(e.i), 1
+        if cls is MkPair and e.i >= 0 and e.j >= 0:
+            return _pair_getter(e.i, e.j), 1
+        if cls is MkUnit:
+            return (lambda env: None), 1
+        if cls is MkTrue:
+            return (lambda env: True), 1
+        if cls is MkFalse:
+            return (lambda env: False), 1
+        if cls is Lam:
+            return partial(_Closure, self.block(e.body)), 1
+        if cls is not Seq:
+            return None
+        segs, steps = [], 0
+        while e.__class__ is Seq:
+            op = None if e.first.__class__ is Seq else self._bind(e.first)
+            if op is None:
+                return None
+            segs.append(op[0])
+            steps += op[1] + 1
+            e = e.rest
+        op = self._value(e)
+        if op is None:
+            return None
+        run, last = _sequence(segs), op[0]
+        return (lambda env: last(run(env))), steps + op[1]
+
+    def _bind(self, e):
+        """(environment transformer, steps) binding the value of a
+        straight-line e, or None."""
+        cls = e.__class__
+        if cls is Var and 0 <= e.i < _SHORT:
+            return _BIND[e.i], 1
+        if cls is Lam:
+            body = self.block(e.body)
+            return (lambda env: (_Closure(body, env), env)), 1
+        op = self._value(e)
+        return None if op is None else (_binder(op[0]), op[1])
+
+    def prepare(self, blk: list) -> None:
+        node = blk[_NODE]
+        segs, cost, e = [], 0, node
+        while True:
+            cls = e.__class__
+            if cls is Seq:
+                op = self._bind(e.first)
+                if op is not None:
+                    segs.append(op[0])
+                    cost += op[1] + 1
+                else:
+                    segs.append(_pusher(self.stack.append, self.block(e.rest)))
+                    e = e.first
+                    continue
+                e = e.rest
+            elif cls is LetPair and e.i >= 0:
+                segs.append(_split(_getter(e.i)))
+                cost += 1
+                e = e.body
+            else:
+                break
+        run = _sequence(segs)
+        op = self._value(e)
+        if op is not None:
+            blk[:5] = cost + op[1], run, _VALUE, op[0], None
+        elif cls is App and e.i >= 0 and e.j >= 0:
+            blk[:4] = cost + 1, run, _APP, _pair_getter(e.i, e.j)
+        elif cls is If and e.i >= 0:
+            then_, else_ = self.block(e.then_branch), self.block(e.else_branch)
+            blk[:6] = cost + 1, run, _IF, _getter(e.i), then_, else_
+        else:
+            # an unknown instruction or a negative index
+            blk[:3] = cost, run, _REFER
+
+    def compiled_env(self, env: Env):
+        """The linked environment of the compiled-path forms of the values
+        of a machine environment; raises _Foreign on a value of no
+        machine value class.  Shared parts are converted once."""
+        memo: dict[int, object] = {}
+
+        def get(w):
+            c = _LEAF_IN.get(w.__class__, _MISSING)
+            return memo[id(w)] if c is _MISSING else c
+
+        todo = [(v, False) for v in env]
+        while todo:
+            v, ready = todo.pop()
+            cls = v.__class__
+            if ready:
+                if cls is VPair:
+                    memo[id(v)] = (get(v.fst), get(v.snd))
+                else:
+                    cenv = ()
+                    for w in v.env:
+                        cenv = (get(w), cenv)
+                    memo[id(v)] = _Closure(self.block(v.body), cenv)
+            elif cls not in _LEAF_IN and id(v) not in memo:
+                if cls is VPair:
+                    parts = (v.fst, v.snd)
+                elif cls is Clo and v.env.__class__ is tuple:
+                    parts = v.env
+                else:
+                    raise _Foreign
+                todo.append((v, True))
+                todo += [(w, False) for w in parts]
+        out = ()
+        for v in env:
+            out = (get(v), out)
+        return out
+
+    @staticmethod
+    def machine_values(roots) -> list:
+        """The machine values of compiled-path values.  Shared parts, and
+        the shared tails of closure environments, are converted once."""
+        roots = list(roots)
+        memo: dict[int, MachineValue] = {}
+        envs: dict[int, tuple] = {id(()): ()}
+
+        def get(w):
+            if w is True:
+                return TRUE
+            if w is False:
+                return FALSE
+            return UNIT if w is None else memo[id(w)]
+
+        # (x, is_env, ready): expand x, or build it once its parts are built
+        todo = [(v, False, False) for v in roots]
+        while todo:
+            x, is_env, ready = todo.pop()
+            if is_env:
+                if ready:
+                    envs[id(x)] = envs[id(x[1])] + (get(x[0]),)
+                elif id(x) not in envs:
+                    todo += ((x, True, True), (x[1], True, False), (x[0], False, False))
+            elif ready:
+                if x.__class__ is tuple:
+                    memo[id(x)] = VPair(get(x[0]), get(x[1]))
+                else:
+                    memo[id(x)] = Clo(x.block[_NODE], envs[id(x.env)])
+            elif id(x) not in memo:
+                if x.__class__ is tuple:
+                    todo += ((x, False, True), (x[1], False, False), (x[0], False, False))
+                elif x.__class__ is _Closure:
+                    todo += ((x, False, True), (x.env, True, False))
+        return [get(v) for v in roots]
+
+
+def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
+    """The compiled path: one step increment and one fuel comparison per
+    block.  Where a block cannot finish (it would cross the fuel limit,
+    an index is out of range or a value has the wrong variant, which
+    the run and the last instruction report by raising) the reference
+    loop runs the block's node from the block's entry state with the
+    fuel that is left.  It stops inside that block, with OutOfFuel or
+    Stuck, and its outcome is the run's outcome."""
+    prog = _Program()
+    try:
+        entry = prog.compiled_env(env)
+    except _Foreign:
+        return _eval_reference(expr, env, fuel)
+    env = entry
+    steps = cost = 0
+    stack = prog.stack
+    blk = prog.block(expr)
+    try:
+        while True:
+            cost, run, kind, a, b, c, _ = blk
+            steps += cost
+            if steps > fuel:
+                break
+            env1 = env if run is None else run(env)
+            if kind == _APP:
+                fn, arg = a(env1)
+                env = (arg, (fn, fn.env))
+                blk = fn.block
+            elif kind == _VALUE:
+                v = a(env1)
+                if not stack:
+                    return Done(prog.machine_values((v,))[0], steps)
+                blk, env = stack.pop()
+                env = (v, env)
+                steps += 1  # the resumption; the next block compares
+            elif kind == _IF:
+                s = a(env1)
+                if s is True:
+                    blk = b
+                elif s is False:
+                    blk = c
+                else:
+                    break
+                env = env1
+            elif kind == _STUB:
+                prog.prepare(blk)
+            else:
+                break
+    except (IndexError, TypeError, AttributeError):
+        pass
+    steps -= cost
+    if steps > fuel:
+        return OUT_OF_FUEL
+    ref_env = tuple(prog.machine_values(reversed(_cells(env))))
+    out = _eval_reference(blk[_NODE], ref_env, fuel - steps)
+    if out.__class__ is Done:
+        raise RuntimeError("the reference loop finished a block the compiled path could not")
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -330,6 +330,20 @@ def zero_usage(n: int) -> UsageVector:
     return (0,) * n
 
 
+def nat_literal(regime: Regime, n: int) -> Term:
+    """The numeral n: successors of zero, each constructor paid for with
+    a diamond under LFPL."""
+    if regime is Regime.CONS_FREE:
+        t: Term = ZeroCF()
+        for _ in range(n):
+            t = SuccCF(t)
+        return t
+    t = ZeroL(DiamondStar())
+    for _ in range(n):
+        t = SuccL(DiamondStar(), t)
+    return t
+
+
 # --------------------------------------------------------------------------
 # Generic traversal.  Each AST class is described by its dataclass fields:
 # ("term" | "type" | "motive" | "plain", binder count).  "motive" is an

@@ -63,9 +63,41 @@ def test_run_sort(capsys):
     rc = main(["run", str(CORPUS / "lfpl_sort.qtt"), "sortDriver", "--input", "5"])
     assert rc == 0
     out = capsys.readouterr().out
-    # sorted alternating list of length 5: two false, then three true; the
-    # untyped renderer reads the final (true, *) cell as the natural 0
-    assert "value: (5, (false, (false, (true, (true, 0)))))" in out
+    # sorted alternating list of length 5: two false, then three true,
+    # each element read at the Bool type its vector of length 5 gives it
+    assert "value: (5, (false, (false, (true, (true, (true, *))))))" in out
+
+
+def test_values_are_shown_by_their_type():
+    from polyqtt import machine as m
+    from polyqtt.cli import _show_value
+    from polyqtt.syntax import (
+        BOOL_TY, DIAMOND_TY, NAT_TY, UNIT_TY, CodeTy, El, ListTy, Pi, RecNatL,
+        Regime, Tensor, Universe, Var,
+    )
+
+    # a vector of n naturals, for the n bound by the enclosing pair
+    vec = El(RecNatL(Var(0), CodeTy(UNIT_TY), CodeTy(Tensor(1, NAT_TY, El(Var(1)))), Universe()))
+    one, two = m.nat_value(1), m.nat_value(2)
+    cells = m.VPair(one, m.VPair(two, m.UNIT))
+    for ty, v, want in (
+        (NAT_TY, two, "2"),
+        (BOOL_TY, m.FALSE, "false"),
+        (UNIT_TY, m.UNIT, "*"),
+        (DIAMOND_TY, m.UNIT, "*"),
+        (ListTy(NAT_TY), m.encode_list([two, m.nat_value(0)]), "[2, 0]"),
+        (Pi(1, BOOL_TY, BOOL_TY), m.Clo(m.Var(0)), "<closure>"),
+        # the dependent component is read at the instantiated type
+        (Tensor(1, NAT_TY, vec), m.VPair(two, cells), "(2, (1, (2, *)))"),
+        # over an erased or non-data component it is shown as it is
+        (Tensor(0, NAT_TY, vec), m.VPair(m.UNIT, cells),
+         "(*, ((false, (true, *)), ((false, (false, (true, *))), *)))"),
+        (Tensor(1, Tensor(1, BOOL_TY, BOOL_TY), El(Var(0))),
+         m.VPair(m.VPair(m.TRUE, m.TRUE), m.nat_value(0)), "((true, true), (true, *))"),
+        # a value that does not decode at its type is not guessed at
+        (NAT_TY, m.VPair(m.TRUE, m.TRUE), "(true, true)"),
+    ):
+        assert _show_value(Regime.LFPL, v, ty) == want, want
 
 
 def test_run_out_of_fuel_exit_2(capsys):
@@ -127,6 +159,24 @@ def test_verify_ok_and_schema(tmp_path, capsys):
     for row in payload["rows"]:
         assert set(row) == {"n", "steps", "bound", "ok"}
         assert row["steps"] <= row["bound"]
+
+
+def test_verify_extracts_the_bound_once(monkeypatch, tmp_path):
+    import polyqtt.cli as cli_mod
+    import polyqtt.compiler as compiler_mod
+
+    calls = []
+    real = compiler_mod.extract_bound
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (compiler_mod, cli_mod):
+        monkeypatch.setattr(module, "extract_bound", counting)
+    argv = ["verify", str(CORPUS / "consfree_iter.qtt"), "parity1", "--max-n", "50"]
+    assert main(argv + ["--json", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_deterministic_output(tmp_path):

@@ -6,6 +6,7 @@ from polyqtt import machine as m
 from polyqtt.compiler import extract_bound, run_and_verify
 from polyqtt.frontend import parse_module, pretty_term, pretty_type, resolve_module
 from polyqtt.kernel import CheckError, infer_usage_check, normalize_sigma0
+from polyqtt.machine import _eval_compiled, _eval_reference
 from polyqtt.syntax import Regime
 
 from conftest import CORPUS_FILES, FIXTURES, compiled, load_corpus
@@ -194,3 +195,35 @@ def test_head_or_matches_list():
         r = run_and_verify(p, n)
         # the head is the phase consed last, which alternates with n
         assert r.ok and m.decode_bool(r.value) == (n % 2 == 1)
+
+
+def test_compiled_path_matches_reference_on_corpus():
+    # every runtime declaration with an input, both paths, n <= 12: the
+    # same value and steps, and out of fuel one step short
+    checked = 0
+    for name in CORPUS_FILES:
+        for d in load_corpus(name).decls:
+            if d.sigma != 1 or compiled(name, d.name).input_arity != 1:
+                continue
+            code = compiled(name, d.name).code
+            for n in range(13):
+                env = (m.nat_value(n),)
+                want = _eval_reference(code, env, 10_000_000)
+                assert isinstance(want, m.Done), (d.name, n)
+                assert _eval_compiled(code, env, 10_000_000) == want, (d.name, n)
+                short = want.steps - 1
+                assert _eval_reference(code, env, short) == m.OutOfFuel()
+                assert _eval_compiled(code, env, short) == m.OutOfFuel()
+            checked += 1
+    assert checked == 14
+
+
+def test_sweep_bound_is_the_extracted_bound():
+    # run_and_verify reads q(n + 1) without extract_bound's probes
+    for name in CORPUS_FILES:
+        for d in load_corpus(name).decls:
+            if d.sigma != 1 or compiled(name, d.name).input_arity != 1:
+                continue
+            p = compiled(name, d.name)
+            for n in (0, 1, 7):
+                assert run_and_verify(p, n).bound_at_n == extract_bound(p).bound_at(n)

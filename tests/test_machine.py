@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,8 @@ from polyqtt.machine import (
     UNIT,
     Var,
     VPair,
+    _eval_compiled,
+    _eval_reference,
     decode_bool,
     decode_list,
     decode_nat,
@@ -343,3 +348,118 @@ def test_deep_pending_frames_do_not_overflow():
         prog = Seq(prog, Var(0))
     out = eval_expr(prog, (), 10_000_000)
     assert out == Done(TRUE, 200_001)
+
+
+# ---------------------------------------------------------------------------
+# The compiled path against the reference loop
+
+
+def _contains_closure(v):
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Clo):
+            return True
+        if isinstance(v, VPair):
+            todo += [v.fst, v.snd]
+    return False
+
+
+def _fuels_to_compare(prog, env):
+    """Every fuel from 0 to one past the reference's cost: its steps when
+    it finishes, the fuel at which it gets stuck, or a prefix of a run
+    that never finishes."""
+    out = _eval_reference(prog, env, 100_000)
+    if isinstance(out, Done):
+        return range(out.steps + 2)
+    for fuel in range(200):
+        if not isinstance(_eval_reference(prog, env, fuel), OutOfFuel):
+            return range(fuel + 2)
+    return range(200)
+
+
+def test_compiled_path_matches_reference_on_random_programs():
+    rng = random.Random(20240817)
+    done = stuck = closures = 0
+    for _ in range(400):
+        n_env = rng.randrange(0, 4)
+        env = tuple(_random_value(rng, 2) for _ in range(n_env))
+        prog = _random_expr(rng, 4, n_env)
+        for fuel in _fuels_to_compare(prog, env):
+            want = _eval_reference(prog, env, fuel)
+            assert _eval_compiled(prog, env, fuel) == want, (prog, env, fuel)
+        done += isinstance(want, Done)
+        stuck += isinstance(want, Stuck)
+        closures += isinstance(want, Done) and _contains_closure(want.value)
+    # both kinds of outcome, and closures in results, are exercised
+    assert done > 50 and stuck > 50 and closures > 20
+
+
+def test_eval_expr_picks_its_path(monkeypatch):
+    import polyqtt.machine as machine
+
+    taken = []
+    for name in ("_eval_compiled", "_eval_reference"):
+        real = getattr(machine, name)
+        monkeypatch.setattr(
+            machine, name, lambda *a, name=name, real=real: taken.append(name) or real(*a)
+        )
+    prog = Seq(MkTrue(), Var(0))
+    least = machine.COMPILE_MIN_FUEL
+    for fuel, trace, path in (
+        (least, None, "_eval_compiled"),
+        (least - 1, None, "_eval_reference"),
+        (least, [], "_eval_reference"),
+    ):
+        taken.clear()
+        assert eval_expr(prog, (), fuel, trace=trace) == Done(TRUE, 3)
+        assert taken == [path]
+
+
+def test_compiled_path_reports_each_stuck_reason():
+    # out-of-range and negative indices, which the random programs lack
+    clo = Clo(Var(0), ())
+    for prog, env in (
+        (Var(3), (UNIT,)),
+        (Var(-1), (UNIT,)),
+        (MkPair(0, 2), (UNIT,)),
+        (App(0, 0), (UNIT,)),
+        (App(0, 5), (clo,)),
+        (If(0, MkTrue(), MkFalse()), (clo,)),
+        (LetPair(0, Var(0)), (TRUE,)),
+        (Seq(MkTrue(), Seq(Var(0), LetPair(1, Var(0)))), ()),
+    ):
+        want = _eval_reference(prog, env, 100)
+        assert isinstance(want, Stuck)
+        assert _eval_compiled(prog, env, 100) == want
+
+
+def test_deep_code_takes_the_compiled_path(tmp_path):
+    # 5,000 levels through sequencing, closure bodies and branches, run
+    # in a fresh interpreter at the default recursion limit
+    script = tmp_path / "deep.py"
+    script.write_text(
+        "import sys\n"
+        "from polyqtt.machine import *\n"
+        "from polyqtt.machine import _eval_compiled, _eval_reference\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "e = MkTrue()\n"
+        "for k in range(5000):\n"
+        "    if k % 3 == 0:\n"
+        "        e = Seq(MkFalse(), e)\n"
+        "    elif k % 3 == 1:\n"
+        "        e = Seq(Lam(e), Seq(MkUnit(), App(1, 0)))\n"
+        "    else:\n"
+        "        e = Seq(MkTrue(), If(0, e, MkUnit()))\n"
+        "want = _eval_reference(e, (), 10_000_000)\n"
+        "assert isinstance(want, Done), want\n"
+        "assert eval_expr(e, (), 10_000_000) == want\n"
+        "assert _eval_compiled(e, (), want.steps - 1) == OutOfFuel()\n"
+        "print(want.steps)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 15_000
