@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from . import machine as m
 from . import potentials as pot
 from .kernel import elaborate, normalize_type
-from .potentials import ExtNat, MonoidKind, Poly, Potential
+from .potentials import MonoidKind, Poly, Potential
 from .syntax import (
     Ann,
     App,
@@ -87,7 +87,7 @@ class CompileError(Exception):
 class CompiledProgram:
     code: m.MachineExpr
     potential: Potential
-    kind: MonoidKind
+    regime: Regime
     input_arity: int
 
     def __post_init__(self):
@@ -390,7 +390,6 @@ def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
     A declaration whose type is a usage-1 function from naturals takes
     one machine input (the encoded natural); anything else runs closed.
     """
-    kind = _kind_for(regime)
     ty_n = normalize_type(ty)
     arity = (
         1
@@ -402,30 +401,23 @@ def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
     if arity == 1:
         # apply the compiled closure to the input slot
         code, potential = _seq(regime, (code, potential), m.App(0, 1))
-    return CompiledProgram(code, potential, kind, arity)
+    return CompiledProgram(code, potential, regime, arity)
 
 
 def extract_bound(p: CompiledProgram) -> BoundReport:
-    """Step bound from the program potential via the difference function.
+    """Step bound from the program potential.
 
-    With program potential (0, q) and an input contributing size n + 1,
-    the available fuel is q(n + 1).
+    The program potential (0, q) is zero-size with natural coefficients,
+    so with an input contributing size n + 1 the available fuel
+    diff(plus(size(n + 1), (0, q)), EMPTY) is q(n + 1) by construction.
     """
-    regime = Regime.CONS_FREE if p.kind is MonoidKind.MAX_POLY else Regime.LFPL
-    for probe in (0, 1, 5):
-        fuel = pot.diff(
-            p.kind, pot.plus(p.kind, pot.size(probe + 1), p.potential), pot.EMPTY
-        )
-        if fuel != ExtNat.fin(p.potential.poly(probe + 1)):
-            raise CompileError("bound extraction disagrees with differencing")
-    return BoundReport(p.potential.poly, regime, p.input_arity)
+    return BoundReport(p.potential.poly, p.regime, p.input_arity)
 
 
 def run_and_verify(p: CompiledProgram, n: int) -> RunResult:
     """Run on the encoded input n and compare steps against the bound,
-    q(n + 1) for the program potential (0, q): the value
-    extract_bound(p).bound_at(n) has, read without extract_bound's
-    differencing probes, which a sweep runs once."""
+    q(n + 1) for the program potential (0, q), as
+    extract_bound(p).bound_at(n) reads it."""
     if p.input_arity != 1:
         raise CompileError("verification runs need a single natural input")
     bound = p.potential.poly(n + 1)
@@ -440,4 +432,4 @@ def run_and_verify(p: CompiledProgram, n: int) -> RunResult:
 def sabotage(p: CompiledProgram) -> CompiledProgram:
     """Halve the potential; used to demonstrate bound-violation detection."""
     halved = Poly(tuple(c // 2 for c in p.potential.poly.coeffs))
-    return CompiledProgram(p.code, Potential(0, halved), p.kind, p.input_arity)
+    return CompiledProgram(p.code, Potential(0, halved), p.regime, p.input_arity)

@@ -70,7 +70,7 @@ from .syntax import (
     Var,
     ZeroCF,
     ZeroL,
-    shift,
+    _SCHEMA,
     has_free_var,
     nat_literal,
     strengthen,
@@ -151,9 +151,10 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         span = Span(line, col)
-        if c.isdigit():
+        # only ASCII digits: str.isdigit also accepts digits int() rejects
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token("int", text[i:j], span))
             col += j - i
@@ -862,23 +863,12 @@ class _Resolver:
             if isinstance(inner, CodeTy):
                 return inner.ty
             return El(inner)
-        if tag == "pi":
-            _, usage, name, dom, cod = node
-            dom_k = self.type(dom, scope)
-            if name is None:
-                # non-dependent sugar: weaken the codomain under the binder
-                cod_k = shift(self.type(cod, scope), 1)
-            else:
-                cod_k = self.type(cod, scope + (name,))
-            return Pi(usage, dom_k, cod_k)
-        if tag == "tensor":
-            _, usage, name, fst, snd = node
-            fst_k = self.type(fst, scope)
-            if name is None:
-                snd_k = shift(self.type(snd, scope), 1)
-            else:
-                snd_k = self.type(snd, scope + (name,))
-            return Tensor(usage, fst_k, snd_k)
+        if tag == "pi" or tag == "tensor":
+            _, usage, name, first, second = node
+            # the non-dependent sugar binds None, which no name refers to
+            former = Pi if tag == "pi" else Tensor
+            first, second = self.type(first, scope), self.type(second, scope + (name,))
+            return former(usage, first, second)
         raise ValueError(f"unknown surface type {tag}")
 
 
@@ -924,10 +914,6 @@ def resolve_type(text: str, regime: Regime, scope: tuple = ()) -> TypeExpr:
 # ---------------------------------------------------------------------------
 # Pretty printing (deterministic fresh names by binder depth)
 
-def _name(depth: int) -> str:
-    return f"x{depth}"
-
-
 def _nat_literal_cf(t: Term) -> int | None:
     n = 0
     while isinstance(t, SuccCF):
@@ -946,141 +932,207 @@ def _nat_literal_lfpl(t: Term) -> int | None:
     return None
 
 
+def _wrap(s: str, need: bool) -> str:
+    return f"({s})" if need else s
+
+
+class _Printer:
+    """Names the binder at depth k xk, primed until it differs from every
+    definition the printed node refers to, as those print by name."""
+
+    def __init__(self, node):
+        # the names of the definitions node refers to
+        self.avoid, todo = set(), [node]
+        while todo:
+            x = todo.pop()
+            if x.__class__ is Global:
+                self.avoid.add(x.name)
+            elif x is not None:  # an absent motive
+                spec = _SCHEMA[x.__class__]
+                todo += (getattr(x, f) for f, kind, _ in spec if kind != "plain")
+
+    def name(self, depth: int) -> str:
+        name = f"x{depth}"
+        while name in self.avoid:
+            name += "'"
+        return name
+
+    def term(self, t: Term, depth: int, prec: int) -> str:
+        cls = t.__class__
+        if cls is Var:
+            return self.name(depth - 1 - t.index)
+        if cls is Lam:
+            body = self.term(t.body, depth + 1, 0)
+            return _wrap(f"\\{self.name(depth)}. {body}", prec > 0)
+        if cls is App:
+            # successor heads take a flexible number of atoms, so an applied
+            # successor must be parenthesised to keep its own argument
+            fn_prec = 1
+            if isinstance(t.fn, SuccCF) and _nat_literal_cf(t.fn) is None:
+                fn_prec = 2
+            if isinstance(t.fn, SuccL) and _nat_literal_lfpl(t.fn) is None:
+                fn_prec = 2
+            fn = self.term(t.fn, depth, fn_prec)
+            arg = self.term(t.arg, depth, 2)
+            return _wrap(f"{fn} {arg}", prec > 1)
+        if cls is Pair:
+            return f"({self.term(t.fst, depth, 0)}, {self.term(t.snd, depth, 0)})"
+        if cls is Star:
+            return "*" if prec < 2 else "(*)"
+        if cls is TrueC:
+            return "true"
+        if cls is FalseC:
+            return "false"
+        if cls is Nil:
+            return "nil"
+        if cls is Cons:
+            s = f"cons {self.term(t.head, depth, 2)} {self.term(t.tail, depth, 2)}"
+            return _wrap(s, prec > 1)
+        if cls is LetPair:
+            a, b = self.name(depth), self.name(depth + 1)
+            s = (
+                f"let ({a}, {b}) = {self.term(t.scrut, depth, 0)}"
+                f"{self.motive(t.motive, depth)} in "
+                f"{self.term(t.body, depth + 2, 0)}"
+            )
+            return _wrap(s, prec > 0)
+        if cls is LetUnit:
+            s = (
+                f"let * = {self.term(t.scrut, depth, 0)}"
+                f"{self.motive(t.motive, depth)} in {self.term(t.body, depth, 0)}"
+            )
+            return _wrap(s, prec > 0)
+        if cls is If:
+            s = (
+                f"if {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
+                f"then {self.term(t.then_branch, depth, 0)} "
+                f"else {self.term(t.else_branch, depth, 0)}"
+            )
+            return _wrap(s, prec > 0)
+        if cls is MatchList:
+            h, tl = self.name(depth), self.name(depth + 1)
+            s = (
+                f"match {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
+                f"{{ nil => {self.term(t.nil_branch, depth, 0)} "
+                f"| cons({h}, {tl}) => {self.term(t.cons_branch, depth + 2, 0)} }}"
+            )
+            return _wrap(s, prec > 0)
+        if cls is RecList:
+            h, tl, p = self.name(depth), self.name(depth + 1), self.name(depth + 2)
+            s = (
+                f"reclist {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
+                f"{{ nil => {self.term(t.nil_branch, depth, 0)} "
+                f"| cons({h}, {tl}, {p}) => {self.term(t.cons_branch, depth + 3, 0)} }}"
+            )
+            return _wrap(s, prec > 0)
+        if cls is ZeroCF:
+            return "0"
+        if cls is SuccCF:
+            lit = _nat_literal_cf(t)
+            if lit is not None:
+                return str(lit)
+            return _wrap(f"succ {self.term(t.pred, depth, 2)}", prec > 1)
+        if cls is DupNat:
+            return _wrap(f"dup {self.term(t.arg, depth, 2)}", prec > 1)
+        if cls is RecNatCF:
+            n, p = self.name(depth), self.name(depth + 1)
+            s = (
+                f"rec {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
+                f"{{ zero => {self.term(t.zero_branch, depth, 0)} "
+                f"| succ({n}, {p}) => {self.term(t.succ_branch, depth + 2, 0)} }}"
+            )
+            return _wrap(s, prec > 0)
+        if cls is DiamondStar:
+            return "dia"
+        if cls is ZeroL:
+            lit = _nat_literal_lfpl(t)
+            if lit is not None:
+                return str(lit)
+            return _wrap(f"zero {self.term(t.pay, depth, 2)}", prec > 1)
+        if cls is SuccL:
+            lit = _nat_literal_lfpl(t)
+            if lit is not None:
+                return str(lit)
+            s = f"succ {self.term(t.pay, depth, 2)} {self.term(t.pred, depth, 2)}"
+            return _wrap(s, prec > 1)
+        if cls is RecNatL:
+            d0, d1 = self.name(depth), self.name(depth)
+            n, p = self.name(depth + 1), self.name(depth + 2)
+            s = (
+                f"rec {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
+                f"{{ zero({d0}) => {self.term(t.zero_branch, depth + 1, 0)} "
+                f"| succ({d1}, {n}, {p}) => {self.term(t.succ_branch, depth + 3, 0)} }}"
+            )
+            return _wrap(s, prec > 0)
+        if cls is Refl:
+            return _wrap(f"refl {self.term(t.body, depth, 2)}", prec > 1)
+        if cls is ReflectIntro:
+            return _wrap(f"R {self.term(t.body, depth, 2)}", prec > 1)
+        if cls is ReflectElim:
+            return _wrap(f"R^-1 {self.term(t.body, depth, 2)}", prec > 1)
+        if cls is Fst:
+            return _wrap(f"fst {self.term(t.pair, depth, 2)}", prec > 1)
+        if cls is Snd:
+            return _wrap(f"snd {self.term(t.pair, depth, 2)}", prec > 1)
+        if cls is CodeTy:
+            return _wrap(self.type(t.ty, depth, 1), prec > 1)
+        if cls is Ann:
+            return f"({self.term(t.term, depth, 0)} : {self.type(t.ty, depth, 0)})"
+        if cls is Global:
+            return t.name
+        raise ValueError(f"unknown term {cls.__name__}")
+
+    def motive(self, motive: TypeExpr | None, depth: int) -> str:
+        if motive is None:
+            return ""
+        return f" at ({self.name(depth)}. {self.type(motive, depth + 1, 0)})"
+
+    def type(self, ty: TypeExpr, depth: int, prec: int) -> str:
+        cls = ty.__class__
+        if cls is BoolTy:
+            return "Bool"
+        if cls is NatTy:
+            return "Nat"
+        if cls is UnitTy:
+            return "I"
+        if cls is Universe:
+            return "U"
+        if cls is DiamondTy:
+            return "<>"
+        if cls is Pi:
+            if ty.usage == 1 and not has_free_var(ty.cod, 0):
+                dom = self.type(ty.dom, depth, 1)
+                cod = self.type(strengthen(ty.cod), depth, 0)
+                return _wrap(f"{dom} -> {cod}", prec >= 1)
+            dom = self.type(ty.dom, depth, 0)
+            cod = self.type(ty.cod, depth + 1, 0)
+            return _wrap(f"({self.name(depth)} ^{ty.usage} : {dom}) -> {cod}", prec >= 1)
+        if cls is Tensor:
+            if ty.usage == 1 and not has_free_var(ty.snd, 0):
+                fst = self.type(ty.fst, depth, 2)
+                snd = self.type(strengthen(ty.snd), depth, 1)
+                return _wrap(f"{fst} * {snd}", prec >= 2)
+            fst = self.type(ty.fst, depth, 0)
+            snd = self.type(ty.snd, depth + 1, 1)
+            return _wrap(f"({self.name(depth)} ^{ty.usage} : {fst}) * {snd}", prec >= 2)
+        if cls is ListTy:
+            return _wrap(f"List {self.type(ty.elem, depth, 2)}", prec >= 2)
+        if cls is IdTy:
+            s = (
+                f"Id {self.type(ty.ty, depth, 2)} "
+                f"{self.term(ty.lhs, depth, 2)} {self.term(ty.rhs, depth, 2)}"
+            )
+            return _wrap(s, prec >= 2)
+        if cls is El:
+            return _wrap(f"El {self.term(ty.code, depth, 2)}", prec >= 2)
+        if cls is Reflect:
+            return _wrap(f"R {self.type(ty.inner, depth, 2)}", prec >= 2)
+        raise ValueError(f"unknown type {cls.__name__}")
+
+
 def pretty_term(t: Term, depth: int = 0, prec: int = 0) -> str:
     """Render a kernel term; level 0 is outermost, 2 is argument position."""
-
-    def wrap(s: str, need: bool) -> str:
-        return f"({s})" if need else s
-
-    cls = t.__class__
-    if cls is Var:
-        return _name(depth - 1 - t.index)
-    if cls is Lam:
-        body = pretty_term(t.body, depth + 1, 0)
-        return wrap(f"\\{_name(depth)}. {body}", prec > 0)
-    if cls is App:
-        # successor heads take a flexible number of atoms, so an applied
-        # successor must be parenthesised to keep its own argument
-        fn_prec = 1
-        if isinstance(t.fn, SuccCF) and _nat_literal_cf(t.fn) is None:
-            fn_prec = 2
-        if isinstance(t.fn, SuccL) and _nat_literal_lfpl(t.fn) is None:
-            fn_prec = 2
-        fn = pretty_term(t.fn, depth, fn_prec)
-        arg = pretty_term(t.arg, depth, 2)
-        return wrap(f"{fn} {arg}", prec > 1)
-    if cls is Pair:
-        return f"({pretty_term(t.fst, depth, 0)}, {pretty_term(t.snd, depth, 0)})"
-    if cls is Star:
-        return "*" if prec < 2 else "(*)"
-    if cls is TrueC:
-        return "true"
-    if cls is FalseC:
-        return "false"
-    if cls is Nil:
-        return "nil"
-    if cls is Cons:
-        s = f"cons {pretty_term(t.head, depth, 2)} {pretty_term(t.tail, depth, 2)}"
-        return wrap(s, prec > 1)
-    if cls is LetPair:
-        a, b = _name(depth), _name(depth + 1)
-        s = (
-            f"let ({a}, {b}) = {pretty_term(t.scrut, depth, 0)}"
-            f"{_pretty_motive(t.motive, depth)} in "
-            f"{pretty_term(t.body, depth + 2, 0)}"
-        )
-        return wrap(s, prec > 0)
-    if cls is LetUnit:
-        s = (
-            f"let * = {pretty_term(t.scrut, depth, 0)}"
-            f"{_pretty_motive(t.motive, depth)} in {pretty_term(t.body, depth, 0)}"
-        )
-        return wrap(s, prec > 0)
-    if cls is If:
-        s = (
-            f"if {pretty_term(t.scrut, depth, 1)}{_pretty_motive(t.motive, depth)} "
-            f"then {pretty_term(t.then_branch, depth, 0)} "
-            f"else {pretty_term(t.else_branch, depth, 0)}"
-        )
-        return wrap(s, prec > 0)
-    if cls is MatchList:
-        h, tl = _name(depth), _name(depth + 1)
-        s = (
-            f"match {pretty_term(t.scrut, depth, 1)}{_pretty_motive(t.motive, depth)} "
-            f"{{ nil => {pretty_term(t.nil_branch, depth, 0)} "
-            f"| cons({h}, {tl}) => {pretty_term(t.cons_branch, depth + 2, 0)} }}"
-        )
-        return wrap(s, prec > 0)
-    if cls is RecList:
-        h, tl, p = _name(depth), _name(depth + 1), _name(depth + 2)
-        s = (
-            f"reclist {pretty_term(t.scrut, depth, 1)}{_pretty_motive(t.motive, depth)} "
-            f"{{ nil => {pretty_term(t.nil_branch, depth, 0)} "
-            f"| cons({h}, {tl}, {p}) => {pretty_term(t.cons_branch, depth + 3, 0)} }}"
-        )
-        return wrap(s, prec > 0)
-    if cls is ZeroCF:
-        return "0"
-    if cls is SuccCF:
-        lit = _nat_literal_cf(t)
-        if lit is not None:
-            return str(lit)
-        return wrap(f"succ {pretty_term(t.pred, depth, 2)}", prec > 1)
-    if cls is DupNat:
-        return wrap(f"dup {pretty_term(t.arg, depth, 2)}", prec > 1)
-    if cls is RecNatCF:
-        n, p = _name(depth), _name(depth + 1)
-        s = (
-            f"rec {pretty_term(t.scrut, depth, 1)}{_pretty_motive(t.motive, depth)} "
-            f"{{ zero => {pretty_term(t.zero_branch, depth, 0)} "
-            f"| succ({n}, {p}) => {pretty_term(t.succ_branch, depth + 2, 0)} }}"
-        )
-        return wrap(s, prec > 0)
-    if cls is DiamondStar:
-        return "dia"
-    if cls is ZeroL:
-        lit = _nat_literal_lfpl(t)
-        if lit is not None:
-            return str(lit)
-        return wrap(f"zero {pretty_term(t.pay, depth, 2)}", prec > 1)
-    if cls is SuccL:
-        lit = _nat_literal_lfpl(t)
-        if lit is not None:
-            return str(lit)
-        s = f"succ {pretty_term(t.pay, depth, 2)} {pretty_term(t.pred, depth, 2)}"
-        return wrap(s, prec > 1)
-    if cls is RecNatL:
-        d0, d1 = _name(depth), _name(depth)
-        n, p = _name(depth + 1), _name(depth + 2)
-        s = (
-            f"rec {pretty_term(t.scrut, depth, 1)}{_pretty_motive(t.motive, depth)} "
-            f"{{ zero({d0}) => {pretty_term(t.zero_branch, depth + 1, 0)} "
-            f"| succ({d1}, {n}, {p}) => {pretty_term(t.succ_branch, depth + 3, 0)} }}"
-        )
-        return wrap(s, prec > 0)
-    if cls is Refl:
-        return wrap(f"refl {pretty_term(t.body, depth, 2)}", prec > 1)
-    if cls is ReflectIntro:
-        return wrap(f"R {pretty_term(t.body, depth, 2)}", prec > 1)
-    if cls is ReflectElim:
-        return wrap(f"R^-1 {pretty_term(t.body, depth, 2)}", prec > 1)
-    if cls is Fst:
-        return wrap(f"fst {pretty_term(t.pair, depth, 2)}", prec > 1)
-    if cls is Snd:
-        return wrap(f"snd {pretty_term(t.pair, depth, 2)}", prec > 1)
-    if cls is CodeTy:
-        return wrap(pretty_type(t.ty, depth, 1), prec > 1)
-    if cls is Ann:
-        return f"({pretty_term(t.term, depth, 0)} : {pretty_type(t.ty, depth, 0)})"
-    if cls is Global:
-        return t.name
-    raise ValueError(f"unknown term {cls.__name__}")
-
-
-def _pretty_motive(motive: TypeExpr | None, depth: int) -> str:
-    if motive is None:
-        return ""
-    return f" at ({_name(depth)}. {pretty_type(motive, depth + 1, 0)})"
+    return _Printer(t).term(t, depth, prec)
 
 
 def pretty_type(ty: TypeExpr, depth: int = 0, prec: int = 0) -> str:
@@ -1089,48 +1141,4 @@ def pretty_type(ty: TypeExpr, depth: int = 0, prec: int = 0) -> str:
     Precedence climbs from arrows (0) through tensors (1) to atoms (2);
     keyword-led formers behave like prefix operators at atom level.
     """
-
-    def wrap(s: str, need: bool) -> str:
-        return f"({s})" if need else s
-
-    cls = ty.__class__
-    if cls is BoolTy:
-        return "Bool"
-    if cls is NatTy:
-        return "Nat"
-    if cls is UnitTy:
-        return "I"
-    if cls is Universe:
-        return "U"
-    if cls is DiamondTy:
-        return "<>"
-    if cls is Pi:
-        if ty.usage == 1 and not has_free_var(ty.cod, 0):
-            dom = pretty_type(ty.dom, depth, 1)
-            cod = pretty_type(strengthen(ty.cod), depth, 0)
-            return wrap(f"{dom} -> {cod}", prec >= 1)
-        dom = pretty_type(ty.dom, depth, 0)
-        cod = pretty_type(ty.cod, depth + 1, 0)
-        return wrap(f"({_name(depth)} ^{ty.usage} : {dom}) -> {cod}", prec >= 1)
-    if cls is Tensor:
-        if ty.usage == 1 and not has_free_var(ty.snd, 0):
-            fst = pretty_type(ty.fst, depth, 2)
-            snd = pretty_type(strengthen(ty.snd), depth, 1)
-            return wrap(f"{fst} * {snd}", prec >= 2)
-        fst = pretty_type(ty.fst, depth, 0)
-        snd = pretty_type(ty.snd, depth + 1, 1)
-        return wrap(f"({_name(depth)} ^{ty.usage} : {fst}) * {snd}", prec >= 2)
-    if cls is ListTy:
-        return wrap(f"List {pretty_type(ty.elem, depth, 2)}", prec >= 2)
-    if cls is IdTy:
-        s = (
-            f"Id {pretty_type(ty.ty, depth, 2)} "
-            f"{pretty_term(ty.lhs, depth, 2)} {pretty_term(ty.rhs, depth, 2)}"
-        )
-        return wrap(s, prec >= 2)
-    if cls is El:
-        return wrap(f"El {pretty_term(ty.code, depth, 2)}", prec >= 2)
-    if cls is Reflect:
-        return wrap(f"R {pretty_type(ty.inner, depth, 2)}", prec >= 2)
-    raise ValueError(f"unknown type {cls.__name__}")
-
+    return _Printer(ty).type(ty, depth, prec)

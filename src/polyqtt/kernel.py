@@ -1,36 +1,37 @@
-"""Bidirectional type and usage checking for both regimes, with
-definitional equality decided by normalisation over the erased-fragment
-equations.
+"""Bidirectional type and usage checking for both regimes, on semantic
+types (Coquand, "An algorithm for type-checking dependent types", 1996).
 
-Normal forms come from normalisation by evaluation (Berger and
-Schwichtenberg, LICS 1991; Coquand, 1996): a term or type is evaluated
-in an environment, so a beta-step extends the environment instead of
-substituting into the body, and the value is read back on fresh de
-Bruijn levels, where the eta laws for functions and pairs apply.
-Checking puts a target type into weak-head form only; conversion
-compares full normal forms unless the two types are syntactically equal.
+One evaluator serves the checker and the normaliser.  A value is a
+syntax node whose eager fields hold values; a binder field, and the
+branches and motive of an eliminator, hold a closure (env, body),
+applied by evaluating body in env extended with the argument's value.
+Variables in values are de Bruijn levels, so a value stays valid under
+further binders.  The context holds each entry's type as a value,
+`check` takes its target as a value and `synth` returns one, and an
+argument is evaluated only when a type reads it.  Conversion compares
+values, with the eta laws for functions and pairs applied on the fly.
+Values are read back to normal forms only for diagnostics and for the
+public normalize_*, types_equal and conv_type.
 
-Usage handling is algorithmic: checking a term synthesises the minimal
-usage vector for the free variables, and declared annotations admit any
-inferred vector they dominate pointwise.  Binder annotations are
-enforced when a binder is popped; premises that demand a fully erased
-context (recursor branches, reflection introduction) require an all-zero
-inferred vector.
+Checking synthesises the minimal usage vector of the free variables,
+which a declared annotation admits when it dominates it pointwise.
+Binder annotations are enforced when a binder is popped; recursor
+branches and reflection introduction require an all-zero vector.
 
-A reference to a top-level definition is the definition's one shared
-`Global` node.  Its body is checked once per regime and fragment, and a
-reference synthesises the declared type with a zero usage vector, since
-the body is closed; evaluation unfolds it to that body.
+A definition is one shared `Global` node, checked once per regime and
+fragment; a reference synthesises its declared type with zero usage and
+evaluates to its body.  Checking returns the core term: the input with
+the usage of each function and tensor type stored on its App or Pair
+node, the one typing fact the compiler needs.
 
-Checking also returns the core term: the input term with the usage of
-each application's function type and each pair's tensor type stored in
-the `usage` field of the App or Pair node.  That is the one typing fact
-the compiler needs, so the compiler reads it from the core term and
-carries no types of its own.
+The checker recurses on the host stack, so a public entry point reports
+input nested deeper than that stack as a `[Check]` diagnostic, as the
+parser and the resolver do.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import fields
 
 from .syntax import (
@@ -40,8 +41,6 @@ from .syntax import (
     BoolTy,
     CodeTy,
     Cons,
-    Context,
-    CtxEntry,
     DIAMOND_TY,
     DiamondStar,
     DiamondTy,
@@ -87,10 +86,7 @@ from .syntax import (
     ZeroCF,
     ZeroL,
     _SCHEMA,
-    ctx_zero,
     has_free_var,
-    instantiate,
-    shift,
     strengthen,
     usage_add,
     usage_scale,
@@ -109,33 +105,32 @@ class CheckError(Exception):
 
 DEFAULT_NORM_BUDGET = 5_000_000
 
-_MIN_STACK = 30_000
 
+def _entry(fn):
+    # a public entry point: nesting past the host stack is a diagnostic
+    @functools.wraps(fn)
+    def entry(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise CheckError("Check", "term nested too deeply to check") from None
 
-def _ensure_stack() -> None:
-    # structural recursion over deeply nested normal forms needs headroom
-    import sys
-
-    if sys.getrecursionlimit() < _MIN_STACK:
-        sys.setrecursionlimit(_MIN_STACK)
+    return entry
 
 
 # ---------------------------------------------------------------------------
-# Normalisation by evaluation (erased-fragment equations)
+# Evaluation and read-back (erased-fragment equations)
 #
-# A value is a syntax node.  Its eager fields hold values; its binder
-# fields, and the branches and motive of an eliminator, hold closures
-# (env, body) that are evaluated when the eliminator fires or when the
-# value is read back.  An environment is a tuple of values, innermost
-# binder last; arguments are evaluated before a beta-step.  Variables in
-# values are de Bruijn levels: the k-th binder that read-back enters has
-# level k, and a free index j of the term being normalised has level
-# -1 - j, so indices past the environment read back unchanged.
+# An environment is a tuple of values, innermost binder last.  The k-th
+# entry of a checking context has level k, and read-back enters binders
+# on the next free levels.  A free index j of a term evaluated outside a
+# context has level -1 - j, so indices past the environment read back
+# unchanged.
 
 class _Budget:
     __slots__ = ("left",)
 
-    def __init__(self, steps: int):
+    def __init__(self, steps: int = DEFAULT_NORM_BUDGET):
         self.left = steps
 
     def spend(self) -> None:
@@ -144,17 +139,19 @@ class _Budget:
             raise CheckError("Normalize", "normalisation step budget exhausted")
 
 
-def _eta_contract(t: Term) -> Term:
-    # \x. f x  ~~>  f   when x is not free in f
-    if isinstance(t, Lam) and isinstance(t.body, App):
-        arg = t.body.arg
-        if isinstance(arg, Var) and arg.index == 0 and not has_free_var(t.body.fn, 0):
-            return strengthen(t.body.fn)
-    # (fst m, snd m)  ~~>  m
-    if isinstance(t, Pair) and isinstance(t.fst, Fst) and isinstance(t.snd, Snd):
-        if _same(t.fst.pair, t.snd.pair):
-            return t.fst.pair
-    return t
+class _Lazy:
+    # an argument a dependent type is applied to, or the type of a
+    # binder in type formation: evaluated when first read
+    __slots__ = ("term", "env", "value")
+
+    def __init__(self, term, env: tuple):
+        self.term, self.env, self.value = term, env, None
+
+
+def _force(v: _Lazy, b: _Budget):
+    if v.value is None:
+        v.value = _eval(v.term, v.env, b)
+    return v.value
 
 
 _PLAIN, _EAGER, _SCRUT, _CLOSURE = range(4)
@@ -224,7 +221,10 @@ def _eval(t, env: tuple, b: _Budget):
         cls = t.__class__
         if cls is Var:
             i, n = t.index, len(env)
-            return env[n - 1 - i] if i < n else Var(n - 1 - i)
+            if i >= n:
+                return Var(n - 1 - i)
+            v = env[n - 1 - i]
+            return _force(v, b) if v.__class__ is _Lazy else v
         if cls is Ann:
             t = t.term
             continue
@@ -323,6 +323,12 @@ def _fold(t, env: tuple, b: _Budget, scrut):
     return acc
 
 
+def _inst(closure, *args, b: _Budget | None = None):
+    """Apply a closure to the values of the binders it abstracts."""
+    env, body = closure
+    return _eval(body, env + args, b or _Budget())
+
+
 def _quote(v, depth: int, b: _Budget):
     """Read a value back as a normal term or type under depth binders."""
     cls = v.__class__
@@ -352,22 +358,31 @@ def _quote(v, depth: int, b: _Budget):
         val = getattr(v, name)
         if mode == _CLOSURE:
             if val is not None:
-                env, body = val
                 fresh = tuple(Var(depth + k) for k in range(binders))
-                val = _quote(_eval(body, env + fresh, b), depth + binders, b)
+                val = _quote(_inst(val, *fresh, b=b), depth + binders, b)
         elif mode != _PLAIN:
             val = _quote(val, depth, b)
         vals.append(val)
-    return _eta_contract(cls(*vals))
+    out = cls(*vals)
+    # eta: \x. f x  ~~>  f  when x is not free in f;  (fst m, snd m)  ~~>  m
+    if cls is Lam and out.body.__class__ is App and out.body.arg == Var(0):
+        if not has_free_var(out.body.fn, 0):
+            return strengthen(out.body.fn)
+    if cls is Pair and out.fst.__class__ is Fst and out.snd.__class__ is Snd:
+        env = _env(range(depth))
+        if _conv(_eval(out.fst.pair, env, b), _eval(out.snd.pair, env, b), depth, b):
+            return out.fst.pair
+    return out
 
 
 def _nf(t, b: _Budget):
     return _quote(_eval(t, (), b), 0, b)
 
 
+@_entry
 def normalize_sigma0(
     regime: Regime,
-    ctx: Context,
+    ctx,
     term: Term,
     ty: TypeExpr | None = None,
     budget: int = DEFAULT_NORM_BUDGET,
@@ -377,7 +392,6 @@ def normalize_sigma0(
     When the term's type is supplied and is the unit or diamond type,
     the eta laws collapse the term to the canonical inhabitant.
     """
-    _ensure_stack()
     b = _Budget(budget)
     if ty is not None:
         canonical = _CANONICAL.get(_eval(ty, (), b).__class__)
@@ -386,43 +400,70 @@ def normalize_sigma0(
     return _nf(term, b)
 
 
+@_entry
 def normalize_type(ty: TypeExpr, budget: int = DEFAULT_NORM_BUDGET) -> TypeExpr:
-    _ensure_stack()
     return _nf(ty, _Budget(budget))
 
 
 # ---------------------------------------------------------------------------
 # Definitional equality
 
-# the fields that take part in a node's equality (App.usage and
+# the plain fields that take part in a node's equality (App.usage and
 # Pair.usage do not)
 _COMPARED = {
     cls: tuple(f.name for f in fields(cls) if f.compare) for cls in _SCHEMA
 }
 
 
-def _same(a, b) -> bool:
-    """Structural equality of terms and types, as the dataclass == but
-    in a loop, so long constructor chains do not grow the host stack."""
-    todo = [(a, b)]
+def _conv(a, b, depth: int, bud: _Budget) -> bool:
+    """Whether two values under depth binders are definitionally equal.
+    Closures compare at fresh levels, a function or a pair against
+    another form by its eta law, and the sides of an equation at the
+    unit or diamond type trivially.  It loops, so long constructor
+    chains do not grow the host stack."""
+    todo = [(a, b, depth)]
     while todo:
-        x, y = todo.pop()
+        x, y, d = todo.pop()
         if x is y:
             continue
-        names = _COMPARED.get(x.__class__)
-        if x.__class__ is not y.__class__ or (names is None and x != y):
+        cx, cy = x.__class__, y.__class__
+        if cx is Lam or cy is Lam:
+            v = Var(d)
+            x = _inst(x.body, v, b=bud) if cx is Lam else App(x, v)
+            y = _inst(y.body, v, b=bud) if cy is Lam else App(y, v)
+            todo.append((x, y, d + 1))
+        elif (cx is Pair) != (cy is Pair):
+            fx, sx = (x.fst, x.snd) if cx is Pair else (Fst(x), Snd(x))
+            fy, sy = (y.fst, y.snd) if cy is Pair else (Fst(y), Snd(y))
+            todo += ((fx, fy, d), (sx, sy, d))
+        elif cx is not cy:
             return False
-        if names is not None:
-            todo.extend((getattr(x, n), getattr(y, n)) for n in names)
+        elif cx is IdTy and x.ty.__class__ in _CANONICAL:
+            todo.append((x.ty, y.ty, d))
+        else:
+            for name, mode, binders in _FIELDS[cx]:
+                f, g = getattr(x, name), getattr(y, name)
+                if mode == _PLAIN:
+                    if f != g and name in _COMPARED[cx]:
+                        return False
+                elif mode != _CLOSURE:
+                    todo.append((f, g, d))
+                elif f is None or g is None:
+                    if f is not g:
+                        return False
+                elif f[1] is not g[1] or f[0] is not g[0]:
+                    # the same body in the same environment needs no look
+                    fresh = tuple(Var(d + k) for k in range(binders))
+                    todo.append(
+                        (_inst(f, *fresh, b=bud), _inst(g, *fresh, b=bud), d + binders)
+                    )
     return True
 
 
+@_entry
 def types_equal(a: TypeExpr, b: TypeExpr, budget: int = DEFAULT_NORM_BUDGET) -> bool:
-    _ensure_stack()
-    if _same(a, b):
-        return True
     s = _Budget(budget)
-    return _same(_nf(a, s), _nf(b, s))
+    return _conv(_eval(a, (), s), _eval(b, (), s), 0, s)
 
 
 def conv_type(a: TypeExpr, b: TypeExpr) -> None:
@@ -432,73 +473,89 @@ def conv_type(a: TypeExpr, b: TypeExpr) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Checking contexts: a tuple of type values, outermost first.  Type
+# formation binds a domain as a _Lazy, forced when a variable reads it.
+
+_LEVELS = tuple(map(Var, range(256)))
+
+
+def _env(ctx) -> tuple:
+    # the environment that binds each of the len(ctx) entries to its level
+    n = len(ctx)
+    return _LEVELS[:n] if n <= len(_LEVELS) else tuple(map(Var, range(n)))
+
+
+def _value(ctx: tuple, t):
+    """The value of a term or type in a context of type values."""
+    return _eval(t, _env(ctx), _Budget())
+
+
+def _show(ctx: tuple, v) -> str:
+    # a value in ctx as its normal form, for a diagnostic
+    return repr(_quote(v, len(ctx), _Budget()))
+
+
+def _expect(ctx: tuple, ty, form, rule: str, what: str) -> None:
+    # reject `what` unless the type value ty has the given form
+    if ty.__class__ is not form:
+        raise CheckError(rule, f"{what} {_show(ctx, ty)}")
+
+
+def _context(ctx) -> tuple:
+    """The type values of a context of CtxEntry records."""
+    out = ()
+    for entry in ctx:
+        out += (_value(out, entry.ty),)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Type formation
 
 def _mentions_universe(ty: TypeExpr) -> bool:
-    cls = ty.__class__
-    if cls is Universe:
+    if ty.__class__ is Universe:
         return True
-    if cls is Pi:
-        return _mentions_universe(ty.dom) or _mentions_universe(ty.cod)
-    if cls is Tensor:
-        return _mentions_universe(ty.fst) or _mentions_universe(ty.snd)
-    if cls is ListTy:
-        return _mentions_universe(ty.elem)
-    if cls is Reflect:
-        return _mentions_universe(ty.inner)
-    if cls is IdTy:
-        return _mentions_universe(ty.ty)
-    return False
+    spec = _SCHEMA[ty.__class__]
+    return any(_mentions_universe(getattr(ty, f)) for f, kind, _ in spec if kind == "type")
 
 
-def check_type(regime: Regime, ctx: Context, ty: TypeExpr) -> None:
-    """Type formation in an all-zero context (the caller zeroes)."""
+def _check_type(regime: Regime, ctx: tuple, ty: TypeExpr) -> None:
+    """Type formation; every entry of ctx counts as erased."""
     cls = ty.__class__
-    if cls in (UnitTy, BoolTy, NatTy, Universe):
-        return
-    if cls is DiamondTy:
-        if regime is not Regime.LFPL:
-            raise CheckError(
-                "Ty-Diamond", "the diamond type belongs to the payment regime"
-            )
+    _gate(regime, 0, cls)
+    if cls in (UnitTy, BoolTy, NatTy, Universe, DiamondTy):
         return
     if cls is Pi or cls is Tensor:
         dom = ty.dom if cls is Pi else ty.fst
         cod = ty.cod if cls is Pi else ty.snd
         if ty.usage < 0:
             raise CheckError("Ty-Pi", "usage annotations are naturals")
-        check_type(regime, ctx, dom)
-        check_type(regime, ctx + (CtxEntry("_", 0, dom),), cod)
+        _check_type(regime, ctx, dom)
+        _check_type(regime, ctx + (_Lazy(dom, _env(ctx)),), cod)
         return
-    if cls is ListTy:
-        check_type(regime, ctx, ty.elem)
+    if cls is ListTy or cls is Reflect:
+        _check_type(regime, ctx, ty.elem if cls is ListTy else ty.inner)
         return
     if cls is IdTy:
-        check_type(regime, ctx, ty.ty)
-        check(regime, ctx, 0, ty.lhs, ty.ty)
-        check(regime, ctx, 0, ty.rhs, ty.ty)
+        _check_type(regime, ctx, ty.ty)
+        eq_ty = _value(ctx, ty.ty)
+        check(regime, ctx, 0, ty.lhs, eq_ty)
+        check(regime, ctx, 0, ty.rhs, eq_ty)
         return
     if cls is El:
         check(regime, ctx, 0, ty.code, UNIVERSE)
         return
-    if cls is Reflect:
-        check_type(regime, ctx, ty.inner)
-        return
     raise CheckError("Ty", f"unknown type form {cls.__name__}")
+
+
+@_entry
+def check_type(regime: Regime, ctx, ty: TypeExpr) -> None:
+    """Type formation in a context of CtxEntry records."""
+    _check_type(regime, _context(ctx), ty)
 
 
 # ---------------------------------------------------------------------------
 # Term checking with usage inference
-
-def _var_position(ctx: Context, index: int) -> int:
-    if index < 0 or index >= len(ctx):
-        raise CheckError("Tm-Var", f"unbound index {index} in context of {len(ctx)}")
-    return len(ctx) - 1 - index
-
-
-def _join_usage(u1: UsageVector, u2: UsageVector) -> UsageVector:
-    return tuple(max(a, b) for a, b in zip(u1, u2))
-
 
 def _pop_binders(u: UsageVector, caps: tuple[int, ...], rule: str) -> UsageVector:
     k = len(caps)
@@ -520,57 +577,96 @@ def _require_erased_ambient(u: UsageVector, rule: str) -> None:
         )
 
 
-def _whnf_ty(ty: TypeExpr) -> TypeExpr:
-    """Weak-head form of a type: only El of a code reduces at the head."""
-    if ty.__class__ is not El:
-        return ty
-    b = _Budget(DEFAULT_NORM_BUDGET)
-    v = _eval(ty, (), b)
-    return ty if v.__class__ is El else _quote(v, 0, b)
+# the forms of one regime: (regime, rule, what belongs to it)
+_REGIME_FORMS = {
+    DupNat: (Regime.CONS_FREE, "Tm-CF-DupNat", "duplication of naturals belongs"),
+    ZeroCF: (Regime.CONS_FREE, "Tm-CF-Zero", "bare zero belongs"),
+    SuccCF: (Regime.CONS_FREE, "Tm-CF-Succ", "bare successor belongs"),
+    RecNatCF: (Regime.CONS_FREE, "Tm-CF-Rec", "this recursor shape belongs"),
+    DiamondStar: (Regime.LFPL, "Tm-LFPL-Star", "diamonds belong"),
+    ZeroL: (Regime.LFPL, "Tm-LFPL-Zero", "paid zero belongs"),
+    SuccL: (Regime.LFPL, "Tm-LFPL-Succ", "paid successor belongs"),
+    RecNatL: (Regime.LFPL, "Tm-LFPL-Rec", "this recursor shape belongs"),
+    DiamondTy: (Regime.LFPL, "Ty-Diamond", "the diamond type belongs"),
+}
+
+# the forms of the erased fragment only: (rule, what lives there)
+_ERASED_FORMS = {
+    ZeroCF: ("Tm-CF-Zero", "cons-free constructors live"),
+    SuccCF: ("Tm-CF-Succ", "cons-free constructors live"),
+    DiamondStar: ("Tm-LFPL-Star", "the dummy diamond lives"),
+    Fst: ("Tm-Fst", "projections live"),
+    Snd: ("Tm-Snd", "projections live"),
+    RecList: ("Tm-List-Rec", "list recursion lives"),
+}
 
 
-def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
-    """Synthesise (usage vector, type, core term) for t in the given fragment."""
+# the constants and the type each synthesises
+_CONSTANT_TYPES = {
+    Star: UNIT_TY, TrueC: BOOL_TY, FalseC: BOOL_TY, ZeroCF: NAT_TY, DiamondStar: DIAMOND_TY
+}
+
+
+def _gate(regime: Regime, sigma: int, cls) -> None:
+    """Reject a form outside its regime, or outside the erased fragment
+    when it lives there only."""
+    form = _REGIME_FORMS.get(cls)
+    if form is not None and form[0] is not regime:
+        name = "cons-free" if form[0] is Regime.CONS_FREE else "payment"
+        raise CheckError(form[1], f"{form[2]} to the {name} regime")
+    erased = _ERASED_FORMS.get(cls)
+    if erased is not None and sigma != 0:
+        raise CheckError(erased[0], f"{erased[1]} in the erased fragment only")
+
+
+def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
+    """Synthesise (usage vector, type value, core term) for t in the
+    given fragment."""
     zeros = zero_usage(len(ctx))
     cls = t.__class__
+    elim = _ELIMINATORS.get(cls)
+    if elim is not None:
+        rule, check_elim = elim
+        if t.motive is None:
+            raise CheckError(rule, "motive required to synthesise")
+        return check_elim(regime, ctx, sigma, t, None)
+    _gate(regime, sigma, cls)
 
     if cls is Var:
-        pos = _var_position(ctx, t.index)
-        entry = ctx[pos]
-        u = list(zeros)
+        pos = len(ctx) - 1 - t.index
+        if not 0 <= pos < len(ctx):
+            raise CheckError("Tm-Var", f"unbound index {t.index} in context of {len(ctx)}")
+        u, ty = list(zeros), ctx[pos]
         u[pos] = sigma
-        return tuple(u), shift(entry.ty, t.index + 1), t
+        return tuple(u), _force(ty, _Budget()) if ty.__class__ is _Lazy else ty, t
 
     if cls is Ann:
-        check_type(regime, ctx_zero(ctx), t.ty)
-        u, term = check(regime, ctx, sigma, t.term, t.ty)
-        return u, t.ty, Ann(term, t.ty)
+        _check_type(regime, ctx, t.ty)
+        ty = _value(ctx, t.ty)
+        u, term = check(regime, ctx, sigma, t.term, ty)
+        return u, ty, Ann(term, t.ty)
 
     if cls is Global:
         # the body is checked once per regime and fragment and its core
         # term kept on the definition; being closed, it uses nothing of ctx
         key = (regime, sigma)
         if key not in t.core:
-            check_type(regime, (), t.ty)
-            t.core[key] = check(regime, (), sigma, t.body, t.ty)[1]
-        return zeros, t.ty, t
+            _check_type(regime, (), t.ty)
+            t.core[key] = check(regime, (), sigma, t.body, _value((), t.ty))[1]
+        return zeros, _value((), t.ty), t
 
     if cls is App:
         u_fn, fn_ty, fn = synth(regime, ctx, sigma, t.fn)
-        fn_ty = _whnf_ty(fn_ty)
-        if not isinstance(fn_ty, Pi):
-            raise CheckError("Tm-App", f"applied a non-function of type {fn_ty!r}")
+        _expect(ctx, fn_ty, Pi, "Tm-App", "applied a non-function of type")
         pi = fn_ty.usage
         sigma_arg = 0 if (pi == 0 or sigma == 0) else 1
         u_arg, arg = check(regime, ctx, sigma_arg, t.arg, fn_ty.dom)
         u = usage_add(u_fn, usage_scale(pi, u_arg))
-        return u, instantiate(fn_ty.cod, (t.arg,)), App(fn, arg, pi)
+        return u, _inst(fn_ty.cod, _Lazy(t.arg, _env(ctx))), App(fn, arg, pi)
 
-    if cls is Star:
-        return zeros, UNIT_TY, t
-
-    if cls is TrueC or cls is FalseC:
-        return zeros, BOOL_TY, t
+    ty = _CONSTANT_TYPES.get(cls)
+    if ty is not None:
+        return zeros, ty, t
 
     if cls is Cons:
         u_h, elem_ty, head = synth(regime, ctx, sigma, t.head)
@@ -578,31 +674,12 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
         return usage_add(u_h, u_t), ListTy(elem_ty), Cons(head, tail)
 
     if cls is DupNat:
-        if regime is not Regime.CONS_FREE:
-            raise CheckError(
-                "Tm-CF-DupNat", "duplication of naturals belongs to the cons-free regime"
-            )
         u, arg = check(regime, ctx, sigma, t.arg, NAT_TY)
-        return u, Tensor(1, NAT_TY, NAT_TY), DupNat(arg)
-
-    if cls is ZeroCF:
-        if regime is not Regime.CONS_FREE:
-            raise CheckError("Tm-CF-Zero", "bare zero belongs to the cons-free regime")
-        if sigma != 0:
-            raise CheckError(
-                "Tm-CF-Zero", "cons-free constructors live in the erased fragment only"
-            )
-        return zeros, NAT_TY, t
+        return u, Tensor(1, NAT_TY, ((), NAT_TY)), DupNat(arg)
 
     if cls is SuccCF:
-        if regime is not Regime.CONS_FREE:
-            raise CheckError("Tm-CF-Succ", "bare successor belongs to the cons-free regime")
-        if sigma != 0:
-            raise CheckError(
-                "Tm-CF-Succ", "cons-free constructors live in the erased fragment only"
-            )
         # a literal's successor chain is walked in a loop, not on the host
-        # stack; the inner successors pass the same two tests
+        # stack; the inner successors pass the same gate
         length = 0
         while t.__class__ is SuccCF:
             t, length = t.pred, length + 1
@@ -611,24 +688,11 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
             core = SuccCF(core)
         return u, NAT_TY, core
 
-    if cls is DiamondStar:
-        if regime is not Regime.LFPL:
-            raise CheckError("Tm-LFPL-Star", "diamonds belong to the payment regime")
-        if sigma != 0:
-            raise CheckError(
-                "Tm-LFPL-Star", "the dummy diamond lives in the erased fragment only"
-            )
-        return zeros, DIAMOND_TY, t
-
     if cls is ZeroL:
-        if regime is not Regime.LFPL:
-            raise CheckError("Tm-LFPL-Zero", "paid zero belongs to the payment regime")
         u, pay = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
         return u, NAT_TY, ZeroL(pay)
 
     if cls is SuccL:
-        if regime is not Regime.LFPL:
-            raise CheckError("Tm-LFPL-Succ", "paid successor belongs to the payment regime")
         # walked in a loop like SuccCF, checking the payments outermost first
         u, pays = zeros, []
         while t.__class__ is SuccL:
@@ -641,25 +705,17 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
         return usage_add(u, u_n), NAT_TY, core
 
     if cls is Fst or cls is Snd:
-        if sigma != 0:
-            raise CheckError(
-                "Tm-Fst" if cls is Fst else "Tm-Snd",
-                "projections live in the erased fragment only",
-            )
         u, pair_ty, pair = synth(regime, ctx, 0, t.pair)
-        pair_ty = _whnf_ty(pair_ty)
-        if not isinstance(pair_ty, Tensor):
-            raise CheckError(
-                "Tm-Fst" if cls is Fst else "Tm-Snd",
-                f"projection from a non-pair of type {pair_ty!r}",
-            )
+        rule = "Tm-Fst" if cls is Fst else "Tm-Snd"
+        _expect(ctx, pair_ty, Tensor, rule, "projection from a non-pair of type")
         if cls is Fst:
             return u, pair_ty.fst, Fst(pair)
-        return u, instantiate(pair_ty.snd, (Fst(t.pair),)), Snd(pair)
+        return u, _inst(pair_ty.snd, _Lazy(Fst(t.pair), _env(ctx))), Snd(pair)
 
     if cls is Refl:
         u, ty, body = synth(regime, ctx, sigma, t.body)
-        return u, IdTy(ty, t.body, t.body), Refl(body)
+        v = _value(ctx, t.body)
+        return u, IdTy(ty, v, v), Refl(body)
 
     if cls is ReflectIntro:
         u, ty, body = synth(regime, ctx, 1, t.body)
@@ -668,23 +724,14 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
 
     if cls is ReflectElim:
         u, ty, body = synth(regime, ctx, sigma, t.body)
-        ty = _whnf_ty(ty)
-        if not isinstance(ty, Reflect):
-            raise CheckError("Tm-R-Inv", f"unreflecting a non-reflected type {ty!r}")
+        _expect(ctx, ty, Reflect, "Tm-R-Inv", "unreflecting a non-reflected type")
         return u, ty.inner, ReflectElim(body)
 
     if cls is CodeTy:
         if _mentions_universe(t.ty):
             raise CheckError("Tm-U-Code", "the universe has no code for itself")
-        check_type(regime, ctx_zero(ctx), t.ty)
+        _check_type(regime, ctx, t.ty)
         return zeros, UNIVERSE, t
-
-    elim = _ELIMINATORS.get(cls)
-    if elim is not None:
-        rule, check_elim = elim
-        if t.motive is None:
-            raise CheckError(rule, "motive required to synthesise")
-        return check_elim(regime, ctx, sigma, t, None)
 
     if cls is Lam:
         raise CheckError("Tm-Lam", "cannot synthesise a bare function; annotate it")
@@ -697,239 +744,186 @@ def synth(regime: Regime, ctx: Context, sigma: int, t: Term):
 
 
 def check(
-    regime: Regime, ctx: Context, sigma: int, t: Term, ty: TypeExpr
+    regime: Regime, ctx: tuple, sigma: int, t: Term, ty
 ) -> tuple[UsageVector, Term]:
-    """Check t against ty, returning (minimal usage vector, core term)."""
+    """Check t against the type value ty, returning (minimal usage
+    vector, core term)."""
     cls = t.__class__
-    ty_n = _whnf_ty(ty)
+    ty_cls = ty.__class__
 
     if cls is Lam:
-        if not isinstance(ty_n, Pi):
-            raise CheckError("Tm-Lam", f"function against non-function type {ty_n!r}")
-        cap = sigma * ty_n.usage
-        inner = ctx + (CtxEntry("_", cap, ty_n.dom),)
-        u, body = check(regime, inner, sigma, t.body, ty_n.cod)
+        _expect(ctx, ty, Pi, "Tm-Lam", "function against non-function type")
+        cap = sigma * ty.usage
+        cod = _inst(ty.cod, Var(len(ctx)))
+        u, body = check(regime, ctx + (ty.dom,), sigma, t.body, cod)
         return _pop_binders(u, (cap,), "Tm-Lam"), Lam(body)
 
     if cls is Pair:
-        if not isinstance(ty_n, Tensor):
-            raise CheckError("Tm-Pair", f"pair against non-pair type {ty_n!r}")
-        pi = ty_n.usage
+        _expect(ctx, ty, Tensor, "Tm-Pair", "pair against non-pair type")
+        pi = ty.usage
         sigma_fst = 0 if (pi == 0 or sigma == 0) else 1
-        u_fst, fst = check(regime, ctx, sigma_fst, t.fst, ty_n.fst)
-        u_snd, snd = check(
-            regime, ctx, sigma, t.snd, instantiate(ty_n.snd, (t.fst,))
-        )
+        u_fst, fst = check(regime, ctx, sigma_fst, t.fst, ty.fst)
+        snd_ty = _inst(ty.snd, _Lazy(t.fst, _env(ctx)))
+        u_snd, snd = check(regime, ctx, sigma, t.snd, snd_ty)
         u = usage_add(usage_scale(pi, u_fst), u_snd)
         return u, Pair(fst, snd, pi)
 
     if cls is Nil:
-        if not isinstance(ty_n, ListTy):
-            raise CheckError("Tm-List-Nil", f"nil against non-list type {ty_n!r}")
+        _expect(ctx, ty, ListTy, "Tm-List-Nil", "nil against non-list type")
         return zero_usage(len(ctx)), t
 
-    if cls is Star and isinstance(ty_n, DiamondTy):
+    if cls is Star and ty_cls is DiamondTy:
         # the surface star doubles as the dummy diamond
-        if regime is not Regime.LFPL:
-            raise CheckError("Tm-LFPL-Star", "diamonds belong to the payment regime")
-        if sigma != 0:
-            raise CheckError(
-                "Tm-LFPL-Star", "the dummy diamond lives in the erased fragment only"
-            )
+        _gate(regime, sigma, DiamondStar)
         return zero_usage(len(ctx)), t
 
-    if cls is Refl and isinstance(ty_n, IdTy):
-        u, body = check(regime, ctx, sigma, t.body, ty_n.ty)
-        if _whnf_ty(ty_n.ty).__class__ not in _CANONICAL:
-            s = _Budget(DEFAULT_NORM_BUDGET)
-            body_n = _nf(t.body, s)
-            same = _same(body_n, _nf(ty_n.lhs, s))
-            if not (same and _same(body_n, _nf(ty_n.rhs, s))):
+    if cls is Refl and ty_cls is IdTy:
+        u, body = check(regime, ctx, sigma, t.body, ty.ty)
+        if ty.ty.__class__ not in _CANONICAL:
+            v, b = _value(ctx, t.body), _Budget()
+            if not (_conv(v, ty.lhs, len(ctx), b) and _conv(v, ty.rhs, len(ctx), b)):
                 raise CheckError("Id-Refl", "refl does not prove this equation")
         return u, Refl(body)
 
-    if cls is ReflectIntro and isinstance(ty_n, Reflect):
-        u, body = check(regime, ctx, 1, t.body, ty_n.inner)
+    if cls is ReflectIntro and ty_cls is Reflect:
+        u, body = check(regime, ctx, 1, t.body, ty.inner)
         _require_erased_ambient(u, "Tm-R")
         return zero_usage(len(ctx)), ReflectIntro(body)
 
     elim = _ELIMINATORS.get(cls)
     if elim is not None and t.motive is None:
-        u, _, core = elim[1](regime, ctx, sigma, t, ty_n)
+        u, _, core = elim[1](regime, ctx, sigma, t, ty)
         return u, core
 
     u, got, core = synth(regime, ctx, sigma, t)
-    if not types_equal(got, ty):
-        want, have = normalize_type(ty), normalize_type(got)
-        raise CheckError("Conv", f"expected {want!r} but synthesised {have!r}")
+    if not _conv(got, ty, len(ctx), _Budget()):
+        raise CheckError(
+            "Conv", f"expected {_show(ctx, ty)} but synthesised {_show(ctx, got)}"
+        )
     return u, core
 
 
 # --- dependent eliminators -------------------------------------------------
 #
 # Each _check_* takes either an explicit motive on the term or a target
-# type (for the non-dependent reading) and returns (usage, result type,
-# core term).
+# type value and returns (usage, result type value, core term).  A
+# branch's target is the motive at a value built from the levels of the
+# binders the branch pushes, or else the target itself, unshifted.
 
-def branch_target(motive, target, binders: int, inst_with):
-    """Target type for a branch under `binders` pushed entries.
-
-    With a motive (one binder over the ambient context), free variables
-    shift under the pushed binders and the motive variable is replaced
-    by inst_with; without one, the non-dependent target shifts.
-    """
-    if motive is None:
-        return shift(target, binders)
-    shifted = shift(motive, binders, cutoff=1)
-    return instantiate(shifted, (inst_with,))
+def _target(t, ctx: tuple, target, scrut=None):
+    # the motive at scrut, by default at the scrutinee itself
+    if t.motive is None:
+        return target
+    scrut = _Lazy(t.scrut, _env(ctx)) if scrut is None else scrut
+    return _eval(t.motive, _env(ctx) + (scrut,), _Budget())
 
 
-def _check_motive(regime, ctx, motive, scrut_ty: TypeExpr) -> None:
+def _check_motive(regime, ctx: tuple, motive, scrut_ty) -> None:
     if motive is not None:
-        check_type(regime, ctx_zero(ctx) + (CtxEntry("_", 0, scrut_ty),), motive)
-
-
-def _result_type(t: Term, target):
-    return target if t.motive is None else instantiate(t.motive, (t.scrut,))
+        _check_type(regime, ctx + (scrut_ty,), motive)
 
 
 def _check_if(regime, ctx, sigma, t: If, target):
-    motive = t.motive
-    _check_motive(regime, ctx, motive, BOOL_TY)
+    _check_motive(regime, ctx, t.motive, BOOL_TY)
     u_s, scrut = check(regime, ctx, sigma, t.scrut, BOOL_TY)
-    tgt_true = branch_target(motive, target, 0, TrueC())
-    tgt_false = branch_target(motive, target, 0, FalseC())
+    tgt_true = _target(t, ctx, target, TrueC())
+    tgt_false = _target(t, ctx, target, FalseC())
     u_t, then_branch = check(regime, ctx, sigma, t.then_branch, tgt_true)
     u_f, else_branch = check(regime, ctx, sigma, t.else_branch, tgt_false)
-    u = usage_add(u_s, _join_usage(u_t, u_f))
-    core = If(scrut, then_branch, else_branch, motive)
-    return u, _result_type(t, target), core
+    u = usage_add(u_s, tuple(map(max, u_t, u_f)))
+    core = If(scrut, then_branch, else_branch, t.motive)
+    return u, _target(t, ctx, target), core
 
 
 def _check_let_pair(regime, ctx, sigma, t: LetPair, target):
-    motive = t.motive
     u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
-    scrut_ty = _whnf_ty(scrut_ty)
-    if not isinstance(scrut_ty, Tensor):
-        raise CheckError("Tm-Let-Pair", f"splitting a non-pair of type {scrut_ty!r}")
-    _check_motive(regime, ctx, motive, scrut_ty)
-    pi = scrut_ty.usage
-    inner = ctx + (
-        CtxEntry("_", sigma * pi, scrut_ty.fst),
-        CtxEntry("_", sigma, scrut_ty.snd),
-    )
-    tgt = branch_target(motive, target, 2, Pair(Var(1), Var(0)))
+    _expect(ctx, scrut_ty, Tensor, "Tm-Let-Pair", "splitting a non-pair of type")
+    _check_motive(regime, ctx, t.motive, scrut_ty)
+    pi, n = scrut_ty.usage, len(ctx)
+    inner = ctx + (scrut_ty.fst, _inst(scrut_ty.snd, Var(n)))
+    tgt = _target(t, ctx, target, Pair(Var(n), Var(n + 1)))
     u_b, body = check(regime, inner, sigma, t.body, tgt)
     u_b = _pop_binders(u_b, (sigma * pi, sigma), "Tm-Let-Pair")
     u = usage_add(u_s, u_b)
-    return u, _result_type(t, target), LetPair(scrut, body, motive)
+    return u, _target(t, ctx, target), LetPair(scrut, body, t.motive)
 
 
 def _check_let_unit(regime, ctx, sigma, t: LetUnit, target):
-    motive = t.motive
-    _check_motive(regime, ctx, motive, UNIT_TY)
+    _check_motive(regime, ctx, t.motive, UNIT_TY)
     u_s, scrut = check(regime, ctx, sigma, t.scrut, UNIT_TY)
-    tgt = branch_target(motive, target, 0, Star())
+    tgt = _target(t, ctx, target, Star())
     u_b, body = check(regime, ctx, sigma, t.body, tgt)
     u = usage_add(u_s, u_b)
-    return u, _result_type(t, target), LetUnit(scrut, body, motive)
+    return u, _target(t, ctx, target), LetUnit(scrut, body, t.motive)
 
 
 def _check_match_list(regime, ctx, sigma, t: MatchList, target):
-    motive = t.motive
     u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
-    scrut_ty = _whnf_ty(scrut_ty)
-    if not isinstance(scrut_ty, ListTy):
-        raise CheckError("Tm-List-Match", f"matching a non-list of type {scrut_ty!r}")
-    _check_motive(regime, ctx, motive, scrut_ty)
-    elem = scrut_ty.elem
-    u_nil, nil_branch = check(
-        regime, ctx, sigma, t.nil_branch, branch_target(motive, target, 0, Nil())
-    )
-    inner = ctx + (
-        CtxEntry("_", sigma, elem),
-        CtxEntry("_", sigma, ListTy(shift(elem, 1))),
-    )
-    tgt = branch_target(motive, target, 2, Cons(Var(1), Var(0)))
+    _expect(ctx, scrut_ty, ListTy, "Tm-List-Match", "matching a non-list of type")
+    _check_motive(regime, ctx, t.motive, scrut_ty)
+    n = len(ctx)
+    tgt_nil = _target(t, ctx, target, Nil())
+    u_nil, nil_branch = check(regime, ctx, sigma, t.nil_branch, tgt_nil)
+    inner = ctx + (scrut_ty.elem, scrut_ty)
+    tgt = _target(t, ctx, target, Cons(Var(n), Var(n + 1)))
     u_cons, cons_branch = check(regime, inner, sigma, t.cons_branch, tgt)
     u_cons = _pop_binders(u_cons, (sigma, sigma), "Tm-List-Match")
-    u = usage_add(u_s, _join_usage(u_nil, u_cons))
-    core = MatchList(scrut, nil_branch, cons_branch, motive)
-    return u, _result_type(t, target), core
+    u = usage_add(u_s, tuple(map(max, u_nil, u_cons)))
+    core = MatchList(scrut, nil_branch, cons_branch, t.motive)
+    return u, _target(t, ctx, target), core
 
 
 def _check_rec_list(regime, ctx, sigma, t: RecList, target):
-    if sigma != 0:
-        raise CheckError(
-            "Tm-List-Rec", "list recursion lives in the erased fragment only"
-        )
-    motive = t.motive
+    _gate(regime, sigma, RecList)
     _, scrut_ty, scrut = synth(regime, ctx, 0, t.scrut)
-    scrut_ty = _whnf_ty(scrut_ty)
-    if not isinstance(scrut_ty, ListTy):
-        raise CheckError("Tm-List-Rec", f"recursing on a non-list of type {scrut_ty!r}")
-    _check_motive(regime, ctx, motive, scrut_ty)
-    elem = scrut_ty.elem
-    tgt_nil = branch_target(motive, target, 0, Nil())
-    _, nil_branch = check(regime, ctx, 0, t.nil_branch, tgt_nil)
-    p_ty = branch_target(motive, target, 2, Var(0))
-    inner = ctx + (
-        CtxEntry("_", 0, elem),
-        CtxEntry("_", 0, ListTy(shift(elem, 1))),
-        CtxEntry("_", 0, p_ty),
-    )
-    tgt = branch_target(motive, target, 3, Cons(Var(2), Var(1)))
+    _expect(ctx, scrut_ty, ListTy, "Tm-List-Rec", "recursing on a non-list of type")
+    _check_motive(regime, ctx, t.motive, scrut_ty)
+    n = len(ctx)
+    _, nil_branch = check(regime, ctx, 0, t.nil_branch, _target(t, ctx, target, Nil()))
+    # the previous result is the motive at the tail
+    p_ty = _target(t, ctx, target, Var(n + 1))
+    inner = ctx + (scrut_ty.elem, scrut_ty, p_ty)
+    tgt = _target(t, ctx, target, Cons(Var(n), Var(n + 1)))
     _, cons_branch = check(regime, inner, 0, t.cons_branch, tgt)
-    core = RecList(scrut, nil_branch, cons_branch, motive)
-    return zero_usage(len(ctx)), _result_type(t, target), core
+    core = RecList(scrut, nil_branch, cons_branch, t.motive)
+    return zero_usage(n), _target(t, ctx, target), core
 
 
 def _check_rec_cf(regime, ctx, sigma, t: RecNatCF, target):
-    if regime is not Regime.CONS_FREE:
-        raise CheckError(
-            "Tm-CF-Rec", "this recursor shape belongs to the cons-free regime"
-        )
-    motive = t.motive
-    _check_motive(regime, ctx, motive, NAT_TY)
+    _gate(regime, sigma, RecNatCF)
+    _check_motive(regime, ctx, t.motive, NAT_TY)
     u_s, scrut = check(regime, ctx, sigma, t.scrut, NAT_TY)
-    tgt_z = branch_target(motive, target, 0, ZeroCF())
+    n = len(ctx)
+    tgt_z = _target(t, ctx, target, ZeroCF())
     u_z, zero_branch = check(regime, ctx, sigma, t.zero_branch, tgt_z)
     _require_erased_ambient(u_z, "Tm-CF-Rec")
-    p_ty = branch_target(motive, target, 1, Var(0))
-    inner = ctx + (CtxEntry("_", 0, NAT_TY), CtxEntry("_", sigma, p_ty))
-    tgt = branch_target(motive, target, 2, SuccCF(Var(1)))
+    inner = ctx + (NAT_TY, _target(t, ctx, target, Var(n)))
+    tgt = _target(t, ctx, target, SuccCF(Var(n)))
     u_sb, succ_branch = check(regime, inner, sigma, t.succ_branch, tgt)
     u_sb = _pop_binders(u_sb, (0, sigma), "Tm-CF-Rec")
     _require_erased_ambient(u_sb, "Tm-CF-Rec")
-    core = RecNatCF(scrut, zero_branch, succ_branch, motive)
-    return u_s, _result_type(t, target), core
+    core = RecNatCF(scrut, zero_branch, succ_branch, t.motive)
+    return u_s, _target(t, ctx, target), core
 
 
 def _check_rec_lfpl(regime, ctx, sigma, t: RecNatL, target):
-    if regime is not Regime.LFPL:
-        raise CheckError(
-            "Tm-LFPL-Rec", "this recursor shape belongs to the payment regime"
-        )
-    motive = t.motive
-    _check_motive(regime, ctx, motive, NAT_TY)
+    _gate(regime, sigma, RecNatL)
+    _check_motive(regime, ctx, t.motive, NAT_TY)
     u_s, scrut = check(regime, ctx, sigma, t.scrut, NAT_TY)
-    inner_z = ctx + (CtxEntry("_", sigma, DIAMOND_TY),)
-    tgt_z = branch_target(motive, target, 1, ZeroL(DiamondStar()))
-    u_z, zero_branch = check(regime, inner_z, sigma, t.zero_branch, tgt_z)
+    n = len(ctx)
+    tgt_z = _target(t, ctx, target, _ZERO_L)
+    u_z, zero_branch = check(regime, ctx + (DIAMOND_TY,), sigma, t.zero_branch, tgt_z)
     u_z = _pop_binders(u_z, (sigma,), "Tm-LFPL-Rec")
     _require_erased_ambient(u_z, "Tm-LFPL-Rec")
-    p_ty = branch_target(motive, target, 2, Var(0))
-    inner_s = ctx + (
-        CtxEntry("_", sigma, DIAMOND_TY),
-        CtxEntry("_", 0, NAT_TY),
-        CtxEntry("_", sigma, p_ty),
-    )
-    tgt_s = branch_target(motive, target, 3, SuccL(DiamondStar(), Var(1)))
+    # the successor branch binds a diamond, the predecessor and the
+    # previous result, the motive at the predecessor
+    inner_s = ctx + (DIAMOND_TY, NAT_TY, _target(t, ctx, target, Var(n + 1)))
+    tgt_s = _target(t, ctx, target, SuccL(_DIAMOND, Var(n + 1)))
     u_sb, succ_branch = check(regime, inner_s, sigma, t.succ_branch, tgt_s)
     u_sb = _pop_binders(u_sb, (sigma, 0, sigma), "Tm-LFPL-Rec")
     _require_erased_ambient(u_sb, "Tm-LFPL-Rec")
-    core = RecNatL(scrut, zero_branch, succ_branch, motive)
-    return u_s, _result_type(t, target), core
+    core = RecNatL(scrut, zero_branch, succ_branch, t.motive)
+    return u_s, _target(t, ctx, target), core
 
 
 # The eliminators with an optional motive: the rule label that reports a
@@ -948,11 +942,12 @@ _ELIMINATORS = {
 # ---------------------------------------------------------------------------
 # Public entry points
 
+@_entry
 def elaborate(
-    regime: Regime, ctx: Context, sigma: int, term: Term, ty: TypeExpr
+    regime: Regime, ctx, sigma: int, term: Term, ty: TypeExpr
 ) -> tuple[UsageVector, Term]:
-    """Check term against ty; return the minimal usage vector and the
-    core term.
+    """Check term against ty in a context of CtxEntry records; return the
+    minimal usage vector and the core term.
 
     The core term is term with the usage of each application's function
     type and each pair's tensor type stored on the node.  The declared
@@ -961,9 +956,9 @@ def elaborate(
     """
     if sigma not in (0, 1):
         raise CheckError("Tm", "fragment marker must be 0 or 1")
-    _ensure_stack()
-    check_type(regime, ctx_zero(ctx), ty)
-    u, core = check(regime, ctx, sigma, term, ty)
+    inner = _context(ctx)
+    _check_type(regime, inner, ty)
+    u, core = check(regime, inner, sigma, term, _value(inner, ty))
     for entry, got in zip(ctx, u):
         if got > entry.usage:
             raise CheckError(
@@ -975,7 +970,7 @@ def elaborate(
 
 
 def infer_usage_check(
-    regime: Regime, ctx: Context, sigma: int, term: Term, ty: TypeExpr
+    regime: Regime, ctx, sigma: int, term: Term, ty: TypeExpr
 ) -> UsageVector:
     """Check term against ty and return the minimal usage vector."""
     return elaborate(regime, ctx, sigma, term, ty)[0]

@@ -15,6 +15,7 @@ def test_check_ok(capsys):
 
 
 def test_check_all_corpus_files():
+    limit = sys.getrecursionlimit()
     for name in (
         "consfree_iter.qtt",
         "consfree_zero.qtt",
@@ -23,6 +24,8 @@ def test_check_all_corpus_files():
         "reflection.qtt",
     ):
         assert main(["check", str(CORPUS / name)]) == 0
+    # checking leaves the interpreter's recursion limit alone
+    assert sys.getrecursionlimit() == limit
 
 
 def test_check_failure_exit_1(capsys):
@@ -31,9 +34,16 @@ def test_check_failure_exit_1(capsys):
     assert "usage" in err
 
 
-def test_check_rule_label_on_stderr(capsys):
-    assert main(["check", str(FIXTURES / "consfree_succ_sigma1.qtt")]) == 1
-    assert "Tm-CF-Succ" in capsys.readouterr().err
+def test_check_rule_label_on_stderr(capsys, tmp_path):
+    # a superscript two is a digit to str.isdigit, but not to the lexer
+    superscript = tmp_path / "superscript.qtt"
+    superscript.write_text("regime consfree\ndef f ^\u00b2 : Bool = true\n", encoding="utf-8")
+    for path, rule in (
+        (FIXTURES / "consfree_succ_sigma1.qtt", "Tm-CF-Succ"),
+        (superscript, "Parse"),
+    ):
+        assert main(["check", str(path)]) == 1
+        assert rule in capsys.readouterr().err
 
 
 def test_check_sigma_override():
@@ -324,3 +334,46 @@ def test_deep_nesting_is_a_diagnostic(tmp_path):
         out = check(decl)
         assert out.returncode == 1, out.stderr
         assert re.search(rf"error at \d+:\d+: \[{rule}\] .*nested too deeply", out.stderr)
+
+    # six nesting shapes at two depths: each run ends in a verdict with a
+    # diagnostic, and at depth 300 each shape keeps its verdict
+    shapes = {
+        "then-spine if": (
+            lambda n: "def f ^1 : Bool -> Bool = \\b. "
+            + nest(n, "b", "if b then {} else false"),
+            1,
+            "Tm-Lam",
+        ),
+        "else-spine if": (
+            lambda n: "def f ^1 : Bool = " + nest(n, "true", "if true then false else {}"),
+            0,
+            None,
+        ),
+        "succ": (lambda n: f"def k ^0 : Nat = {nest(n, '0', 'succ ({})')}", 1, "Parse"),
+        "cons": (conses, 1, "Parse"),
+        "application": (
+            lambda n: "def f ^0 : Bool -> Bool = \\b. b\n"
+            f"def g ^0 : Bool = {nest(n, 'true', 'f ({})')}",
+            1,
+            "Parse",
+        ),
+        "lambda": (
+            lambda n: f"def f ^0 : {nest(n, 'Bool', 'Bool -> {}')} = "
+            + nest(n, "true", "\\x. {}"),
+            0,
+            None,
+        ),
+    }
+    for shape, (decl, code_at_300, rule_at_300) in shapes.items():
+        for depth in (300, 600):
+            out = check(decl(depth))
+            assert out.returncode in (0, 1), (shape, depth, out.stderr)
+            if out.returncode == 0:
+                assert out.stdout.startswith("ok:"), (shape, depth)
+            else:
+                assert re.match(r"error: .*\[[\w-]+\] ", out.stderr), (shape, depth)
+                assert "internal error" not in out.stderr
+            if depth == 300:
+                assert out.returncode == code_at_300, (shape, out.stderr)
+                if rule_at_300:
+                    assert f"[{rule_at_300}]" in out.stderr, (shape, out.stderr)

@@ -129,11 +129,19 @@ def test_corpus_zeroing_admissibility():
                 assert u == ()
 
 
+# a definition named like a binder: binders must not capture references
+BINDER_NAMED_DEFINITION = r"""regime consfree
+def x0 ^1 : Bool -> Bool = \b. if b then false else true
+def f ^1 : Bool -> Bool = \b. x0 b
+"""
+
+
 def test_corpus_pretty_roundtrip():
     # every declaration printed back as source; references print as names
     # and resolve to the definitions read back before them
-    for name in CORPUS_FILES:
-        mod = load_corpus(name)
+    modules = [(name, load_corpus(name)) for name in CORPUS_FILES]
+    modules.append(("x0", resolve_module(parse_module(BINDER_NAMED_DEFINITION))))
+    for name, mod in modules:
         text = f"regime {mod.regime.value}\n" + "".join(
             f"def {d.name} ^{d.sigma} : {pretty_type(d.ty)} = {pretty_term(d.body)}\n"
             for d in mod.decls

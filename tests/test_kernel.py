@@ -4,12 +4,11 @@ import pytest
 
 from polyqtt.kernel import (
     CheckError,
-    check,
     check_type,
     conv_type,
+    elaborate,
     infer_usage_check,
     normalize_sigma0,
-    synth,
     types_equal,
 )
 from polyqtt.syntax import (
@@ -219,24 +218,24 @@ def test_lfpl_constructors_both_fragments():
 def test_rec_list_sigma0_only():
     t = RecList(Nil(), TrueC(), Var(0), BOOL_TY)
     assert (
-        check(CF, (entry("l", 0, ListTy(BOOL_TY)),), 0,
-              RecList(Var(0), TrueC(), Var(0), BOOL_TY), BOOL_TY)[0]
+        elaborate(CF, (entry("l", 0, ListTy(BOOL_TY)),), 0,
+                  RecList(Var(0), TrueC(), Var(0), BOOL_TY), BOOL_TY)[0]
         == (0,)
     )
     with pytest.raises(CheckError) as e:
-        check(CF, (entry("l", 1, ListTy(BOOL_TY)),), 1,
-              RecList(Var(0), TrueC(), Var(0), BOOL_TY), BOOL_TY)
+        elaborate(CF, (entry("l", 1, ListTy(BOOL_TY)),), 1,
+                  RecList(Var(0), TrueC(), Var(0), BOOL_TY), BOOL_TY)
     assert e.value.rule == "Tm-List-Rec"
 
 
 def test_rec_regime_mismatch():
     t = RecNatL(Var(0), ZeroL(Var(0)), Var(0), NAT_TY)
     with pytest.raises(CheckError) as e:
-        check(CF, (entry("n", 1, NAT_TY),), 1, t, NAT_TY)
+        elaborate(CF, (entry("n", 1, NAT_TY),), 1, t, NAT_TY)
     assert e.value.rule == "Tm-LFPL-Rec"
     t2 = RecNatCF(Var(0), TrueC(), Var(0), BOOL_TY)
     with pytest.raises(CheckError) as e:
-        check(LF, (entry("n", 1, NAT_TY),), 1, t2, BOOL_TY)
+        elaborate(LF, (entry("n", 1, NAT_TY),), 1, t2, BOOL_TY)
     assert e.value.rule == "Tm-CF-Rec"
 
 
@@ -245,24 +244,24 @@ def test_rec_branches_must_not_consume_ambient_resources():
     ctx = (entry("n", 1, NAT_TY), entry("b", 1, BOOL_TY))
     t = RecNatCF(Var(1), TrueC(), Var(2), BOOL_TY)  # succ branch returns b
     with pytest.raises(CheckError) as e:
-        check(CF, ctx, 1, t, BOOL_TY)
+        elaborate(CF, ctx, 1, t, BOOL_TY)
     assert e.value.rule == "Tm-CF-Rec"
     # but referencing it at usage 0 (erased fragment) is fine
-    assert check(CF, ctx, 0, t, BOOL_TY)[0] == (0, 0)
+    assert elaborate(CF, ctx, 0, t, BOOL_TY)[0] == (0, 0)
 
 
 def test_cons_free_rec_sigma1_checks():
     # rec n { zero => true | succ(m, p) => if p then false else true }
     ctx = (entry("n", 1, NAT_TY),)
     t = RecNatCF(Var(0), TrueC(), If(Var(0), FalseC(), TrueC(), None), BOOL_TY)
-    assert check(CF, ctx, 1, t, BOOL_TY)[0] == (1,)
+    assert elaborate(CF, ctx, 1, t, BOOL_TY)[0] == (1,)
 
 
 def test_lfpl_rec_sigma1_checks():
     # rec n { zero(d) => zero(d) | succ(d, m, p) => succ(d, p) }  (rebuild)
     ctx = (entry("n", 1, NAT_TY),)
     t = RecNatL(Var(0), ZeroL(Var(0)), SuccL(Var(2), Var(0)), NAT_TY)
-    assert check(LF, ctx, 1, t, NAT_TY)[0] == (1,)
+    assert elaborate(LF, ctx, 1, t, NAT_TY)[0] == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +280,12 @@ def test_reflect_intro_requires_realisable_premise():
 
 def test_reflect_elim_round_trip():
     ctx = (entry("r", 1, Reflect(BOOL_TY)),)
-    u, ty, _ = synth(CF, ctx, 1, ReflectElim(Var(0)))
-    assert ty == BOOL_TY and u == (1,)
+    # the unreflected type is Bool: it checks against Bool and nothing else
+    u, _ = elaborate(CF, ctx, 1, ReflectElim(Var(0)), BOOL_TY)
+    assert u == (1,)
+    with pytest.raises(CheckError) as e:
+        elaborate(CF, ctx, 1, ReflectElim(Var(0)), NAT_TY)
+    assert e.value.rule == "Conv"
 
 
 def test_reflect_inverse_equations():
@@ -475,10 +478,10 @@ def test_substitution_stability_sample():
     # checking body[N/x] agrees with checking body under x then substituting
     body = If(Var(0), FalseC(), TrueC(), None)
     ctx = (entry("b", 1, BOOL_TY),)
-    check(CF, ctx, 1, body, BOOL_TY)
+    elaborate(CF, ctx, 1, body, BOOL_TY)
     for n in (TrueC(), FalseC()):
         substituted = instantiate(body, (n,))
-        check(CF, (), 1, substituted, BOOL_TY)
+        elaborate(CF, (), 1, substituted, BOOL_TY)
         lhs = normalize_sigma0(CF, (), substituted)
         rhs = normalize_sigma0(CF, (), instantiate(body, (n,)))
         assert lhs == rhs
