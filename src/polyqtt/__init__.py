@@ -6,12 +6,12 @@ The package splits along the pipeline:
 
 - ``machine``: the untyped call-by-value machine with exact step costs
   and the canonical encodings of observable data.
-- ``potentials``: natural-coefficient polynomials and the resource
-  monoids used for cost accounting.
+- ``potentials``: natural-coefficient polynomials, which the compiler
+  costs code with, and the resource monoids of the paper's model.
 - ``syntax`` and ``kernel``: the quantitative calculus, its two
   regimes, and the bidirectional type/usage checker with normalisation.
 - ``compiler``: translation of checked runtime-fragment terms to
-  machine code with compositional potential accounting.
+  machine code, with each potential a polynomial built from the code.
 - ``frontend``: concrete syntax, name resolution, pretty printing.
 - ``cli``: the ``polyqtt`` command (check / run / bound / verify).
 """

@@ -1,7 +1,7 @@
 """Batch command-line driver: check, run, bound, verify; JSON reporting.
 
-Exit codes: 0 success, 1 static (parse/check) failure, 2 dynamic bound
-violation or failed run, 3 internal error.
+Exit codes: 0 success, 1 static (parse/check) failure or command-line
+mistake, 2 dynamic bound violation or failed run, 3 internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .compiler import (
     run_and_verify,
     sabotage,
 )
-from .frontend import FrontendError, parse_module, resolve_module
+from .frontend import Diagnostic, FrontendError, Span, parse_module, resolve_module
 from .kernel import CheckError, elaborate, normalize_type
 from .syntax import (
     BoolTy,
@@ -49,13 +49,30 @@ EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
-    """A command-line value outside its domain."""
+    """A command-line mistake: an unknown option or command, or a value
+    missing or outside its domain."""
 
 
-def _natural(value: int, flag: str) -> int:
-    if value < 0:
-        raise UsageError(f"{flag} takes a natural number, got {value}")
-    return value
+def _natural(text: str) -> int:
+    """The argparse type of an option that takes a natural number."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"takes a natural number, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line mistake as a UsageError, so it exits 1."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+class _TraceHead(list):
+    """A machine trace that keeps only the rules run --trace prints."""
+
+    def append(self, rule):
+        if len(self) < 10_000:
+            list.append(self, rule)
 
 
 def _regime_of(flag: str | None) -> Regime | None:
@@ -65,8 +82,15 @@ def _regime_of(flag: str | None) -> Regime | None:
 
 
 def _load(path: str, regime_flag: str | None):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[: e.start].decode("utf-8")
+        span = Span(head.count("\n") + 1, len(head) - head.rfind("\n"))
+        message = f"byte 0x{data[e.start]:02x} is not UTF-8 text"
+        raise FrontendError(Diagnostic("error", message, span, "Parse")) from None
     return resolve_module(parse_module(text), _regime_of(regime_flag))
 
 
@@ -191,7 +215,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    n = _natural(args.input, "--input")
+    n = args.input
     mod = _load(args.file, args.regime)
     prog = _compile_decl(mod, args.decl)
     if args.emit_machine:
@@ -201,10 +225,10 @@ def cmd_run(args) -> int:
     report = extract_bound(prog)
     bound = report.bound_at(n)
     fuel = args.fuel if args.fuel is not None else bound + VERIFY_FUEL_SLACK
-    trace: list | None = [] if args.trace else None
+    trace = _TraceHead() if args.trace else None
     out = m.eval_expr(prog.code, (m.nat_value(n),), fuel, trace=trace)
     if trace is not None:
-        for i, rule in enumerate(trace[:10_000]):
+        for i, rule in enumerate(trace):
             print(f"trace {i}: {rule}", file=sys.stderr)
     if not isinstance(out, m.Done):
         kind = "stuck" if isinstance(out, m.Stuck) else "out of fuel"
@@ -249,7 +273,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    max_n = _natural(args.max_n, "--max-n")
     mod = _load(args.file, args.regime)
     prog = _compile_decl(mod, args.decl)
     if args.sabotage:
@@ -257,7 +280,7 @@ def cmd_verify(args) -> int:
     report = extract_bound(prog)
     rows = []
     overall = True
-    for n in range(max_n + 1):
+    for n in range(args.max_n + 1):
         r = run_and_verify(prog, n)
         rows.append(
             {
@@ -280,7 +303,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polyqtt",
         description="check, compile, run, and verify polytime-typed programs",
     )
@@ -304,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one definition on an encoded natural")
     common(p)
     p.add_argument("decl", help="definition name")
-    p.add_argument("--input", type=int, required=True, metavar="N")
-    p.add_argument("--fuel", type=int, default=None, metavar="N")
+    p.add_argument("--input", type=_natural, required=True, metavar="N")
+    p.add_argument("--fuel", type=_natural, default=None, metavar="N")
     p.add_argument("--emit-machine", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_run)
@@ -320,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep inputs and check steps against the bound")
     common(p)
     p.add_argument("decl")
-    p.add_argument("--max-n", type=int, default=20, metavar="N")
+    p.add_argument("--max-n", type=_natural, default=20, metavar="N")
     p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     p.add_argument(
         "--sabotage",
@@ -333,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (FrontendError, CheckError, CompileError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """Translation of checked runtime-fragment terms to machine code, with
-compositional potential accounting in the zero-size sub-monoid.
+compositional potential accounting in polynomials.
 
 The compiler is untyped.  compile_declaration checks its input once with
 kernel.elaborate and translates the core term that returns (compile_core
@@ -20,26 +20,36 @@ indices, so every compound subterm is bound by sequencing first.  Every
 kernel binder occupies exactly one machine slot; erased positions hold
 unit dummies so index arithmetic stays uniform.
 
-Each potential is summed from the instructions the compiler emits, under
-the machine's cost rule: every instruction costs one step, and so does
-every resumption of a sequencing frame.  Code and potential are built in
-one step by two helpers, _seq for sequences and _run for instructions
-that run one of their bodies, so no step count is written by hand.  An
-instruction with several bodies is charged the join of their potentials;
-the recursor's step path is charged once per successor by the
-degree-raising operation, so the bound polynomial picks up one degree
-per nested recursion.  Bound soundness is checked end to end by the
-sweeps, and exactness on branch-free code by the compiler tests.
+Each potential is a natural-coefficient polynomial (a Poly) summed from
+the instructions the compiler emits, under the machine's cost rule:
+every instruction costs one step, and so does every resumption of a
+sequencing frame.  Code and potential are built in one step by two
+helpers, _seq for sequences and _run for instructions that run one of
+their bodies, so no step count is written by hand.  Sequenced costs
+add; an instruction with several bodies is charged the join of their
+potentials, the coefficient-wise maximum; an operand of usage k is
+charged k times; and the recursor's step path, which runs once per
+successor, is multiplied by the indeterminate, so the bound picks up
+one degree per nested recursion.
+
+The soundness proof reads a cost q as the element (0, q) of a
+polynomial resource monoid (potentials: max-size under cons-free
+iteration, additive under LFPL).  At size 0 both monoids add the
+polynomials, so q alone is the cost.  An input of magnitude n adds size
+n + 1, and the fuel diff(plus(size(n + 1), (0, q)), EMPTY) is then
+q(n + 1), which is BoundReport.bound_at.  Bound soundness is checked end
+to end by the sweeps, and exactness on branch-free code by the compiler
+tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 from . import machine as m
-from . import potentials as pot
 from .kernel import elaborate, normalize_type
-from .potentials import MonoidKind, Poly, Potential
+from .potentials import Poly
 from .syntax import (
     Ann,
     App,
@@ -75,10 +85,6 @@ from .syntax import (
 VERIFY_FUEL_SLACK = 4096
 
 
-def _kind_for(regime: Regime) -> MonoidKind:
-    return MonoidKind.MAX_POLY if regime is Regime.CONS_FREE else MonoidKind.PLUS_POLY
-
-
 class CompileError(Exception):
     """Internal invariant violation; checked terms should never trip it."""
 
@@ -86,13 +92,9 @@ class CompileError(Exception):
 @dataclass(frozen=True)
 class CompiledProgram:
     code: m.MachineExpr
-    potential: Potential
+    potential: Poly  # the bound polynomial q
     regime: Regime
     input_arity: int
-
-    def __post_init__(self):
-        if not pot.in_submonoid(self.potential):
-            raise CompileError("program potential escaped the zero-size sub-monoid")
 
 
 @dataclass(frozen=True)
@@ -119,64 +121,44 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Costed code.  Code is built together with its potential under one cost
-# rule: every machine instruction costs one step, and so does every
-# resumption of a sequencing frame.  Costed code is a (code, potential)
-# pair.
+# Costed code: a (code, potential) pair, built together under the
+# machine's cost rule (see the module docstring).
 
-def _plus(regime: Regime, first: Potential, *rest: Potential) -> Potential:
-    kind = _kind_for(regime)
-    for p in rest:
-        first = pot.plus(kind, first, p)
-    return first
+def _branch_join(a: Poly, b: Poly) -> Poly:
+    """Least upper bound of two code potentials, coefficient-wise: sound
+    for conditionals, as only one branch runs and the join dominates it."""
+    return Poly(map(max, zip_longest(a.coeffs, b.coeffs, fillvalue=0)))
 
 
-def _branch_join(a: Potential, b: Potential) -> Potential:
-    """Least upper bound of two code potentials (coefficient-wise max).
-
-    Sound for conditionals: only one branch runs, and the join dominates
-    each branch.
-    """
-    if a.size != 0 or b.size != 0:
-        raise CompileError("branch potentials must be size-free")
-    ca, cb = a.poly.coeffs, b.poly.coeffs
-    n = max(len(ca), len(cb))
-    ca = ca + (0,) * (n - len(ca))
-    cb = cb + (0,) * (n - len(cb))
-    return Potential(0, Poly(tuple(max(x, y) for x, y in zip(ca, cb))))
-
-
-def _seq(regime: Regime, *parts) -> tuple[m.MachineExpr, Potential]:
+def _seq(*parts) -> tuple[m.MachineExpr, Poly]:
     """Sequence the parts, each costed code or a bare instruction.
 
     A bare instruction costs one step, and so does each link; the step
     count is charged once for the whole sequence.
     """
-    kind = _kind_for(regime)
     steps = len(parts) - 1
-    code = cost = None
+    code, cost = None, Poly()
     for part in reversed(parts):
         if part.__class__ is tuple:
             part, p = part
-            cost = p if cost is None else pot.plus(kind, p, cost)
+            cost = p + cost
         else:
             steps += 1
         code = part if code is None else m.Seq(part, code)
-    charge = pot.acct(kind, steps)
-    return code, charge if cost is None else pot.plus(kind, cost, charge)
+    return code, cost + Poly.const(steps)
 
 
-def _run(regime: Regime, instr, *fields) -> tuple[m.MachineExpr, Potential]:
+def _run(instr, *fields) -> tuple[m.MachineExpr, Poly]:
     """An instruction that runs one of its bodies (the costed-code
     fields): one step plus the join of the bodies."""
-    args, joined = [], None
+    args, joined = [], Poly()
     for f in fields:
         if f.__class__ is tuple:
             f, p = f
-            joined = p if joined is None else _branch_join(joined, p)
+            joined = _branch_join(joined, p)
         args.append(f)
-    code, step = _seq(regime, instr(*args))
-    return code, _plus(regime, step, joined)
+    code, step = _seq(instr(*args))
+    return code, step + joined
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +198,26 @@ class EnvLayout:
 # the recursive result; d is the number of diamond dummies, 1 in the
 # payment regime and 0 in the cons-free one.
 
-def assemble_rec(regime: Regime, scrut, zero, succ) -> tuple[m.MachineExpr, Potential]:
+def assemble_rec(regime: Regime, scrut, zero, succ) -> tuple[m.MachineExpr, Poly]:
     """The recursor loop over costed scrutinee and branch code.
 
     The base path and the step path are costed apart: the step path runs
-    once per successor, so its potential is raised one degree.
+    once per successor, so its potential is multiplied by the
+    indeterminate.
     """
     d = 1 if regime is Regime.LFPL else 0
     dummies = (m.MkUnit(),) * d
-    base = _seq(regime, *dummies, zero)
-    step = _seq(regime, *dummies, m.MkUnit(), m.App(4 + d, 1 + d), succ)
+    base = _seq(*dummies, zero)
+    step = _seq(*dummies, m.MkUnit(), m.App(4 + d, 1 + d), succ)
 
     def loop(on_zero, on_succ):
         # split the argument into (tag, predecessor) and test the tag
-        return _run(regime, m.LetPair, 0, _run(regime, m.If, 1, on_zero, on_succ))
+        return _run(m.LetPair, 0, _run(m.If, 1, on_zero, on_succ))
 
     body, _ = loop(base, step)
     # a path's potential is the loop body's with both branches on that path
-    _, base_pot = loop(base, base)
-    _, step_pot = loop(step, step)
-    code, setup_pot = _seq(regime, scrut, m.Lam(body), m.App(0, 1))
-    return code, _plus(regime, setup_pot, base_pot, pot.raise_(step_pot))
+    code, setup = _seq(scrut, m.Lam(body), m.App(0, 1))
+    return code, setup + loop(base, base)[1] + loop(step, step)[1].shift_up()
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +227,17 @@ def _operand(regime: Regime, env: EnvLayout, t: Term, usage: int):
     """Costed code for an argument or a first pair component of the given
     usage: a unit dummy when erased, else charged usage times."""
     if usage == 0:
-        return _seq(regime, m.MkUnit())
+        return _seq(m.MkUnit())
     code, p = compile_term(regime, env, t)
-    return code, pot.n_action(_kind_for(regime), usage, p)
+    return code, p.scale(usage)
 
 
-def compile_term(
-    regime: Regime, env: EnvLayout, t: Term
-) -> tuple[m.MachineExpr, Potential]:
+def compile_term(regime: Regime, env: EnvLayout, t: Term) -> tuple[m.MachineExpr, Poly]:
     """Compile a core runtime-fragment term (see kernel.elaborate)."""
     cls = t.__class__
 
     if cls is Var:
-        return _seq(regime, m.Var(env.var_index(t.index)))
+        return _seq(m.Var(env.var_index(t.index)))
 
     if cls is Ann:
         return compile_term(regime, env, t.term)
@@ -276,76 +255,76 @@ def compile_term(
 
     if cls is Lam:
         # the body runs in [captured env, self closure, argument]
-        return _run(regime, m.Lam, compile_term(regime, env.slot(1).bind(1), t.body))
+        return _run(m.Lam, compile_term(regime, env.slot(1).bind(1), t.body))
 
     if cls is App:
         fn = compile_term(regime, env, t.fn)
         arg = _operand(regime, env.slot(1), t.arg, t.usage)
-        return _seq(regime, fn, arg, m.App(1, 0))
+        return _seq(fn, arg, m.App(1, 0))
 
     if cls is Star:
-        return _seq(regime, m.MkUnit())
+        return _seq(m.MkUnit())
     if cls is TrueC:
-        return _seq(regime, m.MkTrue())
+        return _seq(m.MkTrue())
     if cls is FalseC:
-        return _seq(regime, m.MkFalse())
+        return _seq(m.MkFalse())
 
     if cls is Pair:
         fst = _operand(regime, env, t.fst, t.usage)
         snd = compile_term(regime, env.slot(1), t.snd)
-        return _seq(regime, fst, snd, m.MkPair(1, 0))
+        return _seq(fst, snd, m.MkPair(1, 0))
 
     if cls is LetPair:
         scrut = compile_term(regime, env, t.scrut)
         body = compile_term(regime, env.slot(1).bind(2), t.body)
-        return _seq(regime, scrut, _run(regime, m.LetPair, 0, body))
+        return _seq(scrut, _run(m.LetPair, 0, body))
 
     if cls is LetUnit:
         scrut = compile_term(regime, env, t.scrut)
-        return _seq(regime, scrut, compile_term(regime, env.slot(1), t.body))
+        return _seq(scrut, compile_term(regime, env.slot(1), t.body))
 
     if cls is If:
         scrut = compile_term(regime, env, t.scrut)
         then_ = compile_term(regime, env.slot(1), t.then_branch)
         else_ = compile_term(regime, env.slot(1), t.else_branch)
-        return _seq(regime, scrut, _run(regime, m.If, 0, then_, else_))
+        return _seq(scrut, _run(m.If, 0, then_, else_))
 
     if cls is Nil:
         # (false, *)
-        return _seq(regime, m.MkFalse(), m.MkUnit(), m.MkPair(1, 0))
+        return _seq(m.MkFalse(), m.MkUnit(), m.MkPair(1, 0))
 
     if cls is Cons:
         head = compile_term(regime, env, t.head)
         tail = compile_term(regime, env.slot(1), t.tail)
         # (true, (head, tail))
-        return _seq(regime, head, tail, m.MkPair(1, 0), m.MkTrue(), m.MkPair(0, 1))
+        return _seq(head, tail, m.MkPair(1, 0), m.MkTrue(), m.MkPair(0, 1))
 
     if cls is MatchList:
         scrut = compile_term(regime, env, t.scrut)
         # split (tag, payload); a true tag marks a cons cell
         nil = compile_term(regime, env.slot(3), t.nil_branch)
         cons = compile_term(regime, env.slot(3).bind(2), t.cons_branch)
-        split_cell = _run(regime, m.LetPair, 0, cons)
-        test = _run(regime, m.If, 1, split_cell, nil)
-        return _seq(regime, scrut, _run(regime, m.LetPair, 0, test))
+        split_cell = _run(m.LetPair, 0, cons)
+        test = _run(m.If, 1, split_cell, nil)
+        return _seq(scrut, _run(m.LetPair, 0, test))
 
     if cls is DupNat:
         if isinstance(t.arg, Var):
             # a single pairing of the input slot with itself: one step
             idx = env.var_index(t.arg.index)
-            return _seq(regime, m.MkPair(idx, idx))
-        return _seq(regime, compile_term(regime, env, t.arg), m.MkPair(0, 0))
+            return _seq(m.MkPair(idx, idx))
+        return _seq(compile_term(regime, env, t.arg), m.MkPair(0, 0))
 
     if cls is ZeroL:
         # (true, <paid diamond>): the diamond dummy is the unit leaf
         pay = compile_term(regime, env, t.pay)
-        return _seq(regime, pay, m.MkTrue(), m.MkPair(0, 1))
+        return _seq(pay, m.MkTrue(), m.MkPair(0, 1))
 
     if cls is SuccL:
         pay = compile_term(regime, env, t.pay)
         pred = compile_term(regime, env.slot(1), t.pred)
         # (false, predecessor); the diamond is consumed silently
-        return _seq(regime, pay, pred, m.MkFalse(), m.MkPair(0, 1))
+        return _seq(pay, pred, m.MkFalse(), m.MkPair(0, 1))
 
     if cls is RecNatCF or cls is RecNatL:
         if (cls is RecNatL) != (regime is Regime.LFPL):
@@ -362,7 +341,7 @@ def compile_term(
 
     if cls is Refl or cls is CodeTy:
         # equation witnesses and type codes have no runtime content
-        return _seq(regime, m.MkUnit())
+        return _seq(m.MkUnit())
 
     if cls is ReflectIntro or cls is ReflectElim:
         return compile_term(regime, env, t.body)
@@ -400,27 +379,27 @@ def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
     code, potential = compile_term(regime, env, core)
     if arity == 1:
         # apply the compiled closure to the input slot
-        code, potential = _seq(regime, (code, potential), m.App(0, 1))
+        code, potential = _seq((code, potential), m.App(0, 1))
     return CompiledProgram(code, potential, regime, arity)
 
 
 def extract_bound(p: CompiledProgram) -> BoundReport:
-    """Step bound from the program potential.
+    """Step bound from the program potential q.
 
-    The program potential (0, q) is zero-size with natural coefficients,
-    so with an input contributing size n + 1 the available fuel
-    diff(plus(size(n + 1), (0, q)), EMPTY) is q(n + 1) by construction.
+    Read as the monoid element (0, q), with an input contributing size
+    n + 1, the available fuel diff(plus(size(n + 1), (0, q)), EMPTY) is
+    q(n + 1) by construction.
     """
-    return BoundReport(p.potential.poly, p.regime, p.input_arity)
+    return BoundReport(p.potential, p.regime, p.input_arity)
 
 
 def run_and_verify(p: CompiledProgram, n: int) -> RunResult:
     """Run on the encoded input n and compare steps against the bound,
-    q(n + 1) for the program potential (0, q), as
-    extract_bound(p).bound_at(n) reads it."""
+    q(n + 1) for the program potential q, as extract_bound(p).bound_at(n)
+    reads it."""
     if p.input_arity != 1:
         raise CompileError("verification runs need a single natural input")
-    bound = p.potential.poly(n + 1)
+    bound = p.potential(n + 1)
     out = m.eval_expr(p.code, (m.nat_value(n),), bound + VERIFY_FUEL_SLACK)
     if isinstance(out, m.Done):
         return RunResult(out.steps, out.value, bound, out.steps <= bound, "done")
@@ -431,5 +410,4 @@ def run_and_verify(p: CompiledProgram, n: int) -> RunResult:
 
 def sabotage(p: CompiledProgram) -> CompiledProgram:
     """Halve the potential; used to demonstrate bound-violation detection."""
-    halved = Poly(tuple(c // 2 for c in p.potential.poly.coeffs))
-    return CompiledProgram(p.code, Potential(0, halved), p.regime, p.input_arity)
+    return replace(p, potential=Poly(c // 2 for c in p.potential.coeffs))

@@ -1,6 +1,7 @@
-"""Resource potentials: natural-coefficient polynomials and the three
-resource monoids used for cost accounting (plain naturals, max-size
-polynomials, additive-size polynomials)."""
+"""Resource potentials: natural-coefficient polynomials, which the
+compiler costs code with, and the three resource monoids of the paper's
+soundness model (plain naturals, max-size polynomials, additive-size
+polynomials), in which a code cost q is the size-0 element (0, q)."""
 
 from __future__ import annotations
 
@@ -103,10 +104,6 @@ class ExtNat:
             raise ValueError("finite values must be naturals")
         return cls(n)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
     def __add__(self, other: "ExtNat") -> "ExtNat":
         if self.value is None or other.value is None:
             return NEG_INF
@@ -153,8 +150,6 @@ class Potential:
 
 
 EMPTY = Potential(0, Poly())
-
-_POLY_KINDS = (MonoidKind.MAX_POLY, MonoidKind.PLUS_POLY)
 
 
 def _require_nat_carrier(a: Potential) -> None:

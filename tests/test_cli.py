@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from polyqtt.cli import main
 
 from conftest import CORPUS, FIXTURES, ROOT
@@ -38,9 +40,13 @@ def test_check_rule_label_on_stderr(capsys, tmp_path):
     # a superscript two is a digit to str.isdigit, but not to the lexer
     superscript = tmp_path / "superscript.qtt"
     superscript.write_text("regime consfree\ndef f ^\u00b2 : Bool = true\n", encoding="utf-8")
+    # a byte that is not UTF-8 is a source error, not an internal one
+    latin1 = tmp_path / "latin1.qtt"
+    latin1.write_bytes(b"regime consfree\n-- caf\xff\ndef f ^1 : Bool = true\n")
     for path, rule in (
         (FIXTURES / "consfree_succ_sigma1.qtt", "Tm-CF-Succ"),
         (superscript, "Parse"),
+        (latin1, "[Parse]"),
     ):
         assert main(["check", str(path)]) == 1
         assert rule in capsys.readouterr().err
@@ -137,6 +143,16 @@ def test_trace(capsys):
     )
     assert rc == 0
     assert "trace 0:" in capsys.readouterr().err
+    # a longer run prints its first 10,000 rules
+    rc = main(
+        ["run", str(CORPUS / "consfree_iter.qtt"), "nested2", "--input", "25", "--trace"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert int(re.search(r"steps: (\d+)", captured.out).group(1)) > 10_000
+    lines = captured.err.splitlines()
+    assert len(lines) == 10_000
+    assert lines[0].startswith("trace 0: ") and lines[-1].startswith("trace 9999: ")
 
 
 def test_bound_reports_degree(capsys):
@@ -255,9 +271,23 @@ def test_verify_negative_max_n_rejected(capsys):
 
 
 def test_run_negative_input_rejected(capsys):
-    rc = main(["run", str(CORPUS / "consfree_iter.qtt"), "idNat", "--input", "-1"])
-    assert rc == 1
-    assert "--input" in capsys.readouterr().err
+    # a command-line mistake is a static failure (exit 1), never argparse's
+    # exit 2, which is reserved for failed runs
+    src = str(CORPUS / "consfree_iter.qtt")
+    for argv, flag in (
+        (["run", src, "idNat", "--input", "-1"], "--input"),
+        (["run", src, "idNat", "--input", "abc"], "--input"),
+        (["run", src, "idNat"], "--input"),
+        (["run", src, "parity1", "--input", "3", "--fuel", "-5"], "--fuel"),
+        (["check", "--regime", "foo", src], "--regime"),
+    ):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1, argv
+        assert captured.out == "" and flag in captured.err, argv
+    with pytest.raises(SystemExit) as e:
+        main(["run", "--help"])
+    assert e.value.code == 0
 
 
 def test_run_elaborates_each_declaration_once(monkeypatch, capsys):

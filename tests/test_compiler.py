@@ -15,7 +15,7 @@ from polyqtt.compiler import (
     sabotage,
 )
 from polyqtt.kernel import CheckError, elaborate, normalize_sigma0
-from polyqtt.potentials import ExtNat, MonoidKind, Poly
+from polyqtt.potentials import ExtNat, MonoidKind, Poly, Potential
 from polyqtt.syntax import (
     App,
     BOOL_TY,
@@ -83,8 +83,8 @@ def test_identity_function_compiles_and_runs_within_potential():
     body = Lam(Var(0))
     ty = Pi(1, BOOL_TY, BOOL_TY)
     env = EnvLayout((), 0)
-    code, gamma = compile_term(CF, env, core(CF, body, ty))
-    assert pot.in_submonoid(gamma)
+    code, q = compile_term(CF, env, core(CF, body, ty))
+    gamma = Potential(0, q)
     # the bare program evaluates to a closure within its own potential
     out = m.eval_expr(code, (), 1000)
     assert isinstance(out, m.Done)
@@ -109,7 +109,7 @@ def test_dup_costs_exactly_one_step():
     assert code == m.MkPair(0, 0)
     out = m.eval_expr(code, (m.nat_value(5),), 10)
     assert out == m.Done(m.VPair(m.nat_value(5), m.nat_value(5)), 1)
-    assert gamma == pot.acct(MonoidKind.MAX_POLY, 1)
+    assert gamma == Poly.const(1)
 
 
 def test_nil_builds_tagged_pair():
@@ -117,7 +117,7 @@ def test_nil_builds_tagged_pair():
     code, gamma = compile_term(CF, env, core(CF, Nil(), ListTy(BOOL_TY)))
     out = m.eval_expr(code, (), 100)
     assert out.value == m.VPair(m.FALSE, m.UNIT)
-    assert out.steps == 5 and gamma == pot.acct(MonoidKind.MAX_POLY, 5)
+    assert out.steps == 5 and gamma == Poly.const(5)
 
 
 def test_cons_encoding_and_exact_admin_cost():
@@ -158,12 +158,13 @@ def test_rec_assembly_direct():
     zero_code = m.MkTrue()
     succ_code = m.Seq(m.Var(0), m.If(0, m.MkFalse(), m.MkTrue()))
     kind = MonoidKind.MAX_POLY
-    code, potential = assemble_rec(
+    code, q = assemble_rec(
         CF,
-        (m.Var(0), pot.acct(kind, 1)),
-        (zero_code, pot.acct(kind, 1)),
-        (succ_code, pot.acct(kind, 4)),
+        (m.Var(0), Poly.const(1)),
+        (zero_code, Poly.const(1)),
+        (succ_code, Poly.const(4)),
     )
+    potential = Potential(0, q)
     for n in (0, 1, 4):
         out = m.eval_expr(code, (m.nat_value(n),), 100000)
         assert isinstance(out, m.Done)
@@ -201,13 +202,27 @@ def test_sabotaged_potential_fails_verification():
     assert run_and_verify(p, 10).ok
 
 
-def test_program_potential_in_submonoid():
-    for regime, ty, body in (
-        (CF, PARITY_TY, PARITY_BODY),
-        (LF, REBUILD_TY, REBUILD_BODY),
-    ):
-        p = checked_program(regime, ty, body)
-        assert pot.in_submonoid(p.potential)
+def test_bound_is_the_monoid_reading():
+    # read as the monoid element (0, q), with an input of size n + 1, the
+    # program potential makes exactly the reported bound available
+    from conftest import CORPUS, compiled, load_corpus
+
+    checked = 0
+    for path in sorted(CORPUS.glob("*.qtt")):
+        for d in load_corpus(path.name).decls:
+            if d.sigma != 1:
+                continue
+            p = compiled(path.name, d.name)
+            if p.input_arity != 1:
+                continue
+            report = extract_bound(p)
+            for kind in (MonoidKind.MAX_POLY, MonoidKind.PLUS_POLY):
+                for n in range(11):
+                    fuel = pot.plus(kind, pot.size(n + 1), Potential(0, p.potential))
+                    want = ExtNat.fin(report.bound_at(n))
+                    assert pot.diff(kind, fuel, pot.EMPTY) == want, (d.name, kind, n)
+            checked += 1
+    assert checked == 14
 
 
 def test_agreement_with_erased_normalisation():
@@ -248,9 +263,9 @@ def test_usage_two_argument_potential_scaled():
     twice = Ann(Lam(Lam(App(Var(1), App(Var(1), Var(0))))), fn_ty)
     applied = core(CF, App(twice, flip), Pi(1, BOOL_TY, BOOL_TY))
     env = EnvLayout((), 0)
-    _, gamma_flip = compile_term(CF, env, applied.arg)
-    _, gamma_twice = compile_term(CF, env, applied.fn)
-    _, gamma_app = compile_term(CF, env, applied)
+    gamma_flip = Potential(0, compile_term(CF, env, applied.arg)[1])
+    gamma_twice = Potential(0, compile_term(CF, env, applied.fn)[1])
+    gamma_app = Potential(0, compile_term(CF, env, applied)[1])
     kind = MonoidKind.MAX_POLY
     want = pot.plus(
         kind,
@@ -263,7 +278,7 @@ def test_usage_two_argument_potential_scaled():
     harness = m.Seq(code, m.Seq(m.MkTrue(), m.App(1, 0)))
     out = m.eval_expr(harness, (), 10_000)
     assert out.value == m.TRUE  # two flips cancel
-    avail = pot.diff(kind, gamma, pot.EMPTY)
+    avail = pot.diff(kind, Potential(0, gamma), pot.EMPTY)
     assert ExtNat.fin(out.steps) <= avail + ExtNat.fin(4)
 
 
@@ -277,7 +292,7 @@ def test_erased_pair_component_compiles_to_dummy():
     code, gamma = compile_term(CF, env, core(CF, term, BOOL_TY))
     out = m.eval_expr(code, (), 100)
     assert out.value == m.TRUE
-    assert ExtNat.fin(out.steps) <= pot.diff(MonoidKind.MAX_POLY, gamma, pot.EMPTY)
+    assert ExtNat.fin(out.steps) <= pot.diff(MonoidKind.MAX_POLY, Potential(0, gamma), pot.EMPTY)
 
 
 def test_equation_witness_compiles_to_dummy():
@@ -378,7 +393,6 @@ def test_branch_free_potentials_are_exact():
     types = [UNIT_TY, BOOL_TY, _LIST_BOOL, _ID_BOOL, UNIVERSE]
     # the last case runs in a context of four diamonds that pay for naturals
     for regime, diamonds in ((CF, 0), (LF, 0), (LF, 4)):
-        kind = MonoidKind.MAX_POLY if regime is CF else MonoidKind.PLUS_POLY
         ctx = (CtxEntry("d", 1, DIAMOND_TY),) * diamonds
         env = EnvLayout(tuple(range(diamonds)), diamonds)
         for _ in range(150):
@@ -390,7 +404,7 @@ def test_branch_free_potentials_are_exact():
             code, gamma = compile_term(regime, env, core_term)
             out = m.eval_expr(code, (m.UNIT,) * diamonds, 100_000)
             assert isinstance(out, m.Done), term
-            assert gamma == pot.acct(kind, out.steps), term
+            assert gamma == Poly.const(out.steps), term
 
 
 def test_shared_definitions_compile_to_linear_code():
