@@ -14,11 +14,18 @@ programming reads naturally.  A name that refers to a definition
 resolves to that definition's one shared `syntax.Global` node, which
 unfolds transparently during conversion; the pretty printer prints it by
 name.
+
+The lexer is one scan with one regular expression.  Tokens and surface
+nodes carry character offsets into the source, and a ``line:col`` span
+is computed from the text's line starts only when a diagnostic, or a
+declaration's ``span``, asks for one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import re
+from dataclasses import dataclass, field
 
 from .syntax import (
     Ann,
@@ -108,6 +115,35 @@ def _err(message: str, span: Span, rule: str = "Parse") -> FrontendError:
     return FrontendError(Diagnostic("error", message, span, rule))
 
 
+class _Lines:
+    """Maps offsets into a source text to spans, by the line starts, which
+    are found when the first span is asked for."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts: list[int] | None = None
+
+    def span(self, offset: int) -> Span:
+        if self.starts is None:
+            self.starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
+        line = bisect.bisect_right(self.starts, offset)
+        return Span(line, offset - self.starts[line - 1] + 1)
+
+    def error(self, message: str, offset: int, rule: str = "Parse") -> FrontendError:
+        return _err(message, self.span(offset), rule)
+
+
+class _Located:
+    """A declaration's span, computed from its offset when it is read."""
+
+    offset: int
+    lines: _Lines
+
+    @property
+    def span(self) -> Span:
+        return self.lines.span(self.offset)
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -120,78 +156,60 @@ _KEYWORDS = {
     "fst", "snd", "refl", "true", "false", "dia", "El", "R", *_TYPE_FORMERS,
 }
 
-_PUNCT = ["^-1", "->", "=>", "<>", "(", ")", "{", "}", ",", ".", ":", "=",
-          "|", "\\", "*", "^"]
+# Each match skips whitespace (exactly space, tab, CR and LF) and comments,
+# then takes one token or the end of the text.  Digits are ASCII only:
+# str.isdigit also accepts digits int() rejects.  A word continues with
+# str.isalnum() characters (which is what \w is), _ and '; it starts with
+# _ or a letter, and [^\W\d] also admits numerals such as ² that are not
+# letters, so a word outside ASCII has its first character checked.
+# Longer punctuation is listed before its prefixes.
+_TOKEN = re.compile(
+    r"""(?:[ \t\r\n]+|--[^\n]*)*
+    (?: ([A-Za-z_][\w']*)                 # 1: an ASCII word
+      | (\^-1|->|=>|<>|[(){},.:=|\\*^])   # 2: punctuation
+      | ([0-9]+)                          # 3: an int
+      | ([^\W\d][\w']*)                   # 4: any other word
+      | (.)                               # 5: an unexpected character
+      | \Z )""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "kw" | punctuation itself | "eof"
-    text: str
-    span: Span
-
-
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = Span(line, col)
-        # only ASCII digits: str.isdigit also accepts digits int() rejects
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(Token("int", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "ident"
-            toks.append(Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, span))
-                i += len(p)
-                col += len(p)
-                break
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of text as `(kind, text, offset)` triples, then
+    end-of-input entries.  A keyword's or punctuation's kind is its text;
+    other kinds are "ident", "int" and "eof"."""
+    toks = []
+    append = toks.append
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group is None:  # the end of the text
+            break
+        s = m.group(group)
+        if group == 1 or (group == 4 and s[0].isalpha()):
+            append((s if s in _KEYWORDS else "ident", s, m.start(group)))
+        elif group == 2:
+            append((s, s, m.start(group)))
+        elif group == 3:
+            append(("int", s, m.start(group)))
         else:
-            raise _err(f"unexpected character {c!r}", span)
-    toks.append(Token("eof", "", Span(line, col)))
+            raise _Lines(text).error(f"unexpected character {s[0]!r}", m.start(group))
+    # the parser looks at most two tokens past the current one
+    toks += [("eof", "", len(text))] * 3
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Surface trees (tagged tuples, span carried on the node where useful)
+# Surface trees (tagged tuples, source offset carried on the node where useful)
 
 @dataclass(frozen=True)
-class SourceDecl:
+class SourceDecl(_Located):
     name: str
     sigma: int
     ty: tuple
     body: tuple
-    span: Span
+    offset: int  # of its `def`
+    lines: _Lines = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -201,82 +219,94 @@ class SourceModule:
     # names must be unique; forward references are rejected at resolution
 
 
+# the surface trees of the atoms that are one token
+_TYPE_CONSTANTS = {
+    "Bool": ("bool",), "Nat": ("nat",), "I": ("unit",), "U": ("universe",),
+    "<>": ("diamond",),
+}
+_TERM_CONSTANTS = {
+    "*": ("star",), "true": ("true",), "false": ("false",), "nil": ("nil",),
+    "dia": ("dstar",), "zero": ("zero_cf",),
+}
+
+# the kinds of the tokens that start an argument of an application
+_ATOM_STARTS = frozenset((
+    "ident", "int", "(", "<>", *_TYPE_FORMERS, "true", "false", "nil", "zero",
+    "succ", "cons", "dup", "fst", "snd", "refl", "dia", "R", "El",
+))
+
+
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.lines = _Lines(text)
+        self.toks = tokenize(text)
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.toks[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
+        # past the end this reads the padding, and every caller then fails
         t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return t
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        t = self.peek()
-        if t.kind != kind and not (t.kind == "kw" and t.text == kind):
-            raise _err(f"expected {what or kind}, found {t.text or 'end of input'}", t.span)
-        return self.next()
+    def expect(self, kind: str, what: str = "") -> tuple:
+        t = self.toks[self.pos]
+        if t[0] != kind:
+            found = t[1] or "end of input"
+            raise self.lines.error(f"expected {what or kind}, found {found}", t[2])
+        self.pos += 1
+        return t
 
-    def at_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == word
-
-    def eat_kw(self, word: str) -> bool:
-        if self.at_kw(word):
-            self.next()
+    def eat(self, kind: str) -> bool:
+        if self.toks[self.pos][0] == kind:
+            self.pos += 1
             return True
         return False
 
     # -- module -------------------------------------------------------------
     def module(self) -> SourceModule:
         regime = None
-        if self.eat_kw("regime"):
-            t = self.next()
-            if t.text == "consfree":
+        if self.eat("regime"):
+            _, text, off = self.next()
+            if text == "consfree":
                 regime = Regime.CONS_FREE
-            elif t.text == "lfpl":
+            elif text == "lfpl":
                 regime = Regime.LFPL
             else:
-                raise _err("regime must be consfree or lfpl", t.span)
+                raise self.lines.error("regime must be consfree or lfpl", off)
         decls = []
         while not self.at_eof():
             decls.append(self.decl())
         return SourceModule(regime, tuple(decls))
 
     def at_eof(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.toks[self.pos][0] == "eof"
 
     def decl(self) -> SourceDecl:
-        start = self.expect("def").span
-        name = self.expect("ident", "definition name").text
+        start = self.expect("def")[2]
+        name = self.expect("ident", "definition name")[1]
         self.expect("^", "fragment marker ^0 or ^1")
-        sigma_tok = self.expect("int", "fragment 0 or 1")
-        sigma = int(sigma_tok.text)
+        _, digits, off = self.expect("int", "fragment 0 or 1")
+        sigma = int(digits)
         if sigma not in (0, 1):
-            raise _err("fragment marker must be 0 or 1", sigma_tok.span)
+            raise self.lines.error("fragment marker must be 0 or 1", off)
         self.expect(":")
         ty = self.type_expr()
         self.expect("=")
         body = self.term()
-        return SourceDecl(name, sigma, ty, body, start)
+        return SourceDecl(name, sigma, ty, body, start, self.lines)
 
     # -- types --------------------------------------------------------------
     def _binder_head(self) -> tuple | None:
         # '(' IDENT '^' INT ':'  introduces an annotated binder
-        if (
-            self.peek().kind == "("
-            and self.peek(1).kind == "ident"
-            and self.peek(2).kind == "^"
-        ):
-            self.next()
-            name = self.next().text
-            self.next()
-            usage = int(self.expect("int", "usage").text)
+        toks, pos = self.toks, self.pos
+        if toks[pos][0] == "(" and toks[pos + 1][0] == "ident" and toks[pos + 2][0] == "^":
+            name = toks[pos + 1][1]
+            self.pos += 3
+            usage = int(self.expect("int", "usage")[1])
             self.expect(":")
             dom = self.type_expr()
             self.expect(")")
@@ -286,8 +316,8 @@ class _Parser:
     def type_expr(self) -> tuple:
         # arrows bind loosest and associate right; tensors bind tighter
         lhs = self.type_tensor_or_binder()
-        if self.peek().kind == "->":
-            self.next()
+        if self.toks[self.pos][0] == "->":
+            self.pos += 1
             return ("pi", 1, None, lhs, self.type_expr())
         return lhs
 
@@ -295,65 +325,52 @@ class _Parser:
         head = self._binder_head()
         if head is not None:
             name, usage, dom = head
-            arrow = self.next()
-            if arrow.kind == "->":
+            kind, _, off = self.next()
+            if kind == "->":
                 return ("pi", usage, name, dom, self.type_expr())
-            if arrow.kind == "*":
+            if kind == "*":
                 return ("tensor", usage, name, dom, self.type_tensor_or_binder())
-            raise _err("expected -> or * after a binder", arrow.span)
+            raise self.lines.error("expected -> or * after a binder", off)
         return self.type_tensor()
 
     def type_tensor(self) -> tuple:
         lhs = self.type_atom()
-        if self.peek().kind == "*":
-            self.next()
+        if self.toks[self.pos][0] == "*":
+            self.pos += 1
             return ("tensor", 1, None, lhs, self.type_tensor_or_binder())
         return lhs
 
     def type_atom(self) -> tuple:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "Bool":
-                self.next()
-                return ("bool",)
-            if t.text == "Nat":
-                self.next()
-                return ("nat",)
-            if t.text == "I":
-                self.next()
-                return ("unit",)
-            if t.text == "U":
-                self.next()
-                return ("universe",)
-            if t.text == "List":
-                self.next()
-                return ("list", self.type_atom())
-            if t.text == "Id":
-                self.next()
-                ty = self.type_atom()
-                lhs = self.term_atom()
-                rhs = self.term_atom()
-                return ("id", ty, lhs, rhs)
-            if t.text == "R":
-                self.next()
-                return ("reflectty", self.type_atom())
-            if t.text == "El":
-                self.next()
-                return ("el", self.term_atom())
-        if t.kind == "<>":
-            self.next()
-            return ("diamond",)
-        if t.kind == "(":
+        kind = self.toks[self.pos][0]
+        if kind in _TYPE_CONSTANTS:
+            self.pos += 1
+            return _TYPE_CONSTANTS[kind]
+        if kind == "List":
+            self.pos += 1
+            return ("list", self.type_atom())
+        if kind == "Id":
+            self.pos += 1
+            ty = self.type_atom()
+            lhs = self.term_atom()
+            rhs = self.term_atom()
+            return ("id", ty, lhs, rhs)
+        if kind == "R":
+            self.pos += 1
+            return ("reflectty", self.type_atom())
+        if kind == "El":
+            self.pos += 1
+            return ("el", self.term_atom())
+        if kind == "(":
             head = self._binder_head()
             if head is not None:
                 name, usage, dom = head
-                arrow = self.next()
-                if arrow.kind == "->":
+                kind, _, off = self.next()
+                if kind == "->":
                     return ("pi", usage, name, dom, self.type_expr())
-                if arrow.kind == "*":
+                if kind == "*":
                     return ("tensor", usage, name, dom, self.type_tensor_or_binder())
-                raise _err("expected -> or * after a binder", arrow.span)
-            self.next()
+                raise self.lines.error("expected -> or * after a binder", off)
+            self.pos += 1
             inner = self.type_expr()
             self.expect(")")
             return inner
@@ -363,49 +380,50 @@ class _Parser:
 
     # -- terms ----------------------------------------------------------
     def term(self) -> tuple:
-        t = self.peek()
-        if t.kind == "\\":
-            self.next()
+        kind, _, start = self.toks[self.pos]
+        if kind == "\\":
+            self.pos += 1
             binders = []
             while True:
-                b = self.peek()
-                if b.kind == "ident":
-                    binders.append(self.next().text)
-                elif b.kind == "(":
-                    self.next()
-                    a = self.expect("ident", "pattern name").text
+                b = self.toks[self.pos]
+                if b[0] == "ident":
+                    self.pos += 1
+                    binders.append(b[1])
+                elif b[0] == "(":
+                    self.pos += 1
+                    a = self.expect("ident", "pattern name")[1]
                     self.expect(",")
-                    c = self.expect("ident", "pattern name").text
+                    c = self.expect("ident", "pattern name")[1]
                     self.expect(")")
                     binders.append((a, c))
                 else:
                     break
             if not binders:
-                raise _err("lambda needs at least one binder", t.span)
+                raise self.lines.error("lambda needs at least one binder", start)
             self.expect(".")
-            return ("lam", binders, self.term(), t.span)
-        if self.at_kw("let"):
+            return ("lam", binders, self.term(), start)
+        if kind == "let":
             return self.let_term()
-        if self.at_kw("if"):
-            self.next()
+        if kind == "if":
+            self.pos += 1
             scrut = self.term_app()
             motive = self.motive_clause()
             self.expect("then")
             then_b = self.term()
             self.expect("else")
-            return ("if", scrut, motive, then_b, self.term(), t.span)
-        if self.at_kw("rec"):
+            return ("if", scrut, motive, then_b, self.term(), start)
+        if kind == "rec":
             return self.rec_term()
-        if self.at_kw("match"):
+        if kind == "match":
             return self.match_term()
-        if self.at_kw("reclist"):
+        if kind == "reclist":
             return self.reclist_term()
         return self.term_infix()
 
     def motive_clause(self) -> tuple | None:
-        if self.eat_kw("at"):
+        if self.eat("at"):
             self.expect("(")
-            name = self.expect("ident", "motive binder").text
+            name = self.expect("ident", "motive binder")[1]
             self.expect(".")
             ty = self.type_expr()
             self.expect(")")
@@ -413,18 +431,17 @@ class _Parser:
         return None
 
     def let_term(self) -> tuple:
-        start = self.next().span  # 'let'
-        if self.peek().kind == "*":
-            self.next()
+        start = self.next()[2]  # 'let'
+        if self.eat("*"):
             self.expect("=")
             scrut = self.term()
             motive = self.motive_clause()
             self.expect("in")
             return ("letunit", scrut, motive, self.term(), start)
         self.expect("(")
-        a = self.expect("ident", "pattern name").text
+        a = self.expect("ident", "pattern name")[1]
         self.expect(",")
-        b = self.expect("ident", "pattern name").text
+        b = self.expect("ident", "pattern name")[1]
         self.expect(")")
         self.expect("=")
         scrut = self.term()
@@ -433,25 +450,24 @@ class _Parser:
         return ("letpair", a, b, scrut, motive, self.term(), start)
 
     def rec_term(self) -> tuple:
-        start = self.next().span
+        start = self.next()[2]
         scrut = self.term_app()
         motive = self.motive_clause()
         self.expect("{")
         self.expect("zero")
-        if self.peek().kind == "(":  # payment-regime shape binds a diamond
-            self.next()
-            d0 = self.expect("ident", "diamond binder").text
+        if self.eat("("):  # payment-regime shape binds a diamond
+            d0 = self.expect("ident", "diamond binder")[1]
             self.expect(")")
             self.expect("=>")
             zb = self.term()
             self.expect("|")
             self.expect("succ")
             self.expect("(")
-            d1 = self.expect("ident").text
+            d1 = self.expect("ident")[1]
             self.expect(",")
-            nn = self.expect("ident").text
+            nn = self.expect("ident")[1]
             self.expect(",")
-            pp = self.expect("ident").text
+            pp = self.expect("ident")[1]
             self.expect(")")
             self.expect("=>")
             sb = self.term()
@@ -462,9 +478,9 @@ class _Parser:
         self.expect("|")
         self.expect("succ")
         self.expect("(")
-        nn = self.expect("ident").text
+        nn = self.expect("ident")[1]
         self.expect(",")
-        pp = self.expect("ident").text
+        pp = self.expect("ident")[1]
         self.expect(")")
         self.expect("=>")
         sb = self.term()
@@ -472,7 +488,7 @@ class _Parser:
         return ("rec_cf", scrut, motive, zb, (nn, pp, sb), start)
 
     def match_term(self) -> tuple:
-        start = self.next().span
+        start = self.next()[2]
         scrut = self.term_app()
         motive = self.motive_clause()
         self.expect("{")
@@ -482,9 +498,9 @@ class _Parser:
         self.expect("|")
         self.expect("cons")
         self.expect("(")
-        h = self.expect("ident").text
+        h = self.expect("ident")[1]
         self.expect(",")
-        tl = self.expect("ident").text
+        tl = self.expect("ident")[1]
         self.expect(")")
         self.expect("=>")
         cb = self.term()
@@ -492,7 +508,7 @@ class _Parser:
         return ("matchlist", scrut, motive, nb, (h, tl, cb), start)
 
     def reclist_term(self) -> tuple:
-        start = self.next().span
+        start = self.next()[2]
         scrut = self.term_app()
         motive = self.motive_clause()
         self.expect("{")
@@ -502,11 +518,11 @@ class _Parser:
         self.expect("|")
         self.expect("cons")
         self.expect("(")
-        h = self.expect("ident").text
+        h = self.expect("ident")[1]
         self.expect(",")
-        tl = self.expect("ident").text
+        tl = self.expect("ident")[1]
         self.expect(",")
-        p = self.expect("ident").text
+        p = self.expect("ident")[1]
         self.expect(")")
         self.expect("=>")
         cb = self.term()
@@ -515,147 +531,108 @@ class _Parser:
 
     def term_infix(self) -> tuple:
         lhs = self.term_app()
-        if self.peek().kind not in ("->", "*"):
+        kind = self.toks[self.pos][0]
+        if kind != "->" and kind != "*":
             return lhs
         lhs_ty: tuple = ("el-implicit", lhs)
-        if self.peek().kind == "*":
-            self.next()
+        if self.eat("*"):
             lhs_ty = ("tensor", 1, None, lhs_ty, self.type_tensor_or_binder())
-        if self.peek().kind == "->":
-            self.next()
+        if self.eat("->"):
             lhs_ty = ("pi", 1, None, lhs_ty, self.type_expr())
         return ("code", lhs_ty)
 
     def term_app(self) -> tuple:
-        t = self.peek()
+        toks, pos = self.toks, self.pos
+        kind = toks[pos][0]
         # a type former in term position becomes a universe code
-        if (t.kind == "kw" and t.text in _TYPE_FORMERS) or t.kind == "<>":
+        if kind in _TYPE_FORMERS or kind == "<>":
             return ("code", self.type_atom())
-        if t.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == "^":
+        if kind == "(" and toks[pos + 1][0] == "ident" and toks[pos + 2][0] == "^":
             return ("code", self.type_atom())
         head = self.head_atom()
-        while self.starts_atom():
+        while self.toks[self.pos][0] in _ATOM_STARTS:
             head = ("app", head, self.term_atom())
         return head
 
     def head_atom(self) -> tuple:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "zero":
-                self.next()
-                if self.starts_atom():
-                    return ("zero_l", self.term_atom())
-                return ("zero_cf",)
-            if t.text == "succ":
-                self.next()
-                first = self.term_atom()
-                if self.starts_atom():
-                    return ("succ_l", first, self.term_atom())
-                return ("succ_cf", first)
-            if t.text == "cons":
-                self.next()
-                return ("cons", self.term_atom(), self.term_atom())
-            if t.text == "dup":
-                self.next()
-                return ("dup", self.term_atom())
-            if t.text == "fst":
-                self.next()
-                return ("fst", self.term_atom())
-            if t.text == "snd":
-                self.next()
-                return ("snd", self.term_atom())
-            if t.text == "refl":
-                self.next()
-                return ("refl", self.term_atom())
-            if t.text == "El":
-                self.next()
-                return ("code", ("el", self.term_atom()))
-            if t.text == "R":
-                self.next()
-                if self.peek().kind == "^-1":
-                    self.next()
-                    return ("relim", self.term_atom())
-                return ("rintro", self.term_atom())
+        kind = self.toks[self.pos][0]
+        if kind == "zero":
+            self.pos += 1
+            if self.starts_atom():
+                return ("zero_l", self.term_atom())
+            return ("zero_cf",)
+        if kind == "succ":
+            self.pos += 1
+            first = self.term_atom()
+            if self.starts_atom():
+                return ("succ_l", first, self.term_atom())
+            return ("succ_cf", first)
+        if kind == "cons":
+            self.pos += 1
+            return ("cons", self.term_atom(), self.term_atom())
+        if kind in ("dup", "fst", "snd", "refl"):
+            self.pos += 1
+            return (kind, self.term_atom())
+        if kind == "El":
+            self.pos += 1
+            return ("code", ("el", self.term_atom()))
+        if kind == "R":
+            self.pos += 1
+            if self.eat("^-1"):
+                return ("relim", self.term_atom())
+            return ("rintro", self.term_atom())
         return self.term_atom()
 
     def starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("ident", "int", "(", "<>"):
-            return True
-        return t.kind == "kw" and (
-            t.text in _TYPE_FORMERS
-            or t.text in (
-                "true", "false", "nil", "zero", "succ", "cons", "dup", "fst",
-                "snd", "refl", "dia", "R", "El",
-            )
-        )
+        return self.toks[self.pos][0] in _ATOM_STARTS
 
     def term_atom(self) -> tuple:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            return ("var", t.text, t.span)
-        if t.kind == "int":
-            self.next()
-            return ("lit", int(t.text), t.span)
-        if t.kind == "*":
-            self.next()
-            return ("star",)
-        if t.kind == "<>" or (t.kind == "kw" and t.text in _TYPE_FORMERS):
+        kind, text, off = self.toks[self.pos]
+        if kind == "ident":
+            self.pos += 1
+            return ("var", text, off)
+        if kind == "int":
+            self.pos += 1
+            return ("lit", int(text), off)
+        if kind in _TERM_CONSTANTS:
+            self.pos += 1
+            return _TERM_CONSTANTS[kind]
+        if kind == "<>" or kind in _TYPE_FORMERS:
             # a type former used as a universe code
             return ("code", self.type_atom())
-        if t.kind == "kw":
-            if t.text == "true":
-                self.next()
-                return ("true",)
-            if t.text == "false":
-                self.next()
-                return ("false",)
-            if t.text == "nil":
-                self.next()
-                return ("nil",)
-            if t.text == "dia":
-                self.next()
-                return ("dstar",)
-            if t.text == "zero":
-                self.next()
-                return ("zero_cf",)
-            if t.text in ("succ", "cons", "dup", "fst", "snd", "refl", "R", "El"):
-                # builtins with arguments must head their own spine
-                return self.head_atom()
-        if t.kind == "(":
-            self.next()
-            if self.peek().kind == "*" and self.peek(1).kind == ")":
-                self.next()
-                self.next()
+        if kind in ("succ", "cons", "dup", "fst", "snd", "refl", "R", "El"):
+            # builtins with arguments must head their own spine
+            return self.head_atom()
+        if kind == "(":
+            self.pos += 1
+            if self.toks[self.pos][0] == "*" and self.toks[self.pos + 1][0] == ")":
+                self.pos += 2
                 return ("star",)
             inner = self.term()
-            nxt = self.peek()
-            if nxt.kind == ",":
-                self.next()
+            if self.eat(","):
                 snd = self.term()
                 self.expect(")")
                 return ("pair", inner, snd)
-            if nxt.kind == ":":
-                self.next()
+            if self.eat(":"):
                 ty = self.type_expr()
                 self.expect(")")
                 return ("ann", inner, ty)
             self.expect(")")
             return inner
-        raise _err(f"expected a term, found {t.text or 'end of input'!r}", t.span)
+        raise self.lines.error(f"expected a term, found {text or 'end of input'!r}", off)
 
 
 def _parse(text: str, rule):
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     try:
         out = rule(p)
     except RecursionError:
         # the parser recurses once per nesting level; input nested deeper
         # than the host stack allows is reported where the stack ran out
-        raise _err("expression nested too deeply to parse", p.peek().span) from None
+        raise p.lines.error("expression nested too deeply to parse", p.peek()[2]) from None
     if not p.at_eof():
-        raise _err(f"trailing input at {p.peek().text!r}", p.peek().span)
+        _, text, off = p.peek()
+        raise p.lines.error(f"trailing input at {text!r}", off)
     return out
 
 
@@ -675,10 +652,11 @@ def parse_type(text: str) -> tuple:
 # Resolution to kernel syntax
 
 @dataclass(frozen=True)
-class ResolvedDecl:
+class ResolvedDecl(_Located):
     sigma: int
-    span: Span
+    offset: int  # of its `def`
     defn: Global  # the node every reference to the declaration resolves to
+    lines: _Lines = field(compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -700,21 +678,22 @@ class ResolvedModule:
 
 
 class _Resolver:
-    def __init__(self, regime: Regime, globals_: dict):
+    def __init__(self, regime: Regime, globals_: dict, lines: _Lines):
         self.regime = regime
         self.globals = globals_  # name -> Global
+        self.lines = lines  # to report an offset
 
     def term(self, node: tuple, scope: tuple) -> Term:
         tag = node[0]
         if tag == "var":
-            name, span = node[1], node[2]
+            name = node[1]
             # innermost binding wins: search from the right
             for i, bound in enumerate(reversed(scope)):
                 if bound == name:
                     return Var(i)
             if name in self.globals:
                 return self.globals[name]
-            raise _err(f"unbound name {name!r}", span, rule="Resolve")
+            raise self.lines.error(f"unbound name {name!r}", node[2], rule="Resolve")
         if tag == "lit":
             return nat_literal(self.regime, node[1])
         if tag == "lam":
@@ -736,21 +715,21 @@ class _Resolver:
         if tag == "cons":
             return Cons(self.term(node[1], scope), self.term(node[2], scope))
         if tag == "letpair":
-            _, a, b, scrut, motive, body, _span = node
+            _, a, b, scrut, motive, body, _offset = node
             return LetPair(
                 self.term(scrut, scope),
                 self.term(body, scope + (a, b)),
                 self.motive(motive, scope),
             )
         if tag == "letunit":
-            _, scrut, motive, body, _span = node
+            _, scrut, motive, body, _offset = node
             return LetUnit(
                 self.term(scrut, scope),
                 self.term(body, scope),
                 self.motive(motive, scope),
             )
         if tag == "if":
-            _, scrut, motive, tb, eb, _span = node
+            _, scrut, motive, tb, eb, _offset = node
             return If(
                 self.term(scrut, scope),
                 self.term(tb, scope),
@@ -758,7 +737,7 @@ class _Resolver:
                 self.motive(motive, scope),
             )
         if tag == "rec_cf":
-            _, scrut, motive, zb, (nn, pp, sb), _span = node
+            _, scrut, motive, zb, (nn, pp, sb), _offset = node
             return RecNatCF(
                 self.term(scrut, scope),
                 self.term(zb, scope),
@@ -766,7 +745,7 @@ class _Resolver:
                 self.motive(motive, scope),
             )
         if tag == "rec_l":
-            _, scrut, motive, (d0, zb), (d1, nn, pp, sb), _span = node
+            _, scrut, motive, (d0, zb), (d1, nn, pp, sb), _offset = node
             return RecNatL(
                 self.term(scrut, scope),
                 self.term(zb, scope + (d0,)),
@@ -774,7 +753,7 @@ class _Resolver:
                 self.motive(motive, scope),
             )
         if tag == "matchlist":
-            _, scrut, motive, nb, (h, tl, cb), _span = node
+            _, scrut, motive, nb, (h, tl, cb), _offset = node
             return MatchList(
                 self.term(scrut, scope),
                 self.term(nb, scope),
@@ -782,7 +761,7 @@ class _Resolver:
                 self.motive(motive, scope),
             )
         if tag == "reclist":
-            _, scrut, motive, nb, (h, tl, p, cb), _span = node
+            _, scrut, motive, nb, (h, tl, p, cb), _offset = node
             return RecList(
                 self.term(scrut, scope),
                 self.term(nb, scope),
@@ -890,7 +869,7 @@ def resolve_module(
     for d in mod.decls:
         if d.name in globals_:
             raise _err(f"duplicate definition {d.name!r}", d.span, rule="Resolve")
-        r = _Resolver(regime, globals_)
+        r = _Resolver(regime, globals_, d.lines)
         try:
             defn = Global(d.name, r.type(d.ty, ()), r.term(d.body, ()))
         except RecursionError:
@@ -899,16 +878,16 @@ def resolve_module(
                 f"{d.name!r} is nested too deeply to resolve", d.span, rule="Resolve"
             ) from None
         globals_[d.name] = defn
-        out.append(ResolvedDecl(d.sigma, d.span, defn))
+        out.append(ResolvedDecl(d.sigma, d.offset, defn, d.lines))
     return ResolvedModule(regime, tuple(out))
 
 
 def resolve_term(text: str, regime: Regime, scope: tuple = ()) -> Term:
-    return _Resolver(regime, {}).term(parse_term(text), scope)
+    return _Resolver(regime, {}, _Lines(text)).term(parse_term(text), scope)
 
 
 def resolve_type(text: str, regime: Regime, scope: tuple = ()) -> TypeExpr:
-    return _Resolver(regime, {}).type(parse_type(text), scope)
+    return _Resolver(regime, {}, _Lines(text)).type(parse_type(text), scope)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -50,6 +51,41 @@ def test_check_rule_label_on_stderr(capsys, tmp_path):
     ):
         assert main(["check", str(path)]) == 1
         assert rule in capsys.readouterr().err
+
+
+# what a character edit inserts: punctuation and its prefixes, digits, the
+# whitespace the lexer rejects, and letters, digits and numerals outside ASCII
+_EDIT_PIECES = [*"(){},.:=|\\*^<>-_'", "--", "->", "=>", "^-1", *"0123456789",
+                "\t", "\n", "\f", "²", "é", "λ", "٣", "Ⅷ"]
+
+
+def test_character_edits_end_in_a_diagnostic(capsys, tmp_path):
+    # each edit deletes, inserts or replaces 1-3 characters of a corpus or
+    # fixture module; whatever the result, check exits 0 or 1, never 3
+    sources = [p.read_text() for p in sorted([*CORPUS.glob("*.qtt"), *FIXTURES.glob("*.qtt")])]
+    rng = random.Random(20261018)
+    path = tmp_path / "edited.qtt"
+    exits = []
+    for _ in range(400):
+        text = rng.choice(sources)
+        i, k = rng.randrange(len(text)), rng.randint(1, 3)
+        piece = "".join(rng.choice(_EDIT_PIECES) for _ in range(k))
+        op = rng.choice(("delete", "insert", "replace"))
+        if op == "delete":
+            text = text[:i] + text[i + k:]
+        elif op == "insert":
+            text = text[:i] + piece + text[i:]
+        else:
+            text = text[:i] + piece + text[i + k:]
+        path.write_text(text, encoding="utf-8")
+        code = main(["check", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "internal error" not in err, (text, err)
+        if code == 1:
+            assert re.search(r"\[[A-Za-z][\w-]*\]", err), (text, err)
+        exits.append(code)
+    # the edits reach past the lexer: some modules still check
+    assert 0 < exits.count(0) < len(exits)
 
 
 def test_check_sigma_override():

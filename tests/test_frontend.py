@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
 
 from polyqtt.frontend import (
     FrontendError,
     parse_module,
+    parse_term,
+    parse_type,
     pretty_term,
     pretty_type,
     resolve_module,
@@ -229,6 +232,126 @@ def t ^1
 """
     rm = resolve_module(parse_module(src))
     assert rm.decls[0].body == TrueC()
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics: the full text, position included, of every front-end error
+
+_H = "regime consfree\n"
+
+DIAGNOSTICS = [
+    # lexer: identifiers start with str.isalpha() or _, digits are ASCII,
+    # whitespace is space, tab, CR and LF, and -- starts a comment
+    (_H + "def ²x ^1 : Bool = true", "2:5: [Parse] unexpected character '²'"),
+    (_H + "def ٣ ^1 : Bool = true", "2:5: [Parse] unexpected character '٣'"),
+    (_H + "def f ^1 : Bool = Ⅷ", "2:19: [Parse] unexpected character 'Ⅷ'"),
+    (_H + "def f ^1 : Bool =\ftrue", "2:18: [Parse] unexpected character '\\x0c'"),
+    (_H + "def f ^1 : Bool = tr-ue", "2:21: [Parse] unexpected character '-'"),
+    (
+        _H + "def f ^1 : Bool -> Bool = \\x. R^-1 x\n   def g ^1 : Bool = -x",
+        "3:22: [Parse] unexpected character '-'",
+    ),
+    # parser: expect, and the end of input after tabs, spaces and comments
+    (_H + "\tdef f ^1 : Bool = (true", "2:25: [Parse] expected ), found end of input"),
+    (_H + "def f ^1 : Bool = (true   ", "2:27: [Parse] expected ), found end of input"),
+    (_H + "def f ^1 : Bool = (true\n", "3:1: [Parse] expected ), found end of input"),
+    (
+        _H + "def f ^1 : Bool = (true -- a comment",
+        "2:37: [Parse] expected ), found end of input",
+    ),
+    (_H + "-- a comment\n  )", "3:3: [Parse] expected def, found )"),
+    (
+        _H + "def f ^1 : Bool = true --> comment\ndef g ^1 : Bool = f ^-1",
+        "3:21: [Parse] expected def, found ^-1",
+    ),
+    (_H + "def 3 ^1 : Bool = true", "2:5: [Parse] expected definition name, found 3"),
+    (
+        _H + "def f ^1 : Bool = true\n\n\n\n     def",
+        "6:9: [Parse] expected definition name, found end of input",
+    ),
+    (_H + "def f : Bool = true", "2:7: [Parse] expected fragment marker ^0 or ^1, found :"),
+    (_H + "def f ^x : Bool = true", "2:8: [Parse] expected fragment 0 or 1, found x"),
+    (_H + "def f ^1 : Bool = let (a b) = x in a", "2:26: [Parse] expected ,, found b"),
+    (
+        _H + "def f ^1 : Bool = if true then false",
+        "2:37: [Parse] expected else, found end of input",
+    ),
+    # parser: its other errors
+    ("regime foo\ndef f ^1 : Bool = true", "1:8: [Parse] regime must be consfree or lfpl"),
+    (_H + "def f ^2 : Bool = true", "2:8: [Parse] fragment marker must be 0 or 1"),
+    (
+        _H + "def f ^1 : (x ^1 : Bool) Bool = true",
+        "2:26: [Parse] expected -> or * after a binder",
+    ),
+    (
+        _H + "def f ^1 : List (x ^1 : Bool) Bool = nil",
+        "2:31: [Parse] expected -> or * after a binder",
+    ),
+    (
+        _H + "def f ^1 : Bool -> Bool = \\. true",
+        "2:27: [Parse] lambda needs at least one binder",
+    ),
+    (_H + "def f ^1 : Bool = )", "2:19: [Parse] expected a term, found ')'"),
+    (_H + "def f ^1 : Bool =", "2:18: [Parse] expected a term, found 'end of input'"),
+    # resolver: columns count characters, and CR is one of them
+    (_H + "def f ^1 : Bool = y", "2:19: [Resolve] unbound name 'y'"),
+    (_H + "def é ^1 : Bool = é", "2:19: [Resolve] unbound name 'é'"),
+    (_H + "def f ^1 : Bool = λ", "2:19: [Resolve] unbound name 'λ'"),
+    (_H + "def f ^1 : Bool\r\n  = y", "3:5: [Resolve] unbound name 'y'"),
+    (
+        _H + "def f ^1 : Bool = true\ndef f ^1 : Bool = false",
+        "3:1: [Resolve] duplicate definition 'f'",
+    ),
+    ("def f ^1 : Bool = true", "1:1: [Resolve] no regime pragma in the module and none supplied"),
+    (
+        # one binder list parses in a loop but resolves one frame per binder
+        _H + "def f ^1 : Bool = \\" + " ".join(f"x{i}" for i in range(10_000)) + ". true",
+        "2:1: [Resolve] 'f' is nested too deeply to resolve",
+    ),
+    (
+        _H + "".join(f"def g{i} ^1 : Bool = true\n" for i in range(5000))
+        + "def last ^1 : Bool = nope",
+        "5002:22: [Resolve] unbound name 'nope'",
+    ),
+]
+
+
+@pytest.mark.parametrize("src, expected", DIAGNOSTICS, ids=range(len(DIAGNOSTICS)))
+def test_diagnostic_text(src, expected):
+    with pytest.raises(FrontendError) as e:
+        resolve_module(parse_module(src))
+    assert str(e.value) == "error at " + expected
+
+
+def test_diagnostic_text_of_terms_and_nesting():
+    for parse, text, expected in (
+        (parse_term, "x )", "1:3: [Parse] trailing input at ')'"),
+        (parse_term, "true false )", "1:12: [Parse] trailing input at ')'"),
+        (parse_type, "Bool ->", "1:8: [Parse] expected a term, found 'end of input'"),
+    ):
+        with pytest.raises(FrontendError) as e:
+            parse(text)
+        assert str(e.value) == "error at " + expected
+    # where the stack runs out depends on the caller's depth, not the input
+    with pytest.raises(FrontendError) as e:
+        parse_module(_H + "def f ^1 : Bool = " + "(" * 5000 + "true" + ")" * 5000)
+    assert re.fullmatch(
+        r"error at 2:\d+: \[Parse\] expression nested too deeply to parse", str(e.value)
+    )
+
+
+def test_declaration_spans():
+    src = _H + "-- λ\ndef f ^1 : Bool = true  -- é\n\n  def g ^1 : Bool = f\r\n"
+    src += "\tdef h ^1 : Bool = g"
+    mod = parse_module(src)
+    assert [str(d.span) for d in mod.decls] == ["3:1", "5:3", "6:2"]
+    assert [str(d.span) for d in resolve_module(mod).decls] == ["3:1", "5:3", "6:2"]
+
+
+def test_unicode_identifiers_are_accepted():
+    for name in ("é", "x²", "x٣", "_'", "λ'"):
+        (d,) = resolve_module(parse_module(f"{_H}def {name} ^1 : Bool = true")).decls
+        assert d.name == name
 
 
 # ---------------------------------------------------------------------------
