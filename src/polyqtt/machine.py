@@ -17,18 +17,22 @@ the same step count.
 - The compiled path (_eval_compiled) prepares each distinct code node
   it enters once, lazily, into a block: the instructions from that node
   up to the first whose successor is only known at run time (an
-  application, a conditional, or a value returned to a frame), merged
-  into one closure (Feeley and Lapalme, "Using closures for code
-  generation", 1987).  A block adds its steps and compares them with
-  the fuel once.  Values are Python tuples, singletons and slotted
-  closures, and environments linked cells, so extending one costs no
-  copy; results become machine values again only in the outcome.  A
-  block that cannot finish (it would cross the fuel limit, or an index
-  or a variant is wrong) is handed to the reference loop, which runs it
-  from its entry state with the fuel that is left and stops inside it,
-  so OutOfFuel and Stuck, with its reason, are the reference's own.
-  Indices are checked as they are read, not when a block is prepared:
-  a shared definition's code runs at more than one environment depth.
+  application, a conditional, or a value returned to a frame), or up to
+  _CAP of them and a jump, generated as one Python function that reads
+  and extends the environment inline.  A block adds its steps and
+  compares them with the fuel once.  The functions come from factories
+  cached by the block's shape (its opcodes and indices; the blocks it
+  refers to are factory arguments), so each distinct shape is compiled
+  once per process; the table keeps the _SHAPES most recently used.
+  Values are Python tuples, singletons and slotted closures, and
+  environments linked cells, so extending one costs no copy; results
+  become machine values again only in the outcome.  A block that cannot
+  finish (it would cross the fuel limit, or an index or a variant is
+  wrong) is handed to the reference loop, which runs it from its entry
+  state with the fuel that is left and stops inside it, so OutOfFuel
+  and Stuck, with its reason, are the reference's own.  Indices are
+  checked as they are read, not when a block is prepared: a shared
+  definition's code runs at more than one environment depth.
 
 eval_expr takes the reference loop for a traced run, for one with less
 than COMPILE_MIN_FUEL fuel and for an environment holding a value of no
@@ -36,17 +40,19 @@ machine value class, and the compiled path otherwise.
 Preparing blocks costs more than interpreting a short run: timed on
 every corpus declaration with an input and on fan-out chains of depth
 6, 8 and 10, at n <= 20 with the fuel run_and_verify gives (the bound
-plus 4,096; Python 3.11, 2 shared Xeon cores), the compiled path took a
-median 1.91 times the reference's time on the 93 runs below 5,000 fuel,
-was faster on 8 of the 9 runs between 5,000 and 6,000, and took 0.26 to
-0.88 times (median 0.41) on all 34 runs from 6,000 on.
+plus 4,096; Python 3.11, 2 shared Xeon cores), with every shape already
+compiled, the compiled path took a median 2.15 times the reference's
+time on the 75 runs below 4,250 fuel and 0.97 times on the 82 up to
+4,500, and was faster on 76 of the 82 runs from 4,500 to 6,000 and on
+all 118 from 6,000 on (median 0.32).  Compiling a shape takes about
+0.2 ms: with the table emptied before each run, the compiled path was
+slower on every run below 6,000 and faster on 69 of the 118 from 6,000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import itemgetter
+from functools import lru_cache
 
 
 # --------------------------------------------------------------------------
@@ -333,92 +339,95 @@ def _eval_reference(
 # Below this much fuel the reference loop is faster (module docstring).
 COMPILE_MIN_FUEL = 6000
 
-# A block is a list [cost, run, kind, a, b, c, node], patched in place
-# when a stub is prepared.  cost is every step from entering the block
-# to its last instruction; run (None when there is nothing to run) maps
-# the entry environment to the environment of the last instruction,
-# pushing the frames of the sequences it enters; a, b, c are the
-# operands of the last instruction, by kind:
-_APP = 0  # getter of the (function, argument) pair
-_VALUE = 1  # function from the environment to the value
-_IF = 2  # scrutinee getter, then block, else block
-_STUB = 3  # not prepared yet
-_REFER = 4  # an instruction only the reference loop handles
-_NODE = 6
+# A block is a list [cost, run, node]: cost is every step from entering
+# the block to its last instruction, and run is None until the block is
+# first entered, then the function _factory generates for it.
+_NODE = 2
+# The items of a block before its straight line is cut by a jump.
+_CAP = 32
+# Index i is read as e[1]...[1][0] below this, and by _at from it.
+_UNROLL = 24
+# Distinct block shapes whose factories are kept.
+_SHAPES = 1024
 
-# Index i of a linked environment, and the environment extended by it,
-# written out once at import: e[1][1][0] runs several times faster than
-# a loop over the cells.
-_SHORT = 24
-_GET = tuple(eval(f"lambda e: e{'[1]' * i}[0]") for i in range(_SHORT))
-_BIND = tuple(eval(f"lambda e: (e{'[1]' * i}[0], e)") for i in range(_SHORT))
-_SHORT_PAIR = 6
-_PAIR = tuple(
-    tuple(
-        eval(f"lambda e: (e{'[1]' * i}[0], e{'[1]' * j}[0])") for j in range(_SHORT_PAIR)
+_CONSTANTS = {MkUnit: "None", MkTrue: "True", MkFalse: "False"}
+
+
+def _at(e, i: int):
+    """Index i of a linked environment."""
+    for _ in range(i):
+        e = e[1]
+    return e[0]
+
+
+def _get(env: str, i: int) -> str:
+    return f"{env}{'[1]' * i}[0]" if i < _UNROLL else f"_at({env}, {i})"
+
+
+@lru_cache(maxsize=_SHAPES)
+def _factory(shape: tuple):
+    """The factory of a block function of this shape.  It takes the
+    frame stack's push and the blocks the items refer to, in order, and
+    returns run(e): e is the block's entry environment, and run returns
+    (next block, its environment) or, for a value returned to a frame,
+    (None, value).  run raises where only the reference loop can go on."""
+    params, body, env = ["push"], [], "e"
+
+    def ref() -> str:
+        params.append(f"b{len(params)}")
+        return params[-1]
+
+    def value(item) -> str:
+        kind = item[1]
+        if kind == "var":
+            return _get(env, item[2])
+        if kind == "pair":
+            return f"({_get(env, item[2])}, {_get(env, item[3])})"
+        if kind == "lam":
+            return f"_Closure({ref()}, {env})"
+        return kind  # a constant of _CONSTANTS
+
+    for item in shape:
+        op = item[0]
+        if op == "bind":
+            body.append(f"{env} = ({value(item)}, {env})")
+        elif op == "split":
+            body += [f"p = {_get('e', item[1])}", "e = (p[1], (p[0], e))"]
+        elif op == "open":
+            body.append("t = e")
+            env = "t"
+        elif op == "yield" and env == "t":
+            body.append(f"e = ({value(item)}, e)")
+            env = "e"
+        elif op == "yield":
+            body.append(f"return None, {value(item)}")
+        elif op == "push":
+            body.append(f"push(({ref()}, e))")
+        elif op == "app":
+            body += [
+                f"f = {_get('e', item[1])}",
+                f"return f.block, ({_get('e', item[2])}, (f, f.env))",
+            ]
+        elif op == "if":
+            then_, else_ = ref(), ref()
+            body += [
+                f"s = {_get('e', item[1])}",
+                f"if s is True: return {then_}, e",
+                f"if s is False: return {else_}, e",
+                "raise TypeError",
+            ]
+        elif op == "jump":
+            body.append(f"return {ref()}, e")
+        else:  # "stuck": only the reference loop runs this instruction
+            body.append("raise TypeError")
+    source = "".join(
+        [f"def factory({', '.join(params)}):\n    def run(e):\n"]
+        + [f"        {line}\n" for line in body]
+        + ["    return run\n"]
     )
-    for i in range(_SHORT_PAIR)
-)
-
-
-def _pair_getter(i: int, j: int):
-    """The pair of the values at indices i and j."""
-    if i < _SHORT_PAIR and j < _SHORT_PAIR:
-        return _PAIR[i][j]
-    fst, snd = _getter(i), _getter(j)
-    return lambda e: (fst(e), snd(e))
-
-
-def _getter(i: int):
-    if i < _SHORT:
-        return _GET[i]
-
-    def get(e):
-        for _ in range(i):
-            e = e[1]
-        return e[0]
-
-    return get
-
-
-def _binder(f):
-    """The environment extended by the value of f."""
-    return lambda e: (f(e), e)
-
-
-def _split(get):
-    """The environment extended by both components of a pair."""
-
-    def split(e):
-        p = get(e)
-        return (p[1], (p[0], e))
-
-    return split
-
-
-def _pusher(push, rest):
-    """Push the frame that resumes at rest in the environment."""
-
-    def push_frame(e):
-        push((rest, e))
-        return e
-
-    return push_frame
-
-
-def _sequence(segs):
-    """Run each environment transformer in turn."""
-    if not segs:
-        return None
-    if len(segs) == 1:
-        return segs[0]
-
-    def run(e):
-        for s in segs:
-            e = s(e)
-        return e
-
-    return run
+    namespace = {"_Closure": _Closure, "_at": _at}
+    exec(source, namespace)
+    return namespace["factory"]
 
 
 class _Closure:
@@ -454,90 +463,93 @@ class _Program:
     def __init__(self):
         self.blocks: dict[int, list] = {}
         self.stack: list[tuple[list, object]] = []
+        self.push = self.stack.append
 
     def block(self, node: MachineExpr) -> list:
         b = self.blocks.get(id(node))
         if b is None:
-            b = self.blocks[id(node)] = [0, None, _STUB, None, None, None, node]
+            b = self.blocks[id(node)] = [0, None, node]
         return b
 
-    def _value(self, e):
-        """(value function, steps) of a straight-line instruction, or of a
-        sequence of them, or None."""
+    def _item(self, tag: str, e, refs: list):
+        """The shape item that applies tag to e when e is a one-step value
+        instruction, or None."""
         cls = e.__class__
-        if cls is Var and e.i >= 0:
-            return _getter(e.i), 1
-        if cls is MkPair and e.i >= 0 and e.j >= 0:
-            return _pair_getter(e.i, e.j), 1
-        if cls is MkUnit:
-            return (lambda env: None), 1
-        if cls is MkTrue:
-            return (lambda env: True), 1
-        if cls is MkFalse:
-            return (lambda env: False), 1
+        if cls is Var:
+            return (tag, "var", e.i) if e.i >= 0 else None
+        if cls is MkPair:
+            return (tag, "pair", e.i, e.j) if e.i >= 0 and e.j >= 0 else None
         if cls is Lam:
-            return partial(_Closure, self.block(e.body)), 1
-        if cls is not Seq:
-            return None
-        segs, steps = [], 0
-        while e.__class__ is Seq:
-            op = None if e.first.__class__ is Seq else self._bind(e.first)
-            if op is None:
-                return None
-            segs.append(op[0])
-            steps += op[1] + 1
-            e = e.rest
-        op = self._value(e)
-        if op is None:
-            return None
-        run, last = _sequence(segs), op[0]
-        return (lambda env: last(run(env))), steps + op[1]
+            refs.append(self.block(e.body))
+            return (tag, "lam")
+        constant = _CONSTANTS.get(cls)
+        return None if constant is None else (tag, constant)
 
-    def _bind(self, e):
-        """(environment transformer, steps) binding the value of a
-        straight-line e, or None."""
-        cls = e.__class__
-        if cls is Var and 0 <= e.i < _SHORT:
-            return _BIND[e.i], 1
-        if cls is Lam:
-            body = self.block(e.body)
-            return (lambda env: (_Closure(body, env), env)), 1
-        op = self._value(e)
-        return None if op is None else (_binder(op[0]), op[1])
+    def _line(self, e, budget: int, shape: list, refs: list) -> int:
+        """Append the items that bind the value of e when e is a straight
+        line of at most budget items: one-step values, sequenced, ending
+        in one.  Returns its steps, or 0, appending nothing, when e is
+        not one."""
+        item = self._item("bind", e, refs)
+        if item is not None:
+            shape.append(item)
+            return 1
+        mark, ref_mark, steps = len(shape), len(refs), 1
+        shape.append(("open",))
+        while e.__class__ is Seq and len(shape) - mark < budget:
+            item = self._item("bind", e.first, refs)
+            if item is None:
+                break
+            shape.append(item)
+            steps += 2
+            e = e.rest
+        item = None if e.__class__ is Seq else self._item("yield", e, refs)
+        if item is not None:
+            shape.append(item)
+            return steps
+        del shape[mark:], refs[ref_mark:]
+        return 0
 
     def prepare(self, blk: list) -> None:
-        node = blk[_NODE]
-        segs, cost, e = [], 0, node
-        while True:
+        """Generate blk's function: the instructions from its node up to
+        the first application, conditional or value returned to a frame,
+        or up to _CAP items and a jump to the block of the node where the
+        line was cut."""
+        shape, refs, cost, e = [], [self.push], 0, blk[_NODE]
+        while len(shape) < _CAP:
             cls = e.__class__
             if cls is Seq:
-                op = self._bind(e.first)
-                if op is not None:
-                    segs.append(op[0])
-                    cost += op[1] + 1
+                steps = self._line(e.first, _CAP - len(shape), shape, refs)
+                if steps:
+                    cost += steps + 1
+                    e = e.rest
                 else:
-                    segs.append(_pusher(self.stack.append, self.block(e.rest)))
+                    shape.append(("push",))
+                    refs.append(self.block(e.rest))
                     e = e.first
-                    continue
-                e = e.rest
             elif cls is LetPair and e.i >= 0:
-                segs.append(_split(_getter(e.i)))
+                shape.append(("split", e.i))
                 cost += 1
                 e = e.body
             else:
+                item = self._item("yield", e, refs)
+                if item is None and cls is App and e.i >= 0 and e.j >= 0:
+                    item = ("app", e.i, e.j)
+                elif item is None and cls is If and e.i >= 0:
+                    item = ("if", e.i)
+                    refs += (self.block(e.then_branch), self.block(e.else_branch))
+                if item is None:
+                    # an unknown instruction or a negative index
+                    shape.append(("stuck",))
+                else:
+                    shape.append(item)
+                    cost += 1
                 break
-        run = _sequence(segs)
-        op = self._value(e)
-        if op is not None:
-            blk[:5] = cost + op[1], run, _VALUE, op[0], None
-        elif cls is App and e.i >= 0 and e.j >= 0:
-            blk[:4] = cost + 1, run, _APP, _pair_getter(e.i, e.j)
-        elif cls is If and e.i >= 0:
-            then_, else_ = self.block(e.then_branch), self.block(e.else_branch)
-            blk[:6] = cost + 1, run, _IF, _getter(e.i), then_, else_
         else:
-            # an unknown instruction or a negative index
-            blk[:3] = cost, run, _REFER
+            shape.append(("jump",))
+            refs.append(self.block(e))
+        blk[0] = cost
+        blk[1] = _factory(tuple(shape))(*refs)
 
     def compiled_env(self, env: Env):
         """The linked environment of the compiled-path forms of the values
@@ -631,35 +643,22 @@ def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
     blk = prog.block(expr)
     try:
         while True:
-            cost, run, kind, a, b, c, _ = blk
+            cost, run, _ = blk
+            if run is None:
+                prog.prepare(blk)
+                continue
             steps += cost
             if steps > fuel:
                 break
-            env1 = env if run is None else run(env)
-            if kind == _APP:
-                fn, arg = a(env1)
-                env = (arg, (fn, fn.env))
-                blk = fn.block
-            elif kind == _VALUE:
-                v = a(env1)
-                if not stack:
-                    return Done(prog.machine_values((v,))[0], steps)
+            nxt, x = run(env)
+            if nxt is not None:
+                blk, env = nxt, x
+            elif stack:
                 blk, env = stack.pop()
-                env = (v, env)
+                env = (x, env)
                 steps += 1  # the resumption; the next block compares
-            elif kind == _IF:
-                s = a(env1)
-                if s is True:
-                    blk = b
-                elif s is False:
-                    blk = c
-                else:
-                    break
-                env = env1
-            elif kind == _STUB:
-                prog.prepare(blk)
             else:
-                break
+                return Done(prog.machine_values((x,))[0], steps)
     except (IndexError, TypeError, AttributeError):
         pass
     steps -= cost

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from polyqtt import machine
+from polyqtt.compiler import compile_declaration
+from polyqtt.frontend import parse_module, resolve_module
 from polyqtt.machine import (
     App,
     Clo,
@@ -38,6 +41,8 @@ from polyqtt.machine import (
     value_from_sexp,
     value_to_sexp,
 )
+
+from conftest import CORPUS
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +383,73 @@ def _fuels_to_compare(prog, env):
     return range(200)
 
 
+def _assert_paths_agree(prog, env):
+    """The same outcome on both paths at every fuel _fuels_to_compare
+    gives; returns the reference's outcome at the last of them."""
+    for fuel in _fuels_to_compare(prog, env):
+        want = _eval_reference(prog, env, fuel)
+        assert _eval_compiled(prog, env, fuel) == want, (prog, env, fuel)
+    return want
+
+
+def _seq_all(parts, last):
+    for part in reversed(parts):
+        last = Seq(part, last)
+    return last
+
+
+def _edge_programs():
+    """(program, environment) pairs at the compiled path's edges: indices
+    read through the loop past the unrolled range, straight lines around
+    and past the block length cap, and code shared at two depths."""
+    rng = random.Random(5)
+    deep = tuple(_random_value(rng, 2) for _ in range(machine._UNROLL + 10))
+    clo = Clo(Seq(Var(0), MkPair(0, 2)), (TRUE,))
+    far = machine._UNROLL + 3  # a slot read through the loop
+    slots = {far: clo, far + 1: TRUE, far + 2: VPair(FALSE, UNIT), far + 3: FALSE}
+    deep = tuple(slots.get(len(deep) - 1 - k, v) for k, v in enumerate(deep))
+    n = len(deep)
+    yield Var(far), deep
+    yield Var(n - 1), deep
+    yield Var(n), deep
+    yield MkPair(far + 2, 0), deep
+    yield MkPair(1, n), deep
+    yield App(far, far + 3), deep
+    yield App(far + 1, 0), deep
+    yield If(far + 1, Var(far + 2), Var(n + 5)), deep
+    yield If(far + 3, Var(far + 2), Var(n + 5)), deep
+    yield If(far + 2, MkTrue(), MkFalse()), deep
+    yield LetPair(far + 2, MkPair(1, far + 4)), deep
+    yield LetPair(far + 1, Var(0)), deep
+    # the same reads in a straight line that binds a sequence's first
+    yield Seq(Seq(MkUnit(), MkPair(0, far + 3)), Var(0)), deep
+    yield Seq(Seq(MkUnit(), Var(n + 1)), Var(0)), deep
+    for _ in range(40):
+        yield _random_expr(rng, 4, n), deep
+    # straight lines of _CAP - 2 to _CAP + 2 instructions and far longer:
+    # bindings, pair eliminations, pushed frames and lines in a first
+    cap = machine._CAP
+    for k in (*range(cap - 2, cap + 3), 3 * cap + 1):
+        yield _seq_all([MkTrue()] * k, MkPair(0, k - 1)), ()
+        yield _seq_all([MkPair(0, 0), LetPair(0, Var(2))] * k, Var(3 * k - 1)), (FALSE,)
+        yield _seq_all([Seq(Lam(Var(0)), Var(0))] * k, App(0, k)), (UNIT,)
+        prog = MkTrue()
+        for _ in range(k):
+            prog = Seq(prog, If(0, Var(0), MkUnit()))
+        yield prog, ()
+        yield Seq(_seq_all([MkFalse()] * k, Var(k - 1)), Var(0)), ()
+        yield Seq(_seq_all([MkFalse()] * k, App(0, 0)), Var(0)), ()
+    # one node entered at two environment depths
+    shared = Seq(Var(1), If(0, LetPair(3, MkPair(0, 4)), Var(2)))
+    twice = Seq(shared, Seq(MkTrue(), Seq(MkFalse(), shared)))
+    yield twice, (VPair(FALSE, UNIT), TRUE, FALSE)
+    yield twice, (TRUE, FALSE)
+    body = Seq(Var(2), If(0, MkPair(far, 1), Var(3)))
+    fn = Lam(body)
+    yield Seq(fn, Seq(App(0, far + 2), Seq(fn, App(0, 4)))), deep
+    yield Seq(fn, Seq(App(0, 1), Seq(fn, App(0, far + 3)))), deep
+
+
 def test_compiled_path_matches_reference_on_random_programs():
     rng = random.Random(20240817)
     done = stuck = closures = 0
@@ -385,14 +457,34 @@ def test_compiled_path_matches_reference_on_random_programs():
         n_env = rng.randrange(0, 4)
         env = tuple(_random_value(rng, 2) for _ in range(n_env))
         prog = _random_expr(rng, 4, n_env)
-        for fuel in _fuels_to_compare(prog, env):
-            want = _eval_reference(prog, env, fuel)
-            assert _eval_compiled(prog, env, fuel) == want, (prog, env, fuel)
+        want = _assert_paths_agree(prog, env)
         done += isinstance(want, Done)
         stuck += isinstance(want, Stuck)
         closures += isinstance(want, Done) and _contains_closure(want.value)
     # both kinds of outcome, and closures in results, are exercised
     assert done > 50 and stuck > 50 and closures > 20
+    outcomes = [_assert_paths_agree(prog, env).__class__ for prog, env in _edge_programs()]
+    assert outcomes.count(Done) > 40 and outcomes.count(Stuck) > 20
+
+
+def test_block_shapes_are_generated_once():
+    # a block's function comes from a factory cached by the block's shape,
+    # so a second copy of the same code generates nothing
+    misses = lambda: machine._factory.cache_info().misses  # noqa: E731
+    source = (CORPUS / "consfree_iter.qtt").read_text()
+    for copy in range(2):
+        mod = resolve_module(parse_module(source))
+        d = next(d for d in mod.decls if d.name == "nested3")
+        code = compile_declaration(mod.regime, d.ty, d.body).code
+        before = misses()
+        assert _eval_compiled(code, (nat_value(6),), 10_000_000).steps == 5_996
+        assert copy == 0 or misses() == before
+    prog = MkTrue()
+    for _ in range(100_000):
+        prog = Seq(prog, Var(0))
+    before = misses()
+    assert _eval_compiled(prog, (), 10_000_000) == Done(TRUE, 200_001)
+    assert misses() - before <= 5
 
 
 def test_eval_expr_picks_its_path(monkeypatch):
