@@ -31,15 +31,14 @@ from .syntax import (
     Pi,
     Reflect,
     Regime,
+    Star,
     Tensor,
     Term,
     TrueC,
     TypeExpr,
     UnitTy,
     has_free_var,
-    instantiate,
     nat_literal,
-    strengthen,
 )
 
 EXIT_OK = 0
@@ -121,6 +120,12 @@ def _compile_decl(mod, name: str) -> CompiledProgram:
     return compile_core(mod.regime, d.ty, d.defn)
 
 
+def _require_input(prog: CompiledProgram, name: str) -> None:
+    """Reject a declaration that run and verify cannot feed a natural."""
+    if prog.input_arity != 1:
+        raise CheckError("Tm", f"{name!r} does not take a natural input")
+
+
 def _nested(parts: list[str]) -> str:
     """(a, (b, c)) for the parts a, b, c."""
     return "".join(f"({p}, " for p in parts[:-1]) + parts[-1] + ")" * (len(parts) - 1)
@@ -144,7 +149,7 @@ def _show_raw(v) -> str:
 
 def _literal(regime: Regime, ty: TypeExpr, v) -> Term | None:
     """The term of a runtime Nat or Bool value, for a dependent type to
-    be instantiated with; None for any other type."""
+    be normalised at; None for any other type."""
     if ty.__class__ is BoolTy:
         return TrueC() if m.decode_bool(v) else FalseC()
     if ty.__class__ is NatTy:
@@ -155,9 +160,11 @@ def _literal(regime: Regime, ty: TypeExpr, v) -> Term | None:
 def _show_value(regime: Regime, v, ty: TypeExpr) -> str:
     """A machine value decoded by its type: Nat as a numeral, Bool as
     true/false, unit and diamond as *, pairs as (a, b), lists as [a, b]
-    and functions as <closure>.  A value that does not decode at its
-    type, and a pair component whose type depends on an erased or
-    non-data component, is shown by its structure."""
+    and functions as <closure>.  A pair's second component is decoded at
+    its type normalised with the tensor's binder bound to the first
+    component's literal, by the kernel's evaluator.  A value that does
+    not decode at its type, and a pair component whose type depends on
+    an erased or non-data component, is shown by its structure."""
     try:
         ty = normalize_type(ty)
         cls = ty.__class__
@@ -181,16 +188,15 @@ def _show_value(regime: Regime, v, ty: TypeExpr) -> str:
                 erased = ty.usage == 0
                 fst = _show_raw(v.fst) if erased else _show_value(regime, v.fst, ty.fst)
                 parts.append(fst)
-                snd = ty.snd
-                if not has_free_var(snd, 0):
-                    snd = strengthen(snd)
-                else:
+                # a second component that does not read the first takes
+                # any closed term for it
+                lit = Star()
+                if has_free_var(ty.snd, 0):
                     lit = None if erased else _literal(regime, ty.fst, v.fst)
                     if lit is None:
                         parts.append(_show_raw(v.snd))
                         return _nested(parts)
-                    snd = instantiate(snd, (lit,))
-                ty, v = normalize_type(snd), v.snd
+                ty, v = normalize_type(ty.snd, (lit,)), v.snd
                 cls = ty.__class__
             return _nested(parts + [_show_value(regime, v, ty)])
     except (m.DecodeError, CheckError):
@@ -220,8 +226,7 @@ def cmd_run(args) -> int:
     prog = _compile_decl(mod, args.decl)
     if args.emit_machine:
         print(m.expr_to_sexp(prog.code))
-    if prog.input_arity != 1:
-        raise CheckError("Tm", f"{args.decl!r} does not take a natural input")
+    _require_input(prog, args.decl)
     report = extract_bound(prog)
     bound = report.bound_at(n)
     fuel = args.fuel if args.fuel is not None else bound + VERIFY_FUEL_SLACK
@@ -236,7 +241,7 @@ def cmd_run(args) -> int:
         print(f"run failed ({kind}{reason})", file=sys.stderr)
         return EXIT_DYNAMIC
     ty = normalize_type(_find_decl(mod, args.decl).ty)
-    result_ty = instantiate(ty.cod, (nat_literal(mod.regime, n),))
+    result_ty = normalize_type(ty.cod, (nat_literal(mod.regime, n),))
     print(f"value: {_show_value(mod.regime, out.value, result_ty)}")
     print(f"steps: {out.steps}")
     print(f"bound_at_n: {bound}")
@@ -275,6 +280,7 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     mod = _load(args.file, args.regime)
     prog = _compile_decl(mod, args.decl)
+    _require_input(prog, args.decl)
     if args.sabotage:
         prog = sabotage(prog)
     report = extract_bound(prog)

@@ -80,7 +80,6 @@ from .syntax import (
     _SCHEMA,
     has_free_var,
     nat_literal,
-    strengthen,
 )
 
 
@@ -891,7 +890,7 @@ def resolve_type(text: str, regime: Regime, scope: tuple = ()) -> TypeExpr:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing (deterministic fresh names by binder depth)
+# Pretty printing (deterministic fresh names, counted over named binders)
 
 def _nat_literal_cf(t: Term) -> int | None:
     n = 0
@@ -916,8 +915,12 @@ def _wrap(s: str, need: bool) -> str:
 
 
 class _Printer:
-    """Names the binder at depth k xk, primed until it differs from every
-    definition the printed node refers to, as those print by name."""
+    """Prints under a scope, the tuple of the names of the binders around
+    the printed node, innermost last.  A non-dependent arrow or tensor
+    binds an unnamed slot (None), which no variable reads.  A new binder
+    is named xk, k counting the named binders in scope, primed until it
+    differs from every definition the printed node refers to, as those
+    print by name."""
 
     def __init__(self, node):
         # the names of the definitions node refers to
@@ -930,19 +933,27 @@ class _Printer:
                 spec = _SCHEMA[x.__class__]
                 todo += (getattr(x, f) for f, kind, _ in spec if kind != "plain")
 
-    def name(self, depth: int) -> str:
-        name = f"x{depth}"
+    def name(self, k: int) -> str:
+        name = f"x{k}"
         while name in self.avoid:
             name += "'"
         return name
 
-    def term(self, t: Term, depth: int, prec: int) -> str:
+    def bind(self, scope: tuple, count: int) -> tuple:
+        # scope under count new named binders
+        k = len(scope) - scope.count(None)
+        return scope + tuple(self.name(k + j) for j in range(count))
+
+    def term(self, t: Term, scope: tuple, prec: int) -> str:
         cls = t.__class__
         if cls is Var:
-            return self.name(depth - 1 - t.index)
+            i = t.index
+            # an index past the scope is named as if its binders were named
+            return scope[-1 - i] if i < len(scope) else self.name(len(scope) - 1 - i)
         if cls is Lam:
-            body = self.term(t.body, depth + 1, 0)
-            return _wrap(f"\\{self.name(depth)}. {body}", prec > 0)
+            inner = self.bind(scope, 1)
+            body = self.term(t.body, inner, 0)
+            return _wrap(f"\\{inner[-1]}. {body}", prec > 0)
         if cls is App:
             # successor heads take a flexible number of atoms, so an applied
             # successor must be parenthesised to keep its own argument
@@ -951,11 +962,11 @@ class _Printer:
                 fn_prec = 2
             if isinstance(t.fn, SuccL) and _nat_literal_lfpl(t.fn) is None:
                 fn_prec = 2
-            fn = self.term(t.fn, depth, fn_prec)
-            arg = self.term(t.arg, depth, 2)
+            fn = self.term(t.fn, scope, fn_prec)
+            arg = self.term(t.arg, scope, 2)
             return _wrap(f"{fn} {arg}", prec > 1)
         if cls is Pair:
-            return f"({self.term(t.fst, depth, 0)}, {self.term(t.snd, depth, 0)})"
+            return f"({self.term(t.fst, scope, 0)}, {self.term(t.snd, scope, 0)})"
         if cls is Star:
             return "*" if prec < 2 else "(*)"
         if cls is TrueC:
@@ -965,43 +976,46 @@ class _Printer:
         if cls is Nil:
             return "nil"
         if cls is Cons:
-            s = f"cons {self.term(t.head, depth, 2)} {self.term(t.tail, depth, 2)}"
+            s = f"cons {self.term(t.head, scope, 2)} {self.term(t.tail, scope, 2)}"
             return _wrap(s, prec > 1)
         if cls is LetPair:
-            a, b = self.name(depth), self.name(depth + 1)
+            inner = self.bind(scope, 2)
+            a, b = inner[-2:]
             s = (
-                f"let ({a}, {b}) = {self.term(t.scrut, depth, 0)}"
-                f"{self.motive(t.motive, depth)} in "
-                f"{self.term(t.body, depth + 2, 0)}"
+                f"let ({a}, {b}) = {self.term(t.scrut, scope, 0)}"
+                f"{self.motive(t.motive, scope)} in "
+                f"{self.term(t.body, inner, 0)}"
             )
             return _wrap(s, prec > 0)
         if cls is LetUnit:
             s = (
-                f"let * = {self.term(t.scrut, depth, 0)}"
-                f"{self.motive(t.motive, depth)} in {self.term(t.body, depth, 0)}"
+                f"let * = {self.term(t.scrut, scope, 0)}"
+                f"{self.motive(t.motive, scope)} in {self.term(t.body, scope, 0)}"
             )
             return _wrap(s, prec > 0)
         if cls is If:
             s = (
-                f"if {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
-                f"then {self.term(t.then_branch, depth, 0)} "
-                f"else {self.term(t.else_branch, depth, 0)}"
+                f"if {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
+                f"then {self.term(t.then_branch, scope, 0)} "
+                f"else {self.term(t.else_branch, scope, 0)}"
             )
             return _wrap(s, prec > 0)
         if cls is MatchList:
-            h, tl = self.name(depth), self.name(depth + 1)
+            inner = self.bind(scope, 2)
+            h, tl = inner[-2:]
             s = (
-                f"match {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
-                f"{{ nil => {self.term(t.nil_branch, depth, 0)} "
-                f"| cons({h}, {tl}) => {self.term(t.cons_branch, depth + 2, 0)} }}"
+                f"match {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
+                f"{{ nil => {self.term(t.nil_branch, scope, 0)} "
+                f"| cons({h}, {tl}) => {self.term(t.cons_branch, inner, 0)} }}"
             )
             return _wrap(s, prec > 0)
         if cls is RecList:
-            h, tl, p = self.name(depth), self.name(depth + 1), self.name(depth + 2)
+            inner = self.bind(scope, 3)
+            h, tl, p = inner[-3:]
             s = (
-                f"reclist {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
-                f"{{ nil => {self.term(t.nil_branch, depth, 0)} "
-                f"| cons({h}, {tl}, {p}) => {self.term(t.cons_branch, depth + 3, 0)} }}"
+                f"reclist {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
+                f"{{ nil => {self.term(t.nil_branch, scope, 0)} "
+                f"| cons({h}, {tl}, {p}) => {self.term(t.cons_branch, inner, 0)} }}"
             )
             return _wrap(s, prec > 0)
         if cls is ZeroCF:
@@ -1010,15 +1024,16 @@ class _Printer:
             lit = _nat_literal_cf(t)
             if lit is not None:
                 return str(lit)
-            return _wrap(f"succ {self.term(t.pred, depth, 2)}", prec > 1)
+            return _wrap(f"succ {self.term(t.pred, scope, 2)}", prec > 1)
         if cls is DupNat:
-            return _wrap(f"dup {self.term(t.arg, depth, 2)}", prec > 1)
+            return _wrap(f"dup {self.term(t.arg, scope, 2)}", prec > 1)
         if cls is RecNatCF:
-            n, p = self.name(depth), self.name(depth + 1)
+            inner = self.bind(scope, 2)
+            n, p = inner[-2:]
             s = (
-                f"rec {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
-                f"{{ zero => {self.term(t.zero_branch, depth, 0)} "
-                f"| succ({n}, {p}) => {self.term(t.succ_branch, depth + 2, 0)} }}"
+                f"rec {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
+                f"{{ zero => {self.term(t.zero_branch, scope, 0)} "
+                f"| succ({n}, {p}) => {self.term(t.succ_branch, inner, 0)} }}"
             )
             return _wrap(s, prec > 0)
         if cls is DiamondStar:
@@ -1027,46 +1042,47 @@ class _Printer:
             lit = _nat_literal_lfpl(t)
             if lit is not None:
                 return str(lit)
-            return _wrap(f"zero {self.term(t.pay, depth, 2)}", prec > 1)
+            return _wrap(f"zero {self.term(t.pay, scope, 2)}", prec > 1)
         if cls is SuccL:
             lit = _nat_literal_lfpl(t)
             if lit is not None:
                 return str(lit)
-            s = f"succ {self.term(t.pay, depth, 2)} {self.term(t.pred, depth, 2)}"
+            s = f"succ {self.term(t.pay, scope, 2)} {self.term(t.pred, scope, 2)}"
             return _wrap(s, prec > 1)
         if cls is RecNatL:
-            d0, d1 = self.name(depth), self.name(depth)
-            n, p = self.name(depth + 1), self.name(depth + 2)
+            inner_z, inner_s = self.bind(scope, 1), self.bind(scope, 3)
+            d, n, p = inner_s[-3:]
             s = (
-                f"rec {self.term(t.scrut, depth, 1)}{self.motive(t.motive, depth)} "
-                f"{{ zero({d0}) => {self.term(t.zero_branch, depth + 1, 0)} "
-                f"| succ({d1}, {n}, {p}) => {self.term(t.succ_branch, depth + 3, 0)} }}"
+                f"rec {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
+                f"{{ zero({d}) => {self.term(t.zero_branch, inner_z, 0)} "
+                f"| succ({d}, {n}, {p}) => {self.term(t.succ_branch, inner_s, 0)} }}"
             )
             return _wrap(s, prec > 0)
         if cls is Refl:
-            return _wrap(f"refl {self.term(t.body, depth, 2)}", prec > 1)
+            return _wrap(f"refl {self.term(t.body, scope, 2)}", prec > 1)
         if cls is ReflectIntro:
-            return _wrap(f"R {self.term(t.body, depth, 2)}", prec > 1)
+            return _wrap(f"R {self.term(t.body, scope, 2)}", prec > 1)
         if cls is ReflectElim:
-            return _wrap(f"R^-1 {self.term(t.body, depth, 2)}", prec > 1)
+            return _wrap(f"R^-1 {self.term(t.body, scope, 2)}", prec > 1)
         if cls is Fst:
-            return _wrap(f"fst {self.term(t.pair, depth, 2)}", prec > 1)
+            return _wrap(f"fst {self.term(t.pair, scope, 2)}", prec > 1)
         if cls is Snd:
-            return _wrap(f"snd {self.term(t.pair, depth, 2)}", prec > 1)
+            return _wrap(f"snd {self.term(t.pair, scope, 2)}", prec > 1)
         if cls is CodeTy:
-            return _wrap(self.type(t.ty, depth, 1), prec > 1)
+            return _wrap(self.type(t.ty, scope, 1), prec > 1)
         if cls is Ann:
-            return f"({self.term(t.term, depth, 0)} : {self.type(t.ty, depth, 0)})"
+            return f"({self.term(t.term, scope, 0)} : {self.type(t.ty, scope, 0)})"
         if cls is Global:
             return t.name
         raise ValueError(f"unknown term {cls.__name__}")
 
-    def motive(self, motive: TypeExpr | None, depth: int) -> str:
+    def motive(self, motive: TypeExpr | None, scope: tuple) -> str:
         if motive is None:
             return ""
-        return f" at ({self.name(depth)}. {self.type(motive, depth + 1, 0)})"
+        inner = self.bind(scope, 1)
+        return f" at ({inner[-1]}. {self.type(motive, inner, 0)})"
 
-    def type(self, ty: TypeExpr, depth: int, prec: int) -> str:
+    def type(self, ty: TypeExpr, scope: tuple, prec: int) -> str:
         cls = ty.__class__
         if cls is BoolTy:
             return "Bool"
@@ -1080,38 +1096,42 @@ class _Printer:
             return "<>"
         if cls is Pi:
             if ty.usage == 1 and not has_free_var(ty.cod, 0):
-                dom = self.type(ty.dom, depth, 1)
-                cod = self.type(strengthen(ty.cod), depth, 0)
+                dom = self.type(ty.dom, scope, 1)
+                cod = self.type(ty.cod, scope + (None,), 0)
                 return _wrap(f"{dom} -> {cod}", prec >= 1)
-            dom = self.type(ty.dom, depth, 0)
-            cod = self.type(ty.cod, depth + 1, 0)
-            return _wrap(f"({self.name(depth)} ^{ty.usage} : {dom}) -> {cod}", prec >= 1)
+            dom = self.type(ty.dom, scope, 0)
+            inner = self.bind(scope, 1)
+            cod = self.type(ty.cod, inner, 0)
+            return _wrap(f"({inner[-1]} ^{ty.usage} : {dom}) -> {cod}", prec >= 1)
         if cls is Tensor:
             if ty.usage == 1 and not has_free_var(ty.snd, 0):
-                fst = self.type(ty.fst, depth, 2)
-                snd = self.type(strengthen(ty.snd), depth, 1)
+                fst = self.type(ty.fst, scope, 2)
+                snd = self.type(ty.snd, scope + (None,), 1)
                 return _wrap(f"{fst} * {snd}", prec >= 2)
-            fst = self.type(ty.fst, depth, 0)
-            snd = self.type(ty.snd, depth + 1, 1)
-            return _wrap(f"({self.name(depth)} ^{ty.usage} : {fst}) * {snd}", prec >= 2)
+            fst = self.type(ty.fst, scope, 0)
+            inner = self.bind(scope, 1)
+            snd = self.type(ty.snd, inner, 1)
+            return _wrap(f"({inner[-1]} ^{ty.usage} : {fst}) * {snd}", prec >= 2)
         if cls is ListTy:
-            return _wrap(f"List {self.type(ty.elem, depth, 2)}", prec >= 2)
+            return _wrap(f"List {self.type(ty.elem, scope, 2)}", prec >= 2)
         if cls is IdTy:
             s = (
-                f"Id {self.type(ty.ty, depth, 2)} "
-                f"{self.term(ty.lhs, depth, 2)} {self.term(ty.rhs, depth, 2)}"
+                f"Id {self.type(ty.ty, scope, 2)} "
+                f"{self.term(ty.lhs, scope, 2)} {self.term(ty.rhs, scope, 2)}"
             )
             return _wrap(s, prec >= 2)
         if cls is El:
-            return _wrap(f"El {self.term(ty.code, depth, 2)}", prec >= 2)
+            return _wrap(f"El {self.term(ty.code, scope, 2)}", prec >= 2)
         if cls is Reflect:
-            return _wrap(f"R {self.type(ty.inner, depth, 2)}", prec >= 2)
+            return _wrap(f"R {self.type(ty.inner, scope, 2)}", prec >= 2)
         raise ValueError(f"unknown type {cls.__name__}")
 
 
 def pretty_term(t: Term, depth: int = 0, prec: int = 0) -> str:
-    """Render a kernel term; level 0 is outermost, 2 is argument position."""
-    return _Printer(t).term(t, depth, prec)
+    """Render a kernel term under depth binders named x0, x1, ...; level
+    0 is outermost, 2 is argument position."""
+    p = _Printer(t)
+    return p.term(t, p.bind((), depth), prec)
 
 
 def pretty_type(ty: TypeExpr, depth: int = 0, prec: int = 0) -> str:
@@ -1120,4 +1140,5 @@ def pretty_type(ty: TypeExpr, depth: int = 0, prec: int = 0) -> str:
     Precedence climbs from arrows (0) through tensors (1) to atoms (2);
     keyword-led formers behave like prefix operators at atom level.
     """
-    return _Printer(ty).type(ty, depth, prec)
+    p = _Printer(ty)
+    return p.type(ty, p.bind((), depth), prec)

@@ -10,8 +10,12 @@ further binders.  The context holds each entry's type as a value,
 `check` takes its target as a value and `synth` returns one, and an
 argument is evaluated only when a type reads it.  Conversion compares
 values, with the eta laws for functions and pairs applied on the fly.
-Values are read back to normal forms only for diagnostics and for the
-public normalize_*, types_equal and conv_type.
+Values are read back to normal forms only for diagnostics, which print
+them through `frontend.pretty_type`, and for the public normalize_*,
+types_equal and conv_type.  Substitution is evaluation:
+`normalize_type(ty, args)` binds ty's innermost indices to closed terms,
+and read-back's eta rule reads a function back outside the binder it
+does not use, so nothing in the package rewrites syntax under binders.
 
 Checking synthesises the minimal usage vector of the free variables,
 which a declared annotation admits when it dominates it pointwise.
@@ -34,6 +38,7 @@ from __future__ import annotations
 import functools
 from dataclasses import fields
 
+from .frontend import pretty_type
 from .syntax import (
     Ann,
     App,
@@ -87,7 +92,6 @@ from .syntax import (
     ZeroL,
     _SCHEMA,
     has_free_var,
-    strengthen,
     usage_add,
     usage_scale,
     zero_usage,
@@ -366,17 +370,15 @@ def _quote(v, depth: int, b: _Budget):
     out = cls(*vals)
     # eta: \x. f x  ~~>  f  when x is not free in f;  (fst m, snd m)  ~~>  m
     if cls is Lam and out.body.__class__ is App and out.body.arg == Var(0):
-        if not has_free_var(out.body.fn, 0):
-            return strengthen(out.body.fn)
+        fn = out.body.fn
+        if not has_free_var(fn, 0):
+            # f's value, read back outside the binder it does not use
+            return _quote(_eval(fn, _env(range(depth + 1)), b), depth, b)
     if cls is Pair and out.fst.__class__ is Fst and out.snd.__class__ is Snd:
         env = _env(range(depth))
         if _conv(_eval(out.fst.pair, env, b), _eval(out.snd.pair, env, b), depth, b):
             return out.fst.pair
     return out
-
-
-def _nf(t, b: _Budget):
-    return _quote(_eval(t, (), b), 0, b)
 
 
 @_entry
@@ -397,12 +399,20 @@ def normalize_sigma0(
         canonical = _CANONICAL.get(_eval(ty, (), b).__class__)
         if canonical is not None:
             return canonical
-    return _nf(term, b)
+    return _quote(_eval(term, (), b), 0, b)
 
 
 @_entry
-def normalize_type(ty: TypeExpr, budget: int = DEFAULT_NORM_BUDGET) -> TypeExpr:
-    return _nf(ty, _Budget(budget))
+def normalize_type(
+    ty: TypeExpr, args: tuple = (), budget: int = DEFAULT_NORM_BUDGET
+) -> TypeExpr:
+    """Normal form of ty with its innermost len(args) indices bound to the
+    values of the closed terms args: args[0] for index 0, args[1] for
+    index 1, and so on.  Its other free indices drop by len(args), so
+    this is substitution done by the evaluator."""
+    b = _Budget(budget)
+    env = tuple(_Lazy(a, ()) for a in reversed(args))
+    return _quote(_eval(ty, env, b), 0, b)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +478,8 @@ def types_equal(a: TypeExpr, b: TypeExpr, budget: int = DEFAULT_NORM_BUDGET) -> 
 
 def conv_type(a: TypeExpr, b: TypeExpr) -> None:
     if not types_equal(a, b):
-        an, bn = normalize_type(a), normalize_type(b)
-        raise CheckError("Conv", f"type mismatch: {an!r} /= {bn!r}")
+        an, bn = pretty_type(normalize_type(a)), pretty_type(normalize_type(b))
+        raise CheckError("Conv", f"type mismatch: {an} /= {bn}")
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +501,9 @@ def _value(ctx: tuple, t):
 
 
 def _show(ctx: tuple, v) -> str:
-    # a value in ctx as its normal form, for a diagnostic
-    return repr(_quote(v, len(ctx), _Budget()))
+    # a type value in ctx as its normal form in source syntax, for a
+    # diagnostic
+    return pretty_type(_quote(v, len(ctx), _Budget()), len(ctx))
 
 
 def _expect(ctx: tuple, ty, form, rule: str, what: str) -> None:

@@ -9,6 +9,11 @@ Two regimes share the syntax.  The cons-free regime has erased-only
 natural number constructors, duplication of naturals, and a recursor
 whose branches close over nothing.  The payment regime ("lfpl") pays for
 every constructor with a diamond and releases diamonds during recursion.
+
+Nothing here rewrites syntax under binders.  Substitution is evaluation:
+the kernel's evaluator binds indices to values and reads the result back
+(`kernel.normalize_type(ty, args)`).  `has_free_var` is the one
+binder-aware query on syntax.
 """
 
 from __future__ import annotations
@@ -308,12 +313,7 @@ class CtxEntry:
     ty: TypeExpr
 
 
-Context = tuple  # tuple[CtxEntry, ...]
 UsageVector = tuple  # tuple[int, ...]
-
-
-def ctx_zero(ctx: Context) -> Context:
-    return tuple(CtxEntry(e.name, 0, e.ty) for e in ctx)
 
 
 def usage_add(u1: UsageVector, u2: UsageVector) -> UsageVector:
@@ -434,86 +434,19 @@ def _check_schema() -> None:
 _check_schema()
 
 
-def _map_vars(node, depth: int, on_var):
-    """Rebuild a term or type, applying on_var(var_node, depth) at
-    variables; unchanged subtrees are shared with the input."""
-    cls = node.__class__
-    if cls is Var:
-        return on_var(node, depth)
-    spec = _SCHEMA[cls]
-    changed = False
-    new_vals = []
-    for name, kind, binders in spec:
-        val = getattr(node, name)
-        if kind == _P or val is None:
-            new_vals.append(val)
-            continue
-        new_val = _map_vars(val, depth + binders, on_var)
-        changed = changed or new_val is not val
-        new_vals.append(new_val)
-    if not changed:
-        return node
-    return cls(*new_vals)
-
-
-def shift(t, amount: int, cutoff: int = 0):
-    """Add amount to every free index at or above cutoff; works on terms
-    and types alike."""
-    if amount == 0:
-        return t
-
-    def on_var(v, depth):
-        if v.index - depth >= cutoff:
-            return Var(v.index + amount)
-        return v
-
-    return _map_vars(t, 0, on_var)
-
-
-def instantiate(body, subs: tuple):
-    """Substitute the innermost len(subs) binders of body.
-
-    subs[0] replaces index 0 (the innermost binder), subs[1] index 1, and
-    so on; remaining free indices drop by len(subs).  Works on terms and
-    types alike.
-    """
-    k = len(subs)
-    if k == 0:
-        return body
-
-    def on_var(v, depth):
-        j = v.index - depth
-        if j < 0:
-            return v
-        if j < k:
-            return shift(subs[j], depth)
-        return Var(v.index - k)
-
-    return _map_vars(body, 0, on_var)
-
-
 def has_free_var(node, index: int) -> bool:
-    found = False
-
-    def on_var(v, depth):
-        nonlocal found
-        if v.index - depth == index:
-            found = True
-        return v
-
-    _map_vars(node, 0, on_var)
-    return found
-
-
-def strengthen(node, index: int = 0):
-    """Remove an unused binder: shift references above `index` down by one.
-
-    The caller must ensure has_free_var(node, index) is false.
-    """
-
-    def on_var(v, depth):
-        if v.index - depth > index:
-            return Var(v.index - 1)
-        return v
-
-    return _map_vars(node, 0, on_var)
+    """Whether a term or type mentions the free index `index`.  It walks
+    the fields _SCHEMA lists with an explicit stack, so deep nesting does
+    not grow the host stack."""
+    todo = [(node, index)]
+    while todo:
+        x, i = todo.pop()
+        if x.__class__ is Var:
+            if x.index == i:
+                return True
+            continue
+        for name, kind, binders in _SCHEMA[x.__class__]:
+            val = getattr(x, name)
+            if kind != _P and val is not None:
+                todo.append((val, i + binders))
+    return False

@@ -10,6 +10,10 @@ import pytest
 from polyqtt.cli import main
 
 from conftest import CORPUS, FIXTURES, ROOT
+from test_corpus import EXPECTED_REJECTIONS
+
+# a Python repr such as BoolTy() or Var(index=0)
+_REPR = re.compile(r"\b[A-Z][A-Za-z]*\(")
 
 
 def test_check_ok(capsys):
@@ -45,12 +49,34 @@ def test_check_rule_label_on_stderr(capsys, tmp_path):
     latin1 = tmp_path / "latin1.qtt"
     latin1.write_bytes(b"regime consfree\n-- caf\xff\ndef f ^1 : Bool = true\n")
     for path, rule in (
-        (FIXTURES / "consfree_succ_sigma1.qtt", "Tm-CF-Succ"),
-        (superscript, "Parse"),
+        *((FIXTURES / name, f"[{rule}]") for name, rule in EXPECTED_REJECTIONS.items()),
+        (superscript, "[Parse]"),
         (latin1, "[Parse]"),
     ):
         assert main(["check", str(path)]) == 1
-        assert rule in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert rule in err, (path, err)
+        # types print in source syntax, not as Python reprs
+        assert not _REPR.search(err), (path, err)
+    assert main(["check", str(FIXTURES / "conversion_mismatch.qtt")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [Conv] expected Bool but synthesised I\n"
+    assert len(EXPECTED_REJECTIONS) == len(list(FIXTURES.glob("*.qtt")))
+
+
+def test_run_and_verify_need_a_natural_input(capsys):
+    # both commands reject a declaration without a natural input with the
+    # same labelled diagnostic, and exit 1
+    path = str(CORPUS / "consfree_iter.qtt")
+    for argv in (
+        ["run", path, "flip", "--input", "3"],
+        ["verify", path, "flip"],
+        ["verify", path, "flip", "--max-n", "2", "--sabotage", "--json"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Tm] 'flip' does not take a natural input\n"
+        assert captured.out == ""
 
 
 # what a character edit inserts: punctuation and its prefixes, digits, the

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from polyqtt.kernel import (
     elaborate,
     infer_usage_check,
     normalize_sigma0,
+    normalize_type,
     types_equal,
 )
 from polyqtt.syntax import (
@@ -54,9 +58,7 @@ from polyqtt.syntax import (
     Var,
     ZeroCF,
     ZeroL,
-    ctx_zero,
-    instantiate,
-    shift,
+    has_free_var,
 )
 
 CF = Regime.CONS_FREE
@@ -82,21 +84,53 @@ def nat_lit_lfpl(n):
 
 
 # ---------------------------------------------------------------------------
-# de Bruijn machinery
+# de Bruijn machinery: substitution is evaluation
 
-def test_shift_and_instantiate():
+def test_normalize_type_binds_the_innermost_indices():
+    # args[0] is index 0, args[1] index 1; other free indices drop by the
+    # number of arguments, also under binders
+    two, three = nat_lit_cf(2), nat_lit_cf(3)
+    eq = IdTy(NAT_TY, Var(0), Var(1))
+    assert normalize_type(eq, (two, three)) == IdTy(NAT_TY, two, three)
+    assert normalize_type(eq, (two,)) == IdTy(NAT_TY, two, Var(0))
+    pi = Pi(1, NAT_TY, IdTy(NAT_TY, Var(0), Var(2)))
+    assert normalize_type(pi, (two,)) == Pi(1, NAT_TY, IdTy(NAT_TY, Var(0), Var(1)))
+    # a dependent result type computes at the argument, as run decodes it
+    vec = El(RecNatCF(Var(0), CodeTy(UNIT_TY), CodeTy(Tensor(1, BOOL_TY, El(Var(1)))), UNIVERSE))
+    want = Tensor(1, BOOL_TY, Tensor(1, BOOL_TY, UNIT_TY))
+    assert normalize_type(vec, (two,)) == want
+    # an argument the type does not read is not evaluated
+    loop = App(Ann(Lam(Var(0)), Pi(1, BOOL_TY, BOOL_TY)), TrueC())
+    assert normalize_type(BOOL_TY, (loop,), budget=0) == BOOL_TY
+    with pytest.raises(CheckError) as e:
+        normalize_type(IdTy(BOOL_TY, Var(0), Var(0)), (loop,), budget=0)
+    assert e.value.rule == "Normalize"
+
+
+def test_has_free_var_on_a_deep_chain(tmp_path):
     t = Lam(App(Var(0), Var(1)))
-    assert shift(t, 2) == Lam(App(Var(0), Var(3)))
-    assert shift(t, 2, cutoff=2) == Lam(App(Var(0), Var(1)))
-    body = App(Var(0), Var(1))
-    assert instantiate(body, (TrueC(),)) == App(TrueC(), Var(0))
-    assert instantiate(body, (TrueC(), FalseC())) == App(TrueC(), FalseC())
-
-
-def test_instantiate_shifts_substituted_terms_under_binders():
-    body = Lam(App(Var(0), Var(1)))  # Var(1) is the substitution target
-    out = instantiate(body, (Var(5),))
-    assert out == Lam(App(Var(0), Var(6)))
+    assert has_free_var(t, 0) and not has_free_var(t, 1)
+    # a motive binds one more index
+    motive = If(Var(0), TrueC(), FalseC(), IdTy(BOOL_TY, Var(0), Var(1)))
+    assert has_free_var(motive, 0) and not has_free_var(motive, 1)
+    # 100,000 nested lambdas, in a fresh interpreter at the default
+    # recursion limit: the walk keeps its own stack
+    script = tmp_path / "deep.py"
+    script.write_text(
+        "import sys\n"
+        "from polyqtt.syntax import Lam, Var, has_free_var\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "t = Var(100_000)\n"
+        "for _ in range(100_000):\n"
+        "    t = Lam(t)\n"
+        "print(has_free_var(t, 0), has_free_var(t, 1))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +504,23 @@ def test_zeroing_admissibility_samples():
     ]
     for regime, ctx, t, ty in samples:
         infer_usage_check(regime, ctx, 1, t, ty)
-        zeroed = ctx_zero(ctx)
+        zeroed = tuple(entry(e.name, 0, e.ty) for e in ctx)
         assert infer_usage_check(regime, zeroed, 0, t, ty) == (0,) * len(ctx)
 
 
 def test_substitution_stability_sample():
-    # checking body[N/x] agrees with checking body under x then substituting
+    # the redex (\b. body) N checks and normalises as body[N/b] written
+    # out does, and both normalise to the branch the conditional takes
     body = If(Var(0), FalseC(), TrueC(), None)
     ctx = (entry("b", 1, BOOL_TY),)
     elaborate(CF, ctx, 1, body, BOOL_TY)
-    for n in (TrueC(), FalseC()):
-        substituted = instantiate(body, (n,))
-        elaborate(CF, (), 1, substituted, BOOL_TY)
-        lhs = normalize_sigma0(CF, (), substituted)
-        rhs = normalize_sigma0(CF, (), instantiate(body, (n,)))
-        assert lhs == rhs
+    for n, branch in ((TrueC(), FalseC()), (FalseC(), TrueC())):
+        redex = App(Ann(Lam(body), Pi(1, BOOL_TY, BOOL_TY)), n)
+        written = If(n, FalseC(), TrueC(), None)
+        assert elaborate(CF, (), 1, redex, BOOL_TY)[0] == ()
+        assert elaborate(CF, (), 1, written, BOOL_TY)[0] == ()
+        assert normalize_sigma0(CF, (), redex) == branch
+        assert normalize_sigma0(CF, (), written) == branch
 
 
 def test_usage_minimality_perturbation():
@@ -593,12 +629,8 @@ def test_normaliser_matches_independent_evaluator():
 
 
 def test_context_helpers():
-    from polyqtt.syntax import ctx_zero as cz, usage_add, usage_scale
+    from polyqtt.syntax import usage_add, usage_scale
 
-    ctx = (entry("x", 1, BOOL_TY),)
-    assert cz(ctx) == (entry("x", 0, BOOL_TY),)
-    assert cz(()) == ()
-    assert cz(cz(ctx)) == cz(ctx)
     assert usage_add((1, 0), (0, 2)) == (1, 2)
     assert usage_scale(0, (3, 1)) == (0, 0)
     assert usage_scale(2, (1, 1)) == (2, 2)
