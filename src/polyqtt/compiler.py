@@ -394,12 +394,11 @@ def extract_bound(p: CompiledProgram) -> BoundReport:
 
 
 def run_and_verify(p: CompiledProgram, n: int) -> RunResult:
-    """Run on the encoded input n and compare steps against the bound,
-    q(n + 1) for the program potential q, as extract_bound(p).bound_at(n)
-    reads it."""
+    """Run on the encoded input n and compare steps against the bound at
+    n, as BoundReport.bound_at reads it."""
     if p.input_arity != 1:
         raise CompileError("verification runs need a single natural input")
-    bound = p.potential(n + 1)
+    bound = BoundReport(p.potential, p.regime, p.input_arity).bound_at(n)
     out = m.eval_expr(p.code, (m.nat_value(n),), bound + VERIFY_FUEL_SLACK)
     if isinstance(out, m.Done):
         return RunResult(out.steps, out.value, bound, out.steps <= bound, "done")

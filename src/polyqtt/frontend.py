@@ -15,9 +15,11 @@ resolves to that definition's one shared `syntax.Global` node, which
 unfolds transparently during conversion; the pretty printer prints it by
 name.
 
-The lexer is one scan with one regular expression.  Tokens and surface
-nodes carry character offsets into the source, and a ``line:col`` span
-is computed from the text's line starts only when a diagnostic, or a
+The parser builds its trees from the kernel's own node classes, with
+binder names where the kernel has indices (see `_Resolver`).  The lexer
+is one scan with one regular expression.  Tokens, names and declarations
+carry character offsets into the source, and a ``line:col`` span is
+computed from the text's line starts only when a diagnostic, or a
 declaration's ``span``, asks for one.
 """
 
@@ -199,14 +201,15 @@ def tokenize(text: str) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Surface trees (tagged tuples, source offset carried on the node where useful)
+# Surface trees: kernel nodes with binder names (the format is described
+# at _Resolver)
 
 @dataclass(frozen=True)
 class SourceDecl(_Located):
     name: str
     sigma: int
-    ty: tuple
-    body: tuple
+    ty: object
+    body: object
     offset: int  # of its `def`
     lines: _Lines = field(compare=False, repr=False)
 
@@ -218,15 +221,23 @@ class SourceModule:
     # names must be unique; forward references are rejected at resolution
 
 
-# the surface trees of the atoms that are one token
+# the tags of the surface forms that are not kernel forms
+_NAME, _LITERAL, _LAMBDA, _EMBED = "name", "literal", "lambda", "embed"
+
+# the binder of a non-dependent arrow or tensor, which no name refers to
+_UNNAMED = (None,)
+
+# the atoms that are one token
 _TYPE_CONSTANTS = {
-    "Bool": ("bool",), "Nat": ("nat",), "I": ("unit",), "U": ("universe",),
-    "<>": ("diamond",),
+    "Bool": BOOL_TY, "Nat": NAT_TY, "I": UNIT_TY, "U": UNIVERSE, "<>": DIAMOND_TY,
 }
 _TERM_CONSTANTS = {
-    "*": ("star",), "true": ("true",), "false": ("false",), "nil": ("nil",),
-    "dia": ("dstar",), "zero": ("zero_cf",),
+    "*": Star(), "true": TrueC(), "false": FalseC(), "nil": Nil(),
+    "dia": DiamondStar(), "zero": ZeroCF(),
 }
+
+# the keywords that take one argument atom
+_PREFIXES = {"dup": DupNat, "fst": Fst, "snd": Snd, "refl": Refl}
 
 # the kinds of the tokens that start an argument of an application
 _ATOM_STARTS = frozenset((
@@ -265,6 +276,21 @@ class _Parser:
             return True
         return False
 
+    def names(self, count: int, what: str = "ident") -> tuple:
+        """`(a, b, ...)`: count names in parentheses."""
+        self.expect("(")
+        out = [self.expect("ident", what)[1]]
+        for _ in range(count - 1):
+            self.expect(",")
+            out.append(self.expect("ident", what)[1])
+        self.expect(")")
+        return tuple(out)
+
+    def at_binder(self) -> bool:
+        # '(' IDENT '^' introduces an annotated binder
+        toks, pos = self.toks, self.pos
+        return toks[pos][0] == "(" and toks[pos + 1][0] == "ident" and toks[pos + 2][0] == "^"
+
     # -- module -------------------------------------------------------------
     def module(self) -> SourceModule:
         regime = None
@@ -299,86 +325,68 @@ class _Parser:
         return SourceDecl(name, sigma, ty, body, start, self.lines)
 
     # -- types --------------------------------------------------------------
-    def _binder_head(self) -> tuple | None:
-        # '(' IDENT '^' INT ':'  introduces an annotated binder
-        toks, pos = self.toks, self.pos
-        if toks[pos][0] == "(" and toks[pos + 1][0] == "ident" and toks[pos + 2][0] == "^":
-            name = toks[pos + 1][1]
-            self.pos += 3
-            usage = int(self.expect("int", "usage")[1])
-            self.expect(":")
-            dom = self.type_expr()
-            self.expect(")")
-            return name, usage, dom
-        return None
-
-    def type_expr(self) -> tuple:
+    def type_expr(self):
         # arrows bind loosest and associate right; tensors bind tighter
         lhs = self.type_tensor_or_binder()
         if self.toks[self.pos][0] == "->":
             self.pos += 1
-            return ("pi", 1, None, lhs, self.type_expr())
+            return (Pi, 1, lhs, (_UNNAMED, self.type_expr()))
         return lhs
 
-    def type_tensor_or_binder(self) -> tuple:
-        head = self._binder_head()
-        if head is not None:
-            name, usage, dom = head
-            kind, _, off = self.next()
-            if kind == "->":
-                return ("pi", usage, name, dom, self.type_expr())
-            if kind == "*":
-                return ("tensor", usage, name, dom, self.type_tensor_or_binder())
-            raise self.lines.error("expected -> or * after a binder", off)
-        return self.type_tensor()
+    def type_tensor_or_binder(self):
+        """A tensor of atoms, or a dependent binder `(x ^k : A) -> B` or
+        `(x ^k : A) * B`."""
+        if not self.at_binder():
+            return self.type_tensor()
+        name = self.toks[self.pos + 1][1]
+        self.pos += 3
+        usage = int(self.expect("int", "usage")[1])
+        self.expect(":")
+        dom = self.type_expr()
+        self.expect(")")
+        kind, _, off = self.next()
+        if kind == "->":
+            return (Pi, usage, dom, ((name,), self.type_expr()))
+        if kind == "*":
+            return (Tensor, usage, dom, ((name,), self.type_tensor_or_binder()))
+        raise self.lines.error("expected -> or * after a binder", off)
 
-    def type_tensor(self) -> tuple:
+    def type_tensor(self):
         lhs = self.type_atom()
         if self.toks[self.pos][0] == "*":
             self.pos += 1
-            return ("tensor", 1, None, lhs, self.type_tensor_or_binder())
+            return (Tensor, 1, lhs, (_UNNAMED, self.type_tensor_or_binder()))
         return lhs
 
-    def type_atom(self) -> tuple:
+    def type_atom(self):
         kind = self.toks[self.pos][0]
         if kind in _TYPE_CONSTANTS:
             self.pos += 1
             return _TYPE_CONSTANTS[kind]
         if kind == "List":
             self.pos += 1
-            return ("list", self.type_atom())
+            return (ListTy, self.type_atom())
         if kind == "Id":
             self.pos += 1
-            ty = self.type_atom()
-            lhs = self.term_atom()
-            rhs = self.term_atom()
-            return ("id", ty, lhs, rhs)
+            return (IdTy, self.type_atom(), self.term_atom(), self.term_atom())
         if kind == "R":
             self.pos += 1
-            return ("reflectty", self.type_atom())
+            return (Reflect, self.type_atom())
         if kind == "El":
             self.pos += 1
-            return ("el", self.term_atom())
+            return (El, self.term_atom())
         if kind == "(":
-            head = self._binder_head()
-            if head is not None:
-                name, usage, dom = head
-                kind, _, off = self.next()
-                if kind == "->":
-                    return ("pi", usage, name, dom, self.type_expr())
-                if kind == "*":
-                    return ("tensor", usage, name, dom, self.type_tensor_or_binder())
-                raise self.lines.error("expected -> or * after a binder", off)
+            if self.at_binder():
+                return self.type_tensor_or_binder()
             self.pos += 1
             inner = self.type_expr()
             self.expect(")")
             return inner
         # a term in type position embeds through El
-        term = self.term_app()
-        return ("el-implicit", term)
+        return (_EMBED, self.term_app())
 
     # -- terms ----------------------------------------------------------
-    def term(self) -> tuple:
+    def term(self):
         kind, _, start = self.toks[self.pos]
         if kind == "\\":
             self.pos += 1
@@ -389,20 +397,25 @@ class _Parser:
                     self.pos += 1
                     binders.append(b[1])
                 elif b[0] == "(":
-                    self.pos += 1
-                    a = self.expect("ident", "pattern name")[1]
-                    self.expect(",")
-                    c = self.expect("ident", "pattern name")[1]
-                    self.expect(")")
-                    binders.append((a, c))
+                    binders.append(self.names(2, "pattern name"))
                 else:
                     break
             if not binders:
                 raise self.lines.error("lambda needs at least one binder", start)
             self.expect(".")
-            return ("lam", binders, self.term(), start)
+            return (_LAMBDA, binders, self.term())
         if kind == "let":
-            return self.let_term()
+            self.pos += 1
+            if self.eat("*"):
+                cls, bound = LetUnit, None
+            else:
+                cls, bound = LetPair, self.names(2, "pattern name")
+            self.expect("=")
+            scrut = self.term()
+            motive = self.motive_clause()
+            self.expect("in")
+            body = self.term()
+            return (cls, scrut, body if bound is None else (bound, body), motive)
         if kind == "if":
             self.pos += 1
             scrut = self.term_app()
@@ -410,84 +423,46 @@ class _Parser:
             self.expect("then")
             then_b = self.term()
             self.expect("else")
-            return ("if", scrut, motive, then_b, self.term(), start)
+            return (If, scrut, then_b, self.term(), motive)
         if kind == "rec":
             return self.rec_term()
-        if kind == "match":
-            return self.match_term()
-        if kind == "reclist":
-            return self.reclist_term()
+        if kind == "match" or kind == "reclist":
+            return self.list_term()
         return self.term_infix()
 
-    def motive_clause(self) -> tuple | None:
+    def motive_clause(self):
         if self.eat("at"):
             self.expect("(")
             name = self.expect("ident", "motive binder")[1]
             self.expect(".")
             ty = self.type_expr()
             self.expect(")")
-            return (name, ty)
+            return ((name,), ty)
         return None
 
-    def let_term(self) -> tuple:
-        start = self.next()[2]  # 'let'
-        if self.eat("*"):
-            self.expect("=")
-            scrut = self.term()
-            motive = self.motive_clause()
-            self.expect("in")
-            return ("letunit", scrut, motive, self.term(), start)
-        self.expect("(")
-        a = self.expect("ident", "pattern name")[1]
-        self.expect(",")
-        b = self.expect("ident", "pattern name")[1]
-        self.expect(")")
-        self.expect("=")
-        scrut = self.term()
-        motive = self.motive_clause()
-        self.expect("in")
-        return ("letpair", a, b, scrut, motive, self.term(), start)
-
-    def rec_term(self) -> tuple:
-        start = self.next()[2]
+    def rec_term(self):
+        self.pos += 1
         scrut = self.term_app()
         motive = self.motive_clause()
         self.expect("{")
         self.expect("zero")
-        if self.eat("("):  # payment-regime shape binds a diamond
-            d0 = self.expect("ident", "diamond binder")[1]
-            self.expect(")")
-            self.expect("=>")
-            zb = self.term()
-            self.expect("|")
-            self.expect("succ")
-            self.expect("(")
-            d1 = self.expect("ident")[1]
-            self.expect(",")
-            nn = self.expect("ident")[1]
-            self.expect(",")
-            pp = self.expect("ident")[1]
-            self.expect(")")
-            self.expect("=>")
-            sb = self.term()
-            self.expect("}")
-            return ("rec_l", scrut, motive, (d0, zb), (d1, nn, pp, sb), start)
+        # the payment regime's shape binds a diamond in each branch
+        diamond = self.names(1, "diamond binder") if self.toks[self.pos][0] == "(" else ()
         self.expect("=>")
         zb = self.term()
         self.expect("|")
         self.expect("succ")
-        self.expect("(")
-        nn = self.expect("ident")[1]
-        self.expect(",")
-        pp = self.expect("ident")[1]
-        self.expect(")")
+        bound = self.names(len(diamond) + 2)
         self.expect("=>")
         sb = self.term()
         self.expect("}")
-        return ("rec_cf", scrut, motive, zb, (nn, pp, sb), start)
+        if diamond:
+            return (RecNatL, scrut, (diamond, zb), (bound, sb), motive)
+        return (RecNatCF, scrut, zb, (bound, sb), motive)
 
-    def match_term(self) -> tuple:
-        start = self.next()[2]
+    def list_term(self):
+        # match binds the head and tail; reclist also the previous result
+        cls, count = (MatchList, 2) if self.next()[0] == "match" else (RecList, 3)
         scrut = self.term_app()
         motive = self.motive_clause()
         self.expect("{")
@@ -496,109 +471,80 @@ class _Parser:
         nb = self.term()
         self.expect("|")
         self.expect("cons")
-        self.expect("(")
-        h = self.expect("ident")[1]
-        self.expect(",")
-        tl = self.expect("ident")[1]
-        self.expect(")")
+        bound = self.names(count)
         self.expect("=>")
         cb = self.term()
         self.expect("}")
-        return ("matchlist", scrut, motive, nb, (h, tl, cb), start)
+        return (cls, scrut, nb, (bound, cb), motive)
 
-    def reclist_term(self) -> tuple:
-        start = self.next()[2]
-        scrut = self.term_app()
-        motive = self.motive_clause()
-        self.expect("{")
-        self.expect("nil")
-        self.expect("=>")
-        nb = self.term()
-        self.expect("|")
-        self.expect("cons")
-        self.expect("(")
-        h = self.expect("ident")[1]
-        self.expect(",")
-        tl = self.expect("ident")[1]
-        self.expect(",")
-        p = self.expect("ident")[1]
-        self.expect(")")
-        self.expect("=>")
-        cb = self.term()
-        self.expect("}")
-        return ("reclist", scrut, motive, nb, (h, tl, p, cb), start)
-
-    def term_infix(self) -> tuple:
+    def term_infix(self):
         lhs = self.term_app()
         kind = self.toks[self.pos][0]
         if kind != "->" and kind != "*":
             return lhs
-        lhs_ty: tuple = ("el-implicit", lhs)
+        lhs_ty: tuple = (_EMBED, lhs)
         if self.eat("*"):
-            lhs_ty = ("tensor", 1, None, lhs_ty, self.type_tensor_or_binder())
+            lhs_ty = (Tensor, 1, lhs_ty, (_UNNAMED, self.type_tensor_or_binder()))
         if self.eat("->"):
-            lhs_ty = ("pi", 1, None, lhs_ty, self.type_expr())
-        return ("code", lhs_ty)
+            lhs_ty = (Pi, 1, lhs_ty, (_UNNAMED, self.type_expr()))
+        return (CodeTy, lhs_ty)
 
-    def term_app(self) -> tuple:
-        toks, pos = self.toks, self.pos
-        kind = toks[pos][0]
+    def term_app(self):
+        kind = self.toks[self.pos][0]
         # a type former in term position becomes a universe code
-        if kind in _TYPE_FORMERS or kind == "<>":
-            return ("code", self.type_atom())
-        if kind == "(" and toks[pos + 1][0] == "ident" and toks[pos + 2][0] == "^":
-            return ("code", self.type_atom())
+        if kind in _TYPE_FORMERS or kind == "<>" or self.at_binder():
+            return (CodeTy, self.type_atom())
         head = self.head_atom()
         while self.toks[self.pos][0] in _ATOM_STARTS:
-            head = ("app", head, self.term_atom())
+            head = (App, head, self.term_atom())
         return head
 
-    def head_atom(self) -> tuple:
+    def head_atom(self):
         kind = self.toks[self.pos][0]
         if kind == "zero":
             self.pos += 1
             if self.starts_atom():
-                return ("zero_l", self.term_atom())
-            return ("zero_cf",)
+                return (ZeroL, self.term_atom())
+            return ZeroCF()
         if kind == "succ":
             self.pos += 1
             first = self.term_atom()
             if self.starts_atom():
-                return ("succ_l", first, self.term_atom())
-            return ("succ_cf", first)
+                return (SuccL, first, self.term_atom())
+            return (SuccCF, first)
         if kind == "cons":
             self.pos += 1
-            return ("cons", self.term_atom(), self.term_atom())
-        if kind in ("dup", "fst", "snd", "refl"):
+            return (Cons, self.term_atom(), self.term_atom())
+        if kind in _PREFIXES:
             self.pos += 1
-            return (kind, self.term_atom())
+            return (_PREFIXES[kind], self.term_atom())
         if kind == "El":
             self.pos += 1
-            return ("code", ("el", self.term_atom()))
+            return (CodeTy, (El, self.term_atom()))
         if kind == "R":
             self.pos += 1
             if self.eat("^-1"):
-                return ("relim", self.term_atom())
-            return ("rintro", self.term_atom())
+                return (ReflectElim, self.term_atom())
+            return (ReflectIntro, self.term_atom())
         return self.term_atom()
 
     def starts_atom(self) -> bool:
         return self.toks[self.pos][0] in _ATOM_STARTS
 
-    def term_atom(self) -> tuple:
+    def term_atom(self):
         kind, text, off = self.toks[self.pos]
         if kind == "ident":
             self.pos += 1
-            return ("var", text, off)
+            return (_NAME, text, off)
         if kind == "int":
             self.pos += 1
-            return ("lit", int(text), off)
+            return (_LITERAL, int(text))
         if kind in _TERM_CONSTANTS:
             self.pos += 1
             return _TERM_CONSTANTS[kind]
         if kind == "<>" or kind in _TYPE_FORMERS:
             # a type former used as a universe code
-            return ("code", self.type_atom())
+            return (CodeTy, self.type_atom())
         if kind in ("succ", "cons", "dup", "fst", "snd", "refl", "R", "El"):
             # builtins with arguments must head their own spine
             return self.head_atom()
@@ -606,16 +552,16 @@ class _Parser:
             self.pos += 1
             if self.toks[self.pos][0] == "*" and self.toks[self.pos + 1][0] == ")":
                 self.pos += 2
-                return ("star",)
+                return Star()
             inner = self.term()
             if self.eat(","):
                 snd = self.term()
                 self.expect(")")
-                return ("pair", inner, snd)
+                return (Pair, inner, snd)
             if self.eat(":"):
                 ty = self.type_expr()
                 self.expect(")")
-                return ("ann", inner, ty)
+                return (Ann, inner, ty)
             self.expect(")")
             return inner
         raise self.lines.error(f"expected a term, found {text or 'end of input'!r}", off)
@@ -639,11 +585,11 @@ def parse_module(text: str) -> SourceModule:
     return _parse(text, _Parser.module)
 
 
-def parse_term(text: str) -> tuple:
+def parse_term(text: str):
     return _parse(text, _Parser.term)
 
 
-def parse_type(text: str) -> tuple:
+def parse_type(text: str):
     return _parse(text, _Parser.type_expr)
 
 
@@ -677,14 +623,37 @@ class ResolvedModule:
 
 
 class _Resolver:
+    """Turns the parser's surface trees into kernel terms and types.
+
+    A surface tree is written in the kernel's own classes.  A form that
+    names nothing is the kernel node itself (``true`` is ``TrueC()``,
+    ``Bool`` is ``BOOL_TY``).  Any other kernel form is a tuple
+    ``(KernelClass, *fields)``, the fields in `syntax._SCHEMA` order.  A
+    field that binds k variables is ``(k binder names, subtree)``, the
+    innermost name last; a binder that no name can refer to is None.  An
+    absent motive is None, and a trailing field the parser does not set
+    (``App.usage``) is left out.  The other forms are tagged with a
+    string:
+
+    - ``(_NAME, text, offset)``: a variable, or a definition, by name;
+    - ``(_LITERAL, n)``: a numeral, encoded as the regime writes it;
+    - ``(_LAMBDA, binders, body)``: a lambda, whose binders are names or
+      name pairs ``(a, c)`` that split their argument;
+    - ``(_EMBED, term)``: a term in type position.
+    """
+
     def __init__(self, regime: Regime, globals_: dict, lines: _Lines):
         self.regime = regime
         self.globals = globals_  # name -> Global
         self.lines = lines  # to report an offset
 
-    def term(self, node: tuple, scope: tuple) -> Term:
+    def resolve(self, node, scope: tuple):
+        """The kernel node of a surface tree under scope, the names of the
+        binders around it, innermost last."""
+        if node.__class__ is not tuple:
+            return node  # a kernel node, a usage or an absent motive
         tag = node[0]
-        if tag == "var":
+        if tag is _NAME:
             name = node[1]
             # innermost binding wins: search from the right
             for i, bound in enumerate(reversed(scope)):
@@ -693,161 +662,31 @@ class _Resolver:
             if name in self.globals:
                 return self.globals[name]
             raise self.lines.error(f"unbound name {name!r}", node[2], rule="Resolve")
-        if tag == "lit":
+        if tag is _LAMBDA:
+            # \x (a, c). M is \x. \w. let (a, c) = w in M with w unnameable.
+            # Expanded here rather than by the parser: each binder then
+            # costs one resolve frame and the lambda one more, the depth
+            # at which the tests pin "nested too deeply to resolve"
+            _, binders, body = node
+            for b in reversed(binders):
+                if b.__class__ is tuple:
+                    body = (Lam, (_UNNAMED, (LetPair, Var(0), (b, body), None)))
+                else:
+                    body = (Lam, ((b,), body))
+            return self.resolve(body, scope)
+        if tag is _LITERAL:
             return nat_literal(self.regime, node[1])
-        if tag == "lam":
-            return self._pattern_body(node[1], list(scope), node[2])
-        if tag == "app":
-            return App(self.term(node[1], scope), self.term(node[2], scope))
-        if tag == "pair":
-            return Pair(self.term(node[1], scope), self.term(node[2], scope))
-        if tag == "star":
-            return Star()
-        if tag == "dstar":
-            return DiamondStar()
-        if tag == "true":
-            return TrueC()
-        if tag == "false":
-            return FalseC()
-        if tag == "nil":
-            return Nil()
-        if tag == "cons":
-            return Cons(self.term(node[1], scope), self.term(node[2], scope))
-        if tag == "letpair":
-            _, a, b, scrut, motive, body, _offset = node
-            return LetPair(
-                self.term(scrut, scope),
-                self.term(body, scope + (a, b)),
-                self.motive(motive, scope),
-            )
-        if tag == "letunit":
-            _, scrut, motive, body, _offset = node
-            return LetUnit(
-                self.term(scrut, scope),
-                self.term(body, scope),
-                self.motive(motive, scope),
-            )
-        if tag == "if":
-            _, scrut, motive, tb, eb, _offset = node
-            return If(
-                self.term(scrut, scope),
-                self.term(tb, scope),
-                self.term(eb, scope),
-                self.motive(motive, scope),
-            )
-        if tag == "rec_cf":
-            _, scrut, motive, zb, (nn, pp, sb), _offset = node
-            return RecNatCF(
-                self.term(scrut, scope),
-                self.term(zb, scope),
-                self.term(sb, scope + (nn, pp)),
-                self.motive(motive, scope),
-            )
-        if tag == "rec_l":
-            _, scrut, motive, (d0, zb), (d1, nn, pp, sb), _offset = node
-            return RecNatL(
-                self.term(scrut, scope),
-                self.term(zb, scope + (d0,)),
-                self.term(sb, scope + (d1, nn, pp)),
-                self.motive(motive, scope),
-            )
-        if tag == "matchlist":
-            _, scrut, motive, nb, (h, tl, cb), _offset = node
-            return MatchList(
-                self.term(scrut, scope),
-                self.term(nb, scope),
-                self.term(cb, scope + (h, tl)),
-                self.motive(motive, scope),
-            )
-        if tag == "reclist":
-            _, scrut, motive, nb, (h, tl, p, cb), _offset = node
-            return RecList(
-                self.term(scrut, scope),
-                self.term(nb, scope),
-                self.term(cb, scope + (h, tl, p)),
-                self.motive(motive, scope),
-            )
-        if tag == "zero_cf":
-            return ZeroCF()
-        if tag == "succ_cf":
-            return SuccCF(self.term(node[1], scope))
-        if tag == "zero_l":
-            return ZeroL(self.term(node[1], scope))
-        if tag == "succ_l":
-            return SuccL(self.term(node[1], scope), self.term(node[2], scope))
-        if tag == "dup":
-            return DupNat(self.term(node[1], scope))
-        if tag == "fst":
-            return Fst(self.term(node[1], scope))
-        if tag == "snd":
-            return Snd(self.term(node[1], scope))
-        if tag == "refl":
-            return Refl(self.term(node[1], scope))
-        if tag == "rintro":
-            return ReflectIntro(self.term(node[1], scope))
-        if tag == "relim":
-            return ReflectElim(self.term(node[1], scope))
-        if tag == "ann":
-            return Ann(self.term(node[1], scope), self.type(node[2], scope))
-        if tag == "code":
-            return CodeTy(self.type(node[1], scope))
-        raise ValueError(f"unknown surface node {tag}")
-
-    def _pattern_body(self, binders, scope: list, body) -> Term:
-        """Lambda chains; pair patterns split the argument first."""
-        if not binders:
-            return self.term(body, tuple(scope))
-        b, rest = binders[0], binders[1:]
-        if isinstance(b, tuple):
-            a, c = b
-            # \(a, c). M  ~~>  \w. let (a, c) = w in M  with w unnameable
-            fresh = f"%w{len(scope)}"
-            inner = self._pattern_body(rest, scope + [fresh, a, c], body)
-            return Lam(LetPair(Var(0), inner, None))
-        return Lam(self._pattern_body(rest, scope + [b], body))
-
-    def motive(self, motive, scope: tuple) -> TypeExpr | None:
-        if motive is None:
-            return None
-        name, ty = motive
-        return self.type(ty, scope + (name,))
-
-    def type(self, node: tuple, scope: tuple) -> TypeExpr:
-        tag = node[0]
-        if tag == "bool":
-            return BOOL_TY
-        if tag == "nat":
-            return NAT_TY
-        if tag == "unit":
-            return UNIT_TY
-        if tag == "universe":
-            return UNIVERSE
-        if tag == "diamond":
-            return DIAMOND_TY
-        if tag == "list":
-            return ListTy(self.type(node[1], scope))
-        if tag == "id":
-            return IdTy(
-                self.type(node[1], scope),
-                self.term(node[2], scope),
-                self.term(node[3], scope),
-            )
-        if tag == "reflectty":
-            return Reflect(self.type(node[1], scope))
-        if tag == "el":
-            return El(self.term(node[1], scope))
-        if tag == "el-implicit":
-            inner = self.term(node[1], scope)
-            if isinstance(inner, CodeTy):
-                return inner.ty
-            return El(inner)
-        if tag == "pi" or tag == "tensor":
-            _, usage, name, first, second = node
-            # the non-dependent sugar binds None, which no name refers to
-            former = Pi if tag == "pi" else Tensor
-            first, second = self.type(first, scope), self.type(second, scope + (name,))
-            return former(usage, first, second)
-        raise ValueError(f"unknown surface type {tag}")
+        if tag is _EMBED:
+            inner = self.resolve(node[1], scope)
+            return inner.ty if inner.__class__ is CodeTy else El(inner)
+        fields = []
+        for (_, _, binds), sub in zip(_SCHEMA[tag], node[1:]):
+            if binds and sub is not None:
+                sub = self.resolve(sub[1], scope + sub[0])
+            elif sub.__class__ is tuple:
+                sub = self.resolve(sub, scope)
+            fields.append(sub)
+        return tag(*fields)
 
 
 def resolve_module(
@@ -870,7 +709,7 @@ def resolve_module(
             raise _err(f"duplicate definition {d.name!r}", d.span, rule="Resolve")
         r = _Resolver(regime, globals_, d.lines)
         try:
-            defn = Global(d.name, r.type(d.ty, ()), r.term(d.body, ()))
+            defn = Global(d.name, r.resolve(d.ty, ()), r.resolve(d.body, ()))
         except RecursionError:
             # as in the parser: the resolver recurses once per binder
             raise _err(
@@ -882,11 +721,12 @@ def resolve_module(
 
 
 def resolve_term(text: str, regime: Regime, scope: tuple = ()) -> Term:
-    return _Resolver(regime, {}, _Lines(text)).term(parse_term(text), scope)
+    return _Resolver(regime, {}, _Lines(text)).resolve(parse_term(text), scope)
 
 
 def resolve_type(text: str, regime: Regime, scope: tuple = ()) -> TypeExpr:
-    return _Resolver(regime, {}, _Lines(text)).type(parse_type(text), scope)
+    return _Resolver(regime, {}, _Lines(text)).resolve(parse_type(text), scope)
+
 
 
 # ---------------------------------------------------------------------------
