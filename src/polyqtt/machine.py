@@ -15,24 +15,35 @@ the same step count.
   definition the tests compare against, and the only path that records
   a trace.
 - The compiled path (_eval_compiled) prepares each distinct code node
-  it enters once, lazily, into a block: the instructions from that node
-  up to the first whose successor is only known at run time (an
-  application, a conditional, or a value returned to a frame), or up to
-  _CAP of them and a jump, generated as one Python function that reads
-  and extends the environment inline.  A block adds its steps and
-  compares them with the fuel once.  The functions come from factories
-  cached by the block's shape (its opcodes and indices; the blocks it
-  refers to are factory arguments), so each distinct shape is compiled
-  once per process; the table keeps the _SHAPES most recently used.
-  Values are Python tuples, singletons and slotted closures, and
-  environments linked cells, so extending one costs no copy; results
-  become machine values again only in the outcome.  A block that cannot
-  finish (it would cross the fuel limit, or an index or a variant is
-  wrong) is handed to the reference loop, which runs it from its entry
-  state with the fuel that is left and stops inside it, so OutOfFuel
-  and Stuck, with its reason, are the reference's own.  Indices are
-  checked as they are read, not when a block is prepared: a shared
-  definition's code runs at more than one environment depth.
+  it enters once, lazily, into a block, generated as one Python
+  function.  A block is a tree of paths from its node: a conditional
+  continues into both arms, held as a Python if, and a sequencing node
+  continues into its first part and, on each path where that yields a
+  value, into its rest.  A path ends where its successor is only known
+  at run time (an application, or a value returned to a frame that an
+  earlier block pushed), or with a jump where the block's _CAP items,
+  counted over all its paths, run out.  A value a block binds is a
+  Python local.  A linked environment cell is built only where the
+  environment escapes: into a closure, into the environment of a jump,
+  or into a frame, which a sequencing node pushes only on a path that
+  leaves the block before its first part yields.  The functions come
+  from factories cached by the block's shape (its opcodes and indices;
+  the blocks it refers to are factory arguments), so each distinct shape
+  is compiled once per process; the table keeps the _SHAPES most
+  recently used.  Blocks are keyed by node: a node without sub-nodes by
+  its value, so unshared copies share one block, and any other by its
+  id.  Values are Python tuples and singletons, and environments linked
+  cells, so extending one costs no copy; results become machine values
+  again only in the outcome.
+  A block returns the steps of the path it took; the driver adds them
+  and compares them with the fuel once per block.  A block that cannot
+  finish (its path would cross the fuel limit, or an index or a variant
+  is wrong, which it reports by raising) is handed to the reference
+  loop, which runs it from its entry state with the fuel that is left
+  and stops inside it, so OutOfFuel and Stuck, with its reason, are the
+  reference's own.  The frames the block pushed are never read again.
+  Indices are checked as they are read, not when a block is prepared: a
+  shared definition's code runs at more than one environment depth.
 
 eval_expr takes the reference loop for a traced run, for one with less
 than COMPILE_MIN_FUEL fuel and for an environment holding a value of no
@@ -40,19 +51,21 @@ machine value class, and the compiled path otherwise.
 Preparing blocks costs more than interpreting a short run: timed on
 every corpus declaration with an input and on fan-out chains of depth
 6, 8 and 10, at n <= 20 with the fuel run_and_verify gives (the bound
-plus 4,096; Python 3.11, 2 shared Xeon cores), with every shape already
-compiled, the compiled path took a median 2.15 times the reference's
-time on the 75 runs below 4,250 fuel and 0.97 times on the 82 up to
-4,500, and was faster on 76 of the 82 runs from 4,500 to 6,000 and on
-all 118 from 6,000 on (median 0.32).  Compiling a shape takes about
-0.2 ms: with the table emptied before each run, the compiled path was
-slower on every run below 6,000 and faster on 69 of the 118 from 6,000.
+plus 4,096; Python 3.11, 2 shared Xeon cores; the ranges are three
+sessions), with every shape already compiled, the compiled path took a
+median 2.27-2.35 times the reference's time on the 75 runs below 4,250
+fuel and 0.97-0.98 times on the 82 up to 4,500, and was faster on 73-76
+of the 82 runs from 4,500 to 6,000 and on all 118 from 6,000 on
+(median 0.23).  Compiling a shape takes about 0.2 ms: with the table
+emptied before each run, the compiled path was slower on every run
+below 6,000 and faster on 66-69 of the 118 from 6,000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 
 # --------------------------------------------------------------------------
@@ -332,25 +345,31 @@ def _eval_reference(
 
 
 # --------------------------------------------------------------------------
-# The compiled path (see the module docstring).  A pair is a tuple, a
-# closure a _Closure, unit None and the booleans True and False.  An
-# environment is a linked list of (value, rest) cells ending in ().
+# The compiled path (see the module docstring).  A pair is a 2-tuple, a
+# closure a 3-tuple (block, environment, None), unit None and the
+# booleans True and False.  A tuple is built without a Python-level call,
+# and unpacking a pair as a closure or a closure as a pair raises
+# ValueError.  An environment is a linked list of (value, rest) cells
+# ending in ().
 
 # Below this much fuel the reference loop is faster (module docstring).
 COMPILE_MIN_FUEL = 6000
 
-# A block is a list [cost, run, node]: cost is every step from entering
-# the block to its last instruction, and run is None until the block is
-# first entered, then the function _factory generates for it.
-_NODE = 2
-# The items of a block before its straight line is cut by a jump.
+# A block is a list [run, node]: run is the function _factory generates
+# for the block, or, until the block is first entered, a stub that
+# prepares it.
+_NODE = 1
+# The items of a block, over all its paths, before a path is cut by a jump.
 _CAP = 32
-# Index i is read as e[1]...[1][0] below this, and by _at from it.
+# Index i of the entry environment is read as e[1]...[1][0] below this,
+# and by _at from it.
 _UNROLL = 24
 # Distinct block shapes whose factories are kept.
 _SHAPES = 1024
 
 _CONSTANTS = {MkUnit: "None", MkTrue: "True", MkFalse: "False"}
+# The nodes without sub-nodes, whose blocks are keyed by value.
+_LEAVES = frozenset((Var, MkPair, App, *_CONSTANTS))
 
 
 def _at(e, i: int):
@@ -369,73 +388,106 @@ def _factory(shape: tuple):
     """The factory of a block function of this shape.  It takes the
     frame stack's push and the blocks the items refer to, in order, and
     returns run(e): e is the block's entry environment, and run returns
-    (next block, its environment) or, for a value returned to a frame,
-    (None, value).  run raises where only the reference loop can go on."""
-    params, body, env = ["push"], [], "e"
+    (next block, its environment, steps) or, for a value returned to a
+    frame, (None, value, steps), with the steps of the path it took.
+    run raises where only the reference loop can go on.
+
+    A value a path binds is a Python local: index i below the number n
+    of locals reads a local, and index i from n reads index i - n of e.
+    A linked cell is built only where the environment escapes, into a
+    pushed frame, a closure or a jump, and once per path."""
+    params, lines, names = ["push"], [], count()
 
     def ref() -> str:
         params.append(f"b{len(params)}")
         return params[-1]
 
-    def value(item) -> str:
-        kind = item[1]
-        if kind == "var":
-            return _get(env, item[2])
-        if kind == "pair":
-            return f"({_get(env, item[2])}, {_get(env, item[3])})"
-        if kind == "lam":
-            return f"_Closure({ref()}, {env})"
-        return kind  # a constant of _CONSTANTS
+    def path(items, pad: str, locs: list, envs: dict, frames: list, steps: int):
+        # locs: the names of the path's locals, innermost last; envs: n ->
+        # the name of a linked environment of e and the first n locals;
+        # frames: n for each Seq whose rest the path continues in
+        def emit(line: str) -> None:
+            lines.append(pad + line)
 
-    for item in shape:
-        op = item[0]
-        if op == "bind":
-            body.append(f"{env} = ({value(item)}, {env})")
-        elif op == "split":
-            body += [f"p = {_get('e', item[1])}", "e = (p[1], (p[0], e))"]
-        elif op == "open":
-            body.append("t = e")
-            env = "t"
-        elif op == "yield" and env == "t":
-            body.append(f"e = ({value(item)}, e)")
-            env = "e"
-        elif op == "yield":
-            body.append(f"return None, {value(item)}")
-        elif op == "push":
-            body.append(f"push(({ref()}, e))")
-        elif op == "app":
-            body += [
-                f"f = {_get('e', item[1])}",
-                f"return f.block, ({_get('e', item[2])}, (f, f.env))",
-            ]
-        elif op == "if":
-            then_, else_ = ref(), ref()
-            body += [
-                f"s = {_get('e', item[1])}",
-                f"if s is True: return {then_}, e",
-                f"if s is False: return {else_}, e",
-                "raise TypeError",
-            ]
-        elif op == "jump":
-            body.append(f"return {ref()}, e")
-        else:  # "stuck": only the reference loop runs this instruction
-            body.append("raise TypeError")
+        def local(expr: str) -> str:
+            name = f"v{next(names)}"
+            emit(f"{name} = {expr}")
+            return name
+
+        def read(i: int) -> str:
+            return locs[-1 - i] if i < len(locs) else local(_get("e", i - len(locs)))
+
+        def env(n: int) -> str:
+            m = max(k for k in envs if k <= n)
+            if m == n:
+                return envs[n]
+            expr = envs[m]
+            for v in locs[m:n]:
+                expr = f"({v}, {expr})"
+            envs[n] = local(expr)
+            return envs[n]
+
+        def value(item) -> str:
+            kind = item[1]
+            if kind == "var":
+                return read(item[2])
+            if kind == "pair":
+                return local(f"({read(item[2])}, {read(item[3])})")
+            if kind == "lam":
+                return local(f"({ref()}, {env(len(locs))}, None)")
+            return kind  # a constant of _CONSTANTS
+
+        def leave() -> None:
+            for n in frames:
+                emit(f"push(({ref()}, {env(n)}))")
+
+        for item in items:
+            op = item[0]
+            if op == "seq":
+                frames.append(len(locs))
+            elif op == "resume":
+                v = value(item)
+                n = frames.pop()
+                del locs[n:]
+                for k in [k for k in envs if k > n]:
+                    del envs[k]
+                locs.append(v)
+                steps += 2
+            elif op == "split":
+                p = read(item[1])
+                locs += [f"v{next(names)}", f"v{next(names)}"]
+                emit(f"{locs[-2]}, {locs[-1]} = {p}")
+                steps += 1
+            elif op == "ret":
+                emit(f"return None, {value(item)}, {steps + 1}")
+            elif op == "app":
+                f, body, fenv = read(item[1]), f"v{next(names)}", f"v{next(names)}"
+                emit(f"{body}, {fenv}, _ = {f}")
+                leave()
+                emit(f"return {body}, ({read(item[2])}, ({f}, {fenv})), {steps + 1}")
+            elif op == "if":
+                s = read(item[1])
+                emit(f"if {s} is True:")
+                path(item[2], pad + "    ", list(locs), dict(envs), list(frames), steps + 1)
+                emit(f"if {s} is not False:")
+                emit("    raise TypeError")
+                path(item[3], pad, locs, envs, frames, steps + 1)
+            elif op == "jump":
+                m = env(len(locs))
+                leave()
+                emit(f"return {ref()}, {m}, {steps}")
+            else:  # "stuck": only the reference loop runs this instruction
+                emit("raise TypeError")
+
+    path(shape, "        ", [], {0: "e"}, [], 0)
     source = "".join(
         [f"def factory({', '.join(params)}):\n    def run(e):\n"]
-        + [f"        {line}\n" for line in body]
+        + [f"{line}\n" for line in lines]
         + ["    return run\n"]
     )
-    namespace = {"_Closure": _Closure, "_at": _at}
+    namespace = {"_at": _at}
     exec(source, namespace)
     return namespace["factory"]
-
-
-class _Closure:
-    __slots__ = ("block", "env")
-
-    def __init__(self, block, env):
-        self.block = block
-        self.env = env
 
 
 class _Foreign(Exception):
@@ -456,100 +508,96 @@ def _cells(env) -> list:
 
 
 class _Program:
-    """The blocks and the frame stack of one run.  Blocks are keyed by the
-    id of their node; the table lives only as long as the run, whose code
-    keeps every node alive, so an id cannot be reused while it is a key."""
+    """The blocks and the frame stack of one run.  The block of a node
+    without sub-nodes is keyed by the node's value, so copies share it;
+    any other block by the id of its node.  The table lives only as long
+    as the run, whose code keeps every node alive, so an id cannot be
+    reused while it is a key."""
 
     def __init__(self):
-        self.blocks: dict[int, list] = {}
+        self.blocks: dict = {}
         self.stack: list[tuple[list, object]] = []
         self.push = self.stack.append
 
     def block(self, node: MachineExpr) -> list:
-        b = self.blocks.get(id(node))
+        key = node if node.__class__ in _LEAVES else id(node)
+        b = self.blocks.get(key)
         if b is None:
-            b = self.blocks[id(node)] = [0, None, node]
+            b = self.blocks[key] = [None, node]
+
+            def enter(e):
+                self.prepare(b)
+                return b[0](e)
+
+            b[0] = enter
         return b
 
-    def _item(self, tag: str, e, refs: list):
-        """The shape item that applies tag to e when e is a one-step value
+    def _value(self, e, refs: list):
+        """The shape item's value part when e is a one-step value
         instruction, or None."""
         cls = e.__class__
         if cls is Var:
-            return (tag, "var", e.i) if e.i >= 0 else None
+            return ("var", e.i) if e.i >= 0 else None
         if cls is MkPair:
-            return (tag, "pair", e.i, e.j) if e.i >= 0 and e.j >= 0 else None
+            return ("pair", e.i, e.j) if e.i >= 0 and e.j >= 0 else None
         if cls is Lam:
             refs.append(self.block(e.body))
-            return (tag, "lam")
+            return ("lam",)
         constant = _CONSTANTS.get(cls)
-        return None if constant is None else (tag, constant)
+        return None if constant is None else (constant,)
 
-    def _line(self, e, budget: int, shape: list, refs: list) -> int:
-        """Append the items that bind the value of e when e is a straight
-        line of at most budget items: one-step values, sequenced, ending
-        in one.  Returns its steps, or 0, appending nothing, when e is
-        not one."""
-        item = self._item("bind", e, refs)
-        if item is not None:
-            shape.append(item)
-            return 1
-        mark, ref_mark, steps = len(shape), len(refs), 1
-        shape.append(("open",))
-        while e.__class__ is Seq and len(shape) - mark < budget:
-            item = self._item("bind", e.first, refs)
-            if item is None:
-                break
-            shape.append(item)
-            steps += 2
-            e = e.rest
-        item = None if e.__class__ is Seq else self._item("yield", e, refs)
-        if item is not None:
-            shape.append(item)
-            return steps
-        del shape[mark:], refs[ref_mark:]
-        return 0
-
-    def prepare(self, blk: list) -> None:
-        """Generate blk's function: the instructions from its node up to
-        the first application, conditional or value returned to a frame,
-        or up to _CAP items and a jump to the block of the node where the
-        line was cut."""
-        shape, refs, cost, e = [], [self.push], 0, blk[_NODE]
-        while len(shape) < _CAP:
+    def _path(self, e, frames: tuple, budget: int, refs: list):
+        """The items of the paths from e, at most budget of them, and
+        their number.  frames holds the rests of the sequencing nodes the
+        paths continue in, innermost last.  A path ends at an
+        application, a value returned to a frame, an instruction only
+        the reference loop runs, or, when the items run out, a jump to
+        the block of the node where it was cut; a conditional ends a
+        path in two."""
+        items, used = [], 0
+        while used < budget:
+            used += 1
             cls = e.__class__
             if cls is Seq:
-                steps = self._line(e.first, _CAP - len(shape), shape, refs)
-                if steps:
-                    cost += steps + 1
-                    e = e.rest
-                else:
-                    shape.append(("push",))
-                    refs.append(self.block(e.rest))
-                    e = e.first
+                items.append(("seq",))
+                frames += (e.rest,)
+                e = e.first
             elif cls is LetPair and e.i >= 0:
-                shape.append(("split", e.i))
-                cost += 1
+                items.append(("split", e.i))
                 e = e.body
+            elif cls is If and e.i >= 0:
+                # the then arm takes at most half the items left
+                then, n = self._path(e.then_branch, frames, (budget - used + 1) // 2, refs)
+                used += n
+                else_, n = self._path(e.else_branch, frames, budget - used, refs)
+                items.append(("if", e.i, then, else_))
+                return tuple(items), used + n
             else:
-                item = self._item("yield", e, refs)
-                if item is None and cls is App and e.i >= 0 and e.j >= 0:
-                    item = ("app", e.i, e.j)
-                elif item is None and cls is If and e.i >= 0:
-                    item = ("if", e.i)
-                    refs += (self.block(e.then_branch), self.block(e.else_branch))
-                if item is None:
-                    # an unknown instruction or a negative index
-                    shape.append(("stuck",))
-                else:
-                    shape.append(item)
-                    cost += 1
-                break
-        else:
-            shape.append(("jump",))
-            refs.append(self.block(e))
-        blk[0] = cost
-        blk[1] = _factory(tuple(shape))(*refs)
+                value = self._value(e, refs)
+                if value is not None and frames:
+                    items.append(("resume", *value))
+                    e, frames = frames[-1], frames[:-1]
+                elif value is not None:
+                    items.append(("ret", *value))
+                    return tuple(items), used
+                elif cls is App and e.i >= 0 and e.j >= 0:
+                    items.append(("app", e.i, e.j))
+                    refs += map(self.block, frames)
+                    return tuple(items), used
+                else:  # an unknown instruction or a negative index
+                    items.append(("stuck",))
+                    return tuple(items), used
+        items.append(("jump",))
+        refs += map(self.block, (*frames, e))
+        return tuple(items), used
+
+    def prepare(self, blk: list) -> None:
+        """Generate blk's function: the paths from its node, through
+        conditionals and into the rests of sequencing nodes, up to _CAP
+        items in all."""
+        refs = [self.push]
+        shape, _ = self._path(blk[_NODE], (), _CAP, refs)
+        blk[0] = _factory(shape)(*refs)
 
     def compiled_env(self, env: Env):
         """The linked environment of the compiled-path forms of the values
@@ -572,7 +620,7 @@ class _Program:
                     cenv = ()
                     for w in v.env:
                         cenv = (get(w), cenv)
-                    memo[id(v)] = _Closure(self.block(v.body), cenv)
+                    memo[id(v)] = (self.block(v.body), cenv, None)
             elif cls not in _LEAF_IN and id(v) not in memo:
                 if cls is VPair:
                     parts = (v.fst, v.snd)
@@ -612,45 +660,42 @@ class _Program:
                 elif id(x) not in envs:
                     todo += ((x, True, True), (x[1], True, False), (x[0], False, False))
             elif ready:
-                if x.__class__ is tuple:
+                if len(x) == 2:
                     memo[id(x)] = VPair(get(x[0]), get(x[1]))
                 else:
-                    memo[id(x)] = Clo(x.block[_NODE], envs[id(x.env)])
-            elif id(x) not in memo:
-                if x.__class__ is tuple:
+                    memo[id(x)] = Clo(x[0][_NODE], envs[id(x[1])])
+            elif x.__class__ is tuple and id(x) not in memo:
+                if len(x) == 2:
                     todo += ((x, False, True), (x[1], False, False), (x[0], False, False))
-                elif x.__class__ is _Closure:
-                    todo += ((x, False, True), (x.env, True, False))
+                else:
+                    todo += ((x, False, True), (x[1], True, False))
         return [get(v) for v in roots]
 
 
 def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
     """The compiled path: one step increment and one fuel comparison per
-    block.  Where a block cannot finish (it would cross the fuel limit,
-    an index is out of range or a value has the wrong variant, which
-    the run and the last instruction report by raising) the reference
-    loop runs the block's node from the block's entry state with the
-    fuel that is left.  It stops inside that block, with OutOfFuel or
-    Stuck, and its outcome is the run's outcome."""
+    block, on the steps of the path the block took.  Where a block cannot
+    finish (its path would cross the fuel limit, or an index is out of
+    range or a value has the wrong variant, which the block reports by
+    raising) the reference loop runs the block's node from the block's
+    entry state with the fuel that is left.  It stops inside that block,
+    with OutOfFuel or Stuck, and its outcome is the run's outcome."""
     prog = _Program()
     try:
         entry = prog.compiled_env(env)
     except _Foreign:
         return _eval_reference(expr, env, fuel)
     env = entry
-    steps = cost = 0
+    steps = 0
     stack = prog.stack
     blk = prog.block(expr)
     try:
         while True:
-            cost, run, _ = blk
-            if run is None:
-                prog.prepare(blk)
-                continue
-            steps += cost
+            nxt, x, k = blk[0](env)
+            steps += k
             if steps > fuel:
+                steps -= k
                 break
-            nxt, x = run(env)
             if nxt is not None:
                 blk, env = nxt, x
             elif stack:
@@ -659,9 +704,8 @@ def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
                 steps += 1  # the resumption; the next block compares
             else:
                 return Done(prog.machine_values((x,))[0], steps)
-    except (IndexError, TypeError, AttributeError):
+    except (IndexError, TypeError, ValueError):
         pass
-    steps -= cost
     if steps > fuel:
         return OUT_OF_FUEL
     ref_env = tuple(prog.machine_values(reversed(_cells(env))))

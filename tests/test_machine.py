@@ -42,7 +42,7 @@ from polyqtt.machine import (
     value_to_sexp,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, compiled
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +398,21 @@ def _seq_all(parts, last):
     return last
 
 
+def _nested_ifs(depth):
+    """A conditional on index 0 in both arms of a conditional, depth
+    deep, each arm binding a boolean for the next: 3 items a level."""
+    e = MkPair(0, 2)
+    for _ in range(depth):
+        e = If(0, Seq(MkFalse(), e), Seq(MkTrue(), e))
+    return e
+
+
 def _edge_programs():
     """(program, environment) pairs at the compiled path's edges: indices
-    read through the loop past the unrolled range, straight lines around
-    and past the block length cap, and code shared at two depths."""
+    read through the loop past the unrolled range, before and after
+    values bound in the block, straight lines and conditionals around
+    and past the block length cap, paths of unequal cost, and code shared
+    at two depths."""
     rng = random.Random(5)
     deep = tuple(_random_value(rng, 2) for _ in range(machine._UNROLL + 10))
     clo = Clo(Seq(Var(0), MkPair(0, 2)), (TRUE,))
@@ -439,6 +450,11 @@ def _edge_programs():
         yield prog, ()
         yield Seq(_seq_all([MkFalse()] * k, Var(k - 1)), Var(0)), ()
         yield Seq(_seq_all([MkFalse()] * k, App(0, 0)), Var(0)), ()
+        # k pair eliminations in a row, then a closure over all they bound
+        split = Seq(Lam(MkPair(1, 2 * k + 2)), App(0, 0))
+        for _ in range(k):
+            split = LetPair(0, split)
+        yield split, (nat_value(k),)
     # one node entered at two environment depths
     shared = Seq(Var(1), If(0, LetPair(3, MkPair(0, 4)), Var(2)))
     twice = Seq(shared, Seq(MkTrue(), Seq(MkFalse(), shared)))
@@ -448,6 +464,42 @@ def _edge_programs():
     fn = Lam(body)
     yield Seq(fn, Seq(App(0, far + 2), Seq(fn, App(0, 4)))), deep
     yield Seq(fn, Seq(App(0, 1), Seq(fn, App(0, far + 3)))), deep
+    # reads below, at and past _UNROLL after three values bound in the
+    # block, and one past the environment
+    for i in (machine._UNROLL - 1, machine._UNROLL + 2, far + 3, n + 3):
+        yield Seq(MkTrue(), LetPair(far + 3, MkPair(i, 1))), deep
+        yield Seq(MkTrue(), LetPair(far + 3, Seq(Var(i), App(far + 4, 0)))), deep
+    # conditionals nested in both arms across _CAP, alone and as the
+    # first part of a sequence
+    for depth in (cap // 6, cap // 3, cap // 3 + 1, cap):
+        for b in (TRUE, FALSE):
+            yield _nested_ifs(depth), (UNIT, b)
+            yield Seq(_nested_ifs(depth), LetPair(0, Var(1))), (UNIT, b)
+    for b in (TRUE, FALSE):
+        for x in (clo, VPair(TRUE, UNIT), TRUE):
+            # a frame pending before a conditional whose arms apply x or
+            # eliminate it as a pair: each may run out of fuel or get stuck
+            arms = If(0, Seq(MkUnit(), App(2, 0)), LetPair(1, MkPair(1, 0)))
+            yield Seq(arms, MkPair(0, 1)), (x, b)
+            arms = If(1, Seq(MkUnit(), App(3, 0)), LetPair(2, MkPair(1, 0)))
+            yield Seq(Seq(MkUnit(), arms), Seq(Var(0), App(3, 0))), (x, b)
+        # arms of unequal cost, alone and as a sequence's first part
+        uneven = If(0, Var(0), _seq_all([MkFalse(), MkUnit()], MkPair(0, 1)))
+        yield uneven, (b,)
+        yield Seq(uneven, Seq(MkTrue(), MkPair(1, 0))), (b,)
+        yield Seq(If(0, Seq(MkUnit(), App(2, 0)), MkTrue()), Var(0)), (clo, b)
+        # closures that capture values bound in the block, applied and
+        # returned
+        captured = Seq(MkTrue(), LetPair(2, Lam(MkPair(3, 2))))
+        yield Seq(captured, Seq(MkUnit(), App(1, 0))), (VPair(UNIT, b), FALSE)
+        yield Seq(MkFalse(), If(1, captured, Lam(Var(3)))), (VPair(b, b), b)
+    # a closure or a pair as the scrutinee, read from the entry
+    # environment or bound in the block
+    for scrutinee in (clo, VPair(TRUE, FALSE)):
+        yield If(0, MkTrue(), Var(0)), (scrutinee,)
+    yield Seq(Lam(Var(0)), If(0, MkTrue(), MkFalse())), ()
+    yield Seq(MkPair(0, 0), If(0, MkTrue(), MkFalse())), (TRUE,)
+    yield Seq(MkTrue(), Seq(Var(1), If(0, MkTrue(), MkFalse()))), (clo,)
 
 
 def test_compiled_path_matches_reference_on_random_programs():
@@ -467,7 +519,7 @@ def test_compiled_path_matches_reference_on_random_programs():
     assert outcomes.count(Done) > 40 and outcomes.count(Stuck) > 20
 
 
-def test_block_shapes_are_generated_once():
+def test_block_shapes_are_generated_once(monkeypatch):
     # a block's function comes from a factory cached by the block's shape,
     # so a second copy of the same code generates nothing
     misses = lambda: machine._factory.cache_info().misses  # noqa: E731
@@ -479,12 +531,46 @@ def test_block_shapes_are_generated_once():
         before = misses()
         assert _eval_compiled(code, (nat_value(6),), 10_000_000).steps == 5_996
         assert copy == 0 or misses() == before
+    # unshared copies of a node without sub-nodes share one block: 100,000
+    # distinct Var(0) nodes and Seq nodes 32 to a block
     prog = MkTrue()
     for _ in range(100_000):
         prog = Seq(prog, Var(0))
+    prepared = []
+    real = machine._Program.prepare
+    monkeypatch.setattr(
+        machine._Program, "prepare", lambda self, blk: prepared.append(blk) or real(self, blk)
+    )
     before = misses()
     assert _eval_compiled(prog, (), 10_000_000) == Done(TRUE, 200_001)
     assert misses() - before <= 5
+    assert len(prepared) <= 4_000
+
+
+def test_blocks_continue_through_conditionals(monkeypatch):
+    # nested3 at n=20 enters 60,608 blocks when each conditional ends a
+    # block; continuing through them enters a quarter fewer
+    entered = [0]
+    real = machine._factory
+
+    def factory(shape):
+        make = real(shape)
+
+        def counted_factory(*refs):
+            run = make(*refs)
+
+            def counted(e):
+                entered[0] += 1
+                return run(e)
+
+            return counted
+
+        return counted_factory
+
+    monkeypatch.setattr(machine, "_factory", factory)
+    code = compiled("consfree_iter.qtt", "nested3").code
+    assert _eval_compiled(code, (nat_value(20),), 10_000_000).steps == 176_418
+    assert entered[0] <= 45_456
 
 
 def test_eval_expr_picks_its_path(monkeypatch):
