@@ -6,16 +6,20 @@ syntax node whose eager fields hold values; a binder field, and the
 branches and motive of an eliminator, hold a closure (env, body),
 applied by evaluating body in env extended with the argument's value.
 Variables in values are de Bruijn levels, so a value stays valid under
-further binders.  The context holds each entry's type as a value,
-`check` takes its target as a value and `synth` returns one, and an
-argument is evaluated only when a type reads it.  Conversion compares
-values, with the eta laws for functions and pairs applied on the fly.
-Values are read back to normal forms only for diagnostics, which print
-them through `frontend.pretty_type`, and for the public normalize_*,
-types_equal and conv_type.  Substitution is evaluation:
-`normalize_type(ty, args)` binds ty's innermost indices to closed terms,
-and read-back's eta rule reads a function back outside the binder it
-does not use, so nothing in the package rewrites syntax under binders.
+further binders.  The evaluator is one loop that dispatches a node once
+on its class, to a rule built at import from `syntax._SCHEMA` and the
+tables of cases, recursors and projections; its budget counts redexes,
+one step per beta-, case, projection, duplication or recursion step.
+The context holds each entry's type as a value, `check` takes its target
+as a value and `synth` returns one, and an argument is evaluated only
+when a type reads it.  Conversion compares values, with the eta laws for
+functions and pairs applied on the fly.  Values are read back to normal
+forms only for diagnostics, which print them through
+`frontend.pretty_type`, and for the public normalize_*, types_equal and
+conv_type.  Substitution is evaluation: `normalize_type(ty, args)` binds
+ty's innermost indices to closed terms, and read-back's eta rule reads a
+function back outside the binder it does not use, so nothing in the
+package rewrites syntax under binders.
 
 Checking synthesises the minimal usage vector of the free variables,
 which a declared annotation admits when it dominates it pointwise.
@@ -24,9 +28,10 @@ branches and reflection introduction require an all-zero vector.
 
 A definition is one shared `Global` node, checked once per regime and
 fragment; a reference synthesises its declared type with zero usage and
-evaluates to its body.  Checking returns the core term: the input with
-the usage of each function and tensor type stored on its App or Pair
-node, the one typing fact the compiler needs.
+evaluates to its body, or, for a lambda, to one closure shared by every
+reference, so conversion finds it equal by identity.  Checking returns
+the core term: the input with the usage of each function and tensor type
+stored on its App or Pair node, the one typing fact the compiler needs.
 
 The checker recurses on the host stack, so a public entry point reports
 input nested deeper than that stack as a `[Check]` diagnostic, as the
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import fields
+from operator import attrgetter
 
 from .frontend import pretty_type
 from .syntax import (
@@ -137,10 +143,8 @@ class _Budget:
     def __init__(self, steps: int = DEFAULT_NORM_BUDGET):
         self.left = steps
 
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise CheckError("Normalize", "normalisation step budget exhausted")
+
+_EXHAUSTED = ("Normalize", "normalisation step budget exhausted")
 
 
 class _Lazy:
@@ -152,7 +156,15 @@ class _Lazy:
         self.term, self.env, self.value = term, env, None
 
 
-def _force(v: _Lazy, b: _Budget):
+def _read(env: tuple, i: int, b: _Budget):
+    # the value of index i: its entry in env, forced if lazy, or its level
+    # if it is free
+    n = len(env)
+    if i >= n:
+        return Var(n - 1 - i)
+    v = env[-1 - i]
+    if v.__class__ is not _Lazy:
+        return v
     if v.value is None:
         v.value = _eval(v.term, v.env, b)
     return v.value
@@ -220,59 +232,38 @@ def _eval(t, env: tuple, b: _Budget):
     """The value of a term or type whose innermost len(env) indices are
     bound to the values in env."""
     # a redex whose result is the value of another term continues the
-    # loop, so chains of beta- and iota-steps do not grow the host stack
+    # loop, so chains of beta- and iota-steps do not grow the host stack;
+    # a variable operand is read without a recursive call
     while True:
         cls = t.__class__
         if cls is Var:
-            i, n = t.index, len(env)
-            if i >= n:
-                return Var(n - 1 - i)
-            v = env[n - 1 - i]
-            return _force(v, b) if v.__class__ is _Lazy else v
-        if cls is Ann:
-            t = t.term
-            continue
-        if cls is Global:
-            # a definition unfolds to its closed body
-            t, env = t.body, ()
-            continue
+            return _read(env, t.index, b)
         if cls is App:
-            fn = _eval(t.fn, env, b)
-            arg = _eval(t.arg, env, b)
+            fn, arg = t.fn, t.arg
+            if fn.__class__ is Global and fn.value is not None:
+                fn = fn.value
+            else:
+                fn = _read(env, fn.index, b) if fn.__class__ is Var else _eval(fn, env, b)
+            arg = _read(env, arg.index, b) if arg.__class__ is Var else _eval(arg, env, b)
             if fn.__class__ is not Lam:
                 return App(fn, arg)
-            b.spend()
+            b.left -= 1
+            if b.left < 0:
+                raise CheckError(*_EXHAUSTED)
             env, t = fn.body
             env += (arg,)
-            continue
-        cases = _CASES.get(cls)
-        if cases is not None:
-            scrut = _eval(t.scrut, env, b)
-            hit = cases.get(scrut.__class__)
-            if hit is None:
-                return _node(t, env, b, scrut)
-            b.spend()
-            branch, binds = hit
-            env += tuple(getattr(scrut, f) for f in binds)
-            t = getattr(t, branch)
-            continue
-        if cls in _RECURSORS:
-            return _fold(t, env, b, _eval(t.scrut, env, b))
-        proj = _PROJECTIONS.get(cls)
-        if proj is not None:
-            field, form, out = proj
-            v = _eval(getattr(t, field), env, b)
-            if v.__class__ is not form:
-                return cls(v)
-            b.spend()
-            return getattr(v, out)
-        if cls is DupNat:
-            b.spend()
-            v = _eval(t.arg, env, b)
-            return Pair(v, v)
-        if cls is ZeroL:
-            return _ZERO_L
-        if cls is SuccCF or cls is SuccL:
+        elif cls is Global:
+            # a definition unfolds to its closed body, a lambda to its one
+            # shared closure, kept on the node
+            if t.body.__class__ is not Lam:
+                t, env = t.body, ()
+                continue
+            if t.value is None:
+                object.__setattr__(t, "value", Lam(((), t.body.body)))
+            return t.value
+        elif cls is Ann:
+            t = t.term
+        elif cls is SuccCF or cls is SuccL:
             # a literal's successor chain is walked in a loop
             chain = []
             while t.__class__ is SuccCF or t.__class__ is SuccL:
@@ -282,49 +273,115 @@ def _eval(t, env: tuple, b: _Budget):
             for succ in reversed(chain):
                 v = SuccCF(v) if succ is SuccCF else SuccL(_DIAMOND, v)
             return v
-        return _node(t, env, b)
+        else:
+            operand, hits, miss = _RULES[cls]
+            if operand is None:
+                return miss(t, env, b) if miss else t
+            # an eliminator's operand is evaluated here, so that a nesting
+            # level costs one host frame, as an application's does
+            v = operand(t)
+            v = _read(env, v.index, b) if v.__class__ is Var else _eval(v, env, b)
+            hit = hits.get(v.__class__)
+            if hit is None:
+                return miss(t, env, b, v)
+            b.left -= 1
+            if b.left < 0:
+                raise CheckError(*_EXHAUSTED)
+            branch, bind = hit
+            if branch is None:
+                return bind(v)
+            t = branch(t)
+            if bind is not None:
+                env += bind(v)
 
 
-def _node(t, env: tuple, b: _Budget, scrut=None):
-    """The value of a node that does not reduce at the head."""
-    fields = _FIELDS[t.__class__]
-    if not fields:
-        return t
-    vals = []
-    for name, mode, _ in fields:
-        val = getattr(t, name)
-        if mode == _EAGER:
-            val = _eval(val, env, b)
-        elif mode == _SCRUT:
-            val = scrut
-        elif mode == _CLOSURE and val is not None:
-            val = (env, val)
-        vals.append(val)
-    return t.__class__(*vals)
+# the classes that _eval's loop handles itself
+_LOOP = (Var, App, Global, Ann, SuccCF, SuccL)
+
+# The rule of every other class, built at import: (operand, hits, miss).
+# A node without an operand is built by miss(t, env, b), or is its own
+# value when miss is None.  An eliminator's operand(t) has the value v.
+# A redex hits[v's class] = (branch, bind) continues with the term
+# branch(t) in env extended by bind(v), or without a branch returns
+# bind(v); else miss(t, env, b, v) returns the neutral value.
+
+def _fields(names):
+    # a getter of the named fields of a value, as a tuple
+    if len(names) != 1:
+        return attrgetter(*names) if names else lambda v: ()
+    get = attrgetter(*names)
+    return lambda v: (get(v),)
 
 
-def _fold(t, env: tuple, b: _Budget, scrut):
-    """A recursor on a scrutinee value.  The step branch fires once per
-    step form, innermost first, in a loop."""
-    (base_form, base, base_binds), (step_form, step, step_binds) = _RECURSORS[
-        t.__class__
-    ]
-    steps = []
-    while scrut.__class__ is step_form:
-        bound = tuple(getattr(scrut, f) for f in step_binds)
-        steps.append(bound)
-        scrut = bound[-1]
-    if scrut.__class__ is base_form:
-        b.spend()
-        bound = tuple(getattr(scrut, f) for f in base_binds)
-        acc = _eval(getattr(t, base), env + bound, b)
-    else:
-        acc = _node(t, env, b, scrut)
-    body = getattr(t, step)
-    for bound in reversed(steps):
-        b.spend()
-        acc = _eval(body, env + bound + (acc,), b)
-    return acc
+def _builder(cls):
+    """A node's value: eager fields evaluated, binder fields and an
+    eliminator's branches and motive closed over env, and an eliminator's
+    scrutinee given as its value."""
+    if not _FIELDS[cls]:
+        return None
+    args = ", ".join(
+        "scrut" if mode == _SCRUT
+        else f"t.{name}" if mode == _PLAIN
+        else f"_eval(t.{name}, env, b)" if mode == _EAGER
+        else f"(env, t.{name})" if name != "motive"
+        else "None if t.motive is None else (env, t.motive)"
+        for name, mode, _ in _FIELDS[cls]
+    )
+    scope = {"cls": cls, "_eval": _eval}
+    exec(f"def rule(t, env, b, scrut=None):\n    return cls({args})", scope)
+    return scope["rule"]
+
+
+def _fold(cls):
+    """A recursor's miss.  The step branch fires once per step form,
+    innermost first, in a loop."""
+    (base_form, base, base_binds), (step_form, step, step_binds) = _RECURSORS[cls]
+    base, step = attrgetter(base), attrgetter(step)
+    base_binds, step_binds = _fields(base_binds), _fields(step_binds)
+    neutral = _builder(cls)
+
+    def fold(t, env, b, scrut):
+        steps = []
+        while scrut.__class__ is step_form:
+            steps.append(step_binds(scrut))
+            scrut = steps[-1][-1]
+        if scrut.__class__ is base_form:
+            b.left -= 1
+            if b.left < 0:
+                raise CheckError(*_EXHAUSTED)
+            acc = _eval(base(t), env + base_binds(scrut), b)
+        else:
+            acc = neutral(t, env, b, scrut)
+        body = step(t)
+        for bound in reversed(steps):
+            b.left -= 1
+            if b.left < 0:
+                raise CheckError(*_EXHAUSTED)
+            acc = _eval(body, env + bound + (acc,), b)
+        return acc
+
+    return fold
+
+
+_RULES = {
+    **{cls: (None, {}, _builder(cls)) for cls in _SCHEMA if cls not in _LOOP},
+    **{
+        cls: (attrgetter("scrut"), {
+            form: (attrgetter(branch), _fields(binds) if binds else None)
+            for form, (branch, binds) in cases.items()
+        }, _builder(cls))
+        for cls, cases in _CASES.items()
+    },
+    **{cls: (attrgetter("scrut"), {}, _fold(cls)) for cls in _RECURSORS},
+    **{
+        cls: (attrgetter(field), {form: (None, attrgetter(out))},
+              lambda t, env, b, v, cls=cls: cls(v))
+        for cls, (field, form, out) in _PROJECTIONS.items()
+    },
+    # dup fires on every value, each a node of a _SCHEMA class
+    DupNat: (attrgetter("arg"), dict.fromkeys(_SCHEMA, (None, lambda v: Pair(v, v))), None),
+    ZeroL: (None, {}, lambda t, env, b: _ZERO_L),
+}
 
 
 def _inst(closure, *args, b: _Budget | None = None):
@@ -647,9 +704,9 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
         pos = len(ctx) - 1 - t.index
         if not 0 <= pos < len(ctx):
             raise CheckError("Tm-Var", f"unbound index {t.index} in context of {len(ctx)}")
-        u, ty = list(zeros), ctx[pos]
+        u = list(zeros)
         u[pos] = sigma
-        return tuple(u), _force(ty, _Budget()) if ty.__class__ is _Lazy else ty, t
+        return tuple(u), _read(ctx, t.index, _Budget()), t
 
     if cls is Ann:
         _check_type(regime, ctx, t.ty)

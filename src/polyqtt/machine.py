@@ -138,8 +138,30 @@ class If(MachineExpr):
 class MachineValue:
     __slots__ = ()
 
+    def __eq__(self, other) -> bool:
+        """Structural equality, walked with an explicit stack; a pair of
+        shared sub-values is compared once."""
+        todo, seen = [(self, other)], set()
+        while todo:
+            x, y = todo.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            seen.add((id(x), id(y)))
+            if x.__class__ is not y.__class__:
+                return False
+            if x.__class__ is VPair:
+                todo += ((x.snd, y.snd), (x.fst, y.fst))
+            elif x.__class__ is Clo and x.body == y.body and len(x.env) == len(y.env):
+                todo += zip(x.env, y.env)
+            elif x.__class__ is Clo or x != y:
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(self.__class__)  # equal values share their class
+
+
+@dataclass(frozen=True, eq=False)
 class Clo(MachineValue):
     body: MachineExpr
     env: tuple = ()
@@ -150,7 +172,7 @@ class VUnit(MachineValue):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VPair(MachineValue):
     fst: MachineValue
     snd: MachineValue

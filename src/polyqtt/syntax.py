@@ -293,14 +293,16 @@ class Global(Term):
     """A closed top-level definition.  The resolver hands out this one
     node at every reference, so later stages do their work on it once:
     the checker keeps the body's core term per (regime, fragment) in
-    `core`, and the compiler its costed code per regime in `code`.
-    Neither record takes part in equality, hashing or repr."""
+    `core`, the compiler its costed code per regime in `code`, and the
+    evaluator a lambda body's one closure value in `value`.  No record
+    takes part in equality, hashing or repr."""
 
     name: str
     ty: TypeExpr = field(repr=False)
     body: Term = field(repr=False)
     core: dict = field(default_factory=dict, compare=False, repr=False)
     code: dict = field(default_factory=dict, compare=False, repr=False)
+    value: object = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +423,7 @@ _SCHEMA: dict[type, tuple[tuple[str, str, int], ...]] = {
     CodeTy: (("ty", _Y, 0),),
     Ann: (("term", _T, 0), ("ty", _Y, 0)),
     # closed, so traversals treat it as a leaf
-    Global: tuple((name, _P, 0) for name in ("name", "ty", "body", "core", "code")),
+    Global: tuple((name, _P, 0) for name in ("name", "ty", "body", "core", "code", "value")),
 }
 
 

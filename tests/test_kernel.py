@@ -13,6 +13,7 @@ from polyqtt.kernel import (
     infer_usage_check,
     normalize_sigma0,
     normalize_type,
+    _value,
     types_equal,
 )
 from polyqtt.syntax import (
@@ -28,6 +29,7 @@ from polyqtt.syntax import (
     El,
     FalseC,
     Fst,
+    Global,
     IdTy,
     If,
     Lam,
@@ -131,6 +133,44 @@ def test_has_free_var_on_a_deep_chain(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "False"]
+
+
+def test_deep_redex_chains_loop(tmp_path):
+    # 100,000 nested if-redexes on the then-spine and 100,000 nested
+    # annotations, normalised in a fresh interpreter at the default
+    # recursion limit: each step continues the evaluator's loop
+    script = tmp_path / "chains.py"
+    script.write_text(
+        "import sys\n"
+        "from polyqtt.kernel import normalize_sigma0\n"
+        "from polyqtt.syntax import BOOL_TY, Ann, FalseC, If, Regime, TrueC\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "t = a = FalseC()\n"
+        "for _ in range(100_000):\n"
+        "    t = If(TrueC(), t, TrueC())\n"
+        "    a = Ann(a, BOOL_TY)\n"
+        "print(normalize_sigma0(Regime.CONS_FREE, (), t))\n"
+        "print(normalize_sigma0(Regime.CONS_FREE, (), a))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["FalseC()", "FalseC()"]
+
+
+def test_references_to_a_lambda_definition_share_one_value():
+    ident = Global("ident", Pi(1, BOOL_TY, BOOL_TY), Lam(Var(0)))
+    pair = _value((), Pair(ident, ident))
+    assert pair.fst is pair.snd is _value((), ident)
+    assert pair.fst == Lam(((), Var(0)))
+    # the shared value takes no part in the definition's equality or repr
+    assert ident == Global("ident", Pi(1, BOOL_TY, BOOL_TY), Lam(Var(0)))
+    assert repr(ident) == "Global(name='ident')"
+    # a definition of another form unfolds at each reference
+    true = Global("true", BOOL_TY, TrueC())
+    assert _value((), true) == TrueC() and true.value is None
 
 
 # ---------------------------------------------------------------------------

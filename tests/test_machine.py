@@ -287,6 +287,39 @@ def test_nat_codec_inverse_up_to_1000():
         assert decode_nat(nat_value(n)) == n
 
 
+def test_value_equality_does_not_recurse():
+    # 100,000 nested pairs, built separately, compare with an explicit
+    # stack; so do outcomes holding them
+    big, twin = nat_value(100_000), nat_value(100_000)
+    assert big == twin and hash(big) == hash(twin)
+    assert big != twin.snd  # 99,999: unequal only at the innermost pair
+    assert Done(big, 7) == Done(twin, 7)
+    assert Done(big, 7) != Done(big, 8)
+    # closures compare their code and their environments
+    clo = Clo(Var(0), (nat_value(3), TRUE))
+    assert clo == Clo(Var(0), (nat_value(3), TRUE))
+    assert clo != Clo(Var(0), (nat_value(3), FALSE))
+    assert clo != Clo(Var(0), (nat_value(2), TRUE))
+    assert clo != Clo(Var(1), (nat_value(3), TRUE))
+    assert clo != Clo(Var(0), (nat_value(3),))
+    assert clo != nat_value(3) and VPair(TRUE, UNIT) != VPair(TRUE, TRUE)
+
+
+def test_value_equality_compares_shared_pairs_once():
+    # each level holds its one sub-value twice: 2^41 paths through 42
+    # distinct pairs, built separately on each side
+    def shared(depth, leaf):
+        v = VPair(leaf, UNIT)
+        for _ in range(depth):
+            v = VPair(v, v)
+        return v
+
+    assert shared(41, TRUE) == shared(41, TRUE)
+    assert shared(41, TRUE) != shared(41, FALSE)
+    assert shared(41, TRUE) != shared(40, TRUE)
+    assert Done(shared(41, TRUE), 3) == Done(shared(41, TRUE), 3)
+
+
 def test_decode_nat_rejects_bad_shapes():
     with pytest.raises(DecodeError):
         decode_nat(TRUE)

@@ -60,6 +60,50 @@ CORPUS = {
     ('reflection.qtt', 'useR'): ('07d74b545d84589d', None, ('6e95173fc1e61285', '5d6b212576ba8471', '3a172ae22ab08703')),
 }
 
+# (file, declaration): the normalisation steps (beta-, iota- and
+#   projection redexes, the budget's unit) that normalize_sigma0 spends
+#   on (body : type) applied to the literals 0, 1 and 7, as CORPUS pins
+#   their normal forms
+BUDGET = {
+    ('consfree_iter.qtt', 'flip'): (1, 1, 1),
+    ('consfree_iter.qtt', 'parity1'): (3, 7, 31),
+    ('consfree_iter.qtt', 'flipN'): (4, 4, 4),
+    ('consfree_iter.qtt', 'sweep2'): (7, 7, 7),
+    ('consfree_iter.qtt', 'nested2'): (8, 20, 260),
+    ('consfree_iter.qtt', 'sweep3'): (10, 10, 10),
+    ('consfree_iter.qtt', 'nested3'): (8, 28, 1828),
+    ('consfree_iter.qtt', 'comboDup'): (15, 33, 297),
+    ('consfree_iter.qtt', 'negAcc'): (2, 4, 16),
+    ('consfree_iter.qtt', 'idNat'): (1, 1, 1),
+    ('consfree_iter.qtt', 'altList'): (3, 6, 24),
+    ('consfree_iter.qtt', 'dupUse'): (10, 14, 38),
+    ('consfree_iter.qtt', 'headOr'): (5, 8, 26),
+    ('consfree_zero.qtt', 'two'): (0, 0, 0),
+    ('consfree_zero.qtt', 'add'): (2, 3, 9),
+    ('consfree_zero.qtt', 'mul'): (2, 5, 23),
+    ('consfree_zero.qtt', 'orList'): (1, 1, 1),
+    ('consfree_zero.qtt', 'dupFst'): (3, 3, 3),
+    ('consfree_zero.qtt', 'addZeroLeft'): (1, 1, 1),
+    ('lfpl_iter.qtt', 'flip'): (1, 1, 1),
+    ('lfpl_iter.qtt', 'step1'): (2, 2, 2),
+    ('lfpl_iter.qtt', 'rebuild1'): (6, 11, 41),
+    ('lfpl_iter.qtt', 'nested2L'): (4, 12, 165),
+    ('lfpl_iter.qtt', 'zeroOut'): (2, 3, 9),
+    ('lfpl_sort.qtt', 'VecBool'): (2, 4, 16),
+    ('lfpl_sort.qtt', 'IListB'): (1, 1, 1),
+    ('lfpl_sort.qtt', 'insert'): (4, 4, 4),
+    ('lfpl_sort.qtt', 'isort'): (10, 10, 10),
+    ('lfpl_sort.qtt', 'buildAlt'): (3, 7, 31),
+    ('lfpl_sort.qtt', 'sortDriver'): (9, 25, 289),
+    ('reflection.qtt', 'Iff'): (1, 1, 1),
+    ('reflection.qtt', 'PTIME'): (6, 6, 6),
+    ('reflection.qtt', 'PolyRed'): (4, 4, 4),
+    ('reflection.qtt', 'NP'): (6, 6, 6),
+    ('reflection.qtt', 'BPP'): (4, 4, 4),
+    ('reflection.qtt', 'notR'): (0, 0, 0),
+    ('reflection.qtt', 'useR'): (3, 3, 3),
+}
+
 RANDOM = [
     '210b1e922254fde0', 'a2f532dd92c6a93b', '65310350b051089e', '7e42df488d72b69b',
     'fc17901975543438', 'dab59d349b7b8556', '2296577133a47c21', 'a1169b341cdd8545',
@@ -180,3 +224,18 @@ def test_random_term_normal_forms_pinned():
             )
         )
     assert got == RANDOM
+
+
+@pytest.mark.parametrize("file", CORPUS_FILES)
+def test_corpus_normalisation_budget_pinned(file):
+    # the budget counts redexes: exactly the pinned number suffices, and
+    # one fewer runs out (an entry that spends nothing has no such bound)
+    mod = load_corpus(file)
+    r = mod.regime
+    for d in mod.decls:
+        for n, spent in zip((0, 1, 7), BUDGET[(file, d.name)]):
+            applied = App(Ann(d.body, d.ty), _nat_literal(r, n))
+            normalize_sigma0(r, (), applied, budget=spent)
+            if spent:
+                with pytest.raises(CheckError, match=r"^\[Normalize\]"):
+                    normalize_sigma0(r, (), applied, budget=spent - 1)
