@@ -8,8 +8,8 @@ applied by evaluating body in env extended with the argument's value.
 Variables in values are de Bruijn levels, so a value stays valid under
 further binders.  The evaluator is one loop that dispatches a node once
 on its class, to a rule built at import from `syntax._SCHEMA` and the
-tables of cases, recursors and projections; its budget counts redexes,
-one step per beta-, case, projection, duplication or recursion step.
+tables of eliminators and projections; its budget counts redexes, one
+step per beta-, case, projection, duplication or recursion step.
 The context holds each entry's type as a value, `check` takes its target
 as a value and `synth` returns one, and an argument is evaluated only
 when a type reads it.  Conversion compares values, with the eta laws for
@@ -24,7 +24,9 @@ package rewrites syntax under binders.
 Checking synthesises the minimal usage vector of the free variables,
 which a declared annotation admits when it dominates it pointwise.
 Binder annotations are enforced when a binder is popped; recursor
-branches and reflection introduction require an all-zero vector.
+branches and reflection introduction require an all-zero vector.  One
+rule checks every eliminator, with the branch shapes the evaluator
+reads: the constructor each branch stands for and the fields it binds.
 
 A definition is one shared `Global` node, checked once per regime and
 fragment; a reference synthesises its declared type with zero usage and
@@ -192,24 +194,35 @@ def _value_fields(spec) -> tuple:
 
 _FIELDS = {cls: _value_fields(spec) for cls, spec in _SCHEMA.items()}
 
-# case analysis: {scrutinee form: (branch, scrutinee fields it binds)}
-_CASES = {
-    If: {TrueC: ("then_branch", ()), FalseC: ("else_branch", ())},
-    LetUnit: {Star: ("body", ())},
-    LetPair: {Pair: ("body", ("fst", "snd"))},
-    MatchList: {Nil: ("nil_branch", ()), Cons: ("cons_branch", ("head", "tail"))},
+# Every eliminator, for the evaluator and the checker alike: its rule
+# label, its scrutinee's type (fixed, or a required form and the text
+# that rejects another) and its branches in field order, each (the
+# constructor it stands for, the branch, the constructor's fields it
+# binds).  A branch whose _SCHEMA binder count exceeds its fields also
+# binds the previous result, the value at its last field; its
+# eliminator is a recursor.
+_ELIMINATORS = {
+    If: ("Tm-If", BOOL_TY, ((TrueC, "then_branch", ()), (FalseC, "else_branch", ()))),
+    LetUnit: ("Tm-Let-Unit", UNIT_TY, ((Star, "body", ()),)),
+    LetPair: ("Tm-Let-Pair", (Tensor, "splitting a non-pair of type"),
+              ((Pair, "body", ("fst", "snd")),)),
+    MatchList: ("Tm-List-Match", (ListTy, "matching a non-list of type"),
+                ((Nil, "nil_branch", ()), (Cons, "cons_branch", ("head", "tail")))),
+    RecList: ("Tm-List-Rec", (ListTy, "recursing on a non-list of type"),
+              ((Nil, "nil_branch", ()), (Cons, "cons_branch", ("head", "tail")))),
+    RecNatCF: ("Tm-CF-Rec", NAT_TY,
+               ((ZeroCF, "zero_branch", ()), (SuccCF, "succ_branch", ("pred",)))),
+    RecNatL: ("Tm-LFPL-Rec", NAT_TY,
+              ((ZeroL, "zero_branch", ("pay",)), (SuccL, "succ_branch", ("pay", "pred")))),
 }
 
-# recursion: (base form, branch, fields it binds), (step form, branch,
-# fields it binds before the previous result; the last is recursed on)
-_RECURSORS = {
-    RecList: ((Nil, "nil_branch", ()), (Cons, "cons_branch", ("head", "tail"))),
-    RecNatCF: ((ZeroCF, "zero_branch", ()), (SuccCF, "succ_branch", ("pred",))),
-    RecNatL: (
-        (ZeroL, "zero_branch", ("pay",)),
-        (SuccL, "succ_branch", ("pay", "pred")),
-    ),
-}
+
+def _binds_previous(cls, branch) -> bool:
+    _, name, binds = branch
+    return next(k for field, _, k in _SCHEMA[cls] if field == name) > len(binds)
+
+
+_RECURSORS = {cls for cls, elim in _ELIMINATORS.items() if _binds_previous(cls, elim[2][-1])}
 
 # one-field eliminators: (field, the form it cancels, the field returned)
 _PROJECTIONS = {
@@ -335,7 +348,7 @@ def _builder(cls):
 def _fold(cls):
     """A recursor's miss.  The step branch fires once per step form,
     innermost first, in a loop."""
-    (base_form, base, base_binds), (step_form, step, step_binds) = _RECURSORS[cls]
+    (base_form, base, base_binds), (step_form, step, step_binds) = _ELIMINATORS[cls][2]
     base, step = attrgetter(base), attrgetter(step)
     base_binds, step_binds = _fields(base_binds), _fields(step_binds)
     neutral = _builder(cls)
@@ -368,9 +381,9 @@ _RULES = {
     **{
         cls: (attrgetter("scrut"), {
             form: (attrgetter(branch), _fields(binds) if binds else None)
-            for form, (branch, binds) in cases.items()
+            for form, branch, binds in branches
         }, _builder(cls))
-        for cls, cases in _CASES.items()
+        for cls, (_, _, branches) in _ELIMINATORS.items() if cls not in _RECURSORS
     },
     **{cls: (attrgetter("scrut"), {}, _fold(cls)) for cls in _RECURSORS},
     **{
@@ -692,13 +705,12 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
     given fragment."""
     zeros = zero_usage(len(ctx))
     cls = t.__class__
-    elim = _ELIMINATORS.get(cls)
-    if elim is not None:
-        rule, check_elim = elim
-        if t.motive is None:
-            raise CheckError(rule, "motive required to synthesise")
-        return check_elim(regime, ctx, sigma, t, None)
     _gate(regime, sigma, cls)
+    plan = _PLANS.get(cls)
+    if plan is not None:
+        if t.motive is None:
+            raise CheckError(plan[0], "motive required to synthesise")
+        return _eliminate(regime, ctx, sigma, t, None, plan)
 
     if cls is Var:
         pos = len(ctx) - 1 - t.index
@@ -858,9 +870,10 @@ def check(
         _require_erased_ambient(u, "Tm-R")
         return zero_usage(len(ctx)), ReflectIntro(body)
 
-    elim = _ELIMINATORS.get(cls)
-    if elim is not None and t.motive is None:
-        u, _, core = elim[1](regime, ctx, sigma, t, ty)
+    plan = _PLANS.get(cls)
+    if plan is not None and t.motive is None:
+        _gate(regime, sigma, cls)
+        u, _, core = _eliminate(regime, ctx, sigma, t, ty, plan)
         return u, core
 
     u, got, core = synth(regime, ctx, sigma, t)
@@ -871,140 +884,79 @@ def check(
     return u, core
 
 
-# --- dependent eliminators -------------------------------------------------
+# --- eliminators -----------------------------------------------------------
 #
-# Each _check_* takes either an explicit motive on the term or a target
-# type value and returns (usage, result type value, core term).  A
-# branch's target is the motive at a value built from the levels of the
-# binders the branch pushes, or else the target itself, unshifted.
+# One rule checks every eliminator (Atkey, "Syntax and semantics of
+# quantitative type theory", 2018).  A branch binds its constructor's
+# fields, typed and capped by _FIELD_TYPES from the scrutinee's type
+# value s, the level n of the first field and the fragment sigma (a cap
+# is the field's usage scaled by sigma), and a recursor's step also the
+# previous result at sigma; it is checked against the motive at its
+# constructor applied to the levels of those fields.
+_FIELD_TYPES = {
+    Pair: lambda s, n, sigma: ((s.fst, _inst(s.snd, Var(n))), (sigma * s.usage, sigma)),
+    Cons: lambda s, n, sigma: ((s.elem, s), (sigma, sigma)),
+    SuccCF: lambda s, n, sigma: ((NAT_TY,), (0,)),
+    ZeroL: lambda s, n, sigma: ((DIAMOND_TY,), (sigma,)),
+    SuccL: lambda s, n, sigma: ((DIAMOND_TY, NAT_TY), (sigma, 0)),
+}
 
-def _target(t, ctx: tuple, target, scrut=None):
-    # the motive at scrut, by default at the scrutinee itself
-    if t.motive is None:
-        return target
-    scrut = _Lazy(t.scrut, _env(ctx)) if scrut is None else scrut
-    return _eval(t.motive, _env(ctx) + (scrut,), _Budget())
+
+def _plan(cls):
+    """(label, scrutinee, branches, recursor), each branch (getter, its
+    constructor applied to its fields' indices, their types or None,
+    whether it binds the previous result)."""
+    label, scrut, branches = _ELIMINATORS[cls]
+
+    def step(branch):
+        form, field, binds = branch
+        pattern = form(*map(Var, range(len(binds) - 1, -1, -1)))
+        return attrgetter(field), pattern, _FIELD_TYPES.get(form), _binds_previous(cls, branch)
+
+    return label, scrut, tuple(map(step, branches)), cls in _RECURSORS
 
 
-def _check_motive(regime, ctx: tuple, motive, scrut_ty) -> None:
+_PLANS = {cls: _plan(cls) for cls in _ELIMINATORS}
+
+
+def _eliminate(regime, ctx: tuple, sigma: int, t, target, plan):
+    """Check an eliminator against the type value target, or with its
+    motive and no target; return (usage, type value, core term).  The
+    usage is the scrutinee's and the pointwise maximum of the branches'.
+    A recursor's branches use nothing of ctx."""
+    label, scrut_ty, branches, recursor = plan
+    motive = t.motive
+    required = scrut_ty.__class__ is tuple
+    if required:
+        u, got, scrut = synth(regime, ctx, sigma, t.scrut)
+        _expect(ctx, got, scrut_ty[0], label, scrut_ty[1])
+        scrut_ty = got
     if motive is not None:
         _check_type(regime, ctx + (scrut_ty,), motive)
-
-
-def _check_if(regime, ctx, sigma, t: If, target):
-    _check_motive(regime, ctx, t.motive, BOOL_TY)
-    u_s, scrut = check(regime, ctx, sigma, t.scrut, BOOL_TY)
-    tgt_true = _target(t, ctx, target, TrueC())
-    tgt_false = _target(t, ctx, target, FalseC())
-    u_t, then_branch = check(regime, ctx, sigma, t.then_branch, tgt_true)
-    u_f, else_branch = check(regime, ctx, sigma, t.else_branch, tgt_false)
-    u = usage_add(u_s, tuple(map(max, u_t, u_f)))
-    core = If(scrut, then_branch, else_branch, t.motive)
-    return u, _target(t, ctx, target), core
-
-
-def _check_let_pair(regime, ctx, sigma, t: LetPair, target):
-    u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
-    _expect(ctx, scrut_ty, Tensor, "Tm-Let-Pair", "splitting a non-pair of type")
-    _check_motive(regime, ctx, t.motive, scrut_ty)
-    pi, n = scrut_ty.usage, len(ctx)
-    inner = ctx + (scrut_ty.fst, _inst(scrut_ty.snd, Var(n)))
-    tgt = _target(t, ctx, target, Pair(Var(n), Var(n + 1)))
-    u_b, body = check(regime, inner, sigma, t.body, tgt)
-    u_b = _pop_binders(u_b, (sigma * pi, sigma), "Tm-Let-Pair")
-    u = usage_add(u_s, u_b)
-    return u, _target(t, ctx, target), LetPair(scrut, body, t.motive)
-
-
-def _check_let_unit(regime, ctx, sigma, t: LetUnit, target):
-    _check_motive(regime, ctx, t.motive, UNIT_TY)
-    u_s, scrut = check(regime, ctx, sigma, t.scrut, UNIT_TY)
-    tgt = _target(t, ctx, target, Star())
-    u_b, body = check(regime, ctx, sigma, t.body, tgt)
-    u = usage_add(u_s, u_b)
-    return u, _target(t, ctx, target), LetUnit(scrut, body, t.motive)
-
-
-def _check_match_list(regime, ctx, sigma, t: MatchList, target):
-    u_s, scrut_ty, scrut = synth(regime, ctx, sigma, t.scrut)
-    _expect(ctx, scrut_ty, ListTy, "Tm-List-Match", "matching a non-list of type")
-    _check_motive(regime, ctx, t.motive, scrut_ty)
+        env = _env(ctx)
+        at = lambda v: _eval(motive, env + (v,), _Budget())  # the motive at v
+    if not required:
+        u, scrut = check(regime, ctx, sigma, t.scrut, scrut_ty)
     n = len(ctx)
-    tgt_nil = _target(t, ctx, target, Nil())
-    u_nil, nil_branch = check(regime, ctx, sigma, t.nil_branch, tgt_nil)
-    inner = ctx + (scrut_ty.elem, scrut_ty)
-    tgt = _target(t, ctx, target, Cons(Var(n), Var(n + 1)))
-    u_cons, cons_branch = check(regime, inner, sigma, t.cons_branch, tgt)
-    u_cons = _pop_binders(u_cons, (sigma, sigma), "Tm-List-Match")
-    u = usage_add(u_s, tuple(map(max, u_nil, u_cons)))
-    core = MatchList(scrut, nil_branch, cons_branch, t.motive)
-    return u, _target(t, ctx, target), core
-
-
-def _check_rec_list(regime, ctx, sigma, t: RecList, target):
-    _gate(regime, sigma, RecList)
-    _, scrut_ty, scrut = synth(regime, ctx, 0, t.scrut)
-    _expect(ctx, scrut_ty, ListTy, "Tm-List-Rec", "recursing on a non-list of type")
-    _check_motive(regime, ctx, t.motive, scrut_ty)
-    n = len(ctx)
-    _, nil_branch = check(regime, ctx, 0, t.nil_branch, _target(t, ctx, target, Nil()))
-    # the previous result is the motive at the tail
-    p_ty = _target(t, ctx, target, Var(n + 1))
-    inner = ctx + (scrut_ty.elem, scrut_ty, p_ty)
-    tgt = _target(t, ctx, target, Cons(Var(n), Var(n + 1)))
-    _, cons_branch = check(regime, inner, 0, t.cons_branch, tgt)
-    core = RecList(scrut, nil_branch, cons_branch, t.motive)
-    return zero_usage(n), _target(t, ctx, target), core
-
-
-def _check_rec_cf(regime, ctx, sigma, t: RecNatCF, target):
-    _gate(regime, sigma, RecNatCF)
-    _check_motive(regime, ctx, t.motive, NAT_TY)
-    u_s, scrut = check(regime, ctx, sigma, t.scrut, NAT_TY)
-    n = len(ctx)
-    tgt_z = _target(t, ctx, target, ZeroCF())
-    u_z, zero_branch = check(regime, ctx, sigma, t.zero_branch, tgt_z)
-    _require_erased_ambient(u_z, "Tm-CF-Rec")
-    inner = ctx + (NAT_TY, _target(t, ctx, target, Var(n)))
-    tgt = _target(t, ctx, target, SuccCF(Var(n)))
-    u_sb, succ_branch = check(regime, inner, sigma, t.succ_branch, tgt)
-    u_sb = _pop_binders(u_sb, (0, sigma), "Tm-CF-Rec")
-    _require_erased_ambient(u_sb, "Tm-CF-Rec")
-    core = RecNatCF(scrut, zero_branch, succ_branch, t.motive)
-    return u_s, _target(t, ctx, target), core
-
-
-def _check_rec_lfpl(regime, ctx, sigma, t: RecNatL, target):
-    _gate(regime, sigma, RecNatL)
-    _check_motive(regime, ctx, t.motive, NAT_TY)
-    u_s, scrut = check(regime, ctx, sigma, t.scrut, NAT_TY)
-    n = len(ctx)
-    tgt_z = _target(t, ctx, target, _ZERO_L)
-    u_z, zero_branch = check(regime, ctx + (DIAMOND_TY,), sigma, t.zero_branch, tgt_z)
-    u_z = _pop_binders(u_z, (sigma,), "Tm-LFPL-Rec")
-    _require_erased_ambient(u_z, "Tm-LFPL-Rec")
-    # the successor branch binds a diamond, the predecessor and the
-    # previous result, the motive at the predecessor
-    inner_s = ctx + (DIAMOND_TY, NAT_TY, _target(t, ctx, target, Var(n + 1)))
-    tgt_s = _target(t, ctx, target, SuccL(_DIAMOND, Var(n + 1)))
-    u_sb, succ_branch = check(regime, inner_s, sigma, t.succ_branch, tgt_s)
-    u_sb = _pop_binders(u_sb, (sigma, 0, sigma), "Tm-LFPL-Rec")
-    _require_erased_ambient(u_sb, "Tm-LFPL-Rec")
-    core = RecNatL(scrut, zero_branch, succ_branch, t.motive)
-    return u_s, _target(t, ctx, target), core
-
-
-# The eliminators with an optional motive: the rule label that reports a
-# missing motive in synthesis mode, and the checker shared by both modes.
-_ELIMINATORS = {
-    If: ("Tm-If", _check_if),
-    LetPair: ("Tm-Let-Pair", _check_let_pair),
-    LetUnit: ("Tm-Let-Unit", _check_let_unit),
-    MatchList: ("Tm-List-Match", _check_match_list),
-    RecList: ("Tm-List-Rec", _check_rec_list),
-    RecNatCF: ("Tm-CF-Rec", _check_rec_cf),
-    RecNatL: ("Tm-LFPL-Rec", _check_rec_lfpl),
-}
+    joined, cores = None, [scrut]
+    for branch, pattern, fields, previous in branches:
+        inner, caps = ctx, ()
+        if fields is not None:
+            types, caps = fields(scrut_ty, n, sigma)
+            inner = ctx + types
+        tgt = target if motive is None else at(_Lazy(pattern, _env(inner)))
+        if previous:
+            p_ty = target if motive is None else at(Var(len(inner) - 1))
+            inner, caps = inner + (p_ty,), caps + (sigma,)
+        u_b, core = check(regime, inner, sigma, branch(t), tgt)
+        u_b = _pop_binders(u_b, caps, label)
+        if recursor:
+            _require_erased_ambient(u_b, label)
+        joined = u_b if joined is None else tuple(map(max, joined, u_b))
+        cores.append(core)
+    if motive is not None:
+        target = at(_Lazy(t.scrut, env))
+    return usage_add(u, joined), target, t.__class__(*cores, motive)
 
 
 # ---------------------------------------------------------------------------
