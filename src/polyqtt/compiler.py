@@ -13,7 +13,10 @@ binds itself, so it does not depend on the depth of the environment it
 is compiled in.  Each definition is therefore compiled once per regime
 and its code and potential are shared by every reference to it: the
 emitted code is a DAG.  machine.expr_to_sexp, and so --emit-machine,
-still print it as a tree.
+still print it as a tree.  The first reference to a definition without
+code compiles the definitions it depends on leaves first, with an
+explicit stack, so a chain of references does not recurse once per
+definition.
 
 Code is emitted in A-normal form: machine eliminators take environment
 indices, so every compound subterm is bound by sequencing first.  Every
@@ -25,7 +28,9 @@ the instructions the compiler emits, under the machine's cost rule:
 every instruction costs one step, and so does every resumption of a
 sequencing frame.  Code and potential are built in one step by two
 helpers, _seq for sequences and _run for instructions that run one of
-their bodies, so no step count is written by hand.  Sequenced costs
+their bodies, so no step count is written by hand; each builds one
+canonical Poly directly, as sums and maxima of canonical polynomials
+need no re-validation (see potentials.Poly).  Sequenced costs
 add; an instruction with several bodies is charged the join of their
 potentials, the coefficient-wise maximum; an operand of usage k is
 charged k times; and the recursor's step path, which runs once per
@@ -49,8 +54,9 @@ from itertools import zip_longest
 
 from . import machine as m
 from .kernel import elaborate, normalize_type
-from .potentials import Poly
+from .potentials import ZERO, Poly
 from .syntax import (
+    _SCHEMA,
     Ann,
     App,
     CodeTy,
@@ -126,8 +132,13 @@ class RunResult:
 
 def _branch_join(a: Poly, b: Poly) -> Poly:
     """Least upper bound of two code potentials, coefficient-wise: sound
-    for conditionals, as only one branch runs and the join dominates it."""
-    return Poly(map(max, zip_longest(a.coeffs, b.coeffs, fillvalue=0)))
+    for conditionals, as only one branch runs and the join dominates it.
+    The maximum of canonical polynomials is canonical."""
+    if not a.coeffs:
+        return b
+    if not b.coeffs:
+        return a
+    return Poly._of(tuple(map(max, zip_longest(a.coeffs, b.coeffs, fillvalue=0))))
 
 
 def _seq(*parts) -> tuple[m.MachineExpr, Poly]:
@@ -136,29 +147,35 @@ def _seq(*parts) -> tuple[m.MachineExpr, Poly]:
     A bare instruction costs one step, and so does each link; the step
     count is charged once for the whole sequence.
     """
-    steps = len(parts) - 1
-    code, cost = None, Poly()
+    sums = [len(parts) - 1]
+    code = None
     for part in reversed(parts):
         if part.__class__ is tuple:
             part, p = part
-            cost = p + cost
+            cs, n = p.coeffs, len(sums)
+            if len(cs) > n:
+                sums += cs[n:]
+                cs = cs[:n]
+            for i, c in enumerate(cs):
+                sums[i] += c
         else:
-            steps += 1
+            sums[0] += 1
         code = part if code is None else m.Seq(part, code)
-    return code, cost + Poly.const(steps)
+    # sums of canonical potentials and step counts: canonical unless all 0
+    return code, Poly._of(tuple(sums)) if sums[-1] else ZERO
 
 
 def _run(instr, *fields) -> tuple[m.MachineExpr, Poly]:
     """An instruction that runs one of its bodies (the costed-code
     fields): one step plus the join of the bodies."""
-    args, joined = [], Poly()
+    args, joined = [], ZERO
     for f in fields:
         if f.__class__ is tuple:
             f, p = f
             joined = _branch_join(joined, p)
         args.append(f)
-    code, step = _seq(instr(*args))
-    return code, step + joined
+    cs = joined.coeffs
+    return instr(*args), Poly._of((cs[0] + 1,) + cs[1:] if cs else (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +264,8 @@ def compile_term(regime: Regime, env: EnvLayout, t: Term) -> tuple[m.MachineExpr
         # definition is compiled once per regime and shared by every use
         code = t.code.get(regime)
         if code is None:
-            core = t.core.get((regime, 1))
-            if core is None:
-                raise CompileError(f"{t.name} was not checked in the runtime fragment")
-            code = t.code[regime] = compile_term(regime, EnvLayout((), 0), core)
+            _compile_definitions(regime, t)
+            code = t.code[regime]
         return code
 
     if cls is Lam:
@@ -347,6 +362,62 @@ def compile_term(regime: Regime, env: EnvLayout, t: Term) -> tuple[m.MachineExpr
         return compile_term(regime, env, t.body)
 
     raise CompileError(f"term form {cls.__name__} cannot occur at runtime")
+
+
+# ---------------------------------------------------------------------------
+# Definitions, leaves first
+
+# The term fields compile_term compiles, per class; it also skips an
+# operand of usage 0 and compiles no equation witness.
+_TERM_FIELDS = {
+    cls: tuple(name for name, kind, _ in spec if kind == "term")
+    for cls, spec in _SCHEMA.items()
+}
+
+
+def _references(core: Term) -> list[Global]:
+    """The definitions whose code compile_term embeds in the code of core,
+    found with an explicit stack (a definition is a leaf)."""
+    found, todo = [], [core]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is Global:
+            found.append(t)
+        elif cls is App:
+            todo.append(t.fn)
+            if t.usage:
+                todo.append(t.arg)
+        elif cls is Pair:
+            todo.append(t.snd)
+            if t.usage:
+                todo.append(t.fst)
+        elif cls is not Refl:
+            for name in _TERM_FIELDS[cls]:
+                todo.append(getattr(t, name))
+    return found
+
+
+def _compile_definitions(regime: Regime, g: Global) -> None:
+    """Compile definition g, and before it every definition its code
+    embeds that has no code yet, leaves first with an explicit stack, as
+    a module is checked in its order.  A chain of references thus does
+    not recurse once per definition, and each core term is scanned once
+    and compiled once."""
+    todo = [(g, False)]
+    while todo:
+        d, scanned = todo.pop()
+        if regime in d.code:
+            continue
+        core = d.core.get((regime, 1))
+        if core is None:
+            raise CompileError(f"{d.name} was not checked in the runtime fragment")
+        if scanned:
+            # every definition it embeds has code by now
+            d.code[regime] = compile_term(regime, EnvLayout((), 0), core)
+        else:
+            todo.append((d, True))
+            todo.extend((r, False) for r in _references(core) if regime not in r.code)
 
 
 # ---------------------------------------------------------------------------

@@ -923,7 +923,8 @@ def _eliminate(regime, ctx: tuple, sigma: int, t, target, plan):
     """Check an eliminator against the type value target, or with its
     motive and no target; return (usage, type value, core term).  The
     usage is the scrutinee's and the pointwise maximum of the branches'.
-    A recursor's branches use nothing of ctx."""
+    A recursor's branches use nothing of ctx.  An ill-formed motive's
+    diagnostic keeps its rule and names the motive and this rule."""
     label, scrut_ty, branches, recursor = plan
     motive = t.motive
     required = scrut_ty.__class__ is tuple
@@ -932,7 +933,10 @@ def _eliminate(regime, ctx: tuple, sigma: int, t, target, plan):
         _expect(ctx, got, scrut_ty[0], label, scrut_ty[1])
         scrut_ty = got
     if motive is not None:
-        _check_type(regime, ctx + (scrut_ty,), motive)
+        try:
+            _check_type(regime, ctx + (scrut_ty,), motive)
+        except CheckError as e:
+            raise CheckError(e.rule, f"ill-formed motive of {label}: {e.message}") from None
         env = _env(ctx)
         at = lambda v: _eval(motive, env + (v,), _Budget())  # the motive at v
     if not required:

@@ -1,13 +1,16 @@
 """Resource potentials: natural-coefficient polynomials, which the
 compiler costs code with, and the three resource monoids of the paper's
 soundness model (plain naturals, max-size polynomials, additive-size
-polynomials), in which a code cost q is the size-0 element (0, q)."""
+polynomials), in which a code cost q is the size-0 element (0, q).
+Polynomial arithmetic is closed on canonical polynomials, so it builds
+its results without re-validating them (see Poly)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Iterable
 
 
@@ -15,8 +18,14 @@ from typing import Iterable
 class Poly:
     """Polynomial with natural coefficients, low degree first.
 
-    Canonical form: no trailing zero coefficients; the zero polynomial
-    is the empty tuple.
+    Canonical form: every coefficient is a natural and the last one is
+    not 0; the zero polynomial is the empty tuple.  The public
+    constructor takes outside input, so it strips trailing zeros and
+    rejects a negative coefficient.  Sums, natural multiples, shifts and
+    coefficient-wise maxima of canonical polynomials are canonical, so
+    those operations build their results with _of, which checks nothing;
+    an operation with a zero operand, or a scaling by 1, returns the
+    other operand itself.
     """
 
     coeffs: tuple[int, ...] = ()
@@ -29,6 +38,13 @@ class Poly:
             if c < 0:
                 raise ValueError(f"negative coefficient {c}")
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> "Poly":
+        """The polynomial of a coefficient tuple already in canonical form."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     @classmethod
     def const(cls, k: int) -> "Poly":
@@ -45,28 +61,38 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
-        return Poly(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+        n = len(b)
+        return Poly._of(tuple(map(add, a[:n], b)) + a[n:])
 
     def scale(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("scale factor must be a natural")
+        if k == 1:
+            return self
         if k == 0:
-            return Poly()
-        return Poly(tuple(k * c for c in self.coeffs))
+            return ZERO
+        return Poly._of(tuple(k * c for c in self.coeffs))
 
     def shift_up(self) -> "Poly":
         """Multiply by the indeterminate (prepend a zero coefficient)."""
         if self.is_zero:
             return self
-        return Poly((0,) + self.coeffs)
+        return Poly._of((0,) + self.coeffs)
 
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+
+ZERO = Poly()
 
 
 def _shifted_coeffs(p: Poly, m: int) -> list[int]:

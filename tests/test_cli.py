@@ -469,3 +469,26 @@ def test_deep_nesting_is_a_diagnostic(tmp_path):
                 assert out.returncode == code_at_300, (shape, out.stderr)
                 if rule_at_300:
                     assert f"[{rule_at_300}]" in out.stderr, (shape, out.stderr)
+
+
+def test_chain_of_references_compiles_leaves_first(tmp_path):
+    # definitions are compiled leaves first with an explicit stack, so in a
+    # fresh interpreter (default recursion limit) a 1,000-definition chain
+    # of references compiles, runs and verifies
+    k = 1000
+    lines = ["regime consfree", r"def g0 ^1 : Bool -> Bool = \b. if b then false else true"]
+    lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, k)]
+    rec = "rec n at (x. Bool) { zero => true | succ(m, p) => g0 p }"
+    lines.append(rf"def drive ^1 : (n ^1 : Nat) -> Bool = \n. g{k - 1} ({rec})")
+    path = tmp_path / "chain.qtt"
+    path.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for args in (
+        ["check"],
+        ["bound", "drive"],
+        ["run", "drive", "--input", "3"],
+        ["verify", "drive", "--max-n", "3"],
+    ):
+        cmd = [sys.executable, "-m", "polyqtt.cli", args[0], str(path), *args[1:]]
+        out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, (args, out.stderr)

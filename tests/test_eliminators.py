@@ -141,9 +141,14 @@ CASES = [
       r"def g ^0 : (q ^1 : (x ^1 : Bool) * El (T x)) -> Bool ="
       r" \q. let (a, b) = q in (if a at (y. El (T y) -> Bool) then \z. z else \z. true) b"],
      "ok"),
+    # an ill-formed motive keeps its own rule and names the eliminator's
     ("if-motive-ill-formed", "consfree",
      [r"def f ^1 : (b ^1 : Bool) -> Bool = \b. if b at (x. El x) then true else false"],
-     "[Conv] expected U but synthesised Bool"),
+     "[Conv] ill-formed motive of Tm-If: expected U but synthesised Bool"),
+    ("cf-rec-motive-ill-formed", "consfree",
+     [r"def f ^1 : (n ^1 : Nat) -> Bool ="
+      r" \n. rec n at (x. El x) { zero => true | succ(m, p) => p }"],
+     "[Conv] ill-formed motive of Tm-CF-Rec: expected U but synthesised Nat"),
     # synthesis needs a motive, and gives the motive at the scrutinee
     ("if-synth-motive", "consfree",
      [r"def f ^1 : (b ^1 : Bool) -> Bool ="

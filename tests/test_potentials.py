@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyqtt.compiler import _branch_join
 from polyqtt.potentials import (
     EMPTY,
     ExtNat,
@@ -64,6 +65,15 @@ def test_poly_add_pointwise(p, q, x):
 def test_poly_scale_and_shift(p, k, x):
     assert p.scale(k)(x) == k * p(x)
     assert p.shift_up()(x) == x * p(x)
+
+
+@given(polys, polys, st.integers(0, 8))
+def test_closed_operations_are_canonical(p, q, k):
+    # the operations that build their result without the public
+    # constructor's pass must agree with it
+    for result in (p + q, p.scale(k), p.shift_up(), _branch_join(p, q)):
+        assert result == Poly(list(result.coeffs))
+        assert not result.coeffs or result.coeffs[-1] != 0
 
 
 # ---------------------------------------------------------------------------
