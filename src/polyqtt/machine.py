@@ -47,18 +47,30 @@ the same step count.
 
 eval_expr takes the reference loop for a traced run, for one with less
 than COMPILE_MIN_FUEL fuel and for an environment holding a value of no
-machine value class, and the compiled path otherwise.
-Preparing blocks costs more than interpreting a short run: timed on
-every corpus declaration with an input and on fan-out chains of depth
-6, 8 and 10, at n <= 20 with the fuel run_and_verify gives (the bound
-plus 4,096; Python 3.11, 2 shared Xeon cores; the ranges are three
-sessions), with every shape already compiled, the compiled path took a
-median 2.27-2.35 times the reference's time on the 75 runs below 4,250
-fuel and 0.97-0.98 times on the 82 up to 4,500, and was faster on 73-76
-of the 82 runs from 4,500 to 6,000 and on all 118 from 6,000 on
-(median 0.23).  Compiling a shape takes about 0.2 ms: with the table
-emptied before each run, the compiled path was slower on every run
-below 6,000 and faster on 66-69 of the 118 from 6,000.
+machine value class, and the compiled path otherwise.  Values cross into
+and out of it through one converter each way, linear in their distinct
+nodes, so a short compiled run pays mostly for preparing its blocks.
+Timed on every corpus declaration with an input (about 25 inputs each,
+n <= 200 with fuel <= 12,000) and on fan-out drives (fan-out 2 at depths
+5 and 8, 3 at depths 3 and 5, both regimes, n <= 12), at the fuel
+run_and_verify gives (the bound plus 4,096), with every shape compiled,
+fresh code and the median of five runs per path (Python 3.11, 2 shared
+Xeon cores; the ranges are three sessions):
+
+    fuel          runs  compiled faster  compiled/reference time (median)
+    4,096-4,399     51       1-2            2.6-2.9
+    4,400-4,499     20      14-17           0.92-0.96
+    4,500-4,999     75      67-69           0.70-0.74
+    5,000-5,999     62       61             0.51-0.54
+    6,000-12,000   197     196-197          0.35-0.36
+
+COMPILE_MIN_FUEL is where the compiled path starts to be faster on at
+least 90 % of runs: 4,500-4,599 is the first band of 100 fuel where it
+was (on 26 of 28 runs in every session), and from 4,500 to 5,999 it was
+faster on 128-130 of 137.  A process also pays once for each new block
+shape it compiles: about 0.12 ms (0.10-0.19 ms on the corpus
+declarations), so sortDriver's 28 shapes cost a fresh process about
+3.4 ms.
 """
 
 from __future__ import annotations
@@ -374,8 +386,9 @@ def _eval_reference(
 # ValueError.  An environment is a linked list of (value, rest) cells
 # ending in ().
 
-# Below this much fuel the reference loop is faster (module docstring).
-COMPILE_MIN_FUEL = 6000
+# From this much fuel the compiled path is faster on at least 90 % of
+# runs, once its shapes are compiled (the table in the module docstring).
+COMPILE_MIN_FUEL = 4500
 
 # A block is a list [run, node]: run is the function _factory generates
 # for the block, or, until the block is first entered, a stub that
@@ -624,74 +637,88 @@ class _Program:
     def compiled_env(self, env: Env):
         """The linked environment of the compiled-path forms of the values
         of a machine environment; raises _Foreign on a value of no
-        machine value class.  Shared parts are converted once."""
-        memo: dict[int, object] = {}
-
-        def get(w):
-            c = _LEAF_IN.get(w.__class__, _MISSING)
-            return memo[id(w)] if c is _MISSING else c
-
-        todo = [(v, False) for v in env]
+        machine value class.  Each value is converted once, keyed by id,
+        after its parts, from an explicit stack: a loop walks a pair's
+        chain of second components down to a converted value and builds
+        the chain back up; a part still missing is pushed, and a value
+        popped once converted is skipped."""
+        memo = {id(TRUE): True, id(FALSE): False, id(UNIT): None}
+        get, todo = memo.get, list(env)
         while todo:
-            v, ready = todo.pop()
+            v = todo.pop()
+            if id(v) in memo:
+                continue
             cls = v.__class__
-            if ready:
-                if cls is VPair:
-                    memo[id(v)] = (get(v.fst), get(v.snd))
-                else:
-                    cenv = ()
-                    for w in v.env:
-                        cenv = (get(w), cenv)
-                    memo[id(v)] = (self.block(v.body), cenv, None)
-            elif cls not in _LEAF_IN and id(v) not in memo:
-                if cls is VPair:
-                    parts = (v.fst, v.snd)
-                elif cls is Clo and v.env.__class__ is tuple:
-                    parts = v.env
-                else:
-                    raise _Foreign
-                todo.append((v, True))
-                todo += [(w, False) for w in parts]
+            if cls is VPair:
+                spine, w = [], v
+                while w.__class__ is VPair and id(w) not in memo:
+                    spine.append(w)
+                    w = w.snd
+                x = get(id(w), _MISSING)
+                if x is _MISSING:
+                    todo += (*spine, w)
+                    continue
+                while spine:
+                    p = spine.pop()
+                    f = get(id(p.fst), _MISSING)
+                    if f is _MISSING:
+                        todo += (*spine, p, p.fst)
+                        break
+                    x = memo[id(p)] = (f, x)
+            elif cls is Clo and v.env.__class__ is tuple:
+                missing = [w for w in v.env if id(w) not in memo]
+                if missing:
+                    todo += (v, *missing)
+                    continue
+                cells = ()
+                for w in v.env:
+                    cells = (memo[id(w)], cells)
+                memo[id(v)] = (self.block(v.body), cells, None)
+            elif cls in _LEAF_IN:
+                memo[id(v)] = _LEAF_IN[cls]
+            else:
+                raise _Foreign
         out = ()
         for v in env:
-            out = (get(v), out)
+            out = (memo[id(v)], out)
         return out
 
     @staticmethod
-    def machine_values(roots) -> list:
-        """The machine values of compiled-path values.  Shared parts, and
-        the shared tails of closure environments, are converted once."""
-        roots = list(roots)
-        memo: dict[int, MachineValue] = {}
-        envs: dict[int, tuple] = {id(()): ()}
-
-        def get(w):
-            if w is True:
-                return TRUE
-            if w is False:
-                return FALSE
-            return UNIT if w is None else memo[id(w)]
-
-        # (x, is_env, ready): expand x, or build it once its parts are built
-        todo = [(v, False, False) for v in roots]
+    def machine_env(cells) -> tuple:
+        """The machine environment of a linked environment of
+        compiled-path values, converted as compiled_env converts."""
+        memo = {id(True): TRUE, id(False): FALSE, id(None): UNIT}
+        get, roots = memo.get, _cells(cells)
+        todo = roots[:]
         while todo:
-            x, is_env, ready = todo.pop()
-            if is_env:
-                if ready:
-                    envs[id(x)] = envs[id(x[1])] + (get(x[0]),)
-                elif id(x) not in envs:
-                    todo += ((x, True, True), (x[1], True, False), (x[0], False, False))
-            elif ready:
-                if len(x) == 2:
-                    memo[id(x)] = VPair(get(x[0]), get(x[1]))
-                else:
-                    memo[id(x)] = Clo(x[0][_NODE], envs[id(x[1])])
-            elif x.__class__ is tuple and id(x) not in memo:
-                if len(x) == 2:
-                    todo += ((x, False, True), (x[1], False, False), (x[0], False, False))
-                else:
-                    todo += ((x, False, True), (x[1], True, False))
-        return [get(v) for v in roots]
+            x = todo.pop()
+            if id(x) in memo:
+                continue
+            if len(x) == 2:
+                spine, w = [], x
+                while id(w) not in memo and len(w) == 2:
+                    spine.append(w)
+                    w = w[1]
+                s = get(id(w), _MISSING)
+                if s is _MISSING:
+                    todo += (*spine, w)
+                    continue
+                while spine:
+                    p = spine.pop()
+                    f = get(id(p[0]), _MISSING)
+                    if f is _MISSING:
+                        todo += (*spine, p, p[0])
+                        break
+                    s = memo[id(p)] = VPair(f, s)
+            else:
+                values = _cells(x[1])
+                missing = [v for v in values if id(v) not in memo]
+                if missing:
+                    todo += (x, *missing)
+                    continue
+                values.reverse()
+                memo[id(x)] = Clo(x[0][_NODE], tuple([memo[id(v)] for v in values]))
+        return tuple([memo[id(v)] for v in reversed(roots)])
 
 
 def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
@@ -725,12 +752,12 @@ def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
                 env = (x, env)
                 steps += 1  # the resumption; the next block compares
             else:
-                return Done(prog.machine_values((x,))[0], steps)
+                return Done(prog.machine_env((x, ()))[0], steps)
     except (IndexError, TypeError, ValueError):
         pass
     if steps > fuel:
         return OUT_OF_FUEL
-    ref_env = tuple(prog.machine_values(reversed(_cells(env))))
+    ref_env = prog.machine_env(env)
     out = _eval_reference(blk[_NODE], ref_env, fuel - steps)
     if out.__class__ is Done:
         raise RuntimeError("the reference loop finished a block the compiled path could not")
@@ -810,32 +837,35 @@ def decode_bool(v: MachineValue) -> bool:
 # --------------------------------------------------------------------------
 # Round-trippable s-expression debug format
 
+# The s-expression head of a node class, whose fields follow it in order,
+# and the name of a constant
+_HEADS = {
+    Lam: "lam", MkPair: "pair", Var: "var", Seq: "let", App: "app", LetPair: "letpair", If: "if"
+}
+_NAMES = {MkUnit: "unit", MkTrue: "true", MkFalse: "false"}
+
+
 def expr_to_sexp(e: MachineExpr) -> str:
-    cls = e.__class__
-    if cls is Lam:
-        return f"(lam {expr_to_sexp(e.body)})"
-    if cls is MkUnit:
-        return "unit"
-    if cls is MkPair:
-        return f"(pair {e.i} {e.j})"
-    if cls is MkTrue:
-        return "true"
-    if cls is MkFalse:
-        return "false"
-    if cls is Var:
-        return f"(var {e.i})"
-    if cls is Seq:
-        return f"(let {expr_to_sexp(e.first)} {expr_to_sexp(e.rest)})"
-    if cls is App:
-        return f"(app {e.i} {e.j})"
-    if cls is LetPair:
-        return f"(letpair {e.i} {expr_to_sexp(e.body)})"
-    if cls is If:
-        return (
-            f"(if {e.i} {expr_to_sexp(e.then_branch)}"
-            f" {expr_to_sexp(e.else_branch)})"
-        )
-    raise ValueError(f"unknown expression {cls.__name__}")
+    """The s-expression of e, printed as a tree, with an explicit stack of
+    the nodes and the text still to print, so a deep node nests no Python
+    calls."""
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        cls = e.__class__
+        if cls is str:
+            out.append(e)
+        elif cls in _NAMES:
+            out.append(_NAMES[cls])
+        elif cls in _HEADS:
+            out.append(f"({_HEADS[cls]}")
+            todo.append(")")
+            for field in reversed(cls.__dataclass_fields__):
+                part = getattr(e, field)
+                todo += (str(part) if part.__class__ is int else part, " ")
+        else:
+            raise ValueError(f"unknown expression {cls.__name__}")
+    return "".join(out)
 
 
 def value_to_sexp(v: MachineValue) -> str:

@@ -474,7 +474,8 @@ def test_deep_nesting_is_a_diagnostic(tmp_path):
 def test_chain_of_references_compiles_leaves_first(tmp_path):
     # definitions are compiled leaves first with an explicit stack, so in a
     # fresh interpreter (default recursion limit) a 1,000-definition chain
-    # of references compiles, runs and verifies
+    # of references compiles, runs and verifies; its code, which nests each
+    # definition in the next, prints with an explicit stack too
     k = 1000
     lines = ["regime consfree", r"def g0 ^1 : Bool -> Bool = \b. if b then false else true"]
     lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, k)]
@@ -488,6 +489,7 @@ def test_chain_of_references_compiles_leaves_first(tmp_path):
         ["bound", "drive"],
         ["run", "drive", "--input", "3"],
         ["verify", "drive", "--max-n", "3"],
+        ["bound", "drive", "--emit-machine"],
     ):
         cmd = [sys.executable, "-m", "polyqtt.cli", args[0], str(path), *args[1:]]
         out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)

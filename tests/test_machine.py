@@ -674,3 +674,93 @@ def test_deep_code_takes_the_compiled_path(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) > 15_000
+
+
+def test_deep_values_cross_into_and_out_of_the_compiled_path(tmp_path):
+    # values 10,000 deep along first components, second components and
+    # closure environments are converted without recursion, in a fresh
+    # interpreter at the default recursion limit: returned whole, and
+    # handed back to the reference loop where a block gets stuck
+    script = tmp_path / "deep_values.py"
+    script.write_text(
+        "import sys\n"
+        "from polyqtt import machine\n"
+        "from polyqtt.machine import *\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "fst, clo = TRUE, Clo(Var(0), ())\n"
+        "for _ in range(10_000):\n"
+        "    fst, clo = VPair(fst, UNIT), Clo(Var(0), (clo,))\n"
+        "fuel = machine.COMPILE_MIN_FUEL\n"
+        "reference, handed = machine._eval_reference, []\n"
+        "machine._eval_reference = lambda *a: handed.append(a[1]) or reference(*a)\n"
+        "stuck = Seq(MkTrue(), App(0, 1))\n"
+        "for v in (fst, nat_value(10_000), clo):\n"
+        "    out = eval_expr(MkPair(0, 0), (v,), fuel)\n"
+        "    assert out == Done(VPair(v, v), 1) and out.value.fst is out.value.snd\n"
+        "    assert not handed\n"
+        "    assert eval_expr(stuck, (v,), fuel) == reference(stuck, (v,), fuel)\n"
+        "    assert handed.pop() == (v,)\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
+def test_shared_values_are_converted_once(tmp_path):
+    # a pair DAG of depth 64 has 2^64 paths but 65 nodes; both converters
+    # visit each node once, and the returned value keeps the sharing.  In
+    # a fresh interpreter, so a converter that walks paths times out
+    script = tmp_path / "dag.py"
+    script.write_text(
+        "from polyqtt import machine\n"
+        "from polyqtt.machine import *\n"
+        "v = TRUE\n"
+        "for _ in range(64):\n"
+        "    v = VPair(v, v)\n"
+        "c = machine._Program().compiled_env((v,))[0]\n"
+        "out = eval_expr(Var(0), (v,), machine.COMPILE_MIN_FUEL)\n"
+        "assert out.steps == 1\n"
+        "w = out.value\n"
+        "for _ in range(64):\n"
+        "    assert c[0] is c[1] and w.fst is w.snd\n"
+        "    c, w = c[0], w.fst\n"
+        "assert c is True and w is TRUE\n"
+        "# and so does a closure environment that holds one value twice\n"
+        "clo = Clo(Var(0), (v, v))\n"
+        "w = eval_expr(Var(0), (clo,), machine.COMPILE_MIN_FUEL).value\n"
+        "assert w == clo and w.env[0] is w.env[1]\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
+def test_foreign_values_run_on_the_reference_loop(monkeypatch):
+    # an environment value of no machine value class, alone, at the end
+    # of a long pair chain or in a closure's environment, sends the run to
+    # the reference loop with the environment it was given
+    handed = []
+    reference = machine._eval_reference
+    monkeypatch.setattr(
+        machine, "_eval_reference", lambda *a: handed.append(a[1]) or reference(*a)
+    )
+    alien = object()
+    chain = VPair(TRUE, alien)
+    for _ in range(1_000):
+        chain = VPair(FALSE, chain)
+    fuel = machine.COMPILE_MIN_FUEL
+    for v in (alien, chain, Clo(Var(0), (TRUE, alien)), Clo(Var(0), [TRUE])):
+        for prog in (Var(0), MkPair(0, 0), If(0, MkTrue(), MkFalse()), LetPair(0, Var(1))):
+            env = (UNIT, v)
+            handed.clear()
+            want = reference(prog, env, fuel)
+            assert eval_expr(prog, env, fuel) == want
+            assert len(handed) == 1 and handed[0] is env
