@@ -30,11 +30,13 @@ the same step count.
   from factories cached by the block's shape (its opcodes and indices;
   the blocks it refers to are factory arguments), so each distinct shape
   is compiled once per process; the table keeps the _SHAPES most
-  recently used.  Blocks are keyed by node: a node without sub-nodes by
-  its value, so unshared copies share one block, and any other by its
-  id.  Values are Python tuples and singletons, and environments linked
-  cells, so extending one costs no copy; results become machine values
-  again only in the outcome.
+  recently used.  A block lives as long as its node, which it refers to
+  weakly, so code holds no cycle: a node without sub-nodes keeps it in a
+  process-wide table keyed by value, so unshared copies share it, and any
+  other in an attribute.  A run prepares only the blocks no earlier run
+  entered, and keeps its own frame stack.  Values are Python tuples and
+  singletons, and environments linked cells, so extending one costs no
+  copy; results become machine values again only in the outcome.
   A block returns the steps of the path it took; the driver adds them
   and compares them with the fuel once per block.  A block that cannot
   finish (its path would cross the fuel limit, or an index or a variant
@@ -45,17 +47,19 @@ the same step count.
   Indices are checked as they are read, not when a block is prepared: a
   shared definition's code runs at more than one environment depth.
 
-eval_expr takes the reference loop for a traced run, for one with less
-than COMPILE_MIN_FUEL fuel and for an environment holding a value of no
-machine value class, and the compiled path otherwise.  Values cross into
-and out of it through one converter each way, linear in their distinct
-nodes, so a short compiled run pays mostly for preparing its blocks.
-Timed on every corpus declaration with an input (about 25 inputs each,
-n <= 200 with fuel <= 12,000) and on fan-out drives (fan-out 2 at depths
-5 and 8, 3 at depths 3 and 5, both regimes, n <= 12), at the fuel
-run_and_verify gives (the bound plus 4,096), with every shape compiled,
-fresh code and the median of five runs per path (Python 3.11, 2 shared
-Xeon cores; the ranges are three sessions):
+eval_expr takes the reference loop for a traced run, for an environment
+holding a value of no machine value class, and for one with less than
+COMPILE_MIN_FUEL fuel of code whose entry block no earlier run prepared,
+and the compiled path otherwise.  Values cross into and out of it
+through one converter each way, linear in their distinct nodes, so a
+short compiled run of code that has not run compiled yet pays mostly for
+preparing its blocks.  The table is for such code: every corpus
+declaration with an input (about 25 inputs each, n <= 200 with fuel <=
+12,000) and fan-out drives (fan-out 2 at depths 5 and 8, 3 at depths 3
+and 5, both regimes, n <= 12), at the fuel run_and_verify gives (the
+bound plus 4,096), timed with every shape compiled, fresh code and the
+median of five runs per path (Python 3.11, 2 shared Xeon cores; the
+ranges are three sessions):
 
     fuel          runs  compiled faster  compiled/reference time (median)
     4,096-4,399     51       1-2            2.6-2.9
@@ -75,8 +79,9 @@ declarations), so sortDriver's 28 shapes cost a fresh process about
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 
 
@@ -85,6 +90,10 @@ from itertools import count
 
 class MachineExpr:
     __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a copy or an unpickled node prepares its own block."""
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -246,11 +255,12 @@ def eval_expr(
     exists; OutOfFuel when the derivation would exceed the fuel; Stuck
     with a diagnostic on an out-of-range index or a variant mismatch.
 
-    A traced run, or one with less fuel than COMPILE_MIN_FUEL, takes the
-    reference loop; any other run takes the compiled path (see the
-    module docstring).  Both give the same outcome.
+    A traced run, or one with less fuel than COMPILE_MIN_FUEL of code that
+    has not run compiled yet, takes the reference loop; any other run
+    takes the compiled path (see the module docstring).  Both give the
+    same outcome.
     """
-    if trace is None and fuel >= COMPILE_MIN_FUEL:
+    if trace is None and (fuel >= COMPILE_MIN_FUEL or _block_of(expr)[0].__class__ is not partial):
         return _eval_compiled(expr, env, fuel)
     return _eval_reference(expr, env, fuel, trace)
 
@@ -387,12 +397,13 @@ def _eval_reference(
 # ending in ().
 
 # From this much fuel the compiled path is faster on at least 90 % of
-# runs, once its shapes are compiled (the table in the module docstring).
+# runs of code that has not run compiled yet, once its shapes are
+# compiled (the table in the module docstring).
 COMPILE_MIN_FUEL = 4500
 
 # A block is a list [run, node]: run is the function _factory generates
-# for the block, or, until the block is first entered, a stub that
-# prepares it.
+# for the block, or, until the block is first entered, a partial of
+# _enter that prepares it; node is a weak reference to the block's node.
 _NODE = 1
 # The items of a block, over all its paths, before a path is cut by a jump.
 _CAP = 32
@@ -403,8 +414,10 @@ _UNROLL = 24
 _SHAPES = 1024
 
 _CONSTANTS = {MkUnit: "None", MkTrue: "True", MkFalse: "False"}
-# The nodes without sub-nodes, whose blocks are keyed by value.
+# The nodes without sub-nodes, whose blocks _LEAF_BLOCKS keeps for the
+# process, keyed by value; any other node keeps its block in _block.
 _LEAVES = frozenset((Var, MkPair, App, *_CONSTANTS))
+_LEAF_BLOCKS: dict = {}
 
 
 def _at(e, i: int):
@@ -421,17 +434,17 @@ def _get(env: str, i: int) -> str:
 @lru_cache(maxsize=_SHAPES)
 def _factory(shape: tuple):
     """The factory of a block function of this shape.  It takes the
-    frame stack's push and the blocks the items refer to, in order, and
-    returns run(e): e is the block's entry environment, and run returns
-    (next block, its environment, steps) or, for a value returned to a
-    frame, (None, value, steps), with the steps of the path it took.
-    run raises where only the reference loop can go on.
+    blocks the items refer to, in order, and returns run(e, push): e is
+    the block's entry environment and push appends to the run's own frame
+    stack, and run returns (next block, its environment, steps) or, for a
+    value returned to a frame, (None, value, steps), with the steps of
+    the path it took.  run raises where only the reference loop can go on.
 
     A value a path binds is a Python local: index i below the number n
     of locals reads a local, and index i from n reads index i - n of e.
     A linked cell is built only where the environment escapes, into a
     pushed frame, a closure or a jump, and once per path."""
-    params, lines, names = ["push"], [], count()
+    params, lines, names = [], [], count()
 
     def ref() -> str:
         params.append(f"b{len(params)}")
@@ -516,7 +529,7 @@ def _factory(shape: tuple):
 
     path(shape, "        ", [], {0: "e"}, [], 0)
     source = "".join(
-        [f"def factory({', '.join(params)}):\n    def run(e):\n"]
+        [f"def factory({', '.join(params)}):\n    def run(e, push):\n"]
         + [f"{line}\n" for line in lines]
         + ["    return run\n"]
     )
@@ -542,183 +555,176 @@ def _cells(env) -> list:
     return out
 
 
-class _Program:
-    """The blocks and the frame stack of one run.  The block of a node
-    without sub-nodes is keyed by the node's value, so copies share it;
-    any other block by the id of its node.  The table lives only as long
-    as the run, whose code keeps every node alive, so an id cannot be
-    reused while it is a key."""
+def _block_of(node: MachineExpr) -> list:
+    """node's block (see _LEAVES), made as a stub on the first request."""
+    table, key = (_LEAF_BLOCKS, node) if node.__class__ in _LEAVES else (node.__dict__, "_block")
+    blk = table.get(key)
+    if blk is None:
+        ref = weakref.ref(node)
+        blk = table.setdefault(key, [partial(_enter, ref), ref])
+    return blk
 
-    def __init__(self):
-        self.blocks: dict = {}
-        self.stack: list[tuple[list, object]] = []
-        self.push = self.stack.append
 
-    def block(self, node: MachineExpr) -> list:
-        key = node if node.__class__ in _LEAVES else id(node)
-        b = self.blocks.get(key)
-        if b is None:
-            b = self.blocks[key] = [None, node]
+def _enter(ref, e, push):
+    """A block's function until it is first entered: prepare it and run it."""
+    return _prepare(_block_of(ref()))(e, push)
 
-            def enter(e):
-                self.prepare(b)
-                return b[0](e)
 
-            b[0] = enter
-        return b
+def _value(e, refs: list):
+    """The shape item's value part when e is a one-step value
+    instruction, or None."""
+    cls = e.__class__
+    if cls is Var:
+        return ("var", e.i) if e.i >= 0 else None
+    if cls is MkPair:
+        return ("pair", e.i, e.j) if e.i >= 0 and e.j >= 0 else None
+    if cls is Lam:
+        refs.append(_block_of(e.body))
+        return ("lam",)
+    constant = _CONSTANTS.get(cls)
+    return None if constant is None else (constant,)
 
-    def _value(self, e, refs: list):
-        """The shape item's value part when e is a one-step value
-        instruction, or None."""
+
+def _path(e, frames: tuple, budget: int, refs: list):
+    """The items of the paths from e, at most budget of them, and their
+    number.  frames holds the rests of the sequencing nodes the paths
+    continue in, innermost last.  A path ends at an application, a value
+    returned to a frame, an instruction only the reference loop runs, or,
+    when the items run out, a jump to the block of the node where it was
+    cut; a conditional ends a path in two."""
+    items, used = [], 0
+    while used < budget:
+        used += 1
         cls = e.__class__
-        if cls is Var:
-            return ("var", e.i) if e.i >= 0 else None
-        if cls is MkPair:
-            return ("pair", e.i, e.j) if e.i >= 0 and e.j >= 0 else None
-        if cls is Lam:
-            refs.append(self.block(e.body))
-            return ("lam",)
-        constant = _CONSTANTS.get(cls)
-        return None if constant is None else (constant,)
+        if cls is Seq:
+            items.append(("seq",))
+            frames += (e.rest,)
+            e = e.first
+        elif cls is LetPair and e.i >= 0:
+            items.append(("split", e.i))
+            e = e.body
+        elif cls is If and e.i >= 0:
+            # the then arm takes at most half the items left
+            then, n = _path(e.then_branch, frames, (budget - used + 1) // 2, refs)
+            used += n
+            else_, n = _path(e.else_branch, frames, budget - used, refs)
+            items.append(("if", e.i, then, else_))
+            return tuple(items), used + n
+        else:
+            value = _value(e, refs)
+            if value is not None and frames:
+                items.append(("resume", *value))
+                e, frames = frames[-1], frames[:-1]
+            elif value is not None:
+                items.append(("ret", *value))
+                return tuple(items), used
+            elif cls is App and e.i >= 0 and e.j >= 0:
+                items.append(("app", e.i, e.j))
+                refs += map(_block_of, frames)
+                return tuple(items), used
+            else:  # an unknown instruction or a negative index
+                items.append(("stuck",))
+                return tuple(items), used
+    items.append(("jump",))
+    refs += map(_block_of, (*frames, e))
+    return tuple(items), used
 
-    def _path(self, e, frames: tuple, budget: int, refs: list):
-        """The items of the paths from e, at most budget of them, and
-        their number.  frames holds the rests of the sequencing nodes the
-        paths continue in, innermost last.  A path ends at an
-        application, a value returned to a frame, an instruction only
-        the reference loop runs, or, when the items run out, a jump to
-        the block of the node where it was cut; a conditional ends a
-        path in two."""
-        items, used = [], 0
-        while used < budget:
-            used += 1
-            cls = e.__class__
-            if cls is Seq:
-                items.append(("seq",))
-                frames += (e.rest,)
-                e = e.first
-            elif cls is LetPair and e.i >= 0:
-                items.append(("split", e.i))
-                e = e.body
-            elif cls is If and e.i >= 0:
-                # the then arm takes at most half the items left
-                then, n = self._path(e.then_branch, frames, (budget - used + 1) // 2, refs)
-                used += n
-                else_, n = self._path(e.else_branch, frames, budget - used, refs)
-                items.append(("if", e.i, then, else_))
-                return tuple(items), used + n
-            else:
-                value = self._value(e, refs)
-                if value is not None and frames:
-                    items.append(("resume", *value))
-                    e, frames = frames[-1], frames[:-1]
-                elif value is not None:
-                    items.append(("ret", *value))
-                    return tuple(items), used
-                elif cls is App and e.i >= 0 and e.j >= 0:
-                    items.append(("app", e.i, e.j))
-                    refs += map(self.block, frames)
-                    return tuple(items), used
-                else:  # an unknown instruction or a negative index
-                    items.append(("stuck",))
-                    return tuple(items), used
-        items.append(("jump",))
-        refs += map(self.block, (*frames, e))
-        return tuple(items), used
 
-    def prepare(self, blk: list) -> None:
-        """Generate blk's function: the paths from its node, through
-        conditionals and into the rests of sequencing nodes, up to _CAP
-        items in all."""
-        refs = [self.push]
-        shape, _ = self._path(blk[_NODE], (), _CAP, refs)
-        blk[0] = _factory(shape)(*refs)
+def _prepare(blk: list):
+    """Generate and return blk's function: the paths from its node, through
+    conditionals and into the rests of sequencing nodes, up to _CAP items
+    in all."""
+    refs = []
+    shape, _ = _path(blk[_NODE](), (), _CAP, refs)
+    blk[0] = _factory(shape)(*refs)
+    return blk[0]
 
-    def compiled_env(self, env: Env):
-        """The linked environment of the compiled-path forms of the values
-        of a machine environment; raises _Foreign on a value of no
-        machine value class.  Each value is converted once, keyed by id,
-        after its parts, from an explicit stack: a loop walks a pair's
-        chain of second components down to a converted value and builds
-        the chain back up; a part still missing is pushed, and a value
-        popped once converted is skipped."""
-        memo = {id(TRUE): True, id(FALSE): False, id(UNIT): None}
-        get, todo = memo.get, list(env)
-        while todo:
-            v = todo.pop()
-            if id(v) in memo:
+
+def _compiled_env(env: Env):
+    """The linked environment of the compiled-path forms of the values of
+    a machine environment; raises _Foreign on a value of no machine value
+    class.  Each value is converted once, keyed by id, after its parts,
+    from an explicit stack: a loop walks a pair's chain of second
+    components down to a converted value and builds the chain back up; a
+    part still missing is pushed, and a value popped once converted is
+    skipped."""
+    memo = {id(TRUE): True, id(FALSE): False, id(UNIT): None}
+    get, todo = memo.get, list(env)
+    while todo:
+        v = todo.pop()
+        if id(v) in memo:
+            continue
+        cls = v.__class__
+        if cls is VPair:
+            spine, w = [], v
+            while w.__class__ is VPair and id(w) not in memo:
+                spine.append(w)
+                w = w.snd
+            x = get(id(w), _MISSING)
+            if x is _MISSING:
+                todo += (*spine, w)
                 continue
-            cls = v.__class__
-            if cls is VPair:
-                spine, w = [], v
-                while w.__class__ is VPair and id(w) not in memo:
-                    spine.append(w)
-                    w = w.snd
-                x = get(id(w), _MISSING)
-                if x is _MISSING:
-                    todo += (*spine, w)
-                    continue
-                while spine:
-                    p = spine.pop()
-                    f = get(id(p.fst), _MISSING)
-                    if f is _MISSING:
-                        todo += (*spine, p, p.fst)
-                        break
-                    x = memo[id(p)] = (f, x)
-            elif cls is Clo and v.env.__class__ is tuple:
-                missing = [w for w in v.env if id(w) not in memo]
-                if missing:
-                    todo += (v, *missing)
-                    continue
-                cells = ()
-                for w in v.env:
-                    cells = (memo[id(w)], cells)
-                memo[id(v)] = (self.block(v.body), cells, None)
-            elif cls in _LEAF_IN:
-                memo[id(v)] = _LEAF_IN[cls]
-            else:
-                raise _Foreign
-        out = ()
-        for v in env:
-            out = (memo[id(v)], out)
-        return out
-
-    @staticmethod
-    def machine_env(cells) -> tuple:
-        """The machine environment of a linked environment of
-        compiled-path values, converted as compiled_env converts."""
-        memo = {id(True): TRUE, id(False): FALSE, id(None): UNIT}
-        get, roots = memo.get, _cells(cells)
-        todo = roots[:]
-        while todo:
-            x = todo.pop()
-            if id(x) in memo:
+            while spine:
+                p = spine.pop()
+                f = get(id(p.fst), _MISSING)
+                if f is _MISSING:
+                    todo += (*spine, p, p.fst)
+                    break
+                x = memo[id(p)] = (f, x)
+        elif cls is Clo and v.env.__class__ is tuple and isinstance(v.body, MachineExpr):
+            missing = [w for w in v.env if id(w) not in memo]
+            if missing:
+                todo += (v, *missing)
                 continue
-            if len(x) == 2:
-                spine, w = [], x
-                while id(w) not in memo and len(w) == 2:
-                    spine.append(w)
-                    w = w[1]
-                s = get(id(w), _MISSING)
-                if s is _MISSING:
-                    todo += (*spine, w)
-                    continue
-                while spine:
-                    p = spine.pop()
-                    f = get(id(p[0]), _MISSING)
-                    if f is _MISSING:
-                        todo += (*spine, p, p[0])
-                        break
-                    s = memo[id(p)] = VPair(f, s)
-            else:
-                values = _cells(x[1])
-                missing = [v for v in values if id(v) not in memo]
-                if missing:
-                    todo += (x, *missing)
-                    continue
-                values.reverse()
-                memo[id(x)] = Clo(x[0][_NODE], tuple([memo[id(v)] for v in values]))
-        return tuple([memo[id(v)] for v in reversed(roots)])
+            cells = ()
+            for w in v.env:
+                cells = (memo[id(w)], cells)
+            memo[id(v)] = (_block_of(v.body), cells, None)
+        elif cls in _LEAF_IN:
+            memo[id(v)] = _LEAF_IN[cls]
+        else:
+            raise _Foreign
+    out = ()
+    for v in env:
+        out = (memo[id(v)], out)
+    return out
+
+
+def _machine_env(cells) -> tuple:
+    """The machine environment of a linked environment of compiled-path
+    values, converted as _compiled_env converts."""
+    memo = {id(True): TRUE, id(False): FALSE, id(None): UNIT}
+    get, roots = memo.get, _cells(cells)
+    todo = roots[:]
+    while todo:
+        x = todo.pop()
+        if id(x) in memo:
+            continue
+        if len(x) == 2:
+            spine, w = [], x
+            while id(w) not in memo and len(w) == 2:
+                spine.append(w)
+                w = w[1]
+            s = get(id(w), _MISSING)
+            if s is _MISSING:
+                todo += (*spine, w)
+                continue
+            while spine:
+                p = spine.pop()
+                f = get(id(p[0]), _MISSING)
+                if f is _MISSING:
+                    todo += (*spine, p, p[0])
+                    break
+                s = memo[id(p)] = VPair(f, s)
+        else:
+            values = _cells(x[1])
+            missing = [v for v in values if id(v) not in memo]
+            if missing:
+                todo += (x, *missing)
+                continue
+            values.reverse()
+            memo[id(x)] = Clo(x[0][_NODE](), tuple([memo[id(v)] for v in values]))
+    return tuple([memo[id(v)] for v in reversed(roots)])
 
 
 def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
@@ -729,18 +735,16 @@ def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
     raising) the reference loop runs the block's node from the block's
     entry state with the fuel that is left.  It stops inside that block,
     with OutOfFuel or Stuck, and its outcome is the run's outcome."""
-    prog = _Program()
     try:
-        entry = prog.compiled_env(env)
+        env = _compiled_env(env)
     except _Foreign:
         return _eval_reference(expr, env, fuel)
-    env = entry
-    steps = 0
-    stack = prog.stack
-    blk = prog.block(expr)
+    steps, stack = 0, []
+    push = stack.append
+    blk = _block_of(expr)
     try:
         while True:
-            nxt, x, k = blk[0](env)
+            nxt, x, k = blk[0](env, push)
             steps += k
             if steps > fuel:
                 steps -= k
@@ -752,13 +756,12 @@ def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
                 env = (x, env)
                 steps += 1  # the resumption; the next block compares
             else:
-                return Done(prog.machine_env((x, ()))[0], steps)
+                return Done(_machine_env((x, ()))[0], steps)
     except (IndexError, TypeError, ValueError):
         pass
     if steps > fuel:
         return OUT_OF_FUEL
-    ref_env = prog.machine_env(env)
-    out = _eval_reference(blk[_NODE], ref_env, fuel - steps)
+    out = _eval_reference(blk[_NODE](), _machine_env(env), fuel - steps)
     if out.__class__ is Done:
         raise RuntimeError("the reference loop finished a block the compiled path could not")
     return out
@@ -869,100 +872,97 @@ def expr_to_sexp(e: MachineExpr) -> str:
 
 
 def value_to_sexp(v: MachineValue) -> str:
-    cls = v.__class__
-    if cls is Clo:
-        inner = " ".join(value_to_sexp(w) for w in v.env)
-        return f"(clo {expr_to_sexp(v.body)} (env{' ' if inner else ''}{inner}))"
-    if cls is VUnit:
-        return "unit"
-    if cls is VTrue:
-        return "true"
-    if cls is VFalse:
-        return "false"
-    if cls is VPair:
-        return f"(pairv {value_to_sexp(v.fst)} {value_to_sexp(v.snd)})"
-    raise ValueError(f"unknown value {cls.__name__}")
-
-
-def _tokenize_sexp(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+    """The s-expression of v, printed as expr_to_sexp prints, with an
+    explicit stack of the values and the text still to print."""
+    out, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        cls = v.__class__
+        if cls is str or cls in _VALUE_NAMES:
+            out.append(v if cls is str else _VALUE_NAMES[cls])
+        elif cls is VPair:
+            todo += (")", v.snd, " ", v.fst, "(pairv ")
+        elif cls is Clo:
+            env = [x for w in reversed(v.env) for x in (w, " ")]
+            todo += ("))", *env, f"(clo {expr_to_sexp(v.body)} (env")
+        else:
+            raise ValueError(f"unknown value {cls.__name__}")
+    return "".join(out)
 
 
 class SexpError(ValueError):
     pass
 
 
-def _parse_sexp(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise SexpError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _parse_sexp(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise SexpError("missing closing parenthesis")
-        return items, pos + 1
-    if tok == ")":
-        raise SexpError("unexpected closing parenthesis")
-    return tok, pos + 1
+def _parse_sexp(text: str):
+    """The first s-expression of text as a tree of lists and atoms, read
+    with an explicit stack of the lists still open."""
+    open_ = [[]]
+    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
+        if tok == "(":
+            open_.append([])
+        elif tok != ")":
+            open_[-1].append(tok)
+        elif len(open_) > 1:
+            open_[-2].append(open_.pop())
+        else:
+            raise SexpError("unexpected closing parenthesis")
+        if open_[0]:
+            return open_[0][0]
+    raise SexpError("missing closing parenthesis" if open_[1:] else "unexpected end of input")
 
 
-def _expr_of_sexp(s) -> MachineExpr:
-    if s == "unit":
-        return MkUnit()
-    if s == "true":
-        return MkTrue()
-    if s == "false":
-        return MkFalse()
-    if isinstance(s, list) and s:
-        head = s[0]
-        if head == "lam" and len(s) == 2:
-            return Lam(_expr_of_sexp(s[1]))
-        if head == "pair" and len(s) == 3:
-            return MkPair(int(s[1]), int(s[2]))
-        if head == "var" and len(s) == 2:
-            return Var(int(s[1]))
-        if head == "let" and len(s) == 3:
-            return Seq(_expr_of_sexp(s[1]), _expr_of_sexp(s[2]))
-        if head == "app" and len(s) == 3:
-            return App(int(s[1]), int(s[2]))
-        if head == "letpair" and len(s) == 3:
-            return LetPair(int(s[1]), _expr_of_sexp(s[2]))
-        if head == "if" and len(s) == 4:
-            return If(int(s[1]), _expr_of_sexp(s[2]), _expr_of_sexp(s[3]))
-    raise SexpError(f"bad expression form: {s!r}")
+def _build(tree, form):
+    """The object tree denotes, built without recursion: form(s) checks the
+    form s and returns its constructor and its sub-forms, checked in order."""
+    order, todo = [], [tree]
+    while todo:
+        make, parts = form(todo.pop())
+        order.append((make, len(parts)))
+        todo += reversed(parts)
+    out = []
+    for make, n in reversed(order):
+        out.append(make(*[out.pop() for _ in range(n)]))
+    return out[0]
 
 
-def _value_of_sexp(s) -> MachineValue:
-    if s == "unit":
-        return UNIT
-    if s == "true":
-        return TRUE
-    if s == "false":
-        return FALSE
-    if isinstance(s, list) and s:
-        head = s[0]
-        if head == "clo" and len(s) == 3:
-            envs = s[2]
-            if not (isinstance(envs, list) and envs and envs[0] == "env"):
-                raise SexpError(f"bad closure environment: {envs!r}")
-            return Clo(
-                _expr_of_sexp(s[1]),
-                tuple(_value_of_sexp(w) for w in envs[1:]),
-            )
-        if head == "pairv" and len(s) == 3:
-            return VPair(_value_of_sexp(s[1]), _value_of_sexp(s[2]))
+_EXPR_OF_NAME = {name: cls for cls, name in _NAMES.items()}
+_EXPR_OF_HEAD = {head: cls for cls, head in _HEADS.items()}
+
+
+def _expr_form(s):
+    """The constructor and sub-forms of s; a node's index fields are i and j."""
+    if s.__class__ is str and s in _EXPR_OF_NAME:
+        return _EXPR_OF_NAME[s], []
+    head = s[0] if s.__class__ is list and s else None
+    cls = _EXPR_OF_HEAD.get(head) if head.__class__ is str else None
+    if cls is None or len(s) != 1 + len(cls.__dataclass_fields__):
+        raise SexpError(f"bad expression form: {s!r}")
+    indices = [int(x) for f, x in zip(cls.__dataclass_fields__, s[1:]) if f in ("i", "j")]
+    return partial(cls, *indices), s[1 + len(indices):]
+
+
+_VALUE_OF_NAME = {"unit": UNIT, "true": TRUE, "false": FALSE}
+_VALUE_NAMES = {v.__class__: name for name, v in _VALUE_OF_NAME.items()}
+
+
+def _value_form(s):
+    if s.__class__ is str and s in _VALUE_OF_NAME:
+        return partial(_VALUE_OF_NAME.get, s), []
+    head = s[0] if s.__class__ is list and s else None
+    if head == "clo" and len(s) == 3:
+        envs = s[2]
+        if not (isinstance(envs, list) and envs and envs[0] == "env"):
+            raise SexpError(f"bad closure environment: {envs!r}")
+        return partial(lambda body, *env: Clo(body, env), _build(s[1], _expr_form)), envs[1:]
+    if head == "pairv" and len(s) == 3:
+        return VPair, s[1:]
     raise SexpError(f"bad value form: {s!r}")
 
 
 def expr_from_sexp(text: str) -> MachineExpr:
-    tree, pos = _parse_sexp(_tokenize_sexp(text), 0)
-    return _expr_of_sexp(tree)
+    return _build(_parse_sexp(text), _expr_form)
 
 
 def value_from_sexp(text: str) -> MachineValue:
-    tree, pos = _parse_sexp(_tokenize_sexp(text), 0)
-    return _value_of_sexp(tree)
+    return _build(_parse_sexp(text), _value_form)

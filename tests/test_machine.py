@@ -1,7 +1,12 @@
+import copy
+import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
+import weakref
 
 import pytest
 
@@ -42,7 +47,7 @@ from polyqtt.machine import (
     value_to_sexp,
 )
 
-from conftest import CORPUS, compiled
+from conftest import CORPUS, CORPUS_FILES, compiled, load_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +369,46 @@ def test_value_sexp_roundtrip():
         assert value_from_sexp(value_to_sexp(v)) == v
 
 
+def test_deep_sexps_roundtrip(tmp_path):
+    # the first line --emit-machine prints for a 1,000-definition linear
+    # chain nests each definition in the next, and values 10,000 deep
+    # along first components, second components and closure environments;
+    # all are read and printed without recursion, in a fresh interpreter
+    # at the default recursion limit
+    module = tmp_path / "chain.qtt"
+    lines = ["regime consfree", r"def g0 ^1 : Bool -> Bool = \b. if b then false else true"]
+    lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, 1000)]
+    rec = "rec n at (x. Bool) { zero => true | succ(m, p) => g0 p }"
+    lines.append(rf"def drive ^1 : (n ^1 : Nat) -> Bool = \n. g999 ({rec})")
+    module.write_text("\n".join(lines) + "\n")
+    script = tmp_path / "deep_sexps.py"
+    script.write_text(
+        "import contextlib, io, sys\n"
+        "from polyqtt.cli import main\n"
+        "from polyqtt.machine import *\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['bound', {str(module)!r}, 'drive', '--emit-machine']) == 0\n"
+        "line = out.getvalue().splitlines()[0]\n"
+        "assert len(line) > 30_000\n"
+        "assert expr_to_sexp(expr_from_sexp(line)) == line\n"
+        "fst, clo = TRUE, Clo(Var(0), ())\n"
+        "for _ in range(10_000):\n"
+        "    fst, clo = VPair(fst, UNIT), Clo(Var(0), (UNIT, clo))\n"
+        "for v in (fst, nat_value(10_000), clo):\n"
+        "    text = value_to_sexp(v)\n"
+        "    assert value_from_sexp(text) == v and value_to_sexp(value_from_sexp(text)) == text\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
 def test_fuel_monotonicity_random():
     rng = random.Random(314159)
     for _ in range(150):
@@ -552,37 +597,51 @@ def test_compiled_path_matches_reference_on_random_programs():
     assert outcomes.count(Done) > 40 and outcomes.count(Stuck) > 20
 
 
+def _fresh_code(file: str, decl: str):
+    """The code of a declaration compiled from a module resolved afresh,
+    so that no block of its nodes has been prepared."""
+    mod = resolve_module(parse_module((CORPUS / file).read_text()))
+    d = next(d for d in mod.decls if d.name == decl)
+    return compile_declaration(mod.regime, d.ty, d.body).code
+
+
 def test_block_shapes_are_generated_once(monkeypatch):
     # a block's function comes from a factory cached by the block's shape,
-    # so a second copy of the same code generates nothing
-    misses = lambda: machine._factory.cache_info().misses  # noqa: E731
-    source = (CORPUS / "consfree_iter.qtt").read_text()
-    for copy in range(2):
-        mod = resolve_module(parse_module(source))
-        d = next(d for d in mod.decls if d.name == "nested3")
-        code = compile_declaration(mod.regime, d.ty, d.body).code
-        before = misses()
+    # and a block lives as long as its node: a second run of the same code
+    # prepares nothing, and a fresh copy prepares its own blocks but
+    # generates no new shape
+    info = machine._factory.cache_info
+    prepared = []
+    real = machine._prepare
+    monkeypatch.setattr(machine, "_prepare", lambda blk: prepared.append(blk) or real(blk))
+    for nth in range(2):
+        code = _fresh_code("consfree_iter.qtt", "nested3")
+        misses = info().misses
+        prepared.clear()
         assert _eval_compiled(code, (nat_value(6),), 10_000_000).steps == 5_996
-        assert copy == 0 or misses() == before
+        assert prepared
+        assert nth == 0 or info().misses == misses
+        calls = info().hits + info().misses
+        prepared.clear()
+        assert _eval_compiled(code, (nat_value(6),), 10_000_000).steps == 5_996
+        assert not prepared and info().hits + info().misses == calls
     # unshared copies of a node without sub-nodes share one block: 100,000
     # distinct Var(0) nodes and Seq nodes 32 to a block
     prog = MkTrue()
     for _ in range(100_000):
         prog = Seq(prog, Var(0))
-    prepared = []
-    real = machine._Program.prepare
-    monkeypatch.setattr(
-        machine._Program, "prepare", lambda self, blk: prepared.append(blk) or real(self, blk)
-    )
-    before = misses()
+    prepared.clear()
+    misses = info().misses
     assert _eval_compiled(prog, (), 10_000_000) == Done(TRUE, 200_001)
-    assert misses() - before <= 5
-    assert len(prepared) <= 4_000
+    assert info().misses - misses <= 5
+    assert 3_000 <= len(prepared) <= 4_000
 
 
 def test_blocks_continue_through_conditionals(monkeypatch):
     # nested3 at n=20 enters 60,608 blocks when each conditional ends a
-    # block; continuing through them enters a quarter fewer
+    # block; continuing through them enters a quarter fewer.  Fresh code
+    # and an empty table of leaf blocks, so that every block entered is
+    # prepared, and so counted, here
     entered = [0]
     real = machine._factory
 
@@ -592,39 +651,138 @@ def test_blocks_continue_through_conditionals(monkeypatch):
         def counted_factory(*refs):
             run = make(*refs)
 
-            def counted(e):
+            def counted(e, push):
                 entered[0] += 1
-                return run(e)
+                return run(e, push)
 
             return counted
 
         return counted_factory
 
     monkeypatch.setattr(machine, "_factory", factory)
-    code = compiled("consfree_iter.qtt", "nested3").code
+    monkeypatch.setattr(machine, "_LEAF_BLOCKS", {})
+    code = _fresh_code("consfree_iter.qtt", "nested3")
     assert _eval_compiled(code, (nat_value(20),), 10_000_000).steps == 176_418
-    assert entered[0] <= 45_456
+    assert 40_000 <= entered[0] <= 45_456
 
 
 def test_eval_expr_picks_its_path(monkeypatch):
-    import polyqtt.machine as machine
-
     taken = []
     for name in ("_eval_compiled", "_eval_reference"):
         real = getattr(machine, name)
         monkeypatch.setattr(
             machine, name, lambda *a, name=name, real=real: taken.append(name) or real(*a)
         )
-    prog = Seq(MkTrue(), Var(0))
     least = machine.COMPILE_MIN_FUEL
-    for fuel, trace, path in (
-        (least, None, "_eval_compiled"),
-        (least - 1, None, "_eval_reference"),
-        (least, [], "_eval_reference"),
-    ):
+
+    def path(prog, fuel, trace=None):
         taken.clear()
         assert eval_expr(prog, (), fuel, trace=trace) == Done(TRUE, 3)
-        assert taken == [path]
+        return taken[0] if len(taken) == 1 else taken
+
+    # fresh code runs compiled from COMPILE_MIN_FUEL, and a traced run never
+    assert path(Seq(MkTrue(), Var(0)), least) == "_eval_compiled"
+    assert path(Seq(MkTrue(), Var(0)), least - 1) == "_eval_reference"
+    assert path(Seq(MkTrue(), Var(0)), least, []) == "_eval_reference"
+    # code that has run compiled takes the compiled path at any fuel
+    prog = Seq(MkTrue(), Var(0))
+    assert path(prog, least) == "_eval_compiled"
+    assert path(prog, least - 1) == "_eval_compiled"
+    assert path(prog, 3) == "_eval_compiled"
+    assert path(prog, least, []) == "_eval_reference"
+    # a closure body whose block was only referred to, never entered
+    body = Seq(MkTrue(), Var(0))
+    assert eval_expr(Seq(Lam(body), Var(0)), (), least).value == Clo(body, ())
+    assert path(body, least - 1) == "_eval_reference"
+
+
+def test_code_stays_acyclic(monkeypatch):
+    # a block refers to its node weakly, so code that ran compiled is freed
+    # by reference counting alone, also after a block was handed to the
+    # reference loop
+    handed = []
+    reference = machine._eval_reference
+    monkeypatch.setattr(
+        machine, "_eval_reference", lambda *a: handed.append(a[2]) or reference(*a)
+    )
+    for fuel, want in ((10_000_000, Done(TRUE, 5_996)), (5_995, OutOfFuel())):
+        code = _fresh_code("consfree_iter.qtt", "nested3")
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(code)
+            handed.clear()
+            assert _eval_compiled(code, (nat_value(6),), fuel) == want
+            assert len(handed) == (want == OutOfFuel())
+            assert _eval_compiled(code, (nat_value(6),), fuel) == want
+            del code
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def test_copies_prepare_their_own_blocks():
+    # a copy or a pickle of code that ran compiled carries no block, so
+    # none of its blocks refers to a node of the original once that is gone
+    code, env = _fresh_code("consfree_iter.qtt", "parity1"), (nat_value(5),)
+    want = _eval_compiled(code, env, 10_000_000)
+    copies = [copy.copy(code), copy.deepcopy(code), pickle.loads(pickle.dumps(code))]
+    del code
+    for c in copies:
+        assert "_block" not in c.__dict__
+        assert _eval_compiled(c, env, 10_000_000) == want
+        assert _eval_compiled(c, env, want.steps - 1) == OutOfFuel()
+
+
+def test_threads_share_prepared_code():
+    # the blocks are the code's and the frame stack is the run's: two
+    # threads running one fresh copy of nested3, switching often, each
+    # get the reference outcome every time
+    code = _fresh_code("consfree_iter.qtt", "nested3")
+    wants = {n: _eval_reference(code, (nat_value(n),), 10_000_000) for n in (8, 9)}
+    outcomes = {8: [], 9: []}
+    start = threading.Barrier(2)
+
+    def work(n):
+        start.wait(timeout=30)
+        for _ in range(50):
+            outcomes[n].append(_eval_compiled(code, (nat_value(n),), 10_000_000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in (8, 9)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n, want in wants.items():
+        assert isinstance(want, Done) and outcomes[n] == [want] * 50
+
+
+def test_cold_and_warm_runs_agree_on_corpus():
+    # every runtime declaration with an input, on fresh code for each
+    # n <= 6: the first compiled run prepares the blocks and the second
+    # reuses them; both give the reference's value and steps, and the
+    # prepared code runs out of fuel one step short on both entries
+    checked = 0
+    for name in CORPUS_FILES:
+        for d in load_corpus(name).decls:
+            if d.sigma != 1 or compiled(name, d.name).input_arity != 1:
+                continue
+            for n in range(7):
+                code, env = _fresh_code(name, d.name), (nat_value(n),)
+                want = _eval_reference(code, env, 10_000_000)
+                assert isinstance(want, Done), (d.name, n)
+                cold = _eval_compiled(code, env, 10_000_000)
+                assert cold == want and _eval_compiled(code, env, 10_000_000) == want
+                assert _eval_compiled(code, env, want.steps - 1) == OutOfFuel()
+                assert eval_expr(code, env, want.steps - 1) == OutOfFuel()
+            checked += 1
+    assert checked == 14
 
 
 def test_compiled_path_reports_each_stuck_reason():
@@ -721,7 +879,7 @@ def test_shared_values_are_converted_once(tmp_path):
         "v = TRUE\n"
         "for _ in range(64):\n"
         "    v = VPair(v, v)\n"
-        "c = machine._Program().compiled_env((v,))[0]\n"
+        "c = machine._compiled_env((v,))[0]\n"
         "out = eval_expr(Var(0), (v,), machine.COMPILE_MIN_FUEL)\n"
         "assert out.steps == 1\n"
         "w = out.value\n"
@@ -745,8 +903,8 @@ def test_shared_values_are_converted_once(tmp_path):
 
 def test_foreign_values_run_on_the_reference_loop(monkeypatch):
     # an environment value of no machine value class, alone, at the end
-    # of a long pair chain or in a closure's environment, sends the run to
-    # the reference loop with the environment it was given
+    # of a long pair chain, in a closure's environment or as its body,
+    # sends the run to the reference loop with the environment it was given
     handed = []
     reference = machine._eval_reference
     monkeypatch.setattr(
@@ -757,7 +915,7 @@ def test_foreign_values_run_on_the_reference_loop(monkeypatch):
     for _ in range(1_000):
         chain = VPair(FALSE, chain)
     fuel = machine.COMPILE_MIN_FUEL
-    for v in (alien, chain, Clo(Var(0), (TRUE, alien)), Clo(Var(0), [TRUE])):
+    for v in (alien, chain, Clo(Var(0), (TRUE, alien)), Clo(Var(0), [TRUE]), Clo(alien, ())):
         for prog in (Var(0), MkPair(0, 0), If(0, MkTrue(), MkFalse()), LetPair(0, Var(1))):
             env = (UNIT, v)
             handed.clear()
