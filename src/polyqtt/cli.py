@@ -286,7 +286,9 @@ def cmd_verify(args) -> int:
     report = extract_bound(prog)
     rows = []
     overall = True
-    for n in range(args.max_n + 1):
+    # the largest input first: its run has the most fuel, and once it has
+    # taken the compiled path the smaller ones run on the blocks it prepared
+    for n in range(args.max_n, -1, -1):
         r = run_and_verify(prog, n)
         rows.append(
             {
@@ -297,6 +299,7 @@ def cmd_verify(args) -> int:
             }
         )
         overall = overall and r.ok
+    rows.reverse()
     payload = {
         "name": args.decl,
         "regime": report.regime.value,

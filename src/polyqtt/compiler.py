@@ -49,10 +49,11 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import zip_longest
 
 from . import machine as m
+from .frozen import frozen
 from .kernel import elaborate, normalize_type
 from .potentials import ZERO, Poly
 from .syntax import (
@@ -95,7 +96,7 @@ class CompileError(Exception):
     """Internal invariant violation; checked terms should never trip it."""
 
 
-@dataclass(frozen=True)
+@frozen
 class CompiledProgram:
     code: m.MachineExpr
     potential: Poly  # the bound polynomial q
@@ -103,7 +104,7 @@ class CompiledProgram:
     input_arity: int
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundReport:
     """The bound polynomial q; the step bound at input n is q(n + 1)."""
 
@@ -117,7 +118,7 @@ class BoundReport:
         return self.poly(n + 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class RunResult:
     steps: int | None
     value: m.MachineValue | None
@@ -181,7 +182,7 @@ def _run(instr, *fields) -> tuple[m.MachineExpr, Poly]:
 # ---------------------------------------------------------------------------
 # Compilation environment: machine slot positions of kernel variables
 
-@dataclass(frozen=True)
+@frozen
 class EnvLayout:
     """Maps kernel variables to machine environment slots.
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .frozen import frozen
 from .syntax import (
     Ann,
     App,
@@ -85,7 +86,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Span:
     line: int
     col: int
@@ -94,7 +95,7 @@ class Span:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
+@frozen
 class Diagnostic:
     severity: str
     message: str
@@ -137,6 +138,7 @@ class _Lines:
 class _Located:
     """A declaration's span, computed from its offset when it is read."""
 
+    __slots__ = ()
     offset: int
     lines: _Lines
 
@@ -204,7 +206,7 @@ def tokenize(text: str) -> list[tuple]:
 # Surface trees: kernel nodes with binder names (the format is described
 # at _Resolver)
 
-@dataclass(frozen=True)
+@frozen
 class SourceDecl(_Located):
     name: str
     sigma: int
@@ -214,7 +216,7 @@ class SourceDecl(_Located):
     lines: _Lines = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class SourceModule:
     regime: Regime | None
     decls: tuple
@@ -596,7 +598,7 @@ def parse_type(text: str):
 # ---------------------------------------------------------------------------
 # Resolution to kernel syntax
 
-@dataclass(frozen=True)
+@frozen
 class ResolvedDecl(_Located):
     sigma: int
     offset: int  # of its `def`
@@ -616,7 +618,7 @@ class ResolvedDecl(_Located):
         return self.defn.body
 
 
-@dataclass(frozen=True)
+@frozen
 class ResolvedModule:
     regime: Regime
     decls: tuple

@@ -29,9 +29,10 @@ rule checks every eliminator, with the branch shapes the evaluator
 reads: the constructor each branch stands for and the fields it binds.
 
 A definition is one shared `Global` node, checked once per regime and
-fragment; a reference synthesises its declared type with zero usage and
-evaluates to its body, or, for a lambda, to one closure shared by every
-reference, so conversion finds it equal by identity.  Checking returns
+fragment; a reference synthesises its declared type, evaluated once and
+kept on the node, with zero usage, and evaluates to its body, or, for a
+lambda, to one closure shared by every reference, so conversion finds it
+equal by identity.  Checking returns
 the core term: the input with the usage of each function and tensor type
 stored on its App or Pair node, the one typing fact the compiler needs.
 
@@ -603,7 +604,8 @@ def _mentions_universe(ty: TypeExpr) -> bool:
 def _check_type(regime: Regime, ctx: tuple, ty: TypeExpr) -> None:
     """Type formation; every entry of ctx counts as erased."""
     cls = ty.__class__
-    _gate(regime, 0, cls)
+    if cls in _GATED:
+        _gate(regime, 0, cls)
     if cls in (UnitTy, BoolTy, NatTy, Universe, DiamondTy):
         return
     if cls is Pi or cls is Tensor:
@@ -682,6 +684,9 @@ _ERASED_FORMS = {
 }
 
 
+# the forms _gate rejects somewhere
+_GATED = frozenset((*_REGIME_FORMS, *_ERASED_FORMS))
+
 # the constants and the type each synthesises
 _CONSTANT_TYPES = {
     Star: UNIT_TY, TrueC: BOOL_TY, FalseC: BOOL_TY, ZeroCF: NAT_TY, DiamondStar: DIAMOND_TY
@@ -703,9 +708,9 @@ def _gate(regime: Regime, sigma: int, cls) -> None:
 def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
     """Synthesise (usage vector, type value, core term) for t in the
     given fragment."""
-    zeros = zero_usage(len(ctx))
     cls = t.__class__
-    _gate(regime, sigma, cls)
+    if cls in _GATED:
+        _gate(regime, sigma, cls)
     plan = _PLANS.get(cls)
     if plan is not None:
         if t.motive is None:
@@ -713,12 +718,10 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
         return _eliminate(regime, ctx, sigma, t, None, plan)
 
     if cls is Var:
-        pos = len(ctx) - 1 - t.index
-        if not 0 <= pos < len(ctx):
-            raise CheckError("Tm-Var", f"unbound index {t.index} in context of {len(ctx)}")
-        u = list(zeros)
-        u[pos] = sigma
-        return tuple(u), _read(ctx, t.index, _Budget()), t
+        i = t.index
+        if not 0 <= i < len(ctx):
+            raise CheckError("Tm-Var", f"unbound index {i} in context of {len(ctx)}")
+        return (0,) * (len(ctx) - 1 - i) + (sigma,) + (0,) * i, _read(ctx, i, _Budget()), t
 
     if cls is Ann:
         _check_type(regime, ctx, t.ty)
@@ -728,12 +731,15 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
 
     if cls is Global:
         # the body is checked once per regime and fragment and its core
-        # term kept on the definition; being closed, it uses nothing of ctx
+        # term kept on the definition, and the declared type evaluated
+        # once it first checks; being closed, it uses nothing of ctx
         key = (regime, sigma)
         if key not in t.core:
             _check_type(regime, (), t.ty)
-            t.core[key] = check(regime, (), sigma, t.body, _value((), t.ty))[1]
-        return zeros, _value((), t.ty), t
+            if t.ty_value is None:
+                object.__setattr__(t, "ty_value", _value((), t.ty))
+            t.core[key] = check(regime, (), sigma, t.body, t.ty_value)[1]
+        return zero_usage(len(ctx)), t.ty_value, t
 
     if cls is App:
         u_fn, fn_ty, fn = synth(regime, ctx, sigma, t.fn)
@@ -746,7 +752,7 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
 
     ty = _CONSTANT_TYPES.get(cls)
     if ty is not None:
-        return zeros, ty, t
+        return zero_usage(len(ctx)), ty, t
 
     if cls is Cons:
         u_h, elem_ty, head = synth(regime, ctx, sigma, t.head)
@@ -774,7 +780,7 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
 
     if cls is SuccL:
         # walked in a loop like SuccCF, checking the payments outermost first
-        u, pays = zeros, []
+        u, pays = zero_usage(len(ctx)), []
         while t.__class__ is SuccL:
             u_d, pay = check(regime, ctx, sigma, t.pay, DIAMOND_TY)
             u, t = usage_add(u, u_d), t.pred
@@ -800,7 +806,7 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
     if cls is ReflectIntro:
         u, ty, body = synth(regime, ctx, 1, t.body)
         _require_erased_ambient(u, "Tm-R")
-        return zeros, Reflect(ty), ReflectIntro(body)
+        return zero_usage(len(ctx)), Reflect(ty), ReflectIntro(body)
 
     if cls is ReflectElim:
         u, ty, body = synth(regime, ctx, sigma, t.body)
@@ -811,7 +817,7 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
         if _mentions_universe(t.ty):
             raise CheckError("Tm-U-Code", "the universe has no code for itself")
         _check_type(regime, ctx, t.ty)
-        return zeros, UNIVERSE, t
+        return zero_usage(len(ctx)), UNIVERSE, t
 
     if cls is Lam:
         raise CheckError("Tm-Lam", "cannot synthesise a bare function; annotate it")
@@ -872,12 +878,13 @@ def check(
 
     plan = _PLANS.get(cls)
     if plan is not None and t.motive is None:
-        _gate(regime, sigma, cls)
+        if cls in _GATED:
+            _gate(regime, sigma, cls)
         u, _, core = _eliminate(regime, ctx, sigma, t, ty, plan)
         return u, core
 
     u, got, core = synth(regime, ctx, sigma, t)
-    if not _conv(got, ty, len(ctx), _Budget()):
+    if got is not ty and not _conv(got, ty, len(ctx), _Budget()):
         raise CheckError(
             "Conv", f"expected {_show(ctx, ty)} but synthesised {_show(ctx, got)}"
         )

@@ -33,10 +33,12 @@ the same step count.
   recently used.  A block lives as long as its node, which it refers to
   weakly, so code holds no cycle: a node without sub-nodes keeps it in a
   process-wide table keyed by value, so unshared copies share it, and any
-  other in an attribute.  A run prepares only the blocks no earlier run
-  entered, and keeps its own frame stack.  Values are Python tuples and
-  singletons, and environments linked cells, so extending one costs no
-  copy; results become machine values again only in the outcome.
+  other in its `_block` slot, which a copy of the node does not carry
+  (node classes are built by `frozen.frozen`).  A run prepares only the
+  blocks no earlier run entered, and keeps its own frame stack.  Values
+  are Python tuples and singletons, and environments linked cells, so
+  extending one costs no copy; results become machine values again only
+  in the outcome.
   A block returns the steps of the path it took; the driver adds them
   and compares them with the fuel once per block.  A block that cannot
   finish (its path would cross the fuel limit, or an index or a variant
@@ -80,72 +82,70 @@ declarations), so sortDriver's 28 shapes cost a fresh process about
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import count
+
+from .frozen import frozen
 
 
 # --------------------------------------------------------------------------
 # Syntax
 
 class MachineExpr:
-    __slots__ = ()
-
-    def __getstate__(self) -> dict:
-        """The fields alone: a copy or an unpickled node prepares its own block."""
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+    # a node's block (see _block_of), and the weak reference a block holds
+    __slots__ = ("_block", "__weakref__")
 
 
-@dataclass(frozen=True)
+@frozen
 class Lam(MachineExpr):
     body: MachineExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class MkUnit(MachineExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class MkPair(MachineExpr):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
+@frozen
 class MkTrue(MachineExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class MkFalse(MachineExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Var(MachineExpr):
     i: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Seq(MachineExpr):
     first: MachineExpr
     rest: MachineExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class App(MachineExpr):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
+@frozen
 class LetPair(MachineExpr):
     i: int
     body: MachineExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class If(MachineExpr):
     i: int
     then_branch: MachineExpr
@@ -182,29 +182,29 @@ class MachineValue:
         return hash(self.__class__)  # equal values share their class
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class Clo(MachineValue):
     body: MachineExpr
     env: tuple = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class VUnit(MachineValue):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class VPair(MachineValue):
     fst: MachineValue
     snd: MachineValue
 
 
-@dataclass(frozen=True)
+@frozen
 class VTrue(MachineValue):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class VFalse(MachineValue):
     pass
 
@@ -223,18 +223,18 @@ class EvalOutcome:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Done(EvalOutcome):
     value: MachineValue
     steps: int
 
 
-@dataclass(frozen=True)
+@frozen
 class OutOfFuel(EvalOutcome):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Stuck(EvalOutcome):
     reason: str
 
@@ -557,12 +557,18 @@ def _cells(env) -> list:
 
 def _block_of(node: MachineExpr) -> list:
     """node's block (see _LEAVES), made as a stub on the first request."""
-    table, key = (_LEAF_BLOCKS, node) if node.__class__ in _LEAVES else (node.__dict__, "_block")
-    blk = table.get(key)
-    if blk is None:
+    if node.__class__ in _LEAVES:
+        blk = _LEAF_BLOCKS.get(node)
+        if blk is None:
+            ref = weakref.ref(node)
+            blk = _LEAF_BLOCKS.setdefault(node, [partial(_enter, ref), ref])
+        return blk
+    try:
+        return node._block
+    except AttributeError:
         ref = weakref.ref(node)
-        blk = table.setdefault(key, [partial(_enter, ref), ref])
-    return blk
+        object.__setattr__(node, "_block", [partial(_enter, ref), ref])
+        return node._block
 
 
 def _enter(ref, e, push):

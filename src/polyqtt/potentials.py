@@ -8,13 +8,14 @@ its results without re-validating them (see Poly)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import add
 from typing import Iterable
 
+from .frozen import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class Poly:
     """Polynomial with natural coefficients, low degree first.
 
@@ -118,7 +119,7 @@ def dominates_from(p: Poly, q: Poly, m: int) -> bool:
     return all(a - b >= 0 for a, b in zip(ps, qs))
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtNat:
     """A natural number or negative infinity (represented as None)."""
 
@@ -164,7 +165,7 @@ class MonoidKind(Enum):
     PLUS_POLY = "pluspoly"
 
 
-@dataclass(frozen=True)
+@frozen
 class Potential:
     """A (size, polynomial) potential pair."""
 

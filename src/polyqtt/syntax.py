@@ -14,12 +14,18 @@ Nothing here rewrites syntax under binders.  Substitution is evaluation:
 the kernel's evaluator binds indices to values and reads the result back
 (`kernel.normalize_type(ty, args)`).  `has_free_var` is the one
 binder-aware query on syntax.
+
+Every node class is built by `frozen.frozen`: a frozen dataclass with
+slots, whose `__init__` stores each field through its slot descriptor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from enum import Enum
+from operator import add
+
+from .frozen import frozen
 
 
 class Regime(Enum):
@@ -38,63 +44,63 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Pi(TypeExpr):
     usage: int
     dom: TypeExpr
     cod: TypeExpr  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class Tensor(TypeExpr):
     usage: int
     fst: TypeExpr
     snd: TypeExpr  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class UnitTy(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolTy(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class NatTy(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class DiamondTy(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ListTy(TypeExpr):
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class IdTy(TypeExpr):
     ty: TypeExpr
     lhs: "Term"
     rhs: "Term"
 
 
-@dataclass(frozen=True)
+@frozen
 class Universe(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class El(TypeExpr):
     code: "Term"
 
 
-@dataclass(frozen=True)
+@frozen
 class Reflect(TypeExpr):
     inner: TypeExpr
 
@@ -109,17 +115,17 @@ UNIVERSE = Universe()
 # --------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
+@frozen
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Lam(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class App(Term):
     fn: Term
     arg: Term
@@ -128,7 +134,7 @@ class App(Term):
     usage: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class Pair(Term):
     fst: Term
     snd: Term
@@ -136,36 +142,36 @@ class Pair(Term):
     usage: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class LetPair(Term):
     scrut: Term
     body: Term  # binds 2 (components, second innermost)
     motive: TypeExpr | None = None  # binds 1 (the scrutinee)
 
 
-@dataclass(frozen=True)
+@frozen
 class Star(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class LetUnit(Term):
     scrut: Term
     body: Term
     motive: TypeExpr | None = None  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class TrueC(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class FalseC(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class If(Term):
     scrut: Term
     then_branch: Term
@@ -173,18 +179,18 @@ class If(Term):
     motive: TypeExpr | None = None  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class Nil(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Cons(Term):
     head: Term
     tail: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class MatchList(Term):
     scrut: Term
     nil_branch: Term
@@ -192,7 +198,7 @@ class MatchList(Term):
     motive: TypeExpr | None = None  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class RecList(Term):
     # erased fragment only
     scrut: Term
@@ -201,22 +207,22 @@ class RecList(Term):
     motive: TypeExpr | None = None  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class ZeroCF(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class SuccCF(Term):
     pred: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class DupNat(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class RecNatCF(Term):
     scrut: Term
     zero_branch: Term
@@ -224,23 +230,23 @@ class RecNatCF(Term):
     motive: TypeExpr | None = None  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class DiamondStar(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ZeroL(Term):
     pay: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class SuccL(Term):
     pay: Term
     pred: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class RecNatL(Term):
     scrut: Term
     zero_branch: Term  # binds 1 (diamond)
@@ -248,54 +254,55 @@ class RecNatL(Term):
     motive: TypeExpr | None = None  # binds 1
 
 
-@dataclass(frozen=True)
+@frozen
 class Refl(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class ReflectIntro(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class ReflectElim(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class Fst(Term):
     # erased fragment only
     pair: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class Snd(Term):
     # erased fragment only
     pair: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class CodeTy(Term):
     """A universe code, carried as the type it denotes."""
 
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class Ann(Term):
     term: Term
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class Global(Term):
     """A closed top-level definition.  The resolver hands out this one
     node at every reference, so later stages do their work on it once:
     the checker keeps the body's core term per (regime, fragment) in
-    `core`, the compiler its costed code per regime in `code`, and the
-    evaluator a lambda body's one closure value in `value`.  No record
-    takes part in equality, hashing or repr."""
+    `core` and the value of the declared type, once it has checked that
+    type, in `ty_value`; the compiler keeps its costed code per regime in
+    `code`, and the evaluator a lambda body's one closure value in
+    `value`.  No record takes part in equality, hashing or repr."""
 
     name: str
     ty: TypeExpr = field(repr=False)
@@ -303,12 +310,13 @@ class Global(Term):
     core: dict = field(default_factory=dict, compare=False, repr=False)
     code: dict = field(default_factory=dict, compare=False, repr=False)
     value: object = field(default=None, compare=False, repr=False)
+    ty_value: object = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
 # Contexts
 
-@dataclass(frozen=True)
+@frozen
 class CtxEntry:
     name: str
     usage: int
@@ -321,11 +329,11 @@ UsageVector = tuple  # tuple[int, ...]
 def usage_add(u1: UsageVector, u2: UsageVector) -> UsageVector:
     if len(u1) != len(u2):
         raise ValueError("usage vector length mismatch")
-    return tuple(a + b for a, b in zip(u1, u2))
+    return tuple(map(add, u1, u2))
 
 
 def usage_scale(k: int, u: UsageVector) -> UsageVector:
-    return tuple(k * a for a in u)
+    return u if k == 1 else tuple(map(k.__mul__, u))
 
 
 def zero_usage(n: int) -> UsageVector:
@@ -423,7 +431,9 @@ _SCHEMA: dict[type, tuple[tuple[str, str, int], ...]] = {
     CodeTy: (("ty", _Y, 0),),
     Ann: (("term", _T, 0), ("ty", _Y, 0)),
     # closed, so traversals treat it as a leaf
-    Global: tuple((name, _P, 0) for name in ("name", "ty", "body", "core", "code", "value")),
+    Global: tuple(
+        (name, _P, 0) for name in ("name", "ty", "body", "core", "code", "value", "ty_value")
+    ),
 }
 
 

@@ -742,6 +742,34 @@ def test_definition_bodies_checked_once_per_fragment(monkeypatch):
     assert counts == {(d.name, s): 1 for d in mod.decls for s in (0, 1)}
 
 
+def test_declared_types_evaluated_once(monkeypatch):
+    # in a depth-12 fan-out chain each g_i is referenced twice per
+    # fragment, but its declared type is evaluated once, on its definition
+    # node; drive, referenced by nothing, is evaluated as elaborate's
+    # target once per fragment
+    import polyqtt.kernel as kernel_mod
+    from polyqtt.frontend import parse_module, resolve_module
+
+    from conftest import fanout_chain
+
+    mod = resolve_module(parse_module(fanout_chain(12)))
+    names = {id(d.ty): d.name for d in mod.decls}
+    assert len(names) == len(mod.decls)
+    counts = {}
+    real = kernel_mod._value
+
+    def counting(ctx, t):
+        if id(t) in names:
+            counts[names[id(t)]] = counts.get(names[id(t)], 0) + 1
+        return real(ctx, t)
+
+    monkeypatch.setattr(kernel_mod, "_value", counting)
+    *chain, drive = mod.decls
+    for sigma in (1, 0):
+        kernel_mod.elaborate(mod.regime, (), sigma, drive.body, drive.ty)
+    assert counts == {**{d.name: 1 for d in chain}, drive.name: 2}
+
+
 def test_erased_definition_used_at_runtime():
     # a ^0 definition may be used in runtime code exactly when its body
     # also checks in the runtime fragment, however often it is checked

@@ -729,7 +729,7 @@ def test_copies_prepare_their_own_blocks():
     copies = [copy.copy(code), copy.deepcopy(code), pickle.loads(pickle.dumps(code))]
     del code
     for c in copies:
-        assert "_block" not in c.__dict__
+        assert getattr(c, "_block", None) is None
         assert _eval_compiled(c, env, 10_000_000) == want
         assert _eval_compiled(c, env, want.steps - 1) == OutOfFuel()
 
