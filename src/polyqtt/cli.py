@@ -21,7 +21,7 @@ from .compiler import (
     sabotage,
 )
 from .frontend import Diagnostic, FrontendError, Span, parse_module, resolve_module
-from .kernel import CheckError, elaborate, normalize_type
+from .kernel import CheckError, _entry, normalize_type, synth
 from .syntax import (
     BoolTy,
     DiamondTy,
@@ -93,12 +93,12 @@ def _load(path: str, regime_flag: str | None):
     return resolve_module(parse_module(text), _regime_of(regime_flag))
 
 
+@_entry
 def _check_module(mod, sigma_override: int | None) -> None:
-    """Check every declaration through its definition node, so a body is
-    checked once, whether as a declaration or at a reference."""
+    """Check every declaration as a reference to its definition node is
+    checked, so its body and declared type are checked once."""
     for d in mod.decls:
-        sigma = d.sigma if sigma_override is None else sigma_override
-        elaborate(mod.regime, (), sigma, d.defn, d.ty)
+        synth(mod.regime, (), d.sigma if sigma_override is None else sigma_override, d.defn)
 
 
 def _find_decl(mod, name: str):

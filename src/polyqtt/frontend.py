@@ -15,12 +15,17 @@ resolves to that definition's one shared `syntax.Global` node, which
 unfolds transparently during conversion; the pretty printer prints it by
 name.
 
-The parser builds its trees from the kernel's own node classes, with
-binder names where the kernel has indices (see `_Resolver`).  The lexer
-is one scan with one regular expression.  Tokens, names and declarations
-carry character offsets into the source, and a ``line:col`` span is
-computed from the text's line starts only when a diagnostic, or a
-declaration's ``span``, asks for one.
+Each keyword-led form is one row of the syntax table (`_TERM_SYNTAX`,
+`_TYPE_SYNTAX`), the grammar's one source: the parser and the printer
+both interpret it, so what is printed reads back.  An eliminator's
+scrutinee is read at application level, so a lambda, a `let` or a tensor
+there is parenthesised.  Names, numerals, `zero` and `succ` (whose form
+depends on how many arguments follow), applications, arrows, tensors,
+binders, lambdas, pairs and annotations have rules of their own.  The
+parser builds kernel nodes with binder names where the kernel has indices
+(see `_Resolver`).  The lexer is one scan with one regular expression;
+tokens and declarations carry character offsets, and a ``line:col`` span
+is computed only when a diagnostic or a declaration's ``span`` asks.
 """
 
 from __future__ import annotations
@@ -34,12 +39,10 @@ from .syntax import (
     Ann,
     App,
     BOOL_TY,
-    BoolTy,
     CodeTy,
     Cons,
     DIAMOND_TY,
     DiamondStar,
-    DiamondTy,
     DupNat,
     El,
     FalseC,
@@ -53,7 +56,6 @@ from .syntax import (
     ListTy,
     MatchList,
     NAT_TY,
-    NatTy,
     Nil,
     Pair,
     Pi,
@@ -75,8 +77,6 @@ from .syntax import (
     TypeExpr,
     UNIT_TY,
     UNIVERSE,
-    UnitTy,
-    Universe,
     Var,
     ZeroCF,
     ZeroL,
@@ -148,16 +148,71 @@ class _Located:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# The syntax table: each keyword-led form written once, for the parser and
+# the printer (after Rendel and Ostermann, "Invertible syntax descriptions:
+# unifying parsing and pretty printing", 2010).  A template is the form as
+# printed.  Its text is read as the tokens it lexes to; its holes are
+#
+#   {f}, {f:L}     field f, a term or a type by `syntax._SCHEMA`, at level L
+#                  (0 if not given);
+#   [f], [f:what]  the names of the variables f binds, as many as _SCHEMA
+#                  says, separated by commas; `what` names one in a
+#                  diagnostic ("ident" if not given);
+#   {motive}       the optional motive clause ` at (x. T)`.
+#
+# A row names a kernel class, or a constant's one node, and the form's
+# level.  Levels run from a whole term or type (0) through an application
+# or a tensor (1) to an argument (2): the printer parenthesises a form
+# above its level, and the parser reads a level-0 term form where a term
+# starts and any other form where an atom does.  A row led by the first
+# token of an earlier row ends with the token at which it departs from
+# that row, where the parser chooses.  In term position `R` leads the term
+# row, not the type row.
 
-# the type formers that may also stand in term position, as universe codes
-_TYPE_FORMERS = ("Bool", "Nat", "I", "U", "List", "Id")
+_TERM_SYNTAX = (
+    (LetPair, 0, "let ([body:pattern name]) = {scrut}{motive} in {body}"),
+    (LetUnit, 0, "let * = {scrut}{motive} in {body}", "*"),
+    (If, 0, "if {scrut:1}{motive} then {then_branch} else {else_branch}"),
+    (RecNatCF, 0, "rec {scrut:1}{motive} { zero => {zero_branch}"
+                  " | succ([succ_branch]) => {succ_branch} }"),
+    (RecNatL, 0, "rec {scrut:1}{motive} { zero([zero_branch:diamond binder]) => {zero_branch}"
+                 " | succ([succ_branch]) => {succ_branch} }", "("),
+    (MatchList, 0, "match {scrut:1}{motive} { nil => {nil_branch}"
+                   " | cons([cons_branch]) => {cons_branch} }"),
+    (RecList, 0, "reclist {scrut:1}{motive} { nil => {nil_branch}"
+                 " | cons([cons_branch]) => {cons_branch} }"),
+    (Cons, 1, "cons {head:2} {tail:2}"),
+    (DupNat, 1, "dup {arg:2}"),
+    (Fst, 1, "fst {pair:2}"),
+    (Snd, 1, "snd {pair:2}"),
+    (Refl, 1, "refl {body:2}"),
+    (ReflectIntro, 1, "R {body:2}"),
+    (ReflectElim, 1, "R^-1 {body:2}", "^-1"),
+    (Star(), 1, "*"),  # an argument is (*): after an atom, * is a tensor
+    (TrueC(), 2, "true"),
+    (FalseC(), 2, "false"),
+    (Nil(), 2, "nil"),
+    (DiamondStar(), 2, "dia"),
+)
 
-_KEYWORDS = {
-    "def", "regime", "consfree", "lfpl", "let", "in", "if", "then", "else",
-    "rec", "match", "reclist", "at", "zero", "succ", "nil", "cons", "dup",
-    "fst", "snd", "refl", "true", "false", "dia", "El", "R", *_TYPE_FORMERS,
-}
+_TYPE_SYNTAX = (
+    (El, 1, "El {code:2}"),
+    (ListTy, 1, "List {elem:2}"),
+    (IdTy, 1, "Id {ty:2} {lhs:2} {rhs:2}"),
+    (Reflect, 1, "R {inner:2}"),
+    (BOOL_TY, 2, "Bool"),
+    (NAT_TY, 2, "Nat"),
+    (UNIT_TY, 2, "I"),
+    (UNIVERSE, 2, "U"),
+    (DIAMOND_TY, 2, "<>"),
+)
+
+_HOLE = re.compile(r"([{[]\w+(?::[\w ]+)?[]}])")
+
+
+# ---------------------------------------------------------------------------
+# Lexer (its keywords, _KEYWORDS, are the syntax table's words and those of
+# the hand-written rules; they are collected where the table is prepared)
 
 # Each match skips whitespace (exactly space, tab, CR and LF) and comments,
 # then takes one token or the end of the text.  Digits are ASCII only:
@@ -188,7 +243,7 @@ def tokenize(text: str) -> list[tuple]:
         group = m.lastindex
         if group is None:  # the end of the text
             break
-        s = m.group(group)
+        s = m[group]
         if group == 1 or (group == 4 and s[0].isalpha()):
             append((s if s in _KEYWORDS else "ident", s, m.start(group)))
         elif group == 2:
@@ -229,23 +284,8 @@ _NAME, _LITERAL, _LAMBDA, _EMBED = "name", "literal", "lambda", "embed"
 # the binder of a non-dependent arrow or tensor, which no name refers to
 _UNNAMED = (None,)
 
-# the atoms that are one token
-_TYPE_CONSTANTS = {
-    "Bool": BOOL_TY, "Nat": NAT_TY, "I": UNIT_TY, "U": UNIVERSE, "<>": DIAMOND_TY,
-}
-_TERM_CONSTANTS = {
-    "*": Star(), "true": TrueC(), "false": FalseC(), "nil": Nil(),
-    "dia": DiamondStar(), "zero": ZeroCF(),
-}
-
-# the keywords that take one argument atom
-_PREFIXES = {"dup": DupNat, "fst": Fst, "snd": Snd, "refl": Refl}
-
-# the kinds of the tokens that start an argument of an application
-_ATOM_STARTS = frozenset((
-    "ident", "int", "(", "<>", *_TYPE_FORMERS, "true", "false", "nil", "zero",
-    "succ", "cons", "dup", "fst", "snd", "refl", "dia", "R", "El",
-))
+# the steps of a prepared template (see _Parser.form)
+_TOK, _FIELD, _BOUND, _NAMES, _FORK = range(5)
 
 
 class _Parser:
@@ -255,9 +295,6 @@ class _Parser:
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
-    def peek(self, ahead: int = 0) -> tuple:
-        return self.toks[self.pos + ahead]
-
     def next(self) -> tuple:
         # past the end this reads the padding, and every caller then fails
         t = self.toks[self.pos]
@@ -279,13 +316,11 @@ class _Parser:
         return False
 
     def names(self, count: int, what: str = "ident") -> tuple:
-        """`(a, b, ...)`: count names in parentheses."""
-        self.expect("(")
+        """`a, b, ...`: count names separated by commas."""
         out = [self.expect("ident", what)[1]]
         for _ in range(count - 1):
             self.expect(",")
             out.append(self.expect("ident", what)[1])
-        self.expect(")")
         return tuple(out)
 
     def at_binder(self) -> bool:
@@ -298,19 +333,13 @@ class _Parser:
         regime = None
         if self.eat("regime"):
             _, text, off = self.next()
-            if text == "consfree":
-                regime = Regime.CONS_FREE
-            elif text == "lfpl":
-                regime = Regime.LFPL
-            else:
+            if text not in ("consfree", "lfpl"):
                 raise self.lines.error("regime must be consfree or lfpl", off)
+            regime = Regime(text)
         decls = []
-        while not self.at_eof():
+        while self.toks[self.pos][0] != "eof":
             decls.append(self.decl())
         return SourceModule(regime, tuple(decls))
-
-    def at_eof(self) -> bool:
-        return self.toks[self.pos][0] == "eof"
 
     def decl(self) -> SourceDecl:
         start = self.expect("def")[2]
@@ -326,10 +355,49 @@ class _Parser:
         body = self.term()
         return SourceDecl(name, sigma, ty, body, start, self.lines)
 
+    # -- the keyword-led forms ------------------------------------------------
+    def form(self, form):
+        """A form of the syntax table, from its first token, by the steps of
+        its template.  A fork, the last step of the prefix that two forms
+        share, chooses the steps that follow by the current token."""
+        self.pos += 1  # the first token, which chose the form
+        if form.node is not None:  # a constant
+            return form.node
+        toks = self.toks
+        vals = [None] * form.arity
+        steps = form.steps
+        while True:
+            for op, x, y in steps:
+                if op == _TOK:
+                    if toks[self.pos][0] != x:
+                        self.expect(x)
+                    self.pos += 1
+                elif op == _FIELD:
+                    vals[x] = y(self)
+                elif op == _BOUND:  # after the names it binds
+                    vals[x] = (vals[x], y(self))
+                elif op == _NAMES:
+                    vals[x] = self.names(*y)
+                else:  # _FORK: x the form's own steps, y the others' by token
+                    form, steps = y.get(toks[self.pos][0], x)
+                    break
+            else:
+                return (form.cls, *vals)
+
+    def motive_clause(self):
+        if self.eat("at"):
+            self.expect("(")
+            name = self.expect("ident", "motive binder")[1]
+            self.expect(".")
+            ty = self.type_expr()
+            self.expect(")")
+            return ((name,), ty)
+        return None
+
     # -- types --------------------------------------------------------------
-    def type_expr(self):
+    def type_expr(self, lhs=None):
         # arrows bind loosest and associate right; tensors bind tighter
-        lhs = self.type_tensor_or_binder()
+        lhs = self.type_tensor_or_binder() if lhs is None else lhs
         if self.toks[self.pos][0] == "->":
             self.pos += 1
             return (Pi, 1, lhs, (_UNNAMED, self.type_expr()))
@@ -353,8 +421,8 @@ class _Parser:
             return (Tensor, usage, dom, ((name,), self.type_tensor_or_binder()))
         raise self.lines.error("expected -> or * after a binder", off)
 
-    def type_tensor(self):
-        lhs = self.type_atom()
+    def type_tensor(self, lhs=None):
+        lhs = self.type_atom() if lhs is None else lhs
         if self.toks[self.pos][0] == "*":
             self.pos += 1
             return (Tensor, 1, lhs, (_UNNAMED, self.type_tensor_or_binder()))
@@ -362,21 +430,9 @@ class _Parser:
 
     def type_atom(self):
         kind = self.toks[self.pos][0]
-        if kind in _TYPE_CONSTANTS:
-            self.pos += 1
-            return _TYPE_CONSTANTS[kind]
-        if kind == "List":
-            self.pos += 1
-            return (ListTy, self.type_atom())
-        if kind == "Id":
-            self.pos += 1
-            return (IdTy, self.type_atom(), self.term_atom(), self.term_atom())
-        if kind == "R":
-            self.pos += 1
-            return (Reflect, self.type_atom())
-        if kind == "El":
-            self.pos += 1
-            return (El, self.term_atom())
+        form = _TYPE_LEADS.get(kind)
+        if form is not None:
+            return self.form(form)
         if kind == "(":
             if self.at_binder():
                 return self.type_tensor_or_binder()
@@ -393,145 +449,44 @@ class _Parser:
         if kind == "\\":
             self.pos += 1
             binders = []
-            while True:
-                b = self.toks[self.pos]
-                if b[0] == "ident":
-                    self.pos += 1
-                    binders.append(b[1])
-                elif b[0] == "(":
+            while self.toks[self.pos][0] in ("ident", "("):
+                if self.eat("("):
                     binders.append(self.names(2, "pattern name"))
+                    self.expect(")")
                 else:
-                    break
+                    binders.append(self.next()[1])
             if not binders:
                 raise self.lines.error("lambda needs at least one binder", start)
             self.expect(".")
             return (_LAMBDA, binders, self.term())
-        if kind == "let":
-            self.pos += 1
-            if self.eat("*"):
-                cls, bound = LetUnit, None
-            else:
-                cls, bound = LetPair, self.names(2, "pattern name")
-            self.expect("=")
-            scrut = self.term()
-            motive = self.motive_clause()
-            self.expect("in")
-            body = self.term()
-            return (cls, scrut, body if bound is None else (bound, body), motive)
-        if kind == "if":
-            self.pos += 1
-            scrut = self.term_app()
-            motive = self.motive_clause()
-            self.expect("then")
-            then_b = self.term()
-            self.expect("else")
-            return (If, scrut, then_b, self.term(), motive)
-        if kind == "rec":
-            return self.rec_term()
-        if kind == "match" or kind == "reclist":
-            return self.list_term()
+        form = _TERM_LEADS.get(kind)
+        if form is not None:
+            return self.form(form)
         return self.term_infix()
-
-    def motive_clause(self):
-        if self.eat("at"):
-            self.expect("(")
-            name = self.expect("ident", "motive binder")[1]
-            self.expect(".")
-            ty = self.type_expr()
-            self.expect(")")
-            return ((name,), ty)
-        return None
-
-    def rec_term(self):
-        self.pos += 1
-        scrut = self.term_app()
-        motive = self.motive_clause()
-        self.expect("{")
-        self.expect("zero")
-        # the payment regime's shape binds a diamond in each branch
-        diamond = self.names(1, "diamond binder") if self.toks[self.pos][0] == "(" else ()
-        self.expect("=>")
-        zb = self.term()
-        self.expect("|")
-        self.expect("succ")
-        bound = self.names(len(diamond) + 2)
-        self.expect("=>")
-        sb = self.term()
-        self.expect("}")
-        if diamond:
-            return (RecNatL, scrut, (diamond, zb), (bound, sb), motive)
-        return (RecNatCF, scrut, zb, (bound, sb), motive)
-
-    def list_term(self):
-        # match binds the head and tail; reclist also the previous result
-        cls, count = (MatchList, 2) if self.next()[0] == "match" else (RecList, 3)
-        scrut = self.term_app()
-        motive = self.motive_clause()
-        self.expect("{")
-        self.expect("nil")
-        self.expect("=>")
-        nb = self.term()
-        self.expect("|")
-        self.expect("cons")
-        bound = self.names(count)
-        self.expect("=>")
-        cb = self.term()
-        self.expect("}")
-        return (cls, scrut, nb, (bound, cb), motive)
 
     def term_infix(self):
         lhs = self.term_app()
         kind = self.toks[self.pos][0]
         if kind != "->" and kind != "*":
             return lhs
-        lhs_ty: tuple = (_EMBED, lhs)
-        if self.eat("*"):
-            lhs_ty = (Tensor, 1, lhs_ty, (_UNNAMED, self.type_tensor_or_binder()))
-        if self.eat("->"):
-            lhs_ty = (Pi, 1, lhs_ty, (_UNNAMED, self.type_expr()))
-        return (CodeTy, lhs_ty)
+        # a code: the term is the left operand of the type rules
+        return (CodeTy, self.type_expr(self.type_tensor((_EMBED, lhs))))
 
     def term_app(self):
-        kind = self.toks[self.pos][0]
-        # a type former in term position becomes a universe code
-        if kind in _TYPE_FORMERS or kind == "<>" or self.at_binder():
+        toks, pos = self.toks, self.pos
+        kind = toks[pos][0]
+        # a type in term position is a universe code, and heads no spine
+        if kind in _CODE_LEADS or self.at_binder():
             return (CodeTy, self.type_atom())
-        head = self.head_atom()
-        while self.toks[self.pos][0] in _ATOM_STARTS:
+        if kind == "zero" and toks[pos + 1][0] in _ATOM_STARTS:
+            # the payment regime's zero takes its diamond
+            self.pos += 1
+            head = (ZeroL, self.term_atom())
+        else:
+            head = self.term_atom()
+        while toks[self.pos][0] in _ATOM_STARTS:
             head = (App, head, self.term_atom())
         return head
-
-    def head_atom(self):
-        kind = self.toks[self.pos][0]
-        if kind == "zero":
-            self.pos += 1
-            if self.starts_atom():
-                return (ZeroL, self.term_atom())
-            return ZeroCF()
-        if kind == "succ":
-            self.pos += 1
-            first = self.term_atom()
-            if self.starts_atom():
-                return (SuccL, first, self.term_atom())
-            return (SuccCF, first)
-        if kind == "cons":
-            self.pos += 1
-            return (Cons, self.term_atom(), self.term_atom())
-        if kind in _PREFIXES:
-            self.pos += 1
-            return (_PREFIXES[kind], self.term_atom())
-        if kind == "El":
-            self.pos += 1
-            return (CodeTy, (El, self.term_atom()))
-        if kind == "R":
-            self.pos += 1
-            if self.eat("^-1"):
-                return (ReflectElim, self.term_atom())
-            return (ReflectIntro, self.term_atom())
-        return self.term_atom()
-
-    def starts_atom(self) -> bool:
-        return self.toks[self.pos][0] in _ATOM_STARTS
 
     def term_atom(self):
         kind, text, off = self.toks[self.pos]
@@ -541,32 +496,106 @@ class _Parser:
         if kind == "int":
             self.pos += 1
             return (_LITERAL, int(text))
-        if kind in _TERM_CONSTANTS:
-            self.pos += 1
-            return _TERM_CONSTANTS[kind]
-        if kind == "<>" or kind in _TYPE_FORMERS:
-            # a type former used as a universe code
+        # a form with arguments takes them here too, as it heads no spine
+        form = _ATOM_LEADS.get(kind)
+        if form is not None:
+            return self.form(form)
+        if kind in _CODE_LEADS:
             return (CodeTy, self.type_atom())
-        if kind in ("succ", "cons", "dup", "fst", "snd", "refl", "R", "El"):
-            # builtins with arguments must head their own spine
-            return self.head_atom()
+        if kind == "zero":
+            self.pos += 1
+            return ZeroCF()
+        if kind == "succ":
+            # the payment regime's successor takes a diamond, then its predecessor
+            self.pos += 1
+            first = self.term_atom()
+            if self.toks[self.pos][0] in _ATOM_STARTS:
+                return (SuccL, first, self.term_atom())
+            return (SuccCF, first)
         if kind == "(":
             self.pos += 1
-            if self.toks[self.pos][0] == "*" and self.toks[self.pos + 1][0] == ")":
-                self.pos += 2
-                return Star()
             inner = self.term()
             if self.eat(","):
-                snd = self.term()
-                self.expect(")")
-                return (Pair, inner, snd)
-            if self.eat(":"):
-                ty = self.type_expr()
-                self.expect(")")
-                return (Ann, inner, ty)
+                inner = (Pair, inner, self.term())
+            elif self.eat(":"):
+                inner = (Ann, inner, self.type_expr())
             self.expect(")")
             return inner
         raise self.lines.error(f"expected a term, found {text or 'end of input'!r}", off)
+
+
+class _Form:
+    """A row of the syntax table, prepared: the steps the parser takes
+    after the first token, the words among its tokens, and the pieces the
+    printer writes, text or (field, kind, level, binders), a level of None
+    for binder names."""
+
+    __slots__ = ("cls", "level", "arity", "lead", "steps", "words", "pieces", "node")
+
+    def __init__(self, form, level: int, template: str):
+        # form is a class, or the node of a constant
+        cls = form if form.__class__ is type else form.__class__
+        fields = _SCHEMA[cls]
+        index = {name: j for j, (name, _, _) in enumerate(fields)}
+        self.cls, self.level, self.arity = cls, level, len(fields)
+        steps, self.pieces = [], []
+        for k, piece in enumerate(_HOLE.split(template)):
+            if k % 2 == 0:  # text, and the tokens it lexes to
+                self.pieces.append(piece)
+                lexed = _TOKEN.finditer(piece)
+                steps += [(_TOK, t[t.lastindex], None) for t in lexed if t.lastindex]
+                continue
+            name, _, spec = piece[1:-1].partition(":")
+            j = index[name]
+            _, kind, binders = fields[j]
+            if piece[0] == "[":  # the names of the binders
+                steps.append((_NAMES, j, (binders, spec or "ident")))
+                self.pieces.append((name, kind, None, binders))
+                continue
+            field_level = int(spec or 0)
+            op = _BOUND if binders and kind != "motive" else _FIELD
+            steps.append((op, j, _RULES[kind][field_level]))
+            self.pieces.append((name, kind, field_level, binders))
+        self.words = [x for op, x, _ in steps if op == _TOK and x[0].isalpha()]
+        self.lead, self.steps = steps[0][1], steps[1:]
+        self.node = None if self.steps else form
+
+
+# the parser's rules for a field of each kind, by level
+_RULES = {
+    "term": (_Parser.term, _Parser.term_app, _Parser.term_atom),
+    "type": (_Parser.type_expr, _Parser.type_tensor_or_binder, _Parser.type_atom),
+    "motive": (_Parser.motive_clause,),  # it reads the name it binds
+}
+
+
+def _prepare(rows) -> dict:
+    """The forms of a table's rows by their first tokens; a form that
+    departs from an earlier one shares its steps up to a fork there."""
+    leads = {}
+    for cls_or_node, level, template, *departs in rows:
+        form = _Form(cls_or_node, level, template)
+        _FORMS[form.cls] = form
+        first = leads.setdefault(form.lead, form)
+        if departs:
+            i = next(i for i, (a, b) in enumerate(zip(first.steps, form.steps)) if a != b)
+            assert form.steps[i] == (_TOK, departs[0], None) and form.arity == first.arity
+            fork = (_FORK, (first, first.steps[i:]), {departs[0]: (form, form.steps[i:])})
+            first.steps[i:] = [fork]
+    return leads
+
+
+_FORMS: dict = {}  # by kernel class, for the printer
+_TYPE_LEADS, _term_leads = _prepare(_TYPE_SYNTAX), _prepare(_TERM_SYNTAX)
+# the words of the templates, and those of the hand-written rules
+_KEYWORDS = {"def", "regime", "consfree", "lfpl", "at", "zero", "succ"}
+_KEYWORDS.update(w for form in _FORMS.values() for w in form.words)
+_TERM_LEADS = {k: f for k, f in _term_leads.items() if f.level == 0}
+_ATOM_LEADS = {k: f for k, f in _term_leads.items() if f.level > 0}
+# the tokens at which a type in term position starts, as a universe code
+_CODE_LEADS = frozenset(_TYPE_LEADS).difference(_term_leads)
+# the kinds of the tokens that start an argument of an application
+_ATOM_STARTS = frozenset(("ident", "int", "(", "zero", "succ", *_ATOM_LEADS, *_CODE_LEADS)) - {"*"}
 
 
 def _parse(text: str, rule):
@@ -576,9 +605,9 @@ def _parse(text: str, rule):
     except RecursionError:
         # the parser recurses once per nesting level; input nested deeper
         # than the host stack allows is reported where the stack ran out
-        raise p.lines.error("expression nested too deeply to parse", p.peek()[2]) from None
-    if not p.at_eof():
-        _, text, off = p.peek()
+        raise p.lines.error("expression nested too deeply to parse", p.toks[p.pos][2]) from None
+    kind, text, off = p.toks[p.pos]
+    if kind != "eof":
         raise p.lines.error(f"trailing input at {text!r}", off)
     return out
 
@@ -629,7 +658,7 @@ class _Resolver:
 
     A surface tree is written in the kernel's own classes.  A form that
     names nothing is the kernel node itself (``true`` is ``TrueC()``,
-    ``Bool`` is ``BOOL_TY``).  Any other kernel form is a tuple
+    ``Bool`` is ``BoolTy()``).  Any other kernel form is a tuple
     ``(KernelClass, *fields)``, the fields in `syntax._SCHEMA` order.  A
     field that binds k variables is ``(k binder names, subtree)``, the
     innermost name last; a binder that no name can refer to is None.  An
@@ -696,14 +725,7 @@ def resolve_module(
 ) -> ResolvedModule:
     regime = regime_override or mod.regime
     if regime is None:
-        raise FrontendError(
-            Diagnostic(
-                "error",
-                "no regime pragma in the module and none supplied",
-                Span(1, 1),
-                "Resolve",
-            )
-        )
+        raise _err("no regime pragma in the module and none supplied", Span(1, 1), "Resolve")
     globals_: dict = {}
     out = []
     for d in mod.decls:
@@ -714,9 +736,8 @@ def resolve_module(
             defn = Global(d.name, r.resolve(d.ty, ()), r.resolve(d.body, ()))
         except RecursionError:
             # as in the parser: the resolver recurses once per binder
-            raise _err(
-                f"{d.name!r} is nested too deeply to resolve", d.span, rule="Resolve"
-            ) from None
+            message = f"{d.name!r} is nested too deeply to resolve"
+            raise _err(message, d.span, rule="Resolve") from None
         globals_[d.name] = defn
         out.append(ResolvedDecl(d.sigma, d.offset, defn, d.lines))
     return ResolvedModule(regime, tuple(out))
@@ -734,22 +755,16 @@ def resolve_type(text: str, regime: Regime, scope: tuple = ()) -> TypeExpr:
 # ---------------------------------------------------------------------------
 # Pretty printing (deterministic fresh names, counted over named binders)
 
-def _nat_literal_cf(t: Term) -> int | None:
+def _numeral(t: Term) -> int | None:
+    """The numeral t is, in the encoding of either regime, or None."""
     n = 0
-    while isinstance(t, SuccCF):
-        t = t.pred
-        n += 1
-    return n if isinstance(t, ZeroCF) else None
-
-
-def _nat_literal_lfpl(t: Term) -> int | None:
-    n = 0
-    while isinstance(t, SuccL) and isinstance(t.pay, DiamondStar):
-        t = t.pred
-        n += 1
-    if isinstance(t, ZeroL) and isinstance(t.pay, DiamondStar):
-        return n
-    return None
+    if t.__class__ is SuccCF or t.__class__ is ZeroCF:
+        while t.__class__ is SuccCF:
+            t, n = t.pred, n + 1
+        return n if t.__class__ is ZeroCF else None
+    while t.__class__ is SuccL and t.pay.__class__ is DiamondStar:
+        t, n = t.pred, n + 1
+    return n if t.__class__ is ZeroL and t.pay.__class__ is DiamondStar else None
 
 
 def _wrap(s: str, need: bool) -> str:
@@ -786,6 +801,27 @@ class _Printer:
         k = len(scope) - scope.count(None)
         return scope + tuple(self.name(k + j) for j in range(count))
 
+    def form(self, node, scope: tuple, prec: int) -> str:
+        """A form of the syntax table, by the pieces of its template."""
+        form = _FORMS[node.__class__]
+        out = []
+        for piece in form.pieces:
+            if piece.__class__ is str:
+                out.append(piece)
+                continue
+            name, kind, level, binders = piece
+            inner = self.bind(scope, binders) if binders else scope
+            if kind == "motive":
+                if node.motive is not None:
+                    out.append(f" at ({inner[-1]}. {self.type(node.motive, inner, 0)})")
+            elif level is None:  # the names of the binders
+                out.append(", ".join(inner[-binders:]))
+            elif kind == "term":
+                out.append(self.term(getattr(node, name), inner, level))
+            else:
+                out.append(self.type(getattr(node, name), inner, level))
+        return _wrap("".join(out), prec > form.level)
+
     def term(self, t: Term, scope: tuple, prec: int) -> str:
         cls = t.__class__
         if cls is Var:
@@ -797,176 +833,44 @@ class _Printer:
             body = self.term(t.body, inner, 0)
             return _wrap(f"\\{inner[-1]}. {body}", prec > 0)
         if cls is App:
-            # successor heads take a flexible number of atoms, so an applied
-            # successor must be parenthesised to keep its own argument
-            fn_prec = 1
-            if isinstance(t.fn, SuccCF) and _nat_literal_cf(t.fn) is None:
-                fn_prec = 2
-            if isinstance(t.fn, SuccL) and _nat_literal_lfpl(t.fn) is None:
-                fn_prec = 2
-            fn = self.term(t.fn, scope, fn_prec)
-            arg = self.term(t.arg, scope, 2)
+            # successor heads take a flexible number of atoms, and a code
+            # heads no spine, so either one as a function is parenthesised
+            fn_cls = t.fn.__class__
+            atom = fn_cls is CodeTy or fn_cls in (SuccCF, SuccL) and _numeral(t.fn) is None
+            fn, arg = self.term(t.fn, scope, 2 if atom else 1), self.term(t.arg, scope, 2)
             return _wrap(f"{fn} {arg}", prec > 1)
         if cls is Pair:
             return f"({self.term(t.fst, scope, 0)}, {self.term(t.snd, scope, 0)})"
-        if cls is Star:
-            return "*" if prec < 2 else "(*)"
-        if cls is TrueC:
-            return "true"
-        if cls is FalseC:
-            return "false"
-        if cls is Nil:
-            return "nil"
-        if cls is Cons:
-            s = f"cons {self.term(t.head, scope, 2)} {self.term(t.tail, scope, 2)}"
-            return _wrap(s, prec > 1)
-        if cls is LetPair:
-            inner = self.bind(scope, 2)
-            a, b = inner[-2:]
-            s = (
-                f"let ({a}, {b}) = {self.term(t.scrut, scope, 0)}"
-                f"{self.motive(t.motive, scope)} in "
-                f"{self.term(t.body, inner, 0)}"
-            )
-            return _wrap(s, prec > 0)
-        if cls is LetUnit:
-            s = (
-                f"let * = {self.term(t.scrut, scope, 0)}"
-                f"{self.motive(t.motive, scope)} in {self.term(t.body, scope, 0)}"
-            )
-            return _wrap(s, prec > 0)
-        if cls is If:
-            s = (
-                f"if {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
-                f"then {self.term(t.then_branch, scope, 0)} "
-                f"else {self.term(t.else_branch, scope, 0)}"
-            )
-            return _wrap(s, prec > 0)
-        if cls is MatchList:
-            inner = self.bind(scope, 2)
-            h, tl = inner[-2:]
-            s = (
-                f"match {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
-                f"{{ nil => {self.term(t.nil_branch, scope, 0)} "
-                f"| cons({h}, {tl}) => {self.term(t.cons_branch, inner, 0)} }}"
-            )
-            return _wrap(s, prec > 0)
-        if cls is RecList:
-            inner = self.bind(scope, 3)
-            h, tl, p = inner[-3:]
-            s = (
-                f"reclist {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
-                f"{{ nil => {self.term(t.nil_branch, scope, 0)} "
-                f"| cons({h}, {tl}, {p}) => {self.term(t.cons_branch, inner, 0)} }}"
-            )
-            return _wrap(s, prec > 0)
-        if cls is ZeroCF:
-            return "0"
-        if cls is SuccCF:
-            lit = _nat_literal_cf(t)
-            if lit is not None:
-                return str(lit)
-            return _wrap(f"succ {self.term(t.pred, scope, 2)}", prec > 1)
-        if cls is DupNat:
-            return _wrap(f"dup {self.term(t.arg, scope, 2)}", prec > 1)
-        if cls is RecNatCF:
-            inner = self.bind(scope, 2)
-            n, p = inner[-2:]
-            s = (
-                f"rec {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
-                f"{{ zero => {self.term(t.zero_branch, scope, 0)} "
-                f"| succ({n}, {p}) => {self.term(t.succ_branch, inner, 0)} }}"
-            )
-            return _wrap(s, prec > 0)
-        if cls is DiamondStar:
-            return "dia"
-        if cls is ZeroL:
-            lit = _nat_literal_lfpl(t)
-            if lit is not None:
-                return str(lit)
-            return _wrap(f"zero {self.term(t.pay, scope, 2)}", prec > 1)
-        if cls is SuccL:
-            lit = _nat_literal_lfpl(t)
-            if lit is not None:
-                return str(lit)
-            s = f"succ {self.term(t.pay, scope, 2)} {self.term(t.pred, scope, 2)}"
-            return _wrap(s, prec > 1)
-        if cls is RecNatL:
-            inner_z, inner_s = self.bind(scope, 1), self.bind(scope, 3)
-            d, n, p = inner_s[-3:]
-            s = (
-                f"rec {self.term(t.scrut, scope, 1)}{self.motive(t.motive, scope)} "
-                f"{{ zero({d}) => {self.term(t.zero_branch, inner_z, 0)} "
-                f"| succ({d}, {n}, {p}) => {self.term(t.succ_branch, inner_s, 0)} }}"
-            )
-            return _wrap(s, prec > 0)
-        if cls is Refl:
-            return _wrap(f"refl {self.term(t.body, scope, 2)}", prec > 1)
-        if cls is ReflectIntro:
-            return _wrap(f"R {self.term(t.body, scope, 2)}", prec > 1)
-        if cls is ReflectElim:
-            return _wrap(f"R^-1 {self.term(t.body, scope, 2)}", prec > 1)
-        if cls is Fst:
-            return _wrap(f"fst {self.term(t.pair, scope, 2)}", prec > 1)
-        if cls is Snd:
-            return _wrap(f"snd {self.term(t.pair, scope, 2)}", prec > 1)
+        if cls is ZeroCF or cls is SuccCF or cls is ZeroL or cls is SuccL:
+            n = _numeral(t)
+            if n is not None:
+                return str(n)
+            args = " ".join(self.term(getattr(t, f), scope, 2) for f, _, _ in _SCHEMA[cls])
+            return _wrap(f"{'zero' if cls is ZeroL else 'succ'} {args}", prec > 1)
         if cls is CodeTy:
-            return _wrap(self.type(t.ty, scope, 1), prec > 1)
+            # as a scrutinee, a tensor would end the application at its *
+            need = prec > 1 or prec == 1 and t.ty.__class__ is Tensor
+            return _wrap(self.type(t.ty, scope, 1), need)
         if cls is Ann:
             return f"({self.term(t.term, scope, 0)} : {self.type(t.ty, scope, 0)})"
         if cls is Global:
             return t.name
-        raise ValueError(f"unknown term {cls.__name__}")
-
-    def motive(self, motive: TypeExpr | None, scope: tuple) -> str:
-        if motive is None:
-            return ""
-        inner = self.bind(scope, 1)
-        return f" at ({inner[-1]}. {self.type(motive, inner, 0)})"
+        return self.form(t, scope, prec)
 
     def type(self, ty: TypeExpr, scope: tuple, prec: int) -> str:
         cls = ty.__class__
-        if cls is BoolTy:
-            return "Bool"
-        if cls is NatTy:
-            return "Nat"
-        if cls is UnitTy:
-            return "I"
-        if cls is Universe:
-            return "U"
-        if cls is DiamondTy:
-            return "<>"
-        if cls is Pi:
-            if ty.usage == 1 and not has_free_var(ty.cod, 0):
-                dom = self.type(ty.dom, scope, 1)
-                cod = self.type(ty.cod, scope + (None,), 0)
-                return _wrap(f"{dom} -> {cod}", prec >= 1)
-            dom = self.type(ty.dom, scope, 0)
-            inner = self.bind(scope, 1)
-            cod = self.type(ty.cod, inner, 0)
-            return _wrap(f"({inner[-1]} ^{ty.usage} : {dom}) -> {cod}", prec >= 1)
-        if cls is Tensor:
-            if ty.usage == 1 and not has_free_var(ty.snd, 0):
-                fst = self.type(ty.fst, scope, 2)
-                snd = self.type(ty.snd, scope + (None,), 1)
-                return _wrap(f"{fst} * {snd}", prec >= 2)
-            fst = self.type(ty.fst, scope, 0)
-            inner = self.bind(scope, 1)
-            snd = self.type(ty.snd, inner, 1)
-            return _wrap(f"({inner[-1]} ^{ty.usage} : {fst}) * {snd}", prec >= 2)
-        if cls is ListTy:
-            return _wrap(f"List {self.type(ty.elem, scope, 2)}", prec >= 2)
-        if cls is IdTy:
-            s = (
-                f"Id {self.type(ty.ty, scope, 2)} "
-                f"{self.term(ty.lhs, scope, 2)} {self.term(ty.rhs, scope, 2)}"
-            )
-            return _wrap(s, prec >= 2)
-        if cls is El:
-            return _wrap(f"El {self.term(ty.code, scope, 2)}", prec >= 2)
-        if cls is Reflect:
-            return _wrap(f"R {self.type(ty.inner, scope, 2)}", prec >= 2)
-        raise ValueError(f"unknown type {cls.__name__}")
+        if cls is Pi or cls is Tensor:
+            # an arrow (level 0) binds looser than a tensor (1); each
+            # associates right, and a binder is written only when needed
+            level, op = (0, "->") if cls is Pi else (1, "*")
+            first, second = (ty.dom, ty.cod) if cls is Pi else (ty.fst, ty.snd)
+            if ty.usage == 1 and not has_free_var(second, 0):
+                lhs, inner = self.type(first, scope, level + 1), scope + (None,)
+            else:
+                inner = self.bind(scope, 1)
+                lhs = f"({inner[-1]} ^{ty.usage} : {self.type(first, scope, 0)})"
+            return _wrap(f"{lhs} {op} {self.type(second, inner, level)}", prec > level)
+        return self.form(ty, scope, prec)
 
 
 def pretty_term(t: Term, depth: int = 0, prec: int = 0) -> str:
@@ -977,10 +881,6 @@ def pretty_term(t: Term, depth: int = 0, prec: int = 0) -> str:
 
 
 def pretty_type(ty: TypeExpr, depth: int = 0, prec: int = 0) -> str:
-    """Render a kernel type.
-
-    Precedence climbs from arrows (0) through tensors (1) to atoms (2);
-    keyword-led formers behave like prefix operators at atom level.
-    """
+    """Render a kernel type at level prec (levels as in the syntax table)."""
     p = _Printer(ty)
     return p.type(ty, p.bind((), depth), prec)

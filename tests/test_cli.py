@@ -36,6 +36,34 @@ def test_check_all_corpus_files():
     assert sys.getrecursionlimit() == limit
 
 
+def test_each_declaration_checked_once(monkeypatch):
+    # check takes each declaration as a reference to its definition node
+    # is taken: the declared type is formed and evaluated once, and no
+    # conversion compares it with itself
+    import polyqtt.cli as cli_mod
+    import polyqtt.kernel as kernel_mod
+    from polyqtt.frontend import parse_module, resolve_module
+
+    from conftest import fanout_chain
+
+    mod = resolve_module(parse_module(fanout_chain(12)))
+    declared = {id(d.ty) for d in mod.decls}
+    counts = dict.fromkeys(("_check_type", "_value", "_conv"), 0)
+    for name in counts:
+        real = getattr(kernel_mod, name)
+
+        def counting(*args, real=real, name=name):
+            # every conversion, and formation or evaluation of a declared type
+            if name == "_conv" or id(args[-1]) in declared:
+                counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kernel_mod, name, counting)
+    cli_mod._check_module(mod, None)
+    assert len(mod.decls) == 14
+    assert counts == {"_check_type": 14, "_value": 14, "_conv": 0}
+
+
 def test_check_failure_exit_1(capsys):
     assert main(["check", str(FIXTURES / "bad_double_use.qtt")]) == 1
     err = capsys.readouterr().err
@@ -409,25 +437,32 @@ def test_run_negative_input_rejected(capsys):
 
 
 def test_run_elaborates_each_declaration_once(monkeypatch, capsys):
-    # the module check hands the target's core term to the compiler
+    # the module check hands the target's core term to the compiler: each
+    # declaration is checked once, through its definition node, and
+    # nothing elaborates it again
     import polyqtt.cli as cli_mod
     import polyqtt.compiler as compiler_mod
     import polyqtt.kernel as kernel_mod
 
     calls = []
-    real = kernel_mod.elaborate
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def count(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+
+        return count
 
     for module in (kernel_mod, compiler_mod, cli_mod):
         if hasattr(module, "elaborate"):
-            monkeypatch.setattr(module, "elaborate", counting)
+            monkeypatch.setattr(module, "elaborate", counting("elaborate", module.elaborate))
+    monkeypatch.setattr(cli_mod, "synth", counting("synth", cli_mod.synth))
     rc = main(["run", str(CORPUS / "consfree_iter.qtt"), "nested3", "--input", "3"])
     assert rc == 0
     assert "value:" in capsys.readouterr().out
-    assert len(calls) == 13  # one per declaration in the module
+    # one per declaration in the module
+    assert [name for name, _ in calls] == ["synth"] * 13
+    assert len({id(args[3]) for _, args in calls}) == 13
 
 
 def test_check_long_literal_both_regimes(tmp_path, capsys):
