@@ -1,9 +1,9 @@
 """Translation of checked runtime-fragment terms to machine code, with
 compositional potential accounting in polynomials.
 
-The compiler is untyped.  compile_declaration checks its input once with
-kernel.elaborate and translates the core term that returns (compile_core
-translates a core term the caller has already elaborated); the only
+The compiler is untyped.  compile_declaration takes its input's core term
+from kernel.elaborate, which checks a closed body once per regime and
+fragment (compile_core translates a core term already elaborated); the only
 typing fact the translation needs, the usage of each application's
 function type and each pair's tensor type, is read from the `usage`
 field of the App and Pair nodes.
@@ -54,7 +54,7 @@ from itertools import zip_longest
 
 from . import machine as m
 from .frozen import frozen
-from .kernel import elaborate, normalize_type
+from .kernel import checked_core, elaborate, normalize_type
 from .potentials import ZERO, Poly
 from .syntax import (
     _SCHEMA,
@@ -403,22 +403,20 @@ def _compile_definitions(regime: Regime, g: Global) -> None:
     """Compile definition g, and before it every definition its code
     embeds that has no code yet, leaves first with an explicit stack, as
     a module is checked in its order.  A chain of references thus does
-    not recurse once per definition, and each core term is scanned once
-    and compiled once."""
-    todo = [(g, False)]
+    not recurse once per definition, and each core term, which the body
+    keeps from its check at fragment 1, is scanned once and compiled once."""
+    todo = [(g, None)]
     while todo:
-        d, scanned = todo.pop()
+        d, core = todo.pop()
         if regime in d.code:
             continue
-        core = d.core.get((regime, 1))
-        if core is None:
-            raise CompileError(f"{d.name} was not checked in the runtime fragment")
-        if scanned:
+        if core is not None:
             # every definition it embeds has code by now
             d.code[regime] = compile_term(regime, EnvLayout((), 0), core)
         else:
-            todo.append((d, True))
-            todo.extend((r, False) for r in _references(core) if regime not in r.code)
+            core = checked_core(regime, 1, d.body, d.ty)
+            todo.append((d, core))
+            todo.extend((r, None) for r in _references(core) if regime not in r.code)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +425,8 @@ def _compile_definitions(regime: Regime, g: Global) -> None:
 def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
     """Check and compile a closed runtime-fragment declaration.
 
-    The body is elaborated once (raising CheckError if it does not
-    check) and its core term compiled by compile_core.
+    The body is checked at fragment 1 unless it keeps that check's core
+    term (CheckError if it does not check); compile_core compiles it.
     """
     _, core = elaborate(regime, (), 1, body, ty)
     return compile_core(regime, ty, core)
@@ -436,7 +434,8 @@ def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledPro
 
 def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
     """Compile the core term that kernel.elaborate returned for a closed
-    runtime-fragment declaration of type ty.
+    runtime-fragment declaration of type ty; a definition it refers to
+    that has not checked at fragment 1 is checked first.
 
     A declaration whose type is a usage-1 function from naturals takes
     one machine input (the encoded natural); anything else runs closed.

@@ -11,7 +11,8 @@ one `exec`, where `dataclass` compiles one per method.
 
 The state that copy, deep copy and pickle take is the tuple of the
 fields, written back through the slot descriptors, so a slot that a base
-class declares outside the fields (a machine node's block) is not copied.
+class declares outside the fields (a machine node's `_block`, a term's
+check record `_checked`) is not copied.
 
 A method the class body defines itself, such as a validating `__init__`
 or its own `__repr__`, is kept.  `@frozen(eq=False)` keeps the base

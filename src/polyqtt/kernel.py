@@ -28,11 +28,12 @@ branches and reflection introduction require an all-zero vector.  One
 rule checks every eliminator, with the branch shapes the evaluator
 reads: the constructor each branch stands for and the fields it binds.
 
-A definition is one shared `Global` node, checked once per regime and
-fragment; a reference synthesises its declared type, evaluated once and
-kept on the node, with zero usage, and evaluates to its body, or, for a
-lambda, to one closure shared by every reference, so conversion finds it
-equal by identity.  Checking returns
+A closed body keeps its checked core term per regime and fragment, so
+`elaborate` at the empty context and every reference to a definition (one
+shared `Global` node) check it once.  A reference synthesises its
+declared type, evaluated once and kept on the node, with zero usage, and
+evaluates to its body, or, for a lambda, to one closure shared by every
+reference, so conversion finds it equal by identity.  Checking returns
 the core term: the input with the usage of each function and tensor type
 stored on its App or Pair node, the one typing fact the compiler needs.
 
@@ -705,6 +706,26 @@ def _gate(regime: Regime, sigma: int, cls) -> None:
         raise CheckError(erased[0], f"{erased[1]} in the erased fragment only")
 
 
+def checked_core(regime: Regime, sigma: int, body: Term, ty: TypeExpr, g=None) -> Term:
+    """The core term of the closed body checked against ty in fragment
+    sigma, kept with ty in the body's `_checked` slot per (regime,
+    fragment); a hit needs ty itself, which the record keeps alive, and a
+    failed check records nothing, nor does a node without fields: each
+    constant is one node every parse shares.  Definition node g keeps ty's value."""
+    hit = getattr(body, "_checked", {}).get((regime, sigma), (None,))
+    if hit[0] is not ty:
+        _check_type(regime, (), ty)
+    if g is not None and g.ty_value is None:
+        object.__setattr__(g, "ty_value", _value((), ty))
+    if hit[0] is not ty:
+        value = _value((), ty) if g is None else g.ty_value
+        hit = ty, check(regime, (), sigma, body, value)[1]
+        if body.__slots__:
+            record = {**getattr(body, "_checked", {}), (regime, sigma): hit}
+            object.__setattr__(body, "_checked", record)
+    return hit[1]
+
+
 def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
     """Synthesise (usage vector, type value, core term) for t in the
     given fragment."""
@@ -730,15 +751,8 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
         return u, ty, Ann(term, t.ty)
 
     if cls is Global:
-        # the body is checked once per regime and fragment and its core
-        # term kept on the definition, and the declared type evaluated
-        # once it first checks; being closed, it uses nothing of ctx
-        key = (regime, sigma)
-        if key not in t.core:
-            _check_type(regime, (), t.ty)
-            if t.ty_value is None:
-                object.__setattr__(t, "ty_value", _value((), t.ty))
-            t.core[key] = check(regime, (), sigma, t.body, t.ty_value)[1]
+        # being closed, it uses nothing of ctx
+        checked_core(regime, sigma, t.body, t.ty, t)
         return zero_usage(len(ctx)), t.ty_value, t
 
     if cls is App:
@@ -987,6 +1001,8 @@ def elaborate(
     """
     if sigma not in (0, 1):
         raise CheckError("Tm", "fragment marker must be 0 or 1")
+    if not ctx:
+        return (), checked_core(regime, sigma, term, ty)
     inner = _context(ctx)
     _check_type(regime, inner, ty)
     u, core = check(regime, inner, sigma, term, _value(inner, ty))

@@ -41,7 +41,9 @@ class TypeExpr:
 
 
 class Term:
-    __slots__ = ()
+    # a closed body's check record (kernel.checked_core), outside the
+    # fields, so no copy carries it and equality ignores it
+    __slots__ = ("_checked",)
 
 
 @frozen
@@ -298,16 +300,15 @@ class Ann(Term):
 class Global(Term):
     """A closed top-level definition.  The resolver hands out this one
     node at every reference, so later stages do their work on it once:
-    the checker keeps the body's core term per (regime, fragment) in
-    `core` and the value of the declared type, once it has checked that
-    type, in `ty_value`; the compiler keeps its costed code per regime in
-    `code`, and the evaluator a lambda body's one closure value in
-    `value`.  No record takes part in equality, hashing or repr."""
+    the checker keeps the value of the declared type, once it has checked
+    that type, in `ty_value` (the body keeps its core term per regime and
+    fragment); the compiler its costed code per regime in `code`, and the
+    evaluator a lambda body's one closure value in `value`.  No record
+    takes part in equality, hashing or repr."""
 
     name: str
     ty: TypeExpr = field(repr=False)
     body: Term = field(repr=False)
-    core: dict = field(default_factory=dict, compare=False, repr=False)
     code: dict = field(default_factory=dict, compare=False, repr=False)
     value: object = field(default=None, compare=False, repr=False)
     ty_value: object = field(default=None, compare=False, repr=False)
@@ -431,9 +432,7 @@ _SCHEMA: dict[type, tuple[tuple[str, str, int], ...]] = {
     CodeTy: (("ty", _Y, 0),),
     Ann: (("term", _T, 0), ("ty", _Y, 0)),
     # closed, so traversals treat it as a leaf
-    Global: tuple(
-        (name, _P, 0) for name in ("name", "ty", "body", "core", "code", "value", "ty_value")
-    ),
+    Global: tuple((name, _P, 0) for name in ("name", "ty", "body", "code", "value", "ty_value")),
 }
 
 

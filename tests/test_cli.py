@@ -465,6 +465,24 @@ def test_run_elaborates_each_declaration_once(monkeypatch, capsys):
     assert len({id(args[3]) for _, args in calls}) == 13
 
 
+def test_declarations_sharing_a_body_node_each_compile(tmp_path, capsys):
+    # two `nil` bodies are the one constant node, and two aliases of one
+    # definition the one reference node, each declared at its own type:
+    # checking the later declaration leaves the earlier one compilable
+    path = tmp_path / "shared.qtt"
+    path.write_text(
+        "regime consfree\n"
+        "def xs ^1 : List Bool = nil\n"
+        "def ys ^1 : List Bool = nil\n"
+        "def id ^1 : Bool -> Bool = \\b. b\n"
+        "def a ^1 : Bool -> Bool = id\n"
+        "def b ^1 : Bool -> Bool = id\n"
+    )
+    for name, cost in (("xs", 5), ("ys", 5), ("a", 2), ("b", 2)):
+        assert main(["bound", str(path), name]) == 0
+        assert f"bound coefficients (low to high): [{cost}]" in capsys.readouterr().out
+
+
 def test_check_long_literal_both_regimes(tmp_path, capsys):
     # a literal's successor chain is checked, normalised and compared
     # without host recursion

@@ -129,19 +129,32 @@ def test_replace_copy_and_pickle_roundtrip():
             assert [getattr(c, f.name) for f in dataclasses.fields(cls)] == list(first), cls
 
 
-def test_a_copied_machine_node_carries_no_block():
-    # a node with sub-nodes keeps its block in its _block slot (a leaf's
-    # block is in machine._LEAF_BLOCKS)
-    nodes = [
+def test_a_copied_node_carries_no_record():
+    # a machine node with sub-nodes keeps its block in its _block slot (a
+    # leaf's block is in machine._LEAF_BLOCKS), and a checked term its
+    # check record in its _checked slot; neither takes part in ==, hash or
+    # repr, and no copy carries it
+    from polyqtt.kernel import elaborate
+
+    blocks = [
         cls(*_samples(cls)[0])
         for cls in CLASSES
         if issubclass(cls, machine.MachineExpr) and cls not in machine._LEAVES
     ]
-    assert len(nodes) == 4
-    for node in nodes:
+    assert len(blocks) == 4
+    for node in blocks:
         assert machine._block_of(node) is node._block
+    terms = [cls(*_samples(cls)[0]) for cls in CLASSES if issubclass(cls, syntax.Term)]
+    assert len(terms) == 30
+    for node in terms:
+        object.__setattr__(node, "_checked", {None: (None, node)})
+    checked = syntax.Lam(syntax.If(syntax.Var(0), syntax.FalseC(), syntax.TrueC()))
+    elaborate(syntax.Regime.CONS_FREE, (), 1, checked, syntax.Pi(1, syntax.BOOL_TY, syntax.BOOL_TY))
+    assert checked._checked
+    for node, slot in [(n, "_block") for n in blocks] + [(n, "_checked") for n in (*terms, checked)]:
         for c in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
-            assert getattr(c, "_block", None) is None
+            assert getattr(c, slot, None) is None
+            assert c == node and hash(c) == hash(node) and repr(c) == repr(node)
 
 
 def test_frozen_keeps_what_the_body_defines():

@@ -770,6 +770,64 @@ def test_declared_types_evaluated_once(monkeypatch):
     assert counts == {**{d.name: 1 for d in chain}, drive.name: 2}
 
 
+def test_library_path_checks_each_body_once(monkeypatch):
+    # the library path checks every declaration at its fragment and then
+    # compiles every runtime one; references and compile_declaration reach
+    # each body's one record, so each (name, fragment) is checked once
+    import polyqtt.kernel as kernel_mod
+    from polyqtt.compiler import compile_declaration
+    from polyqtt.frontend import parse_module, resolve_module
+
+    from conftest import CORPUS
+
+    for name in ("consfree_iter.qtt", "lfpl_iter.qtt", "lfpl_sort.qtt"):
+        mod = resolve_module(parse_module((CORPUS / name).read_text()))
+        names = {id(d.body): d.name for d in mod.decls}
+        counts = {}
+        real = kernel_mod.check
+
+        def counting(regime, ctx, sigma, t, ty, real=real):
+            if id(t) in names:
+                key = (names[id(t)], sigma)
+                counts[key] = counts.get(key, 0) + 1
+            return real(regime, ctx, sigma, t, ty)
+
+        monkeypatch.setattr(kernel_mod, "check", counting)
+        for d in mod.decls:
+            infer_usage_check(mod.regime, (), d.sigma, d.body, d.ty)
+        for d in mod.decls:
+            if d.sigma == 1:
+                compile_declaration(mod.regime, d.ty, d.body)
+        monkeypatch.undo()
+        assert counts == {(d.name, d.sigma): 1 for d in mod.decls}, name
+
+
+def test_check_record_is_keyed_by_type_regime_and_fragment():
+    # one node checked against two types: the record of one type is no
+    # verdict on the other, in either order and however often it is asked
+    linear, erased = Pi(1, BOOL_TY, BOOL_TY), Pi(0, BOOL_TY, BOOL_TY)
+    for order in ((linear, erased), (erased, linear)):
+        ident = Lam(Var(0))
+        for _ in range(2):
+            for ty in order:
+                if ty is linear:
+                    assert elaborate(CF, (), 1, ident, ty) == ((), ident)
+                else:
+                    with pytest.raises(CheckError) as e:
+                        elaborate(CF, (), 1, ident, ty)
+                    assert e.value.rule == "Tm-Lam"
+        assert list(ident._checked.values()) == [(linear, ident)]
+    # one constant body checks under both regimes and both fragments, and
+    # keeps no record: every parse shares its node
+    from polyqtt.frontend import resolve_term
+
+    const = resolve_term("true", CF)
+    for regime in (CF, LF):
+        for sigma in (0, 1):
+            assert elaborate(regime, (), sigma, const, BOOL_TY) == ((), const)
+    assert resolve_term("true", LF) is const and not hasattr(const, "_checked")
+
+
 def test_erased_definition_used_at_runtime():
     # a ^0 definition may be used in runtime code exactly when its body
     # also checks in the runtime fragment, however often it is checked
@@ -778,13 +836,17 @@ def test_erased_definition_used_at_runtime():
     src = """regime consfree
 def keep ^0 : Bool -> Bool = \\b. b
 def twice ^0 : Bool -> Bool * Bool = \\b. (b, b)
+def first ^0 : Bool * Bool -> Bool = \\p. fst p
 def f ^1 : Bool -> Bool = \\b. keep b
 def g ^1 : Bool -> Bool * Bool = \\b. twice b
+def h ^1 : Bool * Bool -> Bool = \\p. first p
 """
-    _, _, f, g = resolve_module(parse_module(src)).decls
+    *_, f, g, h = resolve_module(parse_module(src)).decls
     for _ in range(2):
-        assert infer_usage_check(CF, (), 0, g.body, g.ty) == ()
         assert infer_usage_check(CF, (), 1, f.body, f.ty) == ()
-        with pytest.raises(CheckError) as e:
-            infer_usage_check(CF, (), 1, g.body, g.ty)
-        assert e.value.rule == "Tm-Lam"
+        # a failed check records nothing, so it fails again
+        for d, rule in ((g, "Tm-Lam"), (h, "Tm-Fst")):
+            assert infer_usage_check(CF, (), 0, d.body, d.ty) == ()
+            with pytest.raises(CheckError) as e:
+                infer_usage_check(CF, (), 1, d.body, d.ty)
+            assert e.value.rule == rule
