@@ -109,15 +109,15 @@ def _find_decl(mod, name: str):
 
 
 def _compile_decl(mod, name: str) -> CompiledProgram:
-    """Check the module and compile the runtime declaration name; its core
-    term is the definition node the check elaborated."""
+    """Check the module and compile the runtime declaration name from the
+    record its check left on the body."""
     _check_module(mod, None)
     d = _find_decl(mod, name)
     if d.sigma != 1:
         raise CheckError(
             "Tm", f"{name!r} lives in the erased fragment and has no runtime code"
         )
-    return compile_core(mod.regime, d.ty, d.defn)
+    return compile_core(mod.regime, d.ty, d.body)
 
 
 def _require_input(prog: CompiledProgram, name: str) -> None:

@@ -1,22 +1,23 @@
 """Translation of checked runtime-fragment terms to machine code, with
 compositional potential accounting in polynomials.
 
-The compiler is untyped.  compile_declaration takes its input's core term
-from kernel.elaborate, which checks a closed body once per regime and
-fragment (compile_core translates a core term already elaborated); the only
-typing fact the translation needs, the usage of each application's
-function type and each pair's tensor type, is read from the `usage`
-field of the App and Pair nodes.
+The compiler is untyped.  It reads the core term, and the declared
+type's value, from the check record a closed body keeps
+(kernel.check_record), which its check at fragment 1 fills once per
+regime; the input arity is read from that value.  The one typing fact
+the translation needs, the usage of each application's function type
+and each pair's tensor type, is read from the `usage` field of the App
+and Pair nodes.
 
 A definition is closed, and closed code addresses only the slots it
 binds itself, so it does not depend on the depth of the environment it
-is compiled in.  Each definition is therefore compiled once per regime
-and its code and potential are shared by every reference to it: the
-emitted code is a DAG.  machine.expr_to_sexp, and so --emit-machine,
-still print it as a tree.  The first reference to a definition without
-code compiles the definitions it depends on leaves first, with an
-explicit stack, so a chain of references does not recurse once per
-definition.
+is compiled in.  Each body is therefore compiled once per regime, and
+its record keeps the costed code: compile_declaration on the body and
+every reference to it share that code and potential, so the emitted
+code is a DAG.  machine.expr_to_sexp, and so --emit-machine, still
+print it as a tree.  The first request for a body without code compiles
+the definitions it depends on leaves first, with an explicit stack, so
+a chain of references does not recurse once per definition.
 
 Code is emitted in A-normal form: machine eliminators take environment
 indices, so every compound subterm is bound by sequencing first.  Every
@@ -54,7 +55,7 @@ from itertools import zip_longest
 
 from . import machine as m
 from .frozen import frozen
-from .kernel import checked_core, elaborate, normalize_type
+from .kernel import check_record, elaborate
 from .potentials import ZERO, Poly
 from .syntax import (
     _SCHEMA,
@@ -263,11 +264,7 @@ def compile_term(regime: Regime, env: EnvLayout, t: Term) -> tuple[m.MachineExpr
     if cls is Global:
         # closed code does not depend on the environment depth, so a
         # definition is compiled once per regime and shared by every use
-        code = t.code.get(regime)
-        if code is None:
-            _compile_definitions(regime, t)
-            code = t.code[regime]
-        return code
+        return _code(regime, t.body, t.ty, t)
 
     if cls is Lam:
         # the body runs in [captured env, self closure, argument]
@@ -399,24 +396,26 @@ def _references(core: Term) -> list[Global]:
     return found
 
 
-def _compile_definitions(regime: Regime, g: Global) -> None:
-    """Compile definition g, and before it every definition its code
-    embeds that has no code yet, leaves first with an explicit stack, as
-    a module is checked in its order.  A chain of references thus does
-    not recurse once per definition, and each core term, which the body
-    keeps from its check at fragment 1, is scanned once and compiled once."""
-    todo = [(g, None)]
+def _code(regime: Regime, body: Term, ty: TypeExpr, g=None) -> tuple[m.MachineExpr, Poly]:
+    """The costed code of the closed body of type ty (of definition node
+    g, if given), kept in its check record (kernel.check_record) per
+    regime.  Every definition its code embeds that has no code yet is
+    compiled before it, leaves first with an explicit stack, as a module
+    is checked in its order.  A chain of references thus does not recurse
+    once per definition, and each core term, which the record keeps from
+    its check at fragment 1, is scanned once and compiled once."""
+    todo = [(body, ty, g, None)]
     while todo:
-        d, core = todo.pop()
-        if regime in d.code:
-            continue
-        if core is not None:
+        b, t, d, record = todo.pop()
+        if record is None:
+            record = check_record(regime, 1, b, t, d)
+            if regime not in record[2]:
+                todo.append((b, t, d, record))
+                todo.extend((r.body, r.ty, r, None) for r in _references(record[2][regime, 1]))
+        elif regime not in record[2]:
             # every definition it embeds has code by now
-            d.code[regime] = compile_term(regime, EnvLayout((), 0), core)
-        else:
-            core = checked_core(regime, 1, d.body, d.ty)
-            todo.append((d, core))
-            todo.extend((r, None) for r in _references(core) if regime not in r.code)
+            record[2][regime] = compile_term(regime, EnvLayout((), 0), record[2][regime, 1])
+    return record[2][regime]
 
 
 # ---------------------------------------------------------------------------
@@ -425,29 +424,26 @@ def _compile_definitions(regime: Regime, g: Global) -> None:
 def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
     """Check and compile a closed runtime-fragment declaration.
 
-    The body is checked at fragment 1 unless it keeps that check's core
-    term (CheckError if it does not check); compile_core compiles it.
+    The body is checked at fragment 1 unless its record holds that check
+    (CheckError if it does not check); compile_core compiles it.  Called
+    again on the body, or reached by a reference, it reuses the code.
     """
-    _, core = elaborate(regime, (), 1, body, ty)
-    return compile_core(regime, ty, core)
+    elaborate(regime, (), 1, body, ty)
+    return compile_core(regime, ty, body)
 
 
-def compile_core(regime: Regime, ty: TypeExpr, core: Term) -> CompiledProgram:
-    """Compile the core term that kernel.elaborate returned for a closed
-    runtime-fragment declaration of type ty; a definition it refers to
-    that has not checked at fragment 1 is checked first.
+def compile_core(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
+    """Compile a closed runtime-fragment declaration whose body has checked
+    against ty at fragment 1, from its check record: the code every
+    reference to it embeds, and the value of ty; a definition it refers
+    to that has not checked at fragment 1 is checked first.
 
     A declaration whose type is a usage-1 function from naturals takes
     one machine input (the encoded natural); anything else runs closed.
     """
-    ty_n = normalize_type(ty)
-    arity = (
-        1
-        if isinstance(ty_n, Pi) and ty_n.usage == 1 and isinstance(ty_n.dom, NatTy)
-        else 0
-    )
-    env = EnvLayout((), arity)
-    code, potential = compile_term(regime, env, core)
+    v = check_record(regime, 1, body, ty)[1]
+    arity = 1 if v.__class__ is Pi and v.usage == 1 and v.dom.__class__ is NatTy else 0
+    code, potential = _code(regime, body, ty)
     if arity == 1:
         # apply the compiled closure to the input slot
         code, potential = _seq((code, potential), m.App(0, 1))

@@ -28,14 +28,16 @@ branches and reflection introduction require an all-zero vector.  One
 rule checks every eliminator, with the branch shapes the evaluator
 reads: the constructor each branch stands for and the fields it binds.
 
-A closed body keeps its checked core term per regime and fragment, so
-`elaborate` at the empty context and every reference to a definition (one
-shared `Global` node) check it once.  A reference synthesises its
-declared type, evaluated once and kept on the node, with zero usage, and
-evaluates to its body, or, for a lambda, to one closure shared by every
-reference, so conversion finds it equal by identity.  Checking returns
-the core term: the input with the usage of each function and tensor type
-stored on its App or Pair node, the one typing fact the compiler needs.
+A closed body keeps its declared type's value and its checked core term
+per regime and fragment (a constant body, shared by every parse, leaves
+them to its definition node), so `elaborate` at the empty context and
+every reference to a definition (one shared `Global` node) check it once
+and evaluate its type once.  A reference synthesises that value with
+zero usage, and evaluates to its body, or, for a lambda, to one closure
+shared by every reference, so conversion finds it equal by identity.
+Checking returns the core term: the input with the usage of each
+function and tensor type stored on its App or Pair node, the one typing
+fact the compiler needs.
 
 The checker recurses on the host stack, so a public entry point reports
 input nested deeper than that stack as a `[Check]` diagnostic, as the
@@ -706,24 +708,26 @@ def _gate(regime: Regime, sigma: int, cls) -> None:
         raise CheckError(erased[0], f"{erased[1]} in the erased fragment only")
 
 
-def checked_core(regime: Regime, sigma: int, body: Term, ty: TypeExpr, g=None) -> Term:
-    """The core term of the closed body checked against ty in fragment
-    sigma, kept with ty in the body's `_checked` slot per (regime,
-    fragment); a hit needs ty itself, which the record keeps alive, and a
-    failed check records nothing, nor does a node without fields: each
-    constant is one node every parse shares.  Definition node g keeps ty's value."""
-    hit = getattr(body, "_checked", {}).get((regime, sigma), (None,))
-    if hit[0] is not ty:
+def check_record(regime: Regime, sigma: int, body: Term, ty: TypeExpr, g=None) -> tuple:
+    """The record of the closed body checked against ty in fragment sigma:
+    (ty, ty's value, entries), where entries maps (regime, fragment) to
+    the core term of each check and the compiler adds each regime's code.
+    The body keeps it in its `_checked` slot, unless it is a node without
+    fields (each constant is one node every parse shares) or a definition
+    node: then definition node g, whose body it is, keeps it, if given.
+    A hit needs ty itself, which the record keeps alive; a failed check
+    records nothing."""
+    holder = body if body.__slots__ and body.__class__ is not Global else g
+    record = getattr(holder, "_checked", (None, None, None))
+    entries = record[2] if record[0] is ty else {}
+    if (regime, sigma) not in entries:
         _check_type(regime, (), ty)
-    if g is not None and g.ty_value is None:
-        object.__setattr__(g, "ty_value", _value((), ty))
-    if hit[0] is not ty:
-        value = _value((), ty) if g is None else g.ty_value
-        hit = ty, check(regime, (), sigma, body, value)[1]
-        if body.__slots__:
-            record = {**getattr(body, "_checked", {}), (regime, sigma): hit}
-            object.__setattr__(body, "_checked", record)
-    return hit[1]
+        if record[0] is not ty:
+            record = ty, _value((), ty), entries
+        entries[regime, sigma] = check(regime, (), sigma, body, record[1])[1]
+        if holder is not None:
+            object.__setattr__(holder, "_checked", record)
+    return record
 
 
 def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
@@ -752,8 +756,7 @@ def synth(regime: Regime, ctx: tuple, sigma: int, t: Term):
 
     if cls is Global:
         # being closed, it uses nothing of ctx
-        checked_core(regime, sigma, t.body, t.ty, t)
-        return zero_usage(len(ctx)), t.ty_value, t
+        return zero_usage(len(ctx)), check_record(regime, sigma, t.body, t.ty, t)[1], t
 
     if cls is App:
         u_fn, fn_ty, fn = synth(regime, ctx, sigma, t.fn)
@@ -1002,7 +1005,7 @@ def elaborate(
     if sigma not in (0, 1):
         raise CheckError("Tm", "fragment marker must be 0 or 1")
     if not ctx:
-        return (), checked_core(regime, sigma, term, ty)
+        return (), check_record(regime, sigma, term, ty)[2][regime, sigma]
     inner = _context(ctx)
     _check_type(regime, inner, ty)
     u, core = check(regime, inner, sigma, term, _value(inner, ty))

@@ -41,8 +41,8 @@ class TypeExpr:
 
 
 class Term:
-    # a closed body's check record (kernel.checked_core), outside the
-    # fields, so no copy carries it and equality ignores it
+    # a check record (kernel.check_record), outside the fields, so no
+    # copy carries it and equality ignores it
     __slots__ = ("_checked",)
 
 
@@ -300,18 +300,17 @@ class Ann(Term):
 class Global(Term):
     """A closed top-level definition.  The resolver hands out this one
     node at every reference, so later stages do their work on it once:
-    the checker keeps the value of the declared type, once it has checked
-    that type, in `ty_value` (the body keeps its core term per regime and
-    fragment); the compiler its costed code per regime in `code`, and the
-    evaluator a lambda body's one closure value in `value`.  No record
-    takes part in equality, hashing or repr."""
+    the body keeps its check record (kernel.check_record: the declared
+    type's value, the core term per regime and fragment, and the
+    compiler's costed code per regime), or this node does when the body
+    is a shared constant or another definition node; and the node keeps
+    the evaluator's one closure value of a lambda body in `value`.  No
+    record takes part in equality, hashing or repr."""
 
     name: str
     ty: TypeExpr = field(repr=False)
     body: Term = field(repr=False)
-    code: dict = field(default_factory=dict, compare=False, repr=False)
     value: object = field(default=None, compare=False, repr=False)
-    ty_value: object = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -432,7 +431,7 @@ _SCHEMA: dict[type, tuple[tuple[str, str, int], ...]] = {
     CodeTy: (("ty", _Y, 0),),
     Ann: (("term", _T, 0), ("ty", _Y, 0)),
     # closed, so traversals treat it as a leaf
-    Global: tuple((name, _P, 0) for name in ("name", "ty", "body", "code", "value", "ty_value")),
+    Global: tuple((name, _P, 0) for name in ("name", "ty", "body", "value")),
 }
 
 

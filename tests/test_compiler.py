@@ -407,6 +407,25 @@ def test_branch_free_potentials_are_exact():
             assert gamma == Poly.const(out.steps), term
 
 
+def _reachable(code, stop=frozenset()) -> list:
+    """The machine nodes reachable from code, each once; a node whose id
+    is in stop is listed but not entered."""
+    seen, out, todo = set(), [], [code]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        out.append(x)
+        if id(x) in stop and x is not code:
+            continue
+        for f in x.__dataclass_fields__:
+            v = getattr(x, f)
+            if isinstance(v, m.MachineExpr):
+                todo.append(v)
+    return out
+
+
 def test_shared_definitions_compile_to_linear_code():
     # each definition is compiled once and its code shared at every use,
     # so the code of a fan-out chain is a DAG whose distinct nodes grow
@@ -419,19 +438,122 @@ def test_shared_definitions_compile_to_linear_code():
         mod = resolve_module(parse_module(fanout_chain(k)))
         drive = mod.decls[-1]
         prog = compile_declaration(mod.regime, drive.ty, drive.body)
-        seen, todo = set(), [prog.code]
-        while todo:
-            x = todo.pop()
-            if id(x) in seen:
-                continue
-            seen.add(id(x))
-            for f in x.__dataclass_fields__:
-                v = getattr(x, f)
-                if isinstance(v, m.MachineExpr):
-                    todo.append(v)
-        return len(seen)
+        return len(_reachable(prog.code))
 
     # depth 10 first: unshared code of depth 20 would take gigabytes
     n5, n10 = distinct_nodes(5), distinct_nodes(10)
     assert 0 < n10 - n5 and n10 < 40 * 10
     assert distinct_nodes(20) - n10 == 2 * (n10 - n5)
+
+
+def test_library_path_compiles_each_body_once(monkeypatch):
+    # the library path checks every declaration and then compiles every
+    # runtime one: compile_declaration and every reference read the code
+    # the body's record keeps, so each core term is compiled once
+    import polyqtt.compiler as compiler_mod
+    from polyqtt.frontend import parse_module, resolve_module
+    from polyqtt.kernel import infer_usage_check
+
+    from conftest import CORPUS
+
+    for name, count in (("consfree_iter.qtt", 13), ("lfpl_sort.qtt", 4), ("lfpl_iter.qtt", 5)):
+        mod = resolve_module(parse_module((CORPUS / name).read_text()))
+        runtime = [d for d in mod.decls if d.sigma == 1]
+        compiled = []
+        real = compiler_mod.compile_term
+
+        def counting(regime, env, t, real=real):
+            compiled.append(t)
+            return real(regime, env, t)
+
+        monkeypatch.setattr(compiler_mod, "compile_term", counting)
+        for d in mod.decls:
+            infer_usage_check(mod.regime, (), d.sigma, d.body, d.ty)
+        for d in runtime:
+            compile_declaration(mod.regime, d.ty, d.body)
+        monkeypatch.undo()
+        cores = {id(core(mod.regime, d.body, d.ty)) for d in runtime}
+        assert len(runtime) == count
+        assert sum(id(t) in cores for t in compiled) == count, name
+
+
+def test_a_declaration_and_its_references_share_one_code_object():
+    # compile_declaration called again returns the same code object, and
+    # it is the object every reference embeds, on either path
+    from polyqtt.cli import _compile_decl
+    from polyqtt.frontend import parse_module, resolve_module
+
+    from conftest import fanout_chain
+
+    mod = resolve_module(parse_module(fanout_chain(3)))
+    *chain, drive = mod.decls
+    progs = [compile_declaration(mod.regime, d.ty, d.body) for d in chain]
+    for d, prog in zip(chain, progs):
+        assert compile_declaration(mod.regime, d.ty, d.body).code is prog.code
+        assert _compile_decl(mod, d.name).code is prog.code
+    shared = {id(p.code) for p in progs}
+    users = [*progs[1:], compile_declaration(mod.regime, drive.ty, drive.body)]
+    for prog, user in zip(progs, users):
+        assert any(x is prog.code for x in _reachable(user.code, shared))
+
+
+EL_MODULE = """regime consfree
+def T ^0 : U = (n ^1 : Nat) -> Bool
+def f ^1 : El T = \\n. rec n at (x. Bool) { zero => true | succ(m, p) => if p then false else true }
+"""
+
+
+def test_cli_and_library_paths_agree():
+    # for every runtime declaration, the CLI path (the module checked
+    # through its definition nodes) and the library path (each
+    # declaration checked, then compile_declaration) give the same code,
+    # potential and input arity, or the same rejection, whichever path
+    # runs first; in one module both give the one closure code object
+    from polyqtt.cli import _compile_decl
+    from polyqtt.frontend import parse_module, resolve_module
+    from polyqtt.kernel import infer_usage_check
+
+    from conftest import CORPUS, FIXTURES
+
+    def library(mod, d):
+        for e in mod.decls:
+            infer_usage_check(mod.regime, (), e.sigma, e.body, e.ty)
+        return compile_declaration(mod.regime, d.ty, d.body)
+
+    def cli(mod, d):
+        return _compile_decl(mod, d.name)
+
+    def outcome(path, mod, d):
+        try:
+            p = path(mod, d)
+        except CheckError as e:
+            return e.rule, None
+        # an input is applied to the shared closure code
+        return (m.expr_to_sexp(p.code), p.potential, p.input_arity), (
+            p.code.first if p.input_arity else p.code
+        )
+
+    sources = [p.read_text() for p in sorted([*CORPUS.glob("*.qtt"), *FIXTURES.glob("*.qtt")])]
+    compiled = rejected = 0
+    for text in [*sources, EL_MODULE]:
+        seen = None
+        for first, second in ((cli, library), (library, cli)):
+            mod = resolve_module(parse_module(text))
+            got = []
+            for d in mod.decls:
+                if d.sigma == 1:
+                    (a, code_a), (b, code_b) = outcome(first, mod, d), outcome(second, mod, d)
+                    assert a == b and code_a is code_b, d.name
+                    got.append(a)
+            assert seen is None or got == seen
+            seen = got
+        compiled += sum(isinstance(x, tuple) for x in seen)
+        rejected += sum(isinstance(x, str) for x in seen)
+    # 23 in the corpus and f; two fixtures declare only erased definitions
+    assert (compiled, rejected) == (24, len(list(FIXTURES.glob("*.qtt"))) - 2)
+    # a declaration typed El T, with T a code for a function from
+    # naturals, still takes its input
+    mod = resolve_module(parse_module(EL_MODULE))
+    f = mod.decls[-1]
+    prog = compile_declaration(mod.regime, f.ty, f.body)
+    assert prog.input_arity == 1 and run_and_verify(prog, 5).steps == 61

@@ -744,9 +744,9 @@ def test_definition_bodies_checked_once_per_fragment(monkeypatch):
 
 def test_declared_types_evaluated_once(monkeypatch):
     # in a depth-12 fan-out chain each g_i is referenced twice per
-    # fragment, but its declared type is evaluated once, on its definition
-    # node; drive, referenced by nothing, is evaluated as elaborate's
-    # target once per fragment
+    # fragment, but its declared type is evaluated once, into its body's
+    # record; drive, referenced by nothing, is evaluated as elaborate's
+    # target once, for both fragments
     import polyqtt.kernel as kernel_mod
     from polyqtt.frontend import parse_module, resolve_module
 
@@ -764,10 +764,10 @@ def test_declared_types_evaluated_once(monkeypatch):
         return real(ctx, t)
 
     monkeypatch.setattr(kernel_mod, "_value", counting)
-    *chain, drive = mod.decls
+    drive = mod.decls[-1]
     for sigma in (1, 0):
         kernel_mod.elaborate(mod.regime, (), sigma, drive.body, drive.ty)
-    assert counts == {**{d.name: 1 for d in chain}, drive.name: 2}
+    assert counts == {d.name: 1 for d in mod.decls}
 
 
 def test_library_path_checks_each_body_once(monkeypatch):
@@ -802,6 +802,79 @@ def test_library_path_checks_each_body_once(monkeypatch):
         assert counts == {(d.name, d.sigma): 1 for d in mod.decls}, name
 
 
+def test_library_path_evaluates_each_declared_type_once(monkeypatch):
+    # the library path checks every declaration and then compiles every
+    # runtime one: elaborate, every reference and the compiler's input
+    # arity read the one value the body's record keeps
+    import polyqtt.kernel as kernel_mod
+    from polyqtt.compiler import compile_declaration
+    from polyqtt.frontend import parse_module, resolve_module
+
+    from conftest import CORPUS
+
+    for name, count in (("consfree_iter.qtt", 13), ("lfpl_sort.qtt", 6)):
+        mod = resolve_module(parse_module((CORPUS / name).read_text()))
+        declared = {id(d.ty) for d in mod.decls}
+        evaluated = []
+        real = kernel_mod._value
+
+        def counting(ctx, t, real=real):
+            if id(t) in declared:
+                evaluated.append(t)
+            return real(ctx, t)
+
+        monkeypatch.setattr(kernel_mod, "_value", counting)
+        for d in mod.decls:
+            infer_usage_check(mod.regime, (), d.sigma, d.body, d.ty)
+        for d in mod.decls:
+            if d.sigma == 1:
+                compile_declaration(mod.regime, d.ty, d.body)
+        monkeypatch.undo()
+        assert len(mod.decls) == len(evaluated) == count, name
+
+
+def test_references_to_a_constant_body_reuse_its_definition_record(monkeypatch):
+    # a constant body is one node every parse shares, so its definition
+    # node keeps its record: however often it is referenced, its type is
+    # evaluated and the constant checked a fixed number of times
+    import polyqtt.kernel as kernel_mod
+    from polyqtt.compiler import compile_declaration
+    from polyqtt.frontend import parse_module, resolve_module
+
+    def counts(k):
+        text = "regime consfree\ndef xs ^1 : List Bool = nil\n" + "".join(
+            f"def u{i} ^1 : Bool -> List Bool = \\b. if b then xs else cons true xs\n"
+            for i in range(k)
+        )
+        mod = resolve_module(parse_module(text))
+        xs = mod.decls[0]
+        names = {id(d.ty): d.name for d in mod.decls}
+        seen = {}
+        real_value, real_check = kernel_mod._value, kernel_mod.check
+
+        def value(ctx, t):
+            if id(t) in names:
+                seen[names[id(t)]] = seen.get(names[id(t)], 0) + 1
+            return real_value(ctx, t)
+
+        def check(regime, ctx, sigma, t, ty):
+            if t is xs.body:
+                seen["nil checks"] = seen.get("nil checks", 0) + 1
+            return real_check(regime, ctx, sigma, t, ty)
+
+        monkeypatch.setattr(kernel_mod, "_value", value)
+        monkeypatch.setattr(kernel_mod, "check", check)
+        for d in mod.decls:
+            infer_usage_check(mod.regime, (), d.sigma, d.body, d.ty)
+        for d in mod.decls:
+            compile_declaration(mod.regime, d.ty, d.body)
+        monkeypatch.undo()
+        assert all(seen[d.name] == 1 for d in mod.decls[1:])
+        return seen["xs"], seen["nil checks"]
+
+    assert counts(2) == counts(40)
+
+
 def test_check_record_is_keyed_by_type_regime_and_fragment():
     # one node checked against two types: the record of one type is no
     # verdict on the other, in either order and however often it is asked
@@ -816,7 +889,8 @@ def test_check_record_is_keyed_by_type_regime_and_fragment():
                     with pytest.raises(CheckError) as e:
                         elaborate(CF, (), 1, ident, ty)
                     assert e.value.rule == "Tm-Lam"
-        assert list(ident._checked.values()) == [(linear, ident)]
+        ty, _, entries = ident._checked
+        assert ty is linear and entries == {(CF, 1): ident}
     # one constant body checks under both regimes and both fragments, and
     # keeps no record: every parse shares its node
     from polyqtt.frontend import resolve_term
