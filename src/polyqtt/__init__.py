@@ -7,7 +7,7 @@ The package splits along the pipeline:
 - ``machine``: the untyped call-by-value machine with exact step costs
   and the canonical encodings of observable data.
 - ``potentials``: natural-coefficient polynomials, which the compiler
-  costs code with, and the resource monoids of the paper's model.
+  costs code with.
 - ``syntax`` and ``kernel``: the quantitative calculus, its two
   regimes, and the bidirectional type/usage checker with normalisation.
 - ``compiler``: translation of checked runtime-fragment terms to
@@ -52,7 +52,7 @@ from .machine import (
     eval_expr,
     nat_value,
 )
-from .potentials import ExtNat, MonoidKind, Poly, Potential
+from .potentials import Poly
 from .syntax import Regime
 
 __version__ = "0.1.0"
@@ -64,12 +64,9 @@ __all__ = [
     "Diagnostic",
     "Done",
     "EvalOutcome",
-    "ExtNat",
     "FrontendError",
-    "MonoidKind",
     "OutOfFuel",
     "Poly",
-    "Potential",
     "Regime",
     "RunResult",
     "Stuck",

@@ -15,7 +15,7 @@ from .compiler import (
     VERIFY_FUEL_SLACK,
     CompiledProgram,
     CompileError,
-    compile_core,
+    compile_declaration,
     extract_bound,
     run_and_verify,
     sabotage,
@@ -117,7 +117,7 @@ def _compile_decl(mod, name: str) -> CompiledProgram:
         raise CheckError(
             "Tm", f"{name!r} lives in the erased fragment and has no runtime code"
         )
-    return compile_core(mod.regime, d.ty, d.body)
+    return compile_declaration(mod.regime, d.ty, d.body)
 
 
 def _require_input(prog: CompiledProgram, name: str) -> None:

@@ -39,12 +39,14 @@ successor, is multiplied by the indeterminate, so the bound picks up
 one degree per nested recursion.
 
 The soundness proof reads a cost q as the element (0, q) of a
-polynomial resource monoid (potentials: max-size under cons-free
-iteration, additive under LFPL).  At size 0 both monoids add the
-polynomials, so q alone is the cost.  An input of magnitude n adds size
-n + 1, and the fuel diff(plus(size(n + 1), (0, q)), EMPTY) is then
-q(n + 1), which is BoundReport.bound_at.  Bound soundness is checked end
-to end by the sweeps, and exactness on branch-free code by the compiler
+polynomial resource monoid (max-size under cons-free iteration, additive
+under LFPL).  At size 0 both monoids add the polynomials, so q alone is
+the cost.  An input of magnitude n adds size n + 1, and the fuel
+diff(plus(size(n + 1), (0, q)), EMPTY) is then q(n + 1), which is
+BoundReport.bound_at.  The package computes the bound as q(n + 1)
+directly; test_compiler.py checks that reading against the monoid model
+the tests keep (tests/monoids.py).  Bound soundness is checked end to
+end by the sweeps, and exactness on branch-free code by the compiler
 tests.
 """
 
@@ -55,7 +57,7 @@ from itertools import zip_longest
 
 from . import machine as m
 from .frozen import frozen
-from .kernel import check_record, elaborate
+from .kernel import _entry, check_record
 from .potentials import ZERO, Poly
 from .syntax import (
     _SCHEMA,
@@ -421,22 +423,14 @@ def _code(regime: Regime, body: Term, ty: TypeExpr, g=None) -> tuple[m.MachineEx
 # ---------------------------------------------------------------------------
 # Whole-declaration compilation
 
+@_entry
 def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
-    """Check and compile a closed runtime-fragment declaration.
+    """Compile a closed runtime-fragment declaration from its check
+    record: the code every reference to it embeds, and the value of ty.
 
-    The body is checked at fragment 1 unless its record holds that check
-    (CheckError if it does not check); compile_core compiles it.  Called
-    again on the body, or reached by a reference, it reuses the code.
-    """
-    elaborate(regime, (), 1, body, ty)
-    return compile_core(regime, ty, body)
-
-
-def compile_core(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
-    """Compile a closed runtime-fragment declaration whose body has checked
-    against ty at fragment 1, from its check record: the code every
-    reference to it embeds, and the value of ty; a definition it refers
-    to that has not checked at fragment 1 is checked first.
+    A body whose record lacks its check against ty at fragment 1 is
+    checked first (CheckError if it does not check).  Called again on the
+    body, or reached by a reference, it reuses the code.
 
     A declaration whose type is a usage-1 function from naturals takes
     one machine input (the encoded natural); anything else runs closed.
@@ -451,11 +445,12 @@ def compile_core(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
 
 
 def extract_bound(p: CompiledProgram) -> BoundReport:
-    """Step bound from the program potential q.
+    """Step bound from the program potential q: q(n + 1) at input n.
 
     Read as the monoid element (0, q), with an input contributing size
-    n + 1, the available fuel diff(plus(size(n + 1), (0, q)), EMPTY) is
-    q(n + 1) by construction.
+    n + 1, q makes the fuel diff(plus(size(n + 1), (0, q)), EMPTY)
+    available, which is q(n + 1); test_compiler.py checks this against
+    the tests' monoid model (tests/monoids.py).
     """
     return BoundReport(p.potential, p.regime, p.input_arity)
 

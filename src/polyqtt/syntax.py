@@ -17,6 +17,8 @@ binder-aware query on syntax.
 
 Every node class is built by `frozen.frozen`: a frozen dataclass with
 slots, whose `__init__` stores each field through its slot descriptor.
+Its fields are its layout's one source: the traversal schema `_SCHEMA`
+is derived from them as each class is built.
 """
 
 from __future__ import annotations
@@ -32,6 +34,46 @@ class Regime(Enum):
     CONS_FREE = "consfree"
     LFPL = "lfpl"
 
+    # members compare by identity; Enum's hash rehashes the name per lookup
+    __hash__ = object.__hash__
+
+
+# --------------------------------------------------------------------------
+# Generic traversal.  Each node class is described by its dataclass
+# fields: _SCHEMA maps it to (name, kind, binder count) per field, in
+# field order.  A field's kind ("term" | "type" | "motive" | "plain")
+# comes from its annotation, a "motive" being an optional type that binds
+# one variable; its binder count comes from `_binds`.
+
+_KINDS = {
+    "Term": "term",
+    "TypeExpr": "type",
+    "TypeExpr | None": "motive",
+    **dict.fromkeys(("int", "int | None", "str", "object"), "plain"),
+}
+
+_SCHEMA: dict[type, tuple[tuple[str, str, int], ...]] = {}
+
+
+def _binds(k: int, **kw):
+    """A field whose subterm binds k variables."""
+    return field(metadata={"binds": k}, **kw)
+
+
+def _node(cls):
+    """The frozen node class of cls, entered in _SCHEMA.  An annotation
+    without a kind in _KINDS is a TypeError, so no field a traversal
+    should enter is silently skipped as plain."""
+    cls = frozen(cls)
+    row = []
+    for f in fields(cls):
+        kind = _KINDS.get(f.type)
+        if kind is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no traversal kind for {f.type!r}")
+        row.append((f.name, kind, f.metadata.get("binds", 0)))
+    _SCHEMA[cls] = tuple(row)
+    return cls
+
 
 # --------------------------------------------------------------------------
 # Types
@@ -46,63 +88,63 @@ class Term:
     __slots__ = ("_checked",)
 
 
-@frozen
+@_node
 class Pi(TypeExpr):
     usage: int
     dom: TypeExpr
-    cod: TypeExpr  # binds 1
+    cod: TypeExpr = _binds(1)
 
 
-@frozen
+@_node
 class Tensor(TypeExpr):
     usage: int
     fst: TypeExpr
-    snd: TypeExpr  # binds 1
+    snd: TypeExpr = _binds(1)
 
 
-@frozen
+@_node
 class UnitTy(TypeExpr):
     pass
 
 
-@frozen
+@_node
 class BoolTy(TypeExpr):
     pass
 
 
-@frozen
+@_node
 class NatTy(TypeExpr):
     pass
 
 
-@frozen
+@_node
 class DiamondTy(TypeExpr):
     pass
 
 
-@frozen
+@_node
 class ListTy(TypeExpr):
     elem: TypeExpr
 
 
-@frozen
+@_node
 class IdTy(TypeExpr):
     ty: TypeExpr
-    lhs: "Term"
-    rhs: "Term"
+    lhs: Term
+    rhs: Term
 
 
-@frozen
+@_node
 class Universe(TypeExpr):
     pass
 
 
-@frozen
+@_node
 class El(TypeExpr):
-    code: "Term"
+    code: Term
 
 
-@frozen
+@_node
 class Reflect(TypeExpr):
     inner: TypeExpr
 
@@ -117,17 +159,17 @@ UNIVERSE = Universe()
 # --------------------------------------------------------------------------
 # Terms
 
-@frozen
+@_node
 class Var(Term):
     index: int
 
 
-@frozen
+@_node
 class Lam(Term):
-    body: Term  # binds 1
+    body: Term = _binds(1)
 
 
-@frozen
+@_node
 class App(Term):
     fn: Term
     arg: Term
@@ -136,7 +178,7 @@ class App(Term):
     usage: int | None = field(default=None, compare=False, repr=False)
 
 
-@frozen
+@_node
 class Pair(Term):
     fst: Term
     snd: Term
@@ -144,153 +186,153 @@ class Pair(Term):
     usage: int | None = field(default=None, compare=False, repr=False)
 
 
-@frozen
+@_node
 class LetPair(Term):
     scrut: Term
-    body: Term  # binds 2 (components, second innermost)
-    motive: TypeExpr | None = None  # binds 1 (the scrutinee)
+    body: Term = _binds(2)  # components, second innermost
+    motive: TypeExpr | None = _binds(1, default=None)  # the scrutinee
 
 
-@frozen
+@_node
 class Star(Term):
     pass
 
 
-@frozen
+@_node
 class LetUnit(Term):
     scrut: Term
     body: Term
-    motive: TypeExpr | None = None  # binds 1
+    motive: TypeExpr | None = _binds(1, default=None)
 
 
-@frozen
+@_node
 class TrueC(Term):
     pass
 
 
-@frozen
+@_node
 class FalseC(Term):
     pass
 
 
-@frozen
+@_node
 class If(Term):
     scrut: Term
     then_branch: Term
     else_branch: Term
-    motive: TypeExpr | None = None  # binds 1
+    motive: TypeExpr | None = _binds(1, default=None)
 
 
-@frozen
+@_node
 class Nil(Term):
     pass
 
 
-@frozen
+@_node
 class Cons(Term):
     head: Term
     tail: Term
 
 
-@frozen
+@_node
 class MatchList(Term):
     scrut: Term
     nil_branch: Term
-    cons_branch: Term  # binds 2 (head, tail)
-    motive: TypeExpr | None = None  # binds 1
+    cons_branch: Term = _binds(2)  # head, tail
+    motive: TypeExpr | None = _binds(1, default=None)
 
 
-@frozen
+@_node
 class RecList(Term):
     # erased fragment only
     scrut: Term
     nil_branch: Term
-    cons_branch: Term  # binds 3 (head, tail, previous result)
-    motive: TypeExpr | None = None  # binds 1
+    cons_branch: Term = _binds(3)  # head, tail, previous result
+    motive: TypeExpr | None = _binds(1, default=None)
 
 
-@frozen
+@_node
 class ZeroCF(Term):
     pass
 
 
-@frozen
+@_node
 class SuccCF(Term):
     pred: Term
 
 
-@frozen
+@_node
 class DupNat(Term):
     arg: Term
 
 
-@frozen
+@_node
 class RecNatCF(Term):
     scrut: Term
     zero_branch: Term
-    succ_branch: Term  # binds 2 (erased predecessor, previous result)
-    motive: TypeExpr | None = None  # binds 1
+    succ_branch: Term = _binds(2)  # erased predecessor, previous result
+    motive: TypeExpr | None = _binds(1, default=None)
 
 
-@frozen
+@_node
 class DiamondStar(Term):
     pass
 
 
-@frozen
+@_node
 class ZeroL(Term):
     pay: Term
 
 
-@frozen
+@_node
 class SuccL(Term):
     pay: Term
     pred: Term
 
 
-@frozen
+@_node
 class RecNatL(Term):
     scrut: Term
-    zero_branch: Term  # binds 1 (diamond)
-    succ_branch: Term  # binds 3 (diamond, erased predecessor, previous result)
-    motive: TypeExpr | None = None  # binds 1
+    zero_branch: Term = _binds(1)  # diamond
+    succ_branch: Term = _binds(3)  # diamond, erased predecessor, previous result
+    motive: TypeExpr | None = _binds(1, default=None)
 
 
-@frozen
+@_node
 class Refl(Term):
     body: Term
 
 
-@frozen
+@_node
 class ReflectIntro(Term):
     body: Term
 
 
-@frozen
+@_node
 class ReflectElim(Term):
     body: Term
 
 
-@frozen
+@_node
 class Fst(Term):
     # erased fragment only
     pair: Term
 
 
-@frozen
+@_node
 class Snd(Term):
     # erased fragment only
     pair: Term
 
 
-@frozen
+@_node
 class CodeTy(Term):
     """A universe code, carried as the type it denotes."""
 
     ty: TypeExpr
 
 
-@frozen
+@_node
 class Ann(Term):
     term: Term
     ty: TypeExpr
@@ -311,6 +353,10 @@ class Global(Term):
     ty: TypeExpr = field(repr=False)
     body: Term = field(repr=False)
     value: object = field(default=None, compare=False, repr=False)
+
+
+# closed, so traversals treat it as a leaf
+_SCHEMA[Global] = tuple((f.name, "plain", 0) for f in fields(Global))
 
 
 # --------------------------------------------------------------------------
@@ -354,96 +400,6 @@ def nat_literal(regime: Regime, n: int) -> Term:
     return t
 
 
-# --------------------------------------------------------------------------
-# Generic traversal.  Each AST class is described by its dataclass fields:
-# ("term" | "type" | "motive" | "plain", binder count).  "motive" is an
-# optional type binding one variable.
-
-_T = "term"
-_Y = "type"
-_M = "motive"
-_P = "plain"
-
-_SCHEMA: dict[type, tuple[tuple[str, str, int], ...]] = {
-    Pi: (("usage", _P, 0), ("dom", _Y, 0), ("cod", _Y, 1)),
-    Tensor: (("usage", _P, 0), ("fst", _Y, 0), ("snd", _Y, 1)),
-    UnitTy: (),
-    BoolTy: (),
-    NatTy: (),
-    DiamondTy: (),
-    ListTy: (("elem", _Y, 0),),
-    IdTy: (("ty", _Y, 0), ("lhs", _T, 0), ("rhs", _T, 0)),
-    Universe: (),
-    El: (("code", _T, 0),),
-    Reflect: (("inner", _Y, 0),),
-    Var: (("index", _P, 0),),
-    Lam: (("body", _T, 1),),
-    App: (("fn", _T, 0), ("arg", _T, 0), ("usage", _P, 0)),
-    Pair: (("fst", _T, 0), ("snd", _T, 0), ("usage", _P, 0)),
-    LetPair: (("scrut", _T, 0), ("body", _T, 2), ("motive", _M, 1)),
-    Star: (),
-    LetUnit: (("scrut", _T, 0), ("body", _T, 0), ("motive", _M, 1)),
-    TrueC: (),
-    FalseC: (),
-    If: (
-        ("scrut", _T, 0),
-        ("then_branch", _T, 0),
-        ("else_branch", _T, 0),
-        ("motive", _M, 1),
-    ),
-    Nil: (),
-    Cons: (("head", _T, 0), ("tail", _T, 0)),
-    MatchList: (
-        ("scrut", _T, 0),
-        ("nil_branch", _T, 0),
-        ("cons_branch", _T, 2),
-        ("motive", _M, 1),
-    ),
-    RecList: (
-        ("scrut", _T, 0),
-        ("nil_branch", _T, 0),
-        ("cons_branch", _T, 3),
-        ("motive", _M, 1),
-    ),
-    ZeroCF: (),
-    SuccCF: (("pred", _T, 0),),
-    DupNat: (("arg", _T, 0),),
-    RecNatCF: (
-        ("scrut", _T, 0),
-        ("zero_branch", _T, 0),
-        ("succ_branch", _T, 2),
-        ("motive", _M, 1),
-    ),
-    DiamondStar: (),
-    ZeroL: (("pay", _T, 0),),
-    SuccL: (("pay", _T, 0), ("pred", _T, 0)),
-    RecNatL: (
-        ("scrut", _T, 0),
-        ("zero_branch", _T, 1),
-        ("succ_branch", _T, 3),
-        ("motive", _M, 1),
-    ),
-    Refl: (("body", _T, 0),),
-    ReflectIntro: (("body", _T, 0),),
-    ReflectElim: (("body", _T, 0),),
-    Fst: (("pair", _T, 0),),
-    Snd: (("pair", _T, 0),),
-    CodeTy: (("ty", _Y, 0),),
-    Ann: (("term", _T, 0), ("ty", _Y, 0)),
-    # closed, so traversals treat it as a leaf
-    Global: tuple((name, _P, 0) for name in ("name", "ty", "body", "value")),
-}
-
-
-def _check_schema() -> None:
-    for cls, spec in _SCHEMA.items():
-        declared = tuple(f.name for f in fields(cls))
-        assert declared == tuple(name for name, _, _ in spec), cls
-
-
-_check_schema()
-
-
 def has_free_var(node, index: int) -> bool:
     """Whether a term or type mentions the free index `index`.  It walks
     the fields _SCHEMA lists with an explicit stack, so deep nesting does
@@ -457,6 +413,6 @@ def has_free_var(node, index: int) -> bool:
             continue
         for name, kind, binders in _SCHEMA[x.__class__]:
             val = getattr(x, name)
-            if kind != _P and val is not None:
+            if kind != "plain" and val is not None:
                 todo.append((val, i + binders))
     return False

@@ -12,12 +12,11 @@ import time
 import pytest
 
 from polyqtt import machine as m
-from polyqtt import potentials as pot
 from polyqtt.cli import main as cli_main
 from polyqtt.compiler import extract_bound, run_and_verify
 from polyqtt.frontend import parse_module, resolve_module
 from polyqtt.kernel import CheckError, infer_usage_check, normalize_sigma0
-from polyqtt.potentials import EMPTY, ExtNat, MonoidKind, Poly, Potential
+from polyqtt.potentials import Poly
 from polyqtt.syntax import (
     Ann,
     App,
@@ -31,7 +30,9 @@ from polyqtt.syntax import (
     ZeroL,
 )
 
+import monoids as pot
 from conftest import CORPUS, FIXTURES, compiled, load_corpus
+from monoids import EMPTY, ExtNat, MonoidKind, Potential
 
 ALL_KINDS = (MonoidKind.NAT, MonoidKind.MAX_POLY, MonoidKind.PLUS_POLY)
 POLY_KINDS = (MonoidKind.MAX_POLY, MonoidKind.PLUS_POLY)

@@ -395,7 +395,7 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(cli_mod, "compile_core", boom)
+    monkeypatch.setattr(cli_mod, "compile_declaration", boom)
     rc = main(["bound", str(CORPUS / "consfree_iter.qtt"), "parity1"])
     assert rc == 3
     assert "internal error" in capsys.readouterr().err

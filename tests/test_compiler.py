@@ -3,7 +3,6 @@ import random
 import pytest
 
 from polyqtt import machine as m
-from polyqtt import potentials as pot
 from polyqtt.compiler import (
     BoundReport,
     EnvLayout,
@@ -15,7 +14,7 @@ from polyqtt.compiler import (
     sabotage,
 )
 from polyqtt.kernel import CheckError, elaborate, normalize_sigma0
-from polyqtt.potentials import ExtNat, MonoidKind, Poly, Potential
+from polyqtt.potentials import Poly
 from polyqtt.syntax import (
     App,
     BOOL_TY,
@@ -51,6 +50,9 @@ from polyqtt.syntax import (
     ZeroCF,
     ZeroL,
 )
+
+import monoids as pot
+from monoids import ExtNat, MonoidKind, Potential
 
 CF = Regime.CONS_FREE
 LF = Regime.LFPL
@@ -313,6 +315,17 @@ def test_compile_declaration_checks_its_input():
     with pytest.raises(CheckError) as e:
         compile_declaration(CF, ty, body)
     assert e.value.rule == "Tm-Lam"
+
+
+def test_compile_declaration_reports_deep_nesting():
+    # an unchecked body nested past the host stack is the checker's
+    # [Check] diagnostic, not a RecursionError
+    body = TrueC()
+    for _ in range(5000):
+        body = If(TrueC(), body, FalseC())
+    with pytest.raises(CheckError) as e:
+        compile_declaration(CF, BOOL_TY, body)
+    assert e.value.rule == "Check"
 
 
 # --- exact potentials on branch-free code ----------------------------------

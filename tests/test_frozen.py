@@ -62,7 +62,7 @@ def _samples(cls) -> list[tuple]:
 
 
 def test_every_node_class_is_built_by_frozen():
-    assert len(CLASSES) == 73
+    assert len(CLASSES) == 71
     for cls in CLASSES:
         x = cls(*_samples(cls)[0])
         assert not hasattr(x, "__dict__"), cls
@@ -174,3 +174,44 @@ def test_frozen_keeps_what_the_body_defines():
         class Bad:
             x: int = 0
             y: int
+
+
+def test_schema_rows_come_from_the_fields():
+    # each node class's _SCHEMA row is its fields in order: the kind from
+    # the annotation, the binder count from the field's metadata, and a
+    # definition node a leaf
+    schema = syntax._SCHEMA
+    assert len(schema) == 41
+    assert schema[syntax.RecNatL] == (
+        ("scrut", "term", 0),
+        ("zero_branch", "term", 1),
+        ("succ_branch", "term", 3),
+        ("motive", "motive", 1),
+    )
+    assert schema[syntax.Pi] == (("usage", "plain", 0), ("dom", "type", 0), ("cod", "type", 1))
+    assert schema[syntax.App][2] == ("usage", "plain", 0)
+    assert sum(k > 0 for row in schema.values() for _, _, k in row) == 16
+    assert {kind for _, kind, _ in schema[syntax.Global]} == {"plain"}
+
+
+def test_schema_rejects_an_unknown_annotation():
+    # a field whose annotation has no traversal kind fails as its class is
+    # built, rather than being skipped as plain by every traversal
+    before = list(syntax._SCHEMA.items())
+    for ann in ("Term | None", "tuple[Term, ...]", list):
+        ns = {"__annotations__": {"sub": ann}}
+        with pytest.raises(TypeError, match="Throwaway.sub: no traversal kind"):
+            syntax._node(type("Throwaway", (syntax.Term,), ns))
+    assert list(syntax._SCHEMA.items()) == before
+
+
+def test_regime_members_hash_by_identity():
+    # a regime keys every check and compile record lookup
+    Regime = syntax.Regime
+    assert list(Regime) == [Regime.CONS_FREE, Regime.LFPL]
+    for r in Regime:
+        assert hash(r) == object.__hash__(r)
+        assert Regime(r.value) is r and Regime[r.name] is r
+        for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert c is r
+    assert {(Regime.LFPL, 1): "x"}[Regime("lfpl"), 1] == "x"

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyqtt.compiler import _branch_join
-from polyqtt.potentials import (
+from polyqtt.potentials import Poly
+
+from monoids import (
     EMPTY,
     ExtNat,
     MonoidKind,
     NEG_INF,
-    Poly,
     Potential,
     acct,
     diff,
@@ -253,3 +254,29 @@ def test_iteration_law_scale_decomposes(kind, n, p):
 
 def test_raise_preserves_submonoid():
     assert in_submonoid(raise_(Potential(0, Poly([1, 2, 3]))))
+
+
+def test_every_public_name_in_potentials_is_used_by_the_package():
+    # the resource monoids live with the tests (monoids.py); what the
+    # package's potentials module defines, another of its modules uses
+    import ast
+    from pathlib import Path
+
+    import polyqtt.potentials as potentials
+
+    src = Path(potentials.__file__)
+    tree = ast.parse(src.read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {n for n in defined if not n.startswith("_")}
+    assert {"Poly", "ZERO"} <= public
+    used = set()
+    for path in src.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "potentials":
+                used.update(a.name for a in node.names)
+    assert public <= used, public - used
