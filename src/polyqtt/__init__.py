@@ -10,8 +10,8 @@ The package splits along the pipeline:
   costs code with.
 - ``syntax`` and ``kernel``: the quantitative calculus, its two
   regimes, and the bidirectional type/usage checker with normalisation.
-- ``compiler``: translation of checked runtime-fragment terms to
-  machine code, with each potential a polynomial built from the code.
+- ``compiler``: ``load``, from source text to checked declarations, and
+  their translation to machine code with polynomial potentials.
 - ``frontend``: concrete syntax, name resolution, pretty printing.
 - ``cli``: the ``polyqtt`` command (check / run / bound / verify).
 """
@@ -19,9 +19,11 @@ The package splits along the pipeline:
 from .compiler import (
     BoundReport,
     CompiledProgram,
+    Module,
     RunResult,
-    compile_declaration,
+    compile_declaration,  # noqa: F401  (the per-declaration path; not in __all__)
     extract_bound,
+    load,
     run_and_verify,
 )
 from .frontend import (
@@ -36,7 +38,7 @@ from .kernel import (
     CheckError,
     check_type,
     conv_type,
-    infer_usage_check,
+    infer_usage_check,  # noqa: F401  (the per-declaration path; not in __all__)
     normalize_sigma0,
     types_equal,
 )
@@ -65,13 +67,13 @@ __all__ = [
     "Done",
     "EvalOutcome",
     "FrontendError",
+    "Module",
     "OutOfFuel",
     "Poly",
     "Regime",
     "RunResult",
     "Stuck",
     "check_type",
-    "compile_declaration",
     "conv_type",
     "decode_bool",
     "decode_list",
@@ -79,7 +81,7 @@ __all__ = [
     "encode_list",
     "eval_expr",
     "extract_bound",
-    "infer_usage_check",
+    "load",
     "nat_value",
     "normalize_sigma0",
     "parse_module",

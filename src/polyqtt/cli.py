@@ -13,15 +13,14 @@ import sys
 from . import machine as m
 from .compiler import (
     VERIFY_FUEL_SLACK,
-    CompiledProgram,
     CompileError,
-    compile_declaration,
     extract_bound,
+    load,
     run_and_verify,
     sabotage,
 )
-from .frontend import Diagnostic, FrontendError, Span, parse_module, resolve_module
-from .kernel import CheckError, _entry, normalize_type, synth
+from .frontend import Diagnostic, FrontendError, Span
+from .kernel import CheckError, normalize_type
 from .syntax import (
     BoolTy,
     DiamondTy,
@@ -74,13 +73,7 @@ class _TraceHead(list):
             list.append(self, rule)
 
 
-def _regime_of(flag: str | None) -> Regime | None:
-    if flag is None:
-        return None
-    return Regime.CONS_FREE if flag == "consfree" else Regime.LFPL
-
-
-def _load(path: str, regime_flag: str | None):
+def _load(path: str, regime_flag: str | None, sigma: int | None = None):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -90,40 +83,7 @@ def _load(path: str, regime_flag: str | None):
         span = Span(head.count("\n") + 1, len(head) - head.rfind("\n"))
         message = f"byte 0x{data[e.start]:02x} is not UTF-8 text"
         raise FrontendError(Diagnostic("error", message, span, "Parse")) from None
-    return resolve_module(parse_module(text), _regime_of(regime_flag))
-
-
-@_entry
-def _check_module(mod, sigma_override: int | None) -> None:
-    """Check every declaration as a reference to its definition node is
-    checked, so its body and declared type are checked once."""
-    for d in mod.decls:
-        synth(mod.regime, (), d.sigma if sigma_override is None else sigma_override, d.defn)
-
-
-def _find_decl(mod, name: str):
-    for d in mod.decls:
-        if d.name == name:
-            return d
-    raise CheckError("Resolve", f"no definition named {name!r}")
-
-
-def _compile_decl(mod, name: str) -> CompiledProgram:
-    """Check the module and compile the runtime declaration name from the
-    record its check left on the body."""
-    _check_module(mod, None)
-    d = _find_decl(mod, name)
-    if d.sigma != 1:
-        raise CheckError(
-            "Tm", f"{name!r} lives in the erased fragment and has no runtime code"
-        )
-    return compile_declaration(mod.regime, d.ty, d.body)
-
-
-def _require_input(prog: CompiledProgram, name: str) -> None:
-    """Reject a declaration that run and verify cannot feed a natural."""
-    if prog.input_arity != 1:
-        raise CheckError("Tm", f"{name!r} does not take a natural input")
+    return load(text, Regime(regime_flag) if regime_flag else None, sigma)
 
 
 def _nested(parts: list[str]) -> str:
@@ -204,18 +164,26 @@ def _show_value(regime: Regime, v, ty: TypeExpr) -> str:
     return _show_raw(v)
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
+def _emit_json(args, report, rows: list, ok: bool) -> None:
+    """The JSON report of bound (no rows) and verify, to args.json."""
+    payload = {
+        "name": args.decl,
+        "regime": report.regime.value,
+        "bound": list(report.poly.coeffs),
+        "rows": rows,
+        "ok": ok,
+    }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if path is None or path == "-":
+    if args.json is None or args.json == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def cmd_check(args) -> int:
-    mod = _load(args.file, args.regime)
-    _check_module(mod, args.sigma)
+    mod = _load(args.file, args.regime, args.sigma)
+    mod.check()
     print(f"ok: {len(mod.decls)} definition(s) check under {mod.regime.value}")
     return EXIT_OK
 
@@ -223,12 +191,12 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     n = args.input
     mod = _load(args.file, args.regime)
-    prog = _compile_decl(mod, args.decl)
+    prog = mod.compile(args.decl)
     if args.emit_machine:
         print(m.expr_to_sexp(prog.code))
-    _require_input(prog, args.decl)
-    report = extract_bound(prog)
-    bound = report.bound_at(n)
+    if prog.input_arity != 1:
+        raise CheckError("Tm", f"{args.decl!r} does not take a natural input")
+    bound = extract_bound(prog).bound_at(n)
     fuel = args.fuel if args.fuel is not None else bound + VERIFY_FUEL_SLACK
     trace = _TraceHead() if args.trace else None
     out = m.eval_expr(prog.code, (m.nat_value(n),), fuel, trace=trace)
@@ -240,7 +208,7 @@ def cmd_run(args) -> int:
         reason = f": {out.reason}" if isinstance(out, m.Stuck) else ""
         print(f"run failed ({kind}{reason})", file=sys.stderr)
         return EXIT_DYNAMIC
-    ty = normalize_type(_find_decl(mod, args.decl).ty)
+    ty = normalize_type(mod.decl(args.decl).ty)
     result_ty = normalize_type(ty.cod, (nat_literal(mod.regime, n),))
     print(f"value: {_show_value(mod.regime, out.value, result_ty)}")
     print(f"steps: {out.steps}")
@@ -249,27 +217,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    mod = _load(args.file, args.regime)
-    prog = _compile_decl(mod, args.decl)
+    prog = _load(args.file, args.regime).compile(args.decl)
     if args.emit_machine:
         print(m.expr_to_sexp(prog.code))
     report = extract_bound(prog)
-    coeffs = list(report.poly.coeffs)
     if args.json is not None:
-        _emit_json(
-            {
-                "name": args.decl,
-                "regime": report.regime.value,
-                "bound": coeffs,
-                "rows": [],
-                "ok": True,
-            },
-            args.json,
-        )
+        _emit_json(args, report, [], True)
         return EXIT_OK
     print(f"name: {args.decl}")
     print(f"regime: {report.regime.value}")
-    print(f"bound coefficients (low to high): {coeffs}")
+    print(f"bound coefficients (low to high): {list(report.poly.coeffs)}")
     if report.input_arity == 1:
         print("bound at input n: evaluate at n + 1")
     else:
@@ -278,14 +235,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mod = _load(args.file, args.regime)
-    prog = _compile_decl(mod, args.decl)
-    _require_input(prog, args.decl)
+    prog = _load(args.file, args.regime).compile(args.decl)
+    if prog.input_arity != 1:
+        raise CheckError("Tm", f"{args.decl!r} does not take a natural input")
     if args.sabotage:
         prog = sabotage(prog)
     report = extract_bound(prog)
     rows = []
-    overall = True
     # the largest input first: its run has the most fuel, and once it has
     # taken the compiled path the smaller ones run on the blocks it prepared
     for n in range(args.max_n, -1, -1):
@@ -298,17 +254,10 @@ def cmd_verify(args) -> int:
                 "ok": r.ok,
             }
         )
-        overall = overall and r.ok
     rows.reverse()
-    payload = {
-        "name": args.decl,
-        "regime": report.regime.value,
-        "bound": list(report.poly.coeffs),
-        "rows": rows,
-        "ok": overall,
-    }
-    _emit_json(payload, args.json)
-    return EXIT_OK if overall else EXIT_DYNAMIC
+    ok = all(row["ok"] for row in rows)
+    _emit_json(args, report, rows, ok)
+    return EXIT_OK if ok else EXIT_DYNAMIC
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,8 @@ from itertools import zip_longest
 
 from . import machine as m
 from .frozen import frozen
-from .kernel import _entry, check_record
+from .frontend import ResolvedDecl, ResolvedModule, parse_module, resolve_module
+from .kernel import CheckError, _entry, check_record
 from .potentials import ZERO, Poly
 from .syntax import (
     _SCHEMA,
@@ -424,9 +425,10 @@ def _code(regime: Regime, body: Term, ty: TypeExpr, g=None) -> tuple[m.MachineEx
 # Whole-declaration compilation
 
 @_entry
-def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledProgram:
+def compile_declaration(regime: Regime, ty: TypeExpr, body: Term, g=None) -> CompiledProgram:
     """Compile a closed runtime-fragment declaration from its check
-    record: the code every reference to it embeds, and the value of ty.
+    record (kept by definition node g, if given, for a constant or alias
+    body): the code every reference to it embeds, and the value of ty.
 
     A body whose record lacks its check against ty at fragment 1 is
     checked first (CheckError if it does not check).  Called again on the
@@ -435,13 +437,59 @@ def compile_declaration(regime: Regime, ty: TypeExpr, body: Term) -> CompiledPro
     A declaration whose type is a usage-1 function from naturals takes
     one machine input (the encoded natural); anything else runs closed.
     """
-    v = check_record(regime, 1, body, ty)[1]
+    v = check_record(regime, 1, body, ty, g)[1]
     arity = 1 if v.__class__ is Pi and v.usage == 1 and v.dom.__class__ is NatTy else 0
-    code, potential = _code(regime, body, ty)
+    code, potential = _code(regime, body, ty, g)
     if arity == 1:
         # apply the compiled closure to the input slot
         code, potential = _seq((code, potential), m.App(0, 1))
     return CompiledProgram(code, potential, regime, arity)
+
+
+# one declaration's check, as a reference to its definition node is checked
+_check_declaration = _entry(check_record)
+
+
+class Module:
+    """A resolved module with each declaration checked once, in order, in
+    its own fragment or in sigma.  outcomes holds, per declaration, None
+    or its CheckError; a later reference to a failed one fails too."""
+
+    def __init__(self, resolved: ResolvedModule, sigma: int | None = None):
+        self.regime, self.decls, outcomes = resolved.regime, resolved.decls, []
+        for d in self.decls:
+            fragment = d.sigma if sigma is None else sigma
+            try:
+                _check_declaration(self.regime, fragment, d.body, d.ty, d.defn)
+                outcomes.append(None)
+            except CheckError as e:
+                outcomes.append(CheckError(e.rule, e.message))  # holds no frames
+        self.outcomes = tuple(outcomes)
+
+    def check(self) -> None:
+        """Raise the first failure in declaration order, if any."""
+        for failure in filter(None, self.outcomes):
+            raise CheckError(failure.rule, failure.message)
+
+    def decl(self, name: str) -> ResolvedDecl:
+        for d in self.decls:
+            if d.name == name:
+                return d
+        raise CheckError("Resolve", f"no definition named {name!r}")
+
+    def compile(self, name: str) -> CompiledProgram:
+        """The program of runtime declaration name, from its check record."""
+        self.check()
+        d = self.decl(name)
+        if d.sigma != 1:
+            message = f"{name!r} lives in the erased fragment and has no runtime code"
+            raise CheckError("Tm", message)
+        return compile_declaration(self.regime, d.ty, d.body, d.defn)
+
+
+def load(text: str, regime: Regime | None = None, sigma: int | None = None) -> Module:
+    """Parse, resolve (regime, if given, overrides the pragma) and check text."""
+    return Module(resolve_module(parse_module(text), regime), sigma)
 
 
 def extract_bound(p: CompiledProgram) -> BoundReport:

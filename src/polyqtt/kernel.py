@@ -29,12 +29,13 @@ rule checks every eliminator, with the branch shapes the evaluator
 reads: the constructor each branch stands for and the fields it binds.
 
 A closed body keeps its declared type's value and its checked core term
-per regime and fragment (a constant body, shared by every parse, leaves
-them to its definition node), so `elaborate` at the empty context and
-every reference to a definition (one shared `Global` node) check it once
-and evaluate its type once.  A reference synthesises that value with
-zero usage, and evaluates to its body, or, for a lambda, to one closure
-shared by every reference, so conversion finds it equal by identity.
+(or failure) per regime and fragment (a constant body, shared by every
+parse, leaves them to its definition node), so `elaborate` at the empty
+context and every reference to a definition (one shared `Global` node)
+check it once and evaluate its type once.  A reference synthesises that
+value with zero usage, and evaluates to its body, or, for a lambda, to
+one closure shared by every reference, so conversion finds it equal by
+identity.
 Checking returns the core term: the input with the usage of each
 function and tensor type stored on its App or Pair node, the one typing
 fact the compiler needs.
@@ -715,18 +716,27 @@ def check_record(regime: Regime, sigma: int, body: Term, ty: TypeExpr, g=None) -
     The body keeps it in its `_checked` slot, unless it is a node without
     fields (each constant is one node every parse shares) or a definition
     node: then definition node g, whose body it is, keeps it, if given.
-    A hit needs ty itself, which the record keeps alive; a failed check
-    records nothing."""
+    A hit needs ty itself, which the record keeps alive.  A failure is
+    kept under (regime, fragment, "failed") as its rule and message, but
+    never in place of another type's record."""
     holder = body if body.__slots__ and body.__class__ is not Global else g
     record = getattr(holder, "_checked", (None, None, None))
     entries = record[2] if record[0] is ty else {}
     if (regime, sigma) not in entries:
+        if (regime, sigma, "failed") in entries:
+            raise CheckError(*entries[regime, sigma, "failed"])
         _check_type(regime, (), ty)
-        if record[0] is not ty:
+        kept = record[0]
+        if kept is not ty:
             record = ty, _value((), ty), entries
-        entries[regime, sigma] = check(regime, (), sigma, body, record[1])[1]
-        if holder is not None:
-            object.__setattr__(holder, "_checked", record)
+        try:
+            entries[regime, sigma] = check(regime, (), sigma, body, record[1])[1]
+        except CheckError as e:
+            entries[regime, sigma, "failed"] = e.rule, e.message
+            raise
+        finally:
+            if holder is not None and ((regime, sigma) in entries or kept is None):
+                object.__setattr__(holder, "_checked", record)
     return record
 
 

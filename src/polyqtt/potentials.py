@@ -45,15 +45,6 @@ class Poly:
         object.__setattr__(p, "coeffs", coeffs)
         return p
 
-    @classmethod
-    def const(cls, k: int) -> "Poly":
-        return cls((k,))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not b:

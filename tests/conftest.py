@@ -3,9 +3,7 @@ import pathlib
 
 import pytest
 
-from polyqtt.compiler import compile_declaration
-from polyqtt.frontend import parse_module, resolve_module
-from polyqtt.kernel import infer_usage_check
+from polyqtt.compiler import load
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -33,19 +31,14 @@ def fanout_chain(k: int) -> str:
 @functools.lru_cache(maxsize=None)
 def load_corpus(name: str):
     """Parse, resolve, and check a corpus module; cached per session."""
-    mod = resolve_module(parse_module((CORPUS / name).read_text()))
-    for d in mod.decls:
-        infer_usage_check(mod.regime, (), d.sigma, d.body, d.ty)
+    mod = load((CORPUS / name).read_text())
+    mod.check()
     return mod
 
 
 @functools.lru_cache(maxsize=None)
 def compiled(name: str, decl: str):
-    mod = load_corpus(name)
-    for d in mod.decls:
-        if d.name == decl:
-            return compile_declaration(mod.regime, d.ty, d.body)
-    raise KeyError(decl)
+    return load_corpus(name).compile(decl)
 
 
 @pytest.fixture(scope="session")

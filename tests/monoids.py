@@ -134,7 +134,7 @@ def acct(kind: MonoidKind, k: int) -> Potential:
         raise ValueError("step counts are naturals")
     if kind is MonoidKind.NAT:
         return Potential(k, Poly())
-    return Potential(0, Poly.const(k))
+    return Potential(0, Poly((k,)))
 
 
 def size(n: int) -> Potential:

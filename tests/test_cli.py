@@ -37,29 +37,31 @@ def test_check_all_corpus_files():
 
 
 def test_each_declaration_checked_once(monkeypatch):
-    # check takes each declaration as a reference to its definition node
+    # load takes each declaration as a reference to its definition node
     # is taken: the declared type is formed and evaluated once, and no
     # conversion compares it with itself
-    import polyqtt.cli as cli_mod
     import polyqtt.kernel as kernel_mod
-    from polyqtt.frontend import parse_module, resolve_module
+    from polyqtt.compiler import load
 
     from conftest import fanout_chain
 
-    mod = resolve_module(parse_module(fanout_chain(12)))
-    declared = {id(d.ty) for d in mod.decls}
-    counts = dict.fromkeys(("_check_type", "_value", "_conv"), 0)
-    for name in counts:
+    calls = {name: [] for name in ("_check_type", "_value", "_conv")}
+    for name, seen in calls.items():
         real = getattr(kernel_mod, name)
 
-        def counting(*args, real=real, name=name):
-            # every conversion, and formation or evaluation of a declared type
-            if name == "_conv" or id(args[-1]) in declared:
-                counts[name] += 1
+        def counting(*args, real=real, seen=seen):
+            seen.append(args[-1])
             return real(*args)
 
         monkeypatch.setattr(kernel_mod, name, counting)
-    cli_mod._check_module(mod, None)
+    mod = load(fanout_chain(12))
+    monkeypatch.undo()
+    # every conversion, and formation or evaluation of a declared type
+    declared = {id(d.ty) for d in mod.decls}
+    counts = {
+        name: sum(name == "_conv" or id(x) in declared for x in seen)
+        for name, seen in calls.items()
+    }
     assert len(mod.decls) == 14
     assert counts == {"_check_type": 14, "_value": 14, "_conv": 0}
 
@@ -390,12 +392,12 @@ def test_verify_non_nat_input_rejected(capsys):
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):
-    import polyqtt.cli as cli_mod
+    import polyqtt.compiler as compiler_mod
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(cli_mod, "compile_declaration", boom)
+    monkeypatch.setattr(compiler_mod, "compile_declaration", boom)
     rc = main(["bound", str(CORPUS / "consfree_iter.qtt"), "parity1"])
     assert rc == 3
     assert "internal error" in capsys.readouterr().err
@@ -456,13 +458,14 @@ def test_run_elaborates_each_declaration_once(monkeypatch, capsys):
     for module in (kernel_mod, compiler_mod, cli_mod):
         if hasattr(module, "elaborate"):
             monkeypatch.setattr(module, "elaborate", counting("elaborate", module.elaborate))
-    monkeypatch.setattr(cli_mod, "synth", counting("synth", cli_mod.synth))
+    check = counting("check", compiler_mod._check_declaration)
+    monkeypatch.setattr(compiler_mod, "_check_declaration", check)
     rc = main(["run", str(CORPUS / "consfree_iter.qtt"), "nested3", "--input", "3"])
     assert rc == 0
     assert "value:" in capsys.readouterr().out
     # one per declaration in the module
-    assert [name for name, _ in calls] == ["synth"] * 13
-    assert len({id(args[3]) for _, args in calls}) == 13
+    assert [name for name, _ in calls] == ["check"] * 13
+    assert len({id(args[4]) for _, args in calls}) == 13
 
 
 def test_declarations_sharing_a_body_node_each_compile(tmp_path, capsys):

@@ -111,7 +111,7 @@ def test_dup_costs_exactly_one_step():
     assert code == m.MkPair(0, 0)
     out = m.eval_expr(code, (m.nat_value(5),), 10)
     assert out == m.Done(m.VPair(m.nat_value(5), m.nat_value(5)), 1)
-    assert gamma == Poly.const(1)
+    assert gamma == Poly((1,))
 
 
 def test_nil_builds_tagged_pair():
@@ -119,7 +119,7 @@ def test_nil_builds_tagged_pair():
     code, gamma = compile_term(CF, env, core(CF, Nil(), ListTy(BOOL_TY)))
     out = m.eval_expr(code, (), 100)
     assert out.value == m.VPair(m.FALSE, m.UNIT)
-    assert out.steps == 5 and gamma == Poly.const(5)
+    assert out.steps == 5 and gamma == Poly((5,))
 
 
 def test_cons_encoding_and_exact_admin_cost():
@@ -162,9 +162,9 @@ def test_rec_assembly_direct():
     kind = MonoidKind.MAX_POLY
     code, q = assemble_rec(
         CF,
-        (m.Var(0), Poly.const(1)),
-        (zero_code, Poly.const(1)),
-        (succ_code, Poly.const(4)),
+        (m.Var(0), Poly((1,))),
+        (zero_code, Poly((1,))),
+        (succ_code, Poly((4,))),
     )
     potential = Potential(0, q)
     for n in (0, 1, 4):
@@ -417,7 +417,7 @@ def test_branch_free_potentials_are_exact():
             code, gamma = compile_term(regime, env, core_term)
             out = m.eval_expr(code, (m.UNIT,) * diamonds, 100_000)
             assert isinstance(out, m.Done), term
-            assert gamma == Poly.const(out.steps), term
+            assert gamma == Poly((out.steps,)), term
 
 
 def _reachable(code, stop=frozenset()) -> list:
@@ -493,7 +493,7 @@ def test_library_path_compiles_each_body_once(monkeypatch):
 def test_a_declaration_and_its_references_share_one_code_object():
     # compile_declaration called again returns the same code object, and
     # it is the object every reference embeds, on either path
-    from polyqtt.cli import _compile_decl
+    from polyqtt.compiler import Module
     from polyqtt.frontend import parse_module, resolve_module
 
     from conftest import fanout_chain
@@ -503,7 +503,7 @@ def test_a_declaration_and_its_references_share_one_code_object():
     progs = [compile_declaration(mod.regime, d.ty, d.body) for d in chain]
     for d, prog in zip(chain, progs):
         assert compile_declaration(mod.regime, d.ty, d.body).code is prog.code
-        assert _compile_decl(mod, d.name).code is prog.code
+        assert Module(mod).compile(d.name).code is prog.code
     shared = {id(p.code) for p in progs}
     users = [*progs[1:], compile_declaration(mod.regime, drive.ty, drive.body)]
     for prog, user in zip(progs, users):
@@ -517,12 +517,12 @@ def f ^1 : El T = \\n. rec n at (x. Bool) { zero => true | succ(m, p) => if p th
 
 
 def test_cli_and_library_paths_agree():
-    # for every runtime declaration, the CLI path (the module checked
-    # through its definition nodes) and the library path (each
-    # declaration checked, then compile_declaration) give the same code,
-    # potential and input arity, or the same rejection, whichever path
-    # runs first; in one module both give the one closure code object
-    from polyqtt.cli import _compile_decl
+    # for every runtime declaration, the CLI path (Module.compile on the
+    # module checked through its definition nodes) and the library path
+    # (each declaration checked, then compile_declaration) give the same
+    # code, potential and input arity, or the same rejection, whichever
+    # path runs first; in one module both give the one closure code object
+    from polyqtt.compiler import Module
     from polyqtt.frontend import parse_module, resolve_module
     from polyqtt.kernel import infer_usage_check
 
@@ -534,7 +534,7 @@ def test_cli_and_library_paths_agree():
         return compile_declaration(mod.regime, d.ty, d.body)
 
     def cli(mod, d):
-        return _compile_decl(mod, d.name)
+        return Module(mod).compile(d.name)
 
     def outcome(path, mod, d):
         try:
@@ -570,3 +570,95 @@ def test_cli_and_library_paths_agree():
     f = mod.decls[-1]
     prog = compile_declaration(mod.regime, f.ty, f.body)
     assert prog.input_arity == 1 and run_and_verify(prog, 5).steps == 61
+
+
+def test_compile_after_load_checks_nothing(monkeypatch):
+    # load checks each declaration through its definition node, so
+    # Module.compile reads the records its checks left: no body check and
+    # no evaluation of a declared type, also for a constant body (nil is
+    # one node every parse shares), whose record its definition node keeps
+    import polyqtt.kernel as kernel_mod
+    from polyqtt.compiler import load
+
+    from conftest import fanout_chain
+
+    consts = load("regime consfree\ndef xs ^1 : List Bool = nil\n")
+    chain = load(fanout_chain(12))
+    calls = []
+    for name in ("check", "_check_type", "_value"):
+        real = getattr(kernel_mod, name)
+        monkeypatch.setattr(
+            kernel_mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    xs = [consts.compile("xs") for _ in range(3)]
+    progs = [chain.compile(d.name) for d in chain.decls]
+    assert calls == []
+    assert xs[0].code is xs[1].code is xs[2].code
+    assert progs[-1].input_arity == 1 and run_and_verify(progs[-1], 3).ok
+
+
+def test_load_records_an_outcome_per_declaration():
+    # a failure does not stop the declarations after it, a reference to a
+    # failed declaration fails with its diagnostic, and Module.compile
+    # raises the first failure before it looks its name up
+    from polyqtt.compiler import load
+
+    mod = load(
+        "regime consfree\n"
+        "def ok ^1 : Bool -> Bool = \\b. b\n"
+        "def bad ^1 : Bool -> Bool = \\b. if b then b else b\n"
+        "def fine ^1 : Bool = true\n"
+        "def user ^1 : Bool -> Bool = \\b. bad b\n"
+    )
+    ok, bad, fine, user = mod.outcomes
+    assert ok is None and fine is None
+    assert bad.rule == user.rule == "Tm-Lam" and str(bad) == str(user)
+    for name in ("ok", "fine", "nope"):
+        with pytest.raises(CheckError) as e:
+            mod.compile(name)
+        assert str(e.value) == str(bad)
+    with pytest.raises(CheckError) as e:
+        load("regime consfree\ndef t ^1 : Bool = true\n").compile("nope")
+    assert str(e.value) == "[Resolve] no definition named 'nope'"
+
+
+def test_an_erased_declaration_has_no_runtime_code():
+    # the library refuses it as `polyqtt bound` does: no program of arity
+    # 0 for a function that lives in the erased fragment
+    from polyqtt.compiler import load
+
+    mod = load("regime consfree\ndef idB ^0 : Bool -> Bool = \\b. b\n")
+    assert mod.outcomes == (None,)
+    with pytest.raises(CheckError) as e:
+        mod.compile("idB")
+    assert str(e.value) == "[Tm] 'idB' lives in the erased fragment and has no runtime code"
+
+
+def failing_chain(k: int) -> str:
+    """A cons-free module of k definitions: g0 uses its usage-1 argument
+    twice, and g_i passes its argument to g_(i-1)."""
+    lines = ["regime consfree", r"def g0 ^1 : Bool -> Bool = \b. if b then b else b"]
+    lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, k)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_failing_root_is_checked_once(monkeypatch):
+    # a failed check is kept, so each later definition fails at its
+    # reference to the previous one, with the root's rule, at once: one
+    # body check per declaration, and no declaration deep enough to
+    # exhaust the host stack
+    import polyqtt.kernel as kernel_mod
+    from polyqtt.compiler import load
+
+    bodies = []
+    real = kernel_mod.check
+
+    def counting(regime, ctx, sigma, t, ty):
+        if not ctx:
+            bodies.append(t)
+        return real(regime, ctx, sigma, t, ty)
+
+    monkeypatch.setattr(kernel_mod, "check", counting)
+    mod = load(failing_chain(1000))
+    assert len(mod.outcomes) == len(bodies) == 1000
+    assert {e.rule for e in mod.outcomes} == {"Tm-Lam"}

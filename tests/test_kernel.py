@@ -918,7 +918,7 @@ def h ^1 : Bool * Bool -> Bool = \\p. first p
     *_, f, g, h = resolve_module(parse_module(src)).decls
     for _ in range(2):
         assert infer_usage_check(CF, (), 1, f.body, f.ty) == ()
-        # a failed check records nothing, so it fails again
+        # a failed check is kept, so it fails again with the same rule
         for d, rule in ((g, "Tm-Lam"), (h, "Tm-Fst")):
             assert infer_usage_check(CF, (), 0, d.body, d.ty) == ()
             with pytest.raises(CheckError) as e:
