@@ -14,38 +14,48 @@ the same step count.
   iteration, checking and charging each on its own.  It is the
   definition the tests compare against, and the only path that records
   a trace.
-- The compiled path (_eval_compiled) prepares each distinct code node
-  it enters once, lazily, into a block, generated as one Python
-  function.  A block is a tree of paths from its node: a conditional
-  continues into both arms, held as a Python if, and a sequencing node
-  continues into its first part and, on each path where that yields a
-  value, into its rest.  A path ends where its successor is only known
-  at run time (an application, or a value returned to a frame that an
-  earlier block pushed), or with a jump where the block's _CAP items,
-  counted over all its paths, run out.  A value a block binds is a
-  Python local.  A linked environment cell is built only where the
-  environment escapes: into a closure, into the environment of a jump,
-  or into a frame, which a sequencing node pushes only on a path that
-  leaves the block before its first part yields.  The functions come
-  from factories cached by the block's shape (its opcodes and indices;
-  the blocks it refers to are factory arguments), so each distinct shape
-  is compiled once per process; the table keeps the _SHAPES most
-  recently used.  A block lives as long as its node, which it refers to
-  weakly, so code holds no cycle: a node without sub-nodes keeps it in a
-  process-wide table keyed by value, so unshared copies share it, and any
-  other in its `_block` slot, which a copy of the node does not carry
-  (node classes are built by `frozen.frozen`).  A run prepares only the
-  blocks no earlier run entered, and keeps its own frame stack.  Values
-  are Python tuples and singletons, and environments linked cells, so
-  extending one costs no copy; results become machine values again only
-  in the outcome.
-  A block returns the steps of the path it took; the driver adds them
-  and compares them with the fuel once per block.  A block that cannot
-  finish (its path would cross the fuel limit, or an index or a variant
-  is wrong, which it reports by raising) is handed to the reference
-  loop, which runs it from its entry state with the fuel that is left
-  and stops inside it, so OutOfFuel and Stuck, with its reason, are the
-  reference's own.  The frames the block pushed are never read again.
+- The compiled path (_eval_compiled) prepares each distinct code node it
+  enters once, lazily, into a block, generated as one Python function.
+  A block is a tree of paths from its node: a conditional continues into
+  both arms, held as a Python if, and a sequencing node continues into
+  its first part and, on each path where that yields a value, into its
+  rest.  A path ends where its successor is only known at run time (a
+  value returned to a frame that an earlier block pushed, or an
+  application, unless it goes on past it, below), or with a jump where
+  the block's _CAP items, counted over all its paths, run out.  A value
+  a block binds is a Python local.  A linked environment cell is built
+  only where the environment escapes: into a closure, into the
+  environment of a jump, or into a frame, which a sequencing node pushes
+  only on a path that applies a closure or leaves the block before its
+  first part yields.  The functions come from factories cached by the
+  block's shape (its opcodes and indices; the blocks it refers to are
+  factory arguments), so each distinct shape is compiled once per
+  process; the table keeps the _SHAPES most recently used.  A block
+  lives as long as its node, which it refers to weakly, so code holds no
+  cycle: a node without sub-nodes keeps it in a process-wide table keyed
+  by value, so unshared copies share it, and any other in its `_block`
+  slot, which a copy of the node does not carry (node classes are built
+  by `frozen.frozen`).  A run prepares only the blocks no earlier run
+  entered, and keeps its own frame stack.  Values are Python tuples and
+  singletons, and environments linked cells, so extending one costs no
+  copy; results become machine values again only in the outcome.
+  A driver loop enters blocks.  A block starts its next round (another
+  path from its node) in place where it applies a closure of its own
+  block, as a recursor descends, or returns a value to a frame of its
+  own block, as it unwinds; a block the loop entered also calls the
+  block of a closure it applies, once, after pushing its frames, and
+  goes on in its innermost frame's rest, or with its next round, where
+  the callee's value returns to that frame or to one of its own.  So the
+  host stack holds at most two blocks, however deep the recursion.
+  A block returns the fuel it leaves, and goes on past a call or into a
+  next round only if its steps up to its next call or end fit in that,
+  so only its first round can cross the limit.  A block that cannot
+  finish (its first round would cross the fuel limit, or an index or a
+  variant is wrong, which it reports by raising) is handed to the
+  reference loop, which runs it from its entry state (a later round's,
+  for a later round) with the fuel left and stops inside it, so
+  OutOfFuel and Stuck, with its reason, are the reference's own.  The
+  frames pushed on the way are never read again.
   Indices are checked as they are read, not when a block is prepared: a
   shared definition's code runs at more than one environment depth.
 
@@ -60,23 +70,21 @@ declaration with an input (about 25 inputs each, n <= 200 with fuel <=
 12,000) and fan-out drives (fan-out 2 at depths 5 and 8, 3 at depths 3
 and 5, both regimes, n <= 12), at the fuel run_and_verify gives (the
 bound plus 4,096), timed with every shape compiled, fresh code and the
-median of five runs per path (Python 3.11, 2 shared Xeon cores; the
-ranges are three sessions):
+median of five runs per path (Python 3.11, 2 shared Xeon cores; one
+session, with blocks that loop and call):
 
     fuel          runs  compiled faster  compiled/reference time (median)
-    4,096-4,399     51       1-2            2.6-2.9
-    4,400-4,499     20      14-17           0.92-0.96
-    4,500-4,999     75      67-69           0.70-0.74
-    5,000-5,999     62       61             0.51-0.54
-    6,000-12,000   197     196-197          0.35-0.36
+    4,096-4,399     48        2              8.3
+    4,400-4,499     19       12              0.99
+    4,500-4,999     65       65              0.72
+    5,000-5,999     52       52              0.42
+    6,000-12,000   165      165              0.31
 
 COMPILE_MIN_FUEL is where the compiled path starts to be faster on at
 least 90 % of runs: 4,500-4,599 is the first band of 100 fuel where it
-was (on 26 of 28 runs in every session), and from 4,500 to 5,999 it was
-faster on 128-130 of 137.  A process also pays once for each new block
-shape it compiles: about 0.12 ms (0.10-0.19 ms on the corpus
-declarations), so sortDriver's 28 shapes cost a fresh process about
-3.4 ms.
+was (on all 25 runs; 12 of 19 in the band below).  A process also
+pays once for each new block shape it compiles: about 0.25 ms, so
+sortDriver's 28 shapes cost a fresh process about 9 ms.
 """
 
 from __future__ import annotations
@@ -407,6 +415,9 @@ COMPILE_MIN_FUEL = 4500
 _NODE = 1
 # The items of a block, over all its paths, before a path is cut by a jump.
 _CAP = 32
+# The most steps from a next round or a call's return to the end of the first
+# round of the next callee (two an item, the resumption, then one an item).
+_STRETCH = 3 * _CAP + 1
 # Index i of the entry environment is read as e[1]...[1][0] below this,
 # and by _at from it.
 _UNROLL = 24
@@ -418,6 +429,8 @@ _CONSTANTS = {MkUnit: "None", MkTrue: "True", MkFalse: "False"}
 # process, keyed by value; any other node keeps its block in _block.
 _LEAVES = frozenset((Var, MkPair, App, *_CONSTANTS))
 _LEAF_BLOCKS: dict = {}
+# The frame under every frame of a run: a value returned to it is the result.
+_BOTTOM = (None, None)
 
 
 def _at(e, i: int):
@@ -434,11 +447,14 @@ def _get(env: str, i: int) -> str:
 @lru_cache(maxsize=_SHAPES)
 def _factory(shape: tuple):
     """The factory of a block function of this shape.  It takes the
-    blocks the items refer to, in order, and returns run(e, push): e is
-    the block's entry environment and push appends to the run's own frame
-    stack, and run returns (next block, its environment, steps) or, for a
-    value returned to a frame, (None, value, steps), with the steps of
-    the path it took.  run raises where only the reference loop can go on.
+    blocks the items refer to, in order, and returns run(e, s, f, me, d):
+    e is the entry environment, s the run's frame stack, f the fuel left,
+    me the block and d 1 where the loop entered it (else 0, and it calls
+    no block).  run loops over rounds as the module docstring says and
+    returns (next block, its environment, fuel left) or, for a value
+    returned to the frame on top of s, (None, value, fuel left).  It
+    raises where only the reference loop can go on, with _Handoff from a
+    later round.
 
     A value a path binds is a Python local: index i below the number n
     of locals reads a local, and index i from n reads index i - n of e.
@@ -450,15 +466,20 @@ def _factory(shape: tuple):
         params.append(f"b{len(params)}")
         return params[-1]
 
-    def path(items, pad: str, locs: list, envs: dict, frames: list, steps: int):
+    def new() -> str:
+        return f"v{next(names)}"
+
+    def path(items, pad: str, locs: list, envs: dict, frames: list, steps: int, fuel: str):
         # locs: the names of the path's locals, innermost last; envs: n ->
         # the name of a linked environment of e and the first n locals;
-        # frames: n for each Seq whose rest the path continues in
+        # frames: (n, the name of its frame once on s) for each Seq whose
+        # rest the path continues in; steps: the path's steps since its
+        # last call, from fuel, the name of the fuel left then
         def emit(line: str) -> None:
             lines.append(pad + line)
 
         def local(expr: str) -> str:
-            name = f"v{next(names)}"
+            name = new()
             emit(f"{name} = {expr}")
             return name
 
@@ -485,61 +506,93 @@ def _factory(shape: tuple):
                 return local(f"({ref()}, {env(len(locs))}, None)")
             return kind  # a constant of _CONSTANTS
 
-        def leave() -> None:
-            for n in frames:
-                emit(f"push(({ref()}, {env(n)}))")
+        def push() -> None:
+            for k, (n, frame) in enumerate(frames):
+                if frame is None:
+                    frames[k] = n, local(f"({ref()}, {env(n)})")
+                    emit(f"s.append({frames[k][1]})")
+
+        def resume(v: str) -> None:
+            n, frame = frames.pop()
+            if frame is not None:
+                emit("s.pop()")
+            del locs[n:]
+            for k in [k for k in envs if k > n]:
+                del envs[k]
+            locs.append(v)
+
+        def again(cond: str, k: int, then: str, left: str) -> None:
+            # a round of k steps ends here; the next starts in place
+            emit(f"if {cond} and {left} >= {k + _STRETCH}:")
+            emit(f"    e = {then}")
+            emit(f"    f = {left} - {k}")
+            emit("    continue")
 
         for item in items:
             op = item[0]
             if op == "seq":
-                frames.append(len(locs))
+                frames.append((len(locs), None))
             elif op == "resume":
-                v = value(item)
-                n = frames.pop()
-                del locs[n:]
-                for k in [k for k in envs if k > n]:
-                    del envs[k]
-                locs.append(v)
+                resume(value(item))
                 steps += 2
             elif op == "split":
                 p = read(item[1])
-                locs += [f"v{next(names)}", f"v{next(names)}"]
+                locs += [new(), new()]
                 emit(f"{locs[-2]}, {locs[-1]} = {p}")
                 steps += 1
             elif op == "ret":
-                emit(f"return None, {value(item)}, {steps + 1}")
+                v = value(item)
+                again("s[-1][0] is me", steps + 2, f"({v}, s.pop()[1])", fuel)
+                emit(f"return None, {v}, {fuel} - {steps + 1}")
             elif op == "app":
-                f, body, fenv = read(item[1]), f"v{next(names)}", f"v{next(names)}"
-                emit(f"{body}, {fenv}, _ = {f}")
-                leave()
-                emit(f"return {body}, ({read(item[2])}, ({f}, {fenv})), {steps + 1}")
+                fn, body, fenv = read(item[1]), new(), new()
+                emit(f"{body}, {fenv}, _ = {fn}")
+                arg = local(f"({read(item[2])}, ({fn}, {fenv}))")
+                steps += 1
+                push()
+                again(f"{body} is me", steps, arg, fuel)
+                emit("if not d:")
+                emit(f"    return {body}, {arg}, {fuel} - {steps}")
+                out = local(f"{body}[0]({arg}, s, {fuel} - {steps}, {body}, 0)")
+                if not frames:  # a value returned to a frame of me starts the next round
+                    again(f"{out}[0] is None and s[-1][0] is me", 1, f"({out}[1], s.pop()[1])", f"{out}[2]")
+                    emit(f"return {out}")
+                    return
+                # a value returned to its innermost frame goes on here
+                emit(f"if {out}[0] is not None or s[-1] is not {frames[-1][1]} or {out}[2] <= {_STRETCH}:")
+                emit(f"    return {out}")
+                resume(local(f"{out}[1]"))
+                fuel, steps = local(f"{out}[2]"), 1  # the resumption
             elif op == "if":
-                s = read(item[1])
-                emit(f"if {s} is True:")
-                path(item[2], pad + "    ", list(locs), dict(envs), list(frames), steps + 1)
-                emit(f"if {s} is not False:")
+                scrutinee = read(item[1])
+                emit(f"if {scrutinee} is True:")
+                path(item[2], pad + "    ", list(locs), dict(envs), list(frames), steps + 1, fuel)
+                emit(f"if {scrutinee} is not False:")
                 emit("    raise TypeError")
-                path(item[3], pad, locs, envs, frames, steps + 1)
+                path(item[3], pad, locs, envs, frames, steps + 1, fuel)
             elif op == "jump":
                 m = env(len(locs))
-                leave()
-                emit(f"return {ref()}, {m}, {steps}")
+                push()
+                emit(f"return {ref()}, {m}, {fuel} - {steps}")
             else:  # "stuck": only the reference loop runs this instruction
                 emit("raise TypeError")
 
-    path(shape, "        ", [], {0: "e"}, [], 0)
-    source = "".join(
-        [f"def factory({', '.join(params)}):\n    def run(e, push):\n"]
-        + [f"{line}\n" for line in lines]
-        + ["    return run\n"]
-    )
-    namespace = {"_at": _at}
+    path(shape, " " * 16, [], {0: "e"}, [], 0, "f")
+    head = f"def factory({', '.join(params)}):\n    def run(e, s, f, me, d):\n        entry = f\n"
+    tail = "        except (IndexError, TypeError, ValueError):\n            if f < entry:\n"
+    source = "".join([head, "        try:\n            while True:\n", *[f"{line}\n" for line in lines], tail])
+    source += "                raise _Handoff(me, e, f)\n            raise\n    return run\n"
+    namespace = {"_at": _at, "_Handoff": _Handoff}
     exec(source, namespace)
     return namespace["factory"]
 
 
 class _Foreign(Exception):
     """An input value of no machine value class."""
+
+
+class _Handoff(Exception):
+    """A later round that cannot finish: its block, environment and fuel."""
 
 
 _LEAF_IN = {VTrue: True, VFalse: False, VUnit: None}
@@ -571,9 +624,9 @@ def _block_of(node: MachineExpr) -> list:
         return node._block
 
 
-def _enter(ref, e, push):
+def _enter(ref, e, s, f, me, d):
     """A block's function until it is first entered: prepare it and run it."""
-    return _prepare(_block_of(ref()))(e, push)
+    return _prepare(_block_of(ref()))(e, s, f, me, d)
 
 
 def _value(e, refs: list):
@@ -591,13 +644,15 @@ def _value(e, refs: list):
     return None if constant is None else (constant,)
 
 
-def _path(e, frames: tuple, budget: int, refs: list):
+def _path(e, frames: tuple, budget: int, refs: list, held: int = 0):
     """The items of the paths from e, at most budget of them, and their
     number.  frames holds the rests of the sequencing nodes the paths
-    continue in, innermost last.  A path ends at an application, a value
-    returned to a frame, an instruction only the reference loop runs, or,
-    when the items run out, a jump to the block of the node where it was
-    cut; a conditional ends a path in two."""
+    continue in, innermost last, the first held of them pushed by an
+    application already.  An application with a frame pending continues
+    in the innermost frame's rest.  A path ends at any other application,
+    a value returned to a frame, an instruction only the reference loop
+    runs, or, when the items run out, a jump to the block of the node
+    where it was cut; a conditional ends a path in two."""
     items, used = [], 0
     while used < budget:
         used += 1
@@ -611,9 +666,9 @@ def _path(e, frames: tuple, budget: int, refs: list):
             e = e.body
         elif cls is If and e.i >= 0:
             # the then arm takes at most half the items left
-            then, n = _path(e.then_branch, frames, (budget - used + 1) // 2, refs)
+            then, n = _path(e.then_branch, frames, (budget - used + 1) // 2, refs, held)
             used += n
-            else_, n = _path(e.else_branch, frames, budget - used, refs)
+            else_, n = _path(e.else_branch, frames, budget - used, refs, held)
             items.append(("if", e.i, then, else_))
             return tuple(items), used + n
         else:
@@ -621,18 +676,22 @@ def _path(e, frames: tuple, budget: int, refs: list):
             if value is not None and frames:
                 items.append(("resume", *value))
                 e, frames = frames[-1], frames[:-1]
+                held -= held > len(frames)
             elif value is not None:
                 items.append(("ret", *value))
                 return tuple(items), used
             elif cls is App and e.i >= 0 and e.j >= 0:
                 items.append(("app", e.i, e.j))
-                refs += map(_block_of, frames)
-                return tuple(items), used
+                refs += map(_block_of, frames[held:])
+                if not frames:
+                    return tuple(items), used
+                e, frames = frames[-1], frames[:-1]
+                held = len(frames)
             else:  # an unknown instruction or a negative index
                 items.append(("stuck",))
                 return tuple(items), used
     items.append(("jump",))
-    refs += map(_block_of, (*frames, e))
+    refs += map(_block_of, (*frames[held:], e))
     return tuple(items), used
 
 
@@ -734,40 +793,41 @@ def _machine_env(cells) -> tuple:
 
 
 def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
-    """The compiled path: one step increment and one fuel comparison per
-    block, on the steps of the path the block took.  Where a block cannot
-    finish (its path would cross the fuel limit, or an index is out of
-    range or a value has the wrong variant, which the block reports by
-    raising) the reference loop runs the block's node from the block's
-    entry state with the fuel that is left.  It stops inside that block,
-    with OutOfFuel or Stuck, and its outcome is the run's outcome."""
+    """The compiled path: one fuel comparison per block the loop enters,
+    on the fuel the block left.  Where a block cannot finish (its first
+    round would cross the fuel limit, or an index is out of range or a
+    value has the wrong variant, which the block reports by raising) the
+    reference loop runs the block's node from the block's entry state
+    with the fuel that is left, or, for a later round (_Handoff), from
+    that round's.  It stops inside that round, with
+    OutOfFuel or Stuck, and its outcome is the run's outcome."""
     try:
         env = _compiled_env(env)
     except _Foreign:
         return _eval_reference(expr, env, fuel)
-    steps, stack = 0, []
-    push = stack.append
+    left, stack = fuel, [_BOTTOM]
     blk = _block_of(expr)
     try:
         while True:
-            nxt, x, k = blk[0](env, push)
-            steps += k
-            if steps > fuel:
-                steps -= k
+            nxt, x, rest = blk[0](env, stack, left, blk, 1)
+            if rest < 0:
                 break
+            left = rest
             if nxt is not None:
                 blk, env = nxt, x
-            elif stack:
-                blk, env = stack.pop()
-                env = (x, env)
-                steps += 1  # the resumption; the next block compares
             else:
-                return Done(_machine_env((x, ()))[0], steps)
+                blk, env = stack.pop()
+                if blk is None:
+                    return Done(_machine_env((x, ()))[0], fuel - left)
+                env = (x, env)
+                left -= 1  # the resumption; the next block compares
     except (IndexError, TypeError, ValueError):
         pass
-    if steps > fuel:
+    except _Handoff as handoff:
+        blk, env, left = handoff.args
+    if left < 0:
         return OUT_OF_FUEL
-    out = _eval_reference(blk[_NODE](), _machine_env(env), fuel - steps)
+    out = _eval_reference(blk[_NODE](), _machine_env(env), left)
     if out.__class__ is Done:
         raise RuntimeError("the reference loop finished a block the compiled path could not")
     return out

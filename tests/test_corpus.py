@@ -224,7 +224,8 @@ def test_head_or_matches_list():
 
 def test_compiled_path_matches_reference_on_corpus():
     # every runtime declaration with an input, both paths, n <= 12: the
-    # same value and steps, and out of fuel one step short
+    # same value and steps, and out of fuel one step short; for n <= 3 the
+    # same outcome at every fuel up to one past the steps
     checked = 0
     for name in CORPUS_FILES:
         for d in load_corpus(name).decls:
@@ -239,6 +240,10 @@ def test_compiled_path_matches_reference_on_corpus():
                 short = want.steps - 1
                 assert _eval_reference(code, env, short) == m.OutOfFuel()
                 assert _eval_compiled(code, env, short) == m.OutOfFuel()
+                for fuel in range(want.steps + 2) if n <= 3 else ():
+                    out = want if fuel >= want.steps else m.OutOfFuel()
+                    assert _eval_reference(code, env, fuel) == out, (d.name, n, fuel)
+                    assert _eval_compiled(code, env, fuel) == out, (d.name, n, fuel)
             checked += 1
     assert checked == 14
 

@@ -451,14 +451,15 @@ def _contains_closure(v):
 def _fuels_to_compare(prog, env):
     """Every fuel from 0 to one past the reference's cost: its steps when
     it finishes, the fuel at which it gets stuck, or a prefix of a run
-    that never finishes."""
+    that never finishes; then 100,000, with which a block may loop on
+    itself or go on past a call where a short run may not."""
     out = _eval_reference(prog, env, 100_000)
     if isinstance(out, Done):
-        return range(out.steps + 2)
+        return [*range(out.steps + 2), 100_000]
     for fuel in range(200):
         if not isinstance(_eval_reference(prog, env, fuel), OutOfFuel):
-            return range(fuel + 2)
-    return range(200)
+            return [*range(fuel + 2), 100_000]
+    return [*range(200), 100_000]
 
 
 def _assert_paths_agree(prog, env):
@@ -489,8 +490,8 @@ def _edge_programs():
     """(program, environment) pairs at the compiled path's edges: indices
     read through the loop past the unrolled range, before and after
     values bound in the block, straight lines and conditionals around
-    and past the block length cap, paths of unequal cost, and code shared
-    at two depths."""
+    and past the block length cap, paths of unequal cost, code shared at
+    two depths, and blocks that call or loop on themselves."""
     rng = random.Random(5)
     deep = tuple(_random_value(rng, 2) for _ in range(machine._UNROLL + 10))
     clo = Clo(Seq(Var(0), MkPair(0, 2)), (TRUE,))
@@ -578,6 +579,58 @@ def _edge_programs():
     yield Seq(Lam(Var(0)), If(0, MkTrue(), MkFalse())), ()
     yield Seq(MkPair(0, 0), If(0, MkTrue(), MkFalse())), (TRUE,)
     yield Seq(MkTrue(), Seq(Var(1), If(0, MkTrue(), MkFalse()))), (clo,)
+    yield from _call_programs(clo)
+
+
+def _call_programs(clo):
+    """Programs whose blocks call the blocks they apply, or loop on
+    themselves: callees that finish in their first round, return a
+    closure or get stuck, called with frames pending or in tail position,
+    a callee that applies a closure in turn (past the one direct call a
+    block may make), frames pushed for a call and resumed or cut by a
+    jump after it, and recursion through a closure's self slot."""
+    cap = machine._CAP
+    quick, closure = Lam(MkTrue()), Lam(Lam(MkPair(1, 0)))
+    bad_index, not_closure = Lam(Var(5)), Lam(App(0, 0))
+    calls_on = Lam(Seq(Lam(MkPair(0, 1)), Seq(App(0, 1), MkPair(0, 1))))
+    for fn in (quick, closure, bad_index, not_closure, calls_on):
+        # with a frame pending, in tail position, twice in a row, and
+        # from inside a conditional's arm
+        yield Seq(fn, Seq(App(0, 1), MkPair(0, 1))), (FALSE,)
+        yield Seq(fn, App(0, 1)), (TRUE,)
+        yield Seq(fn, Seq(App(0, 1), Seq(App(1, 0), MkPair(1, 0)))), (UNIT,)
+        yield Seq(fn, If(1, Seq(App(0, 0), MkPair(0, 2)), App(0, 1))), (TRUE,)
+        # the result applied again, where it is a closure
+        yield Seq(fn, Seq(App(0, 1), Seq(App(0, 2), MkPair(0, 1)))), (FALSE,)
+        # frames pending around the call, resumed after it in the same
+        # block, and cut by a jump after it
+        yield Seq(Seq(MkUnit(), Seq(Seq(fn, Seq(MkUnit(), App(1, 0))), MkPair(1, 0))), LetPair(0, Var(0))), ()
+        yield Seq(Seq(fn, Seq(App(0, 0), _seq_all([MkFalse()] * cap, Var(0)))), MkPair(0, 1)), ()
+    # the closure applied twice by a block that itself runs in a frame
+    # another block pushed
+    yield Seq(Seq(quick, Seq(Seq(Seq(quick, Seq(MkUnit(), App(1, 0))), Seq(MkPair(1, 0), Seq(MkTrue(), MkPair(0, 1)))), MkPair(1, 0))), App(2, 0)), (TRUE,)
+    # a closure that applies itself k times with a frame pending; each
+    # frame's rest returns false for true, as its block's first round,
+    # and gets stuck on false, in its second
+    unwind = Lam(LetPair(0, If(1, MkTrue(), Seq(App(3, 0), If(0, MkFalse(), LetPair(0, Var(0)))))))
+    for k in (1, 2, 4):
+        yield Seq(unwind, App(0, 1)), (nat_value(k),)
+    # one node run inline by a block and as the body of the closure that
+    # block calls, which pushes a frame for the same rest before the
+    # value returns: it returns to the callee's frame, not the caller's
+    shared = If(0, Seq(App(1, 2), MkPair(0, 3)), MkTrue())
+    yield Seq(MkTrue(), shared), (TRUE, Clo(shared, (FALSE,)))
+    # recursors: a closure applying itself through its self slot with a
+    # frame pending, values returned to frames of the returning block,
+    # and tail calls and calls whose values return to such frames
+    for file, decl in (
+        ("consfree_iter.qtt", "parity1"),
+        ("consfree_iter.qtt", "comboDup"),
+        ("lfpl_iter.qtt", "rebuild1"),
+        ("lfpl_iter.qtt", "nested2L"),
+    ):
+        for n in (0, 1, 2, 6):
+            yield _fresh_code(file, decl), (nat_value(n),)
 
 
 def test_compiled_path_matches_reference_on_random_programs():
@@ -638,10 +691,13 @@ def test_block_shapes_are_generated_once(monkeypatch):
 
 
 def test_blocks_continue_through_conditionals(monkeypatch):
-    # nested3 at n=20 enters 60,608 blocks when each conditional ends a
-    # block; continuing through them enters a quarter fewer.  Fresh code
-    # and an empty table of leaf blocks, so that every block entered is
-    # prepared, and so counted, here
+    # the driver loop enters a block, which continues through conditionals,
+    # loops on itself and calls the blocks it applies, far less often than
+    # once per application: before blocks looped or called, nested3 at
+    # n=20 entered 40,000 to 45,456 and the runs below 4.0, 4.0, 5.8 and
+    # 5.9 steps per entry.  Fresh code and an empty table of leaf blocks,
+    # so that every block entered is prepared, and so counted, here; a
+    # block the loop enters runs with d=1, one another block calls with 0
     entered = [0]
     real = machine._factory
 
@@ -651,9 +707,9 @@ def test_blocks_continue_through_conditionals(monkeypatch):
         def counted_factory(*refs):
             run = make(*refs)
 
-            def counted(e, push):
-                entered[0] += 1
-                return run(e, push)
+            def counted(e, s, f, me, d):
+                entered[0] += d
+                return run(e, s, f, me, d)
 
             return counted
 
@@ -661,9 +717,16 @@ def test_blocks_continue_through_conditionals(monkeypatch):
 
     monkeypatch.setattr(machine, "_factory", factory)
     monkeypatch.setattr(machine, "_LEAF_BLOCKS", {})
-    code = _fresh_code("consfree_iter.qtt", "nested3")
-    assert _eval_compiled(code, (nat_value(20),), 10_000_000).steps == 176_418
-    assert 40_000 <= entered[0] <= 45_456
+    for file, decl, n, steps, least, most in (
+        ("consfree_iter.qtt", "nested3", 20, 176_418, 2_800, 3_000),
+        ("consfree_iter.qtt", "nested3", 40, 1_343_998, 11_000, 11_800),
+        ("consfree_iter.qtt", "comboDup", 60, 75_606, 400, 460),
+        ("lfpl_sort.qtt", "sortDriver", 60, 102_545, 6_400, 6_900),
+        ("lfpl_iter.qtt", "nested2L", 60, 65_819, 400, 450),
+    ):
+        entered[0] = 0
+        assert _eval_compiled(_fresh_code(file, decl), (nat_value(n),), 10_000_000).steps == steps
+        assert least <= entered[0] <= most, (decl, n, entered[0])
 
 
 def test_eval_expr_picks_its_path(monkeypatch):
@@ -832,6 +895,34 @@ def test_deep_code_takes_the_compiled_path(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) > 15_000
+
+
+def test_deep_recursion_stays_off_the_host_stack(tmp_path):
+    # recursors 100,000 and 20,000 deep, through load and run_and_verify,
+    # in fresh interpreters at the default recursion limit and at 200: a
+    # block loops on itself and calls at most one block, so the depth of
+    # the host stack does not grow with the object program's
+    script = tmp_path / "deep_recursion.py"
+    script.write_text(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from polyqtt import load, run_and_verify\n"
+        "if len(sys.argv) > 1:\n"
+        "    sys.setrecursionlimit(int(sys.argv[1]))\n"
+        f"corpus = Path({str(CORPUS)!r})\n"
+        "cf = load((corpus / 'consfree_iter.qtt').read_text())\n"
+        "lf = load((corpus / 'lfpl_iter.qtt').read_text())\n"
+        "print(run_and_verify(cf.compile('parity1'), 100_000).steps)\n"
+        "print(run_and_verify(lf.compile('rebuild1'), 20_000).steps)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for limit in ([], ["200"]):
+        out = subprocess.run(
+            [sys.executable, str(script), *limit],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["2000016", "700041"]
 
 
 def test_deep_values_cross_into_and_out_of_the_compiled_path(tmp_path):
