@@ -21,7 +21,6 @@ from .compiler import (
     CompiledProgram,
     Module,
     RunResult,
-    compile_declaration,  # noqa: F401  (the per-declaration path; not in __all__)
     extract_bound,
     load,
     run_and_verify,
@@ -38,7 +37,6 @@ from .kernel import (
     CheckError,
     check_type,
     conv_type,
-    infer_usage_check,  # noqa: F401  (the per-declaration path; not in __all__)
     normalize_sigma0,
     types_equal,
 )

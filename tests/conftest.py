@@ -1,13 +1,17 @@
+import difflib
 import functools
+import itertools
 import pathlib
 
 import pytest
 
+from polyqtt import machine as m
 from polyqtt.compiler import load
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 FIXTURES = ROOT / "fixtures"
+GOLDEN = ROOT / "tests" / "golden"
 
 CORPUS_FILES = [
     "consfree_iter.qtt",
@@ -44,3 +48,50 @@ def compiled(name: str, decl: str):
 @pytest.fixture(scope="session")
 def corpus():
     return {name: load_corpus(name) for name in CORPUS_FILES}
+
+
+def decode_ilist_bools(v: m.MachineValue) -> list[bool]:
+    """An encoded (size, elements) pair of booleans."""
+    size = m.decode_nat(v.fst)
+    out = []
+    elems = v.snd
+    for _ in range(size):
+        out.append(m.decode_bool(elems.fst))
+        elems = elems.snd
+    if not isinstance(elems, m.VUnit):
+        raise m.DecodeError("overlong element tuple")
+    return out
+
+
+@pytest.fixture
+def golden(tmp_path):
+    """golden(subdir, {filename: text}) compares the files of
+    tests/golden/<subdir> with the given texts: a missing, extra or changed
+    file fails.  A changed or missing file's actual text is written under
+    tmp_path, and the failure names it; to re-pin, copy it over the golden
+    file (and delete a golden file that nothing produces any more)."""
+
+    def compare(subdir: str, texts: dict[str, str]) -> None:
+        pinned = GOLDEN / subdir
+        stored = {p.name for p in pinned.iterdir()} if pinned.is_dir() else set()
+        extra = sorted(stored - texts.keys())
+        errors = [f"{pinned / name}: extra, no output has this name" for name in extra]
+        for name, text in sorted(texts.items()):
+            path = pinned / name
+            old = path.read_bytes() if name in stored else b""
+            if name in stored and old == text.encode():
+                continue
+            actual = tmp_path / subdir / name
+            actual.parent.mkdir(parents=True, exist_ok=True)
+            actual.write_bytes(text.encode())
+            diff = difflib.unified_diff(
+                old.decode(errors="replace").splitlines(), text.splitlines(),
+                str(path), str(actual), lineterm="",
+            )
+            state = "differs" if name in stored else "missing"
+            errors.append(f"{path}: {state}; actual text in {actual}")
+            errors += [line[:200] for line in itertools.islice(diff, 20)]
+        if errors:
+            pytest.fail("\n".join(errors), pytrace=False)
+
+    return compare

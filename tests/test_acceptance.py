@@ -20,7 +20,6 @@ from polyqtt.potentials import Poly
 from polyqtt.syntax import (
     Ann,
     App,
-    DiamondStar,
     FalseC,
     Regime,
     SuccCF,
@@ -28,10 +27,11 @@ from polyqtt.syntax import (
     TrueC,
     ZeroCF,
     ZeroL,
+    nat_literal,
 )
 
 import monoids as pot
-from conftest import CORPUS, FIXTURES, compiled, load_corpus
+from conftest import CORPUS, FIXTURES, compiled, decode_ilist_bools, load_corpus
 from monoids import EMPTY, ExtNat, MonoidKind, Potential
 
 ALL_KINDS = (MonoidKind.NAT, MonoidKind.MAX_POLY, MonoidKind.PLUS_POLY)
@@ -166,17 +166,6 @@ def test_criterion_4_cons_free_soundness_sweep(tmp_path):
 # ---------------------------------------------------------------------------
 # 5. LFPL soundness sweep and insertion sort.
 
-def _decode_ilist_bools(v):
-    size = m.decode_nat(v.fst)
-    out, elems = [], v.snd
-    for _ in range(size):
-        out.append(m.decode_bool(elems.fst))
-        elems = elems.snd
-    if not isinstance(elems, m.VUnit):
-        raise m.DecodeError("overlong element tuple")
-    return out
-
-
 def test_criterion_5_lfpl_soundness_sweep(tmp_path):
     t0 = time.monotonic()
     for decl in ("rebuild1", "nested2L", "zeroOut"):
@@ -193,8 +182,8 @@ def test_criterion_5_lfpl_soundness_sweep(tmp_path):
         rb = run_and_verify(build, n)
         rs = run_and_verify(sort, n)
         assert rb.ok and rs.ok, n
-        inputs = _decode_ilist_bools(rb.value)
-        outputs = _decode_ilist_bools(rs.value)
+        inputs = decode_ilist_bools(rb.value)
+        outputs = decode_ilist_bools(rs.value)
         assert len(inputs) == n
         assert outputs == sorted(inputs)  # the independent oracle
         assert sorted(outputs) == sorted(inputs)  # permutation
@@ -257,18 +246,6 @@ def test_criterion_7_zeroing_admissibility(corpus):
 # ---------------------------------------------------------------------------
 # 8. Machine evaluation agrees with erased-fragment normalisation.
 
-def _nat_literal(regime, n):
-    if regime is Regime.CONS_FREE:
-        t = ZeroCF()
-        for _ in range(n):
-            t = SuccCF(t)
-        return t
-    t = ZeroL(DiamondStar())
-    for _ in range(n):
-        t = SuccL(DiamondStar(), t)
-    return t
-
-
 def _decode_normal_form(t):
     from polyqtt.syntax import Cons, Nil
 
@@ -311,7 +288,7 @@ def test_criterion_8_agreement_with_normalisation():
             d = by_name[decl]
             prog = compiled(file, decl)
             for n in range(31):
-                applied = App(Ann(d.body, d.ty), _nat_literal(mod.regime, n))
+                applied = App(Ann(d.body, d.ty), nat_literal(mod.regime, n))
                 nf = normalize_sigma0(mod.regime, (), applied)
                 want = _decode_normal_form(nf)
                 r = run_and_verify(prog, n)

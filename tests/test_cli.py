@@ -1,4 +1,8 @@
-import hashlib
+"""The polyqtt command: exit codes, diagnostics, reports, and the output of
+verify on every corpus declaration that takes an input.
+
+Pinned in tests/golden/verify/: to re-pin, copy in the actual file a failure names."""
+
 import json
 import os
 import random
@@ -128,41 +132,18 @@ def test_verify_runs_its_largest_input_first(monkeypatch, capsys):
     assert paths == ["_eval_compiled"] * 61
 
 
-# sha256 of the output of `verify <module> <declaration> --max-n 60 --json`
-# for every corpus declaration that takes an input: its steps and bound
-# at each n, in the order verify prints them
-VERIFY_60 = {
-    ("consfree_iter.qtt", "parity1"): "3cd8c00be2e5a1798b0ae255239a0aea4bb2699b4488a407075030a8ad85fd7f",
-    ("consfree_iter.qtt", "nested2"): "529cb7fdffa258fe0d463546f99d59804e37ca692c381c07a93464315a87d18a",
-    ("consfree_iter.qtt", "nested3"): "421c3fb7b1d1f797d7027e987421168c4c198018398b915765b2f3e86faf8bf6",
-    ("consfree_iter.qtt", "comboDup"): "8b706a310534ee1b965459a5202c43794e9c8e3bc59af1c10ee4564aff6cc2f3",
-    ("consfree_iter.qtt", "negAcc"): "adc7533eed41830b7b3a64ce8f19e955fee5bcf21c486f4a4243835b3c7db1cf",
-    ("consfree_iter.qtt", "idNat"): "5319c2d3e04e0342e80ea25500bf77017f21b4f11b23cc1a8fa680fb28b08779",
-    ("consfree_iter.qtt", "altList"): "012700d899802eecee4372651af48a40e20dd116951069a8ecfd3ea664ecf9b6",
-    ("consfree_iter.qtt", "dupUse"): "2e5c77317f2afde83a333c30e00944688cefdbf440e240fda943d1edaedabe16",
-    ("consfree_iter.qtt", "headOr"): "6cd14209462aa8e04683a4294219197c41afae80302d0e01164581e551e574f0",
-    ("lfpl_iter.qtt", "rebuild1"): "94019a142173c73cb5599ac0ed401430b05f6fe67544b0ade757a824b3e7ad90",
-    ("lfpl_iter.qtt", "nested2L"): "e7a81af6c2ca840dbe6ecfa53e458f5e176afdfda620c42549566674f8c155da",
-    ("lfpl_iter.qtt", "zeroOut"): "7b91f6dd2665e7614f995a003da38c1462c8338587cf48a1297a266159bcf494",
-    ("lfpl_sort.qtt", "buildAlt"): "85bbeb8d170df80aa4aa64a98cc737179519d20cc3ac0ebadcefd92c1db45bf1",
-    ("lfpl_sort.qtt", "sortDriver"): "dfc0a4b84baaa1f2f14198f6623ae2b84a10827db462c501b8199b7c3f037d9a",
-}
-
-
-def test_verify_output_is_pinned(capsys):
+def test_verify_output_is_pinned(capsys, golden):
+    # `verify <module> <declaration> --max-n 60 --json` for every corpus
+    # declaration that takes an input: its steps and bound at each n
     from conftest import compiled, load_corpus
 
-    decls = [
-        (path.name, d.name)
-        for path in sorted(CORPUS.glob("*.qtt"))
-        for d in load_corpus(path.name).decls
-        if d.sigma == 1 and compiled(path.name, d.name).input_arity == 1
-    ]
-    assert decls == list(VERIFY_60)
-    for (name, decl), want in VERIFY_60.items():
-        assert main(["verify", str(CORPUS / name), decl, "--max-n", "60", "--json"]) == 0
-        out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == want, (name, decl)
+    outputs = {}
+    for path in sorted(CORPUS.glob("*.qtt")):
+        for d in load_corpus(path.name).decls:
+            if d.sigma == 1 and compiled(path.name, d.name).input_arity == 1:
+                assert main(["verify", str(path), d.name, "--max-n", "60", "--json"]) == 0
+                outputs[f"{path.stem}.{d.name}.json"] = capsys.readouterr().out
+    golden("verify", outputs)
 
 
 # what a character edit inserts: punctuation and its prefixes, digits, the

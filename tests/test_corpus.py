@@ -9,7 +9,7 @@ from polyqtt.kernel import CheckError, infer_usage_check, normalize_sigma0
 from polyqtt.machine import _eval_compiled, _eval_reference
 from polyqtt.syntax import Regime, Var, _SCHEMA
 
-from conftest import CORPUS_FILES, FIXTURES, compiled, load_corpus
+from conftest import CORPUS_FILES, FIXTURES, compiled, decode_ilist_bools, load_corpus
 
 EXPECTED_REJECTIONS = {
     "bad_double_use.qtt": "Tm-Lam",
@@ -83,19 +83,6 @@ def test_zero_out():
     for n in (0, 4, 11):
         r = run_and_verify(p, n)
         assert r.ok and m.decode_nat(r.value) == 0
-
-
-def decode_ilist_bools(v: m.MachineValue) -> list[bool]:
-    """An encoded (size, elements) pair of booleans."""
-    size = m.decode_nat(v.fst)
-    out = []
-    elems = v.snd
-    for _ in range(size):
-        out.append(m.decode_bool(elems.fst))
-        elems = elems.snd
-    if not isinstance(elems, m.VUnit):
-        raise m.DecodeError("overlong element tuple")
-    return out
 
 
 def test_build_alt_and_sort():

@@ -61,6 +61,7 @@ from polyqtt.syntax import (
     ZeroCF,
     ZeroL,
     has_free_var,
+    nat_literal,
 )
 
 CF = Regime.CONS_FREE
@@ -71,27 +72,13 @@ def entry(name, usage, ty):
     return CtxEntry(name, usage, ty)
 
 
-def nat_lit_cf(n):
-    t = ZeroCF()
-    for _ in range(n):
-        t = SuccCF(t)
-    return t
-
-
-def nat_lit_lfpl(n):
-    t = ZeroL(DiamondStar())
-    for _ in range(n):
-        t = SuccL(DiamondStar(), t)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # de Bruijn machinery: substitution is evaluation
 
 def test_normalize_type_binds_the_innermost_indices():
     # args[0] is index 0, args[1] index 1; other free indices drop by the
     # number of arguments, also under binders
-    two, three = nat_lit_cf(2), nat_lit_cf(3)
+    two, three = nat_literal(CF, 2), nat_literal(CF, 3)
     eq = IdTy(NAT_TY, Var(0), Var(1))
     assert normalize_type(eq, (two, three)) == IdTy(NAT_TY, two, three)
     assert normalize_type(eq, (two,)) == IdTy(NAT_TY, two, Var(0))
@@ -418,19 +405,19 @@ def test_if_beta():
 
 def test_rec_cf_beta_addition():
     # addition via recursion: 2 + 3 = 5
-    add = RecNatCF(nat_lit_cf(2), nat_lit_cf(3), SuccCF(Var(0)), NAT_TY)
-    assert normalize_sigma0(CF, (), add) == nat_lit_cf(5)
+    add = RecNatCF(nat_literal(CF, 2), nat_literal(CF, 3), SuccCF(Var(0)), NAT_TY)
+    assert normalize_sigma0(CF, (), add) == nat_literal(CF, 5)
     # the outermost step sees the outermost predecessor
-    pred = RecNatCF(nat_lit_cf(3), ZeroCF(), Var(1), NAT_TY)
-    assert normalize_sigma0(CF, (), pred) == nat_lit_cf(2)
+    pred = RecNatCF(nat_literal(CF, 3), ZeroCF(), Var(1), NAT_TY)
+    assert normalize_sigma0(CF, (), pred) == nat_literal(CF, 2)
 
 
 def test_rec_lfpl_beta():
     # rebuilding recursor applied to a literal gives the literal back
-    t = RecNatL(nat_lit_lfpl(3), ZeroL(Var(0)), SuccL(Var(2), Var(0)), NAT_TY)
-    assert normalize_sigma0(LF, (), t) == nat_lit_lfpl(3)
-    pred = RecNatL(nat_lit_lfpl(3), ZeroL(Var(0)), Var(1), NAT_TY)
-    assert normalize_sigma0(LF, (), pred) == nat_lit_lfpl(2)
+    t = RecNatL(nat_literal(LF, 3), ZeroL(Var(0)), SuccL(Var(2), Var(0)), NAT_TY)
+    assert normalize_sigma0(LF, (), t) == nat_literal(LF, 3)
+    pred = RecNatL(nat_literal(LF, 3), ZeroL(Var(0)), Var(1), NAT_TY)
+    assert normalize_sigma0(LF, (), pred) == nat_literal(LF, 2)
 
 
 def test_rec_lfpl_succ_branch_instance():
@@ -440,7 +427,7 @@ def test_rec_lfpl_succ_branch_instance():
         SuccL(Var(2), Var(0)),
         NAT_TY,
     )
-    assert normalize_sigma0(LF, (), t) == nat_lit_lfpl(1)
+    assert normalize_sigma0(LF, (), t) == nat_literal(LF, 1)
 
 
 def test_diamond_collapse_in_constructors():
