@@ -48,14 +48,12 @@ the same step count.
   the callee's value returns to that frame or to one of its own.  So the
   host stack holds at most two blocks, however deep the recursion.
   A block returns the fuel it leaves, and goes on past a call or into a
-  next round only if its steps up to its next call or end fit in that,
-  so only its first round can cross the limit.  A block that cannot
-  finish (its first round would cross the fuel limit, or an index or a
-  variant is wrong, which it reports by raising) is handed to the
-  reference loop, which runs it from its entry state (a later round's,
-  for a later round) with the fuel left and stops inside it, so
-  OutOfFuel and Stuck, with its reason, are the reference's own.  The
-  frames pushed on the way are never read again.
+  next round only while that is not below 0.  It raises at the first
+  wrong index or variant it reads, so a block that leaves less than no
+  fuel ran all its steps validly, and the run is out of fuel.  A run in
+  which a block raises runs again from the start on the reference loop,
+  so Stuck and its reason are the reference's own; code compiled from
+  a checked module never gets stuck, so only an untyped program pays.
   Indices are checked as they are read, not when a block is prepared: a
   shared definition's code runs at more than one environment depth.
 
@@ -301,9 +299,6 @@ def _eval_reference(
                 i = expr.i
                 if i < 0 or i >= len(env):
                     return Stuck(f"index {i} out of range for depth {len(env)}")
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
                 value = env[-1 - i]
             elif cls is App:
                 i, j = expr.i, expr.j
@@ -312,29 +307,20 @@ def _eval_reference(
                 fn = env[-1 - i]
                 if fn.__class__ is not Clo:
                     return Stuck(f"applied a non-closure {fn.__class__.__name__}")
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
-                arg = env[-1 - j]
-                env = fn.env + (fn, arg)
+                env = fn.env + (fn, env[-1 - j])
                 expr = fn.body
-            elif cls is Seq:
+            elif cls is Seq:  # a push costs nothing
                 stack.append((expr.rest, env))
                 expr = expr.first
+                continue
             elif cls is If:
                 i = expr.i
                 if i < 0 or i >= len(env):
                     return Stuck(f"index {i} out of range for depth {len(env)}")
                 scrut = env[-1 - i]
                 if scrut.__class__ is VTrue:
-                    steps += 1
-                    if steps > fuel:
-                        return OUT_OF_FUEL
                     expr = expr.then_branch
                 elif scrut.__class__ is VFalse:
-                    steps += 1
-                    if steps > fuel:
-                        return OUT_OF_FUEL
                     expr = expr.else_branch
                 else:
                     return Stuck(
@@ -349,51 +335,35 @@ def _eval_reference(
                     return Stuck(
                         f"pair elimination on a {scrut.__class__.__name__}"
                     )
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
                 env = env + (scrut.fst, scrut.snd)
                 expr = expr.body
             elif cls is MkPair:
                 i, j = expr.i, expr.j
                 if max(i, j) >= len(env) or min(i, j) < 0:
                     return Stuck(f"index out of range in pairing ({i}, {j})")
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
                 value = VPair(env[-1 - i], env[-1 - j])
             elif cls is Lam:
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
                 value = Clo(expr.body, env)
             elif cls is MkUnit:
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
                 value = UNIT
             elif cls is MkTrue:
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
                 value = TRUE
             elif cls is MkFalse:
-                steps += 1
-                if steps > fuel:
-                    return OUT_OF_FUEL
                 value = FALSE
             else:
                 return Stuck(f"unknown expression {cls.__name__}")
-        else:
-            if not stack:
-                return Done(value, steps)
-            # Resume a sequencing frame: charge its own step, bind the value.
-            steps += 1
-            if steps > fuel:
-                return OUT_OF_FUEL
+        elif stack:
+            # Resume a sequencing frame: bind the value.
             expr, env0 = stack.pop()
             env = env0 + (value,)
             value = None
+        else:
+            return Done(value, steps)
+        # Every rule but a push, and every resumption, costs one step, once
+        # its checks have passed.
+        steps += 1
+        if steps > fuel:
+            return OUT_OF_FUEL
 
 
 # --------------------------------------------------------------------------
@@ -415,9 +385,6 @@ COMPILE_MIN_FUEL = 4500
 _NODE = 1
 # The items of a block, over all its paths, before a path is cut by a jump.
 _CAP = 32
-# The most steps from a next round or a call's return to the end of the first
-# round of the next callee (two an item, the resumption, then one an item).
-_STRETCH = 3 * _CAP + 1
 # Index i of the entry environment is read as e[1]...[1][0] below this,
 # and by _at from it.
 _UNROLL = 24
@@ -452,9 +419,10 @@ def _factory(shape: tuple):
     me the block and d 1 where the loop entered it (else 0, and it calls
     no block).  run loops over rounds as the module docstring says and
     returns (next block, its environment, fuel left) or, for a value
-    returned to the frame on top of s, (None, value, fuel left).  It
-    raises where only the reference loop can go on, with _Handoff from a
-    later round.
+    returned to the frame on top of s, (None, value, fuel left), which
+    is below 0 only where the run is out of fuel.  It raises
+    IndexError, TypeError or ValueError at a step the reference loop
+    gets stuck on.
 
     A value a path binds is a Python local: index i below the number n
     of locals reads a local, and index i from n reads index i - n of e.
@@ -523,7 +491,7 @@ def _factory(shape: tuple):
 
         def again(cond: str, k: int, then: str, left: str) -> None:
             # a round of k steps ends here; the next starts in place
-            emit(f"if {cond} and {left} >= {k + _STRETCH}:")
+            emit(f"if {cond} and {left} >= {k}:")
             emit(f"    e = {then}")
             emit(f"    f = {left} - {k}")
             emit("    continue")
@@ -559,7 +527,7 @@ def _factory(shape: tuple):
                     emit(f"return {out}")
                     return
                 # a value returned to its innermost frame goes on here
-                emit(f"if {out}[0] is not None or s[-1] is not {frames[-1][1]} or {out}[2] <= {_STRETCH}:")
+                emit(f"if {out}[0] is not None or s[-1] is not {frames[-1][1]} or {out}[2] < 0:")
                 emit(f"    return {out}")
                 resume(local(f"{out}[1]"))
                 fuel, steps = local(f"{out}[2]"), 1  # the resumption
@@ -577,22 +545,16 @@ def _factory(shape: tuple):
             else:  # "stuck": only the reference loop runs this instruction
                 emit("raise TypeError")
 
-    path(shape, " " * 16, [], {0: "e"}, [], 0, "f")
-    head = f"def factory({', '.join(params)}):\n    def run(e, s, f, me, d):\n        entry = f\n"
-    tail = "        except (IndexError, TypeError, ValueError):\n            if f < entry:\n"
-    source = "".join([head, "        try:\n            while True:\n", *[f"{line}\n" for line in lines], tail])
-    source += "                raise _Handoff(me, e, f)\n            raise\n    return run\n"
-    namespace = {"_at": _at, "_Handoff": _Handoff}
+    path(shape, " " * 12, [], {0: "e"}, [], 0, "f")
+    head = f"def factory({', '.join(params)}):\n    def run(e, s, f, me, d):\n        while True:\n"
+    source = "".join([head, *[f"{line}\n" for line in lines], "    return run\n"])
+    namespace = {"_at": _at}
     exec(source, namespace)
     return namespace["factory"]
 
 
 class _Foreign(Exception):
     """An input value of no machine value class."""
-
-
-class _Handoff(Exception):
-    """A later round that cannot finish: its block, environment and fuel."""
 
 
 _LEAF_IN = {VTrue: True, VFalse: False, VUnit: None}
@@ -755,12 +717,11 @@ def _compiled_env(env: Env):
     return out
 
 
-def _machine_env(cells) -> tuple:
-    """The machine environment of a linked environment of compiled-path
-    values, converted as _compiled_env converts."""
+def _machine_value(value) -> MachineValue:
+    """The machine value of a compiled-path value, converted as
+    _compiled_env converts."""
     memo = {id(True): TRUE, id(False): FALSE, id(None): UNIT}
-    get, roots = memo.get, _cells(cells)
-    todo = roots[:]
+    get, todo = memo.get, [value]
     while todo:
         x = todo.pop()
         if id(x) in memo:
@@ -789,48 +750,40 @@ def _machine_env(cells) -> tuple:
                 continue
             values.reverse()
             memo[id(x)] = Clo(x[0][_NODE](), tuple([memo[id(v)] for v in values]))
-    return tuple([memo[id(v)] for v in reversed(roots)])
+    return memo[id(value)]
 
 
 def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
     """The compiled path: one fuel comparison per block the loop enters,
-    on the fuel the block left.  Where a block cannot finish (its first
-    round would cross the fuel limit, or an index is out of range or a
-    value has the wrong variant, which the block reports by raising) the
-    reference loop runs the block's node from the block's entry state
-    with the fuel that is left, or, for a later round (_Handoff), from
-    that round's.  It stops inside that round, with
-    OutOfFuel or Stuck, and its outcome is the run's outcome."""
+    on the fuel the block left.  A block raises at the first wrong index
+    or variant it reads, so one that leaves less than no fuel ran all its
+    steps validly, and the run is out of fuel.  A run in which a block
+    raises runs again from the start on the reference loop, whose
+    outcome, Stuck with its reason or OutOfFuel, is the run's."""
     try:
-        env = _compiled_env(env)
+        e = _compiled_env(env)
     except _Foreign:
         return _eval_reference(expr, env, fuel)
     left, stack = fuel, [_BOTTOM]
     blk = _block_of(expr)
     try:
         while True:
-            nxt, x, rest = blk[0](env, stack, left, blk, 1)
-            if rest < 0:
-                break
-            left = rest
+            nxt, x, left = blk[0](e, stack, left, blk, 1)
+            if left < 0:
+                return OUT_OF_FUEL
             if nxt is not None:
-                blk, env = nxt, x
+                blk, e = nxt, x
             else:
-                blk, env = stack.pop()
+                blk, e = stack.pop()
                 if blk is None:
-                    return Done(_machine_env((x, ()))[0], fuel - left)
-                env = (x, env)
+                    return Done(_machine_value(x), fuel - left)
+                e = (x, e)
                 left -= 1  # the resumption; the next block compares
     except (IndexError, TypeError, ValueError):
-        pass
-    except _Handoff as handoff:
-        blk, env, left = handoff.args
-    if left < 0:
-        return OUT_OF_FUEL
-    out = _eval_reference(blk[_NODE](), _machine_env(env), left)
-    if out.__class__ is Done:
-        raise RuntimeError("the reference loop finished a block the compiled path could not")
-    return out
+        out = _eval_reference(expr, env, fuel)
+        if out.__class__ is Done:
+            raise RuntimeError("the reference loop finished a run the compiled path could not")
+        return out
 
 
 # --------------------------------------------------------------------------

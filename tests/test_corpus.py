@@ -235,6 +235,29 @@ def test_compiled_path_matches_reference_on_corpus():
     assert checked == 14
 
 
+def test_compiled_path_never_falls_back_on_corpus(monkeypatch):
+    # checked code never gets stuck, so the compiled path decides every
+    # outcome of its runs itself, out of fuel included, without calling the
+    # reference loop: for n <= 3 at every fuel up to one past the steps,
+    # and for n <= 12 one step short and at the steps
+    calls = []
+    monkeypatch.setattr(m, "_eval_reference", lambda *a: calls.append(a) or _eval_reference(*a))
+    checked = 0
+    for name in CORPUS_FILES:
+        for d in load_corpus(name).decls:
+            if d.sigma != 1 or compiled(name, d.name).input_arity != 1:
+                continue
+            code = compiled(name, d.name).code
+            for n in range(13):
+                env = (m.nat_value(n),)
+                steps = _eval_reference(code, env, 10_000_000).steps
+                for fuel in range(steps + 2) if n <= 3 else (steps - 1, steps):
+                    assert _eval_compiled(code, env, fuel) == _eval_reference(code, env, fuel)
+                    assert not calls, (d.name, n, fuel)
+            checked += 1
+    assert checked == 14
+
+
 def test_sweep_bound_is_the_extracted_bound():
     # run_and_verify reads q(n + 1) without extract_bound's probes
     for name in CORPUS_FILES:

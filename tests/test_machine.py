@@ -11,6 +11,7 @@ import weakref
 import pytest
 
 from polyqtt import machine
+from polyqtt.cli import main
 from polyqtt.compiler import compile_declaration
 from polyqtt.frontend import parse_module, resolve_module
 from polyqtt.machine import (
@@ -761,27 +762,48 @@ def test_eval_expr_picks_its_path(monkeypatch):
 
 def test_code_stays_acyclic(monkeypatch):
     # a block refers to its node weakly, so code that ran compiled is freed
-    # by reference counting alone, also after a block was handed to the
-    # reference loop
+    # by reference counting alone, also after a stuck run.  Out of fuel is
+    # the compiled path's own outcome; a stuck run starts over on the
+    # reference loop, with the environment and fuel the caller passed
     handed = []
     reference = machine._eval_reference
-    monkeypatch.setattr(
-        machine, "_eval_reference", lambda *a: handed.append(a[2]) or reference(*a)
-    )
-    for fuel, want in ((10_000_000, Done(TRUE, 5_996)), (5_995, OutOfFuel())):
+    monkeypatch.setattr(machine, "_eval_reference", lambda *a: handed.append(a) or reference(*a))
+    for fuel, env, outcome, calls in (
+        (10_000_000, (nat_value(6),), Done, 0),
+        (5_995, (nat_value(6),), OutOfFuel, 0),
+        (10_000_000, (TRUE,), Stuck, 1),
+    ):
         code = _fresh_code("consfree_iter.qtt", "nested3")
+        want = reference(code, env, fuel)
+        assert want.__class__ is outcome
         gc.collect()
         gc.disable()
         try:
             ref = weakref.ref(code)
+            for _ in range(2):
+                handed.clear()
+                assert _eval_compiled(code, env, fuel) == want
+                assert [(c is code, e is env, f) for c, e, f in handed] == [(True, True, fuel)] * calls
             handed.clear()
-            assert _eval_compiled(code, (nat_value(6),), fuel) == want
-            assert len(handed) == (want == OutOfFuel())
-            assert _eval_compiled(code, (nat_value(6),), fuel) == want
             del code
             assert ref() is None
         finally:
             gc.enable()
+
+
+def test_compiled_path_detects_its_own_faults(monkeypatch, capsys):
+    # a block that raises on a run the reference loop finishes is a fault
+    # of the compiled path, never a Stuck outcome: _eval_compiled raises,
+    # and the command exits 3
+    def broken(*args):
+        raise TypeError
+
+    monkeypatch.setattr(machine, "_prepare", lambda blk: broken)
+    with pytest.raises(RuntimeError):
+        _eval_compiled(_fresh_code("consfree_iter.qtt", "nested3"), (nat_value(6),), 10_000_000)
+    assert main(["run", str(CORPUS / "consfree_iter.qtt"), "nested3", "--input", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal error" in captured.err
 
 
 def test_copies_prepare_their_own_blocks():
@@ -928,8 +950,8 @@ def test_deep_recursion_stays_off_the_host_stack(tmp_path):
 def test_deep_values_cross_into_and_out_of_the_compiled_path(tmp_path):
     # values 10,000 deep along first components, second components and
     # closure environments are converted without recursion, in a fresh
-    # interpreter at the default recursion limit: returned whole, and
-    # handed back to the reference loop where a block gets stuck
+    # interpreter at the default recursion limit, and returned whole; where
+    # a block gets stuck, the reference loop runs the caller's environment
     script = tmp_path / "deep_values.py"
     script.write_text(
         "import sys\n"
