@@ -199,7 +199,7 @@ def cmd_run(args) -> int:
     bound = extract_bound(prog).bound_at(n)
     fuel = args.fuel if args.fuel is not None else bound + VERIFY_FUEL_SLACK
     trace = _TraceHead() if args.trace else None
-    out = m.eval_expr(prog.code, (m.nat_value(n),), fuel, trace=trace)
+    out = m.eval_nat(prog.code, n, fuel, trace=trace)
     if trace is not None:
         for i, rule in enumerate(trace):
             print(f"trace {i}: {rule}", file=sys.stderr)
@@ -209,7 +209,9 @@ def cmd_run(args) -> int:
         print(f"run failed ({kind}{reason})", file=sys.stderr)
         return EXIT_DYNAMIC
     ty = normalize_type(mod.decl(args.decl).ty)
-    result_ty = normalize_type(ty.cod, (nat_literal(mod.regime, n),))
+    # a result type that does not read the input takes any closed term for it
+    lit = nat_literal(mod.regime, n) if has_free_var(ty.cod, 0) else Star()
+    result_ty = normalize_type(ty.cod, (lit,))
     print(f"value: {_show_value(mod.regime, out.value, result_ty)}")
     print(f"steps: {out.steps}")
     print(f"bound_at_n: {bound}")

@@ -504,12 +504,13 @@ def extract_bound(p: CompiledProgram) -> BoundReport:
 
 
 def run_and_verify(p: CompiledProgram, n: int) -> RunResult:
-    """Run on the encoded input n and compare steps against the bound at
-    n, as BoundReport.bound_at reads it."""
+    """Run on the natural input n, through machine.eval_nat, with the
+    bound at n (as BoundReport.bound_at reads it) plus VERIFY_FUEL_SLACK
+    as fuel, and compare the steps against that bound."""
     if p.input_arity != 1:
         raise CompileError("verification runs need a single natural input")
     bound = BoundReport(p.potential, p.regime, p.input_arity).bound_at(n)
-    out = m.eval_expr(p.code, (m.nat_value(n),), bound + VERIFY_FUEL_SLACK)
+    out = m.eval_nat(p.code, n, bound + VERIFY_FUEL_SLACK)
     if isinstance(out, m.Done):
         return RunResult(out.steps, out.value, bound, out.steps <= bound, "done")
     if isinstance(out, m.Stuck):

@@ -57,30 +57,33 @@ the same step count.
   Indices are checked as they are read, not when a block is prepared: a
   shared definition's code runs at more than one environment depth.
 
-eval_expr takes the reference loop for a traced run, for an environment
-holding a value of no machine value class, and for one with less than
+eval_expr and eval_nat, which runs a program on a natural input, take
+the reference loop for a traced run and for one with less than
 COMPILE_MIN_FUEL fuel of code whose entry block no earlier run prepared,
-and the compiled path otherwise.  Values cross into and out of it
-through one converter each way, linear in their distinct nodes, so a
-short compiled run of code that has not run compiled yet pays mostly for
-preparing its blocks.  The table is for such code: every corpus
-declaration with an input (about 25 inputs each, n <= 200 with fuel <=
-12,000) and fan-out drives (fan-out 2 at depths 5 and 8, 3 at depths 3
-and 5, both regimes, n <= 12), at the fuel run_and_verify gives (the
-bound plus 4,096), timed with every shape compiled, fresh code and the
-median of five runs per path (Python 3.11, 2 shared Xeon cores; one
-session, with blocks that loop and call):
+eval_expr also for an environment holding a value of no machine value
+class, and the compiled path otherwise.  eval_nat builds its input
+straight into the compiled path's cells, where eval_expr converts an
+environment's values, and a result comes back as a machine value
+through one converter; both converters are linear in their distinct
+nodes.  So a short compiled run of code that has not run compiled yet
+pays mostly for preparing its blocks.  The table is for such code:
+every corpus declaration with an input (about 25 inputs each, n <= 200
+with fuel <= 12,000) and fan-out drives (fan-out 2 at depths 5 and 8, 3
+at depths 3 and 5, both regimes, n <= 12), run through eval_nat at the
+fuel run_and_verify gives (the bound plus 4,096), timed with every shape
+compiled, fresh code and the median of five runs per path (Python 3.11,
+2 shared Xeon cores; one run of the timing script):
 
     fuel          runs  compiled faster  compiled/reference time (median)
-    4,096-4,399     48        2              8.3
-    4,400-4,499     19       12              0.99
-    4,500-4,999     65       65              0.72
-    5,000-5,999     52       52              0.42
-    6,000-12,000   165      165              0.31
+    4,096-4,399     50        5              1.94
+    4,400-4,499     20       17              0.89
+    4,500-4,999     75       68              0.66
+    5,000-5,999     62       60              0.29
+    6,000-12,000   189      188              0.27
 
 COMPILE_MIN_FUEL is where the compiled path starts to be faster on at
 least 90 % of runs: 4,500-4,599 is the first band of 100 fuel where it
-was (on all 25 runs; 12 of 19 in the band below).  A process also
+was (on 26 of 28 runs; 17 of 20 in the band below).  A process also
 pays once for each new block shape it compiles: about 0.25 ms, so
 sortDriver's 28 shapes cost a fresh process about 9 ms.
 """
@@ -266,9 +269,35 @@ def eval_expr(
     takes the compiled path (see the module docstring).  Both give the
     same outcome.
     """
-    if trace is None and (fuel >= COMPILE_MIN_FUEL or _block_of(expr)[0].__class__ is not partial):
+    if _compiles(expr, fuel, trace):
         return _eval_compiled(expr, env, fuel)
     return _eval_reference(expr, env, fuel, trace)
+
+
+def eval_nat(
+    expr: MachineExpr,
+    n: int,
+    fuel: int = 10_000_000,
+    trace: list | None = None,
+) -> EvalOutcome:
+    """The outcome of eval_expr with nat_value(n) as the whole
+    environment, and the one place a run's natural input is encoded: the
+    compiled path gets it built straight into linked cells, (True, None)
+    under n cells (False, ...), and only the reference loop, and a stuck
+    compiled run's rerun, build nat_value(n)."""
+    if n < 0:
+        raise ValueError("naturals only")
+    if _compiles(expr, fuel, trace):
+        x = (True, None)
+        for _ in range(n):
+            x = (False, x)
+        return _eval_compiled(expr, (x, ()), fuel, n)
+    return _eval_reference(expr, (nat_value(n),), fuel, trace)
+
+
+def _compiles(expr: MachineExpr, fuel: int, trace: list | None) -> bool:
+    """Whether a run takes the compiled path (see the module docstring)."""
+    return trace is None and (fuel >= COMPILE_MIN_FUEL or _block_of(expr)[0].__class__ is not partial)
 
 
 def _eval_reference(
@@ -559,6 +588,8 @@ class _Foreign(Exception):
 
 _LEAF_IN = {VTrue: True, VFalse: False, VUnit: None}
 _MISSING = object()
+_new = object.__new__
+_SET_FST, _SET_SND = VPair.fst.__set__, VPair.snd.__set__
 
 
 def _cells(env) -> list:
@@ -718,31 +749,20 @@ def _compiled_env(env: Env):
 
 
 def _machine_value(value) -> MachineValue:
-    """The machine value of a compiled-path value, converted as
-    _compiled_env converts."""
+    """The machine value of a compiled-path value, linear in its distinct
+    tuples.  Each is converted once, keyed by id, so sharing is kept, from
+    an explicit stack.  A loop walks a pair's chain of second components
+    top-down: it allocates each pair's VPair on its first visit and stores
+    the fields through the slot descriptors, as VPair's own __init__ does,
+    reading a boolean or unit first component directly.  A part not yet
+    converted is pushed, and stored once every tuple has its value."""
     memo = {id(True): TRUE, id(False): FALSE, id(None): UNIT}
-    get, todo = memo.get, [value]
+    get, todo, later = memo.get, [value], []
     while todo:
         x = todo.pop()
         if id(x) in memo:
             continue
-        if len(x) == 2:
-            spine, w = [], x
-            while id(w) not in memo and len(w) == 2:
-                spine.append(w)
-                w = w[1]
-            s = get(id(w), _MISSING)
-            if s is _MISSING:
-                todo += (*spine, w)
-                continue
-            while spine:
-                p = spine.pop()
-                f = get(id(p[0]), _MISSING)
-                if f is _MISSING:
-                    todo += (*spine, p, p[0])
-                    break
-                s = memo[id(p)] = VPair(f, s)
-        else:
+        if len(x) == 3:
             values = _cells(x[1])
             missing = [v for v in values if id(v) not in memo]
             if missing:
@@ -750,20 +770,50 @@ def _machine_value(value) -> MachineValue:
                 continue
             values.reverse()
             memo[id(x)] = Clo(x[0][_NODE](), tuple([memo[id(v)] for v in values]))
+            continue
+        v = memo[id(x)] = _new(VPair)
+        while True:
+            f = x[0]
+            f = TRUE if f is True else FALSE if f is False else UNIT if f is None else get(id(f), f)
+            if f.__class__ is tuple:
+                later.append((_SET_FST, v, f))
+                todo.append(f)
+            else:
+                _SET_FST(v, f)
+            x = x[1]
+            i = id(x)
+            s = get(i)
+            if s is None and len(x) == 2:
+                s = memo[i] = _new(VPair)
+                _SET_SND(v, s)
+                v = s
+            elif s is None:
+                later.append((_SET_SND, v, x))
+                todo.append(x)
+                break
+            else:
+                _SET_SND(v, s)
+                break
+    for store, v, x in later:
+        store(v, memo[id(x)])
     return memo[id(value)]
 
 
-def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
+def _eval_compiled(expr: MachineExpr, env: Env, fuel: int, n: int | None = None) -> EvalOutcome:
     """The compiled path: one fuel comparison per block the loop enters,
-    on the fuel the block left.  A block raises at the first wrong index
-    or variant it reads, so one that leaves less than no fuel ran all its
-    steps validly, and the run is out of fuel.  A run in which a block
-    raises runs again from the start on the reference loop, whose
-    outcome, Stuck with its reason or OutOfFuel, is the run's."""
-    try:
-        e = _compiled_env(env)
-    except _Foreign:
-        return _eval_reference(expr, env, fuel)
+    on the fuel the block left.  env is a machine environment, converted
+    here, or, with n given, the linked cells of the natural n (see
+    eval_nat).  A block raises at the first wrong index or variant it
+    reads, so one that leaves less than no fuel ran all its steps validly,
+    and the run is out of fuel.  A run in which a block raises runs again
+    from the start on the reference loop, whose outcome, Stuck with its
+    reason or OutOfFuel, is the run's."""
+    e = env
+    if n is None:
+        try:
+            e = _compiled_env(env)
+        except _Foreign:
+            return _eval_reference(expr, env, fuel)
     left, stack = fuel, [_BOTTOM]
     blk = _block_of(expr)
     try:
@@ -780,7 +830,7 @@ def _eval_compiled(expr: MachineExpr, env: Env, fuel: int) -> EvalOutcome:
                 e = (x, e)
                 left -= 1  # the resumption; the next block compares
     except (IndexError, TypeError, ValueError):
-        out = _eval_reference(expr, env, fuel)
+        out = _eval_reference(expr, env if n is None else (nat_value(n),), fuel)
         if out.__class__ is Done:
             raise RuntimeError("the reference loop finished a run the compiled path could not")
         return out

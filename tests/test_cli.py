@@ -213,6 +213,22 @@ def test_run_sort(capsys):
     assert "value: (5, (false, (false, (true, (true, (true, *))))))" in out
 
 
+def test_run_reads_a_result_type_at_its_input(tmp_path, capsys):
+    # a result type that reads the input is normalised at the input's
+    # numeral: a vector of n naturals shows each as a number, at n = 0 too
+    src = tmp_path / "zeros.qtt"
+    src.write_text(
+        "regime lfpl\n"
+        "def VecNat ^0 : (k ^0 : Nat) -> U =\n"
+        "  \\k. rec k at (x. U) { zero(d) => I | succ(d, m, p) => Nat * El p }\n"
+        "def zeros ^1 : (n ^1 : Nat) -> El (VecNat n) =\n"
+        "  \\n. rec n at (k. El (VecNat k)) { zero(d) => * | succ(d, m, p) => (zero d, p) }\n"
+    )
+    for n, want in ((0, "*"), (3, "(0, (0, (0, *)))")):
+        assert main(["run", str(src), "zeros", "--input", str(n)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"value: {want}"
+
+
 def test_values_are_shown_by_their_type():
     from polyqtt import machine as m
     from polyqtt.cli import _show_value

@@ -1,9 +1,11 @@
 """The corpus programs check, compile, run, and round-trip."""
 
+import copy
+
 import pytest
 
 from polyqtt import machine as m
-from polyqtt.compiler import extract_bound, run_and_verify
+from polyqtt.compiler import VERIFY_FUEL_SLACK, extract_bound, run_and_verify
 from polyqtt.frontend import parse_module, pretty_term, pretty_type, resolve_module
 from polyqtt.kernel import CheckError, infer_usage_check, normalize_sigma0
 from polyqtt.machine import _eval_compiled, _eval_reference
@@ -254,6 +256,32 @@ def test_compiled_path_never_falls_back_on_corpus(monkeypatch):
                 for fuel in range(steps + 2) if n <= 3 else (steps - 1, steps):
                     assert _eval_compiled(code, env, fuel) == _eval_reference(code, env, fuel)
                     assert not calls, (d.name, n, fuel)
+            checked += 1
+    assert checked == 14
+
+
+def test_eval_nat_matches_reference_on_corpus():
+    # the one entry point that encodes a natural input gives the reference
+    # loop's outcome on nat_value(n): with no fuel, one step short, at the
+    # steps and at run_and_verify's fuel, on fresh code (a short run takes
+    # the reference loop, a long one prepares blocks) and on code that
+    # already ran compiled (every run takes the compiled path)
+    checked = 0
+    for name in CORPUS_FILES:
+        for d in load_corpus(name).decls:
+            if d.sigma != 1 or compiled(name, d.name).input_arity != 1:
+                continue
+            p = compiled(name, d.name)
+            warm = copy.deepcopy(p.code)
+            for n in (0, 1, 2, 7, 12):
+                env = (m.nat_value(n),)
+                done = _eval_reference(p.code, env, 10_000_000)
+                assert _eval_compiled(warm, env, 10_000_000) == done
+                top = extract_bound(p).bound_at(n) + VERIFY_FUEL_SLACK
+                for fuel in (0, done.steps - 1, done.steps, top):
+                    want = _eval_reference(p.code, env, fuel)
+                    assert m.eval_nat(copy.deepcopy(p.code), n, fuel) == want, (d.name, n, fuel)
+                    assert m.eval_nat(warm, n, fuel) == want, (d.name, n, fuel)
             checked += 1
     assert checked == 14
 

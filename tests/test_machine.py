@@ -41,6 +41,7 @@ from polyqtt.machine import (
     decode_nat,
     encode_list,
     eval_expr,
+    eval_nat,
     expr_from_sexp,
     expr_to_sexp,
     nat_value,
@@ -789,6 +790,56 @@ def test_code_stays_acyclic(monkeypatch):
             assert ref() is None
         finally:
             gc.enable()
+
+
+def test_eval_nat_reruns_a_stuck_program_on_the_reference_loop(monkeypatch):
+    # an untyped program whose compiled run gets stuck on its natural input
+    # runs again on the reference loop, which alone builds nat_value(n)
+    handed = []
+    reference = machine._eval_reference
+    monkeypatch.setattr(machine, "_eval_reference", lambda *a: handed.append(a) or reference(*a))
+    fuel = machine.COMPILE_MIN_FUEL
+    for prog in (If(0, MkTrue(), MkFalse()), Seq(MkTrue(), App(1, 0)), LetPair(0, LetPair(1, Var(0)))):
+        for n in (0, 5):
+            want = reference(prog, (nat_value(n),), fuel)
+            assert isinstance(want, Stuck), (prog, n)
+            handed.clear()
+            assert eval_nat(prog, n, fuel) == want
+            assert [(c is prog, e, f) for c, e, f, *_ in handed] == [(True, (nat_value(n),), fuel)]
+    with pytest.raises(ValueError):
+        eval_nat(MkTrue(), -1)
+
+
+def test_results_convert_back_in_one_pass(tmp_path):
+    # the compiled path's result converter keeps sharing, converts closures
+    # with their environments and converts a 100,000-pair natural without
+    # recursion, in a fresh interpreter at a recursion limit of 200
+    script = tmp_path / "results.py"
+    script.write_text(
+        "import sys\n"
+        "from polyqtt import machine\n"
+        "from polyqtt.machine import *\n"
+        "sys.setrecursionlimit(200)\n"
+        "x = (True, None)\n"
+        "for _ in range(100_000):\n"
+        "    x = (False, x)\n"
+        "v = machine._machine_value(x)\n"
+        "assert decode_nat(v) == 100_000 and v == nat_value(100_000)\n"
+        "shared = machine._machine_value((x, x))\n"
+        "assert shared.fst is shared.snd and shared.fst == v\n"
+        "body = Lam(Var(0))\n"
+        "clo = (machine._block_of(body), (x, (None, (x, ()))), None)\n"
+        "w = machine._machine_value((clo, (False, clo)))\n"
+        "assert w.fst is w.snd.snd and w.fst.body is body\n"
+        "assert w.fst.env == (v, UNIT, v) and w.fst.env[0] is w.fst.env[2]\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
 
 
 def test_compiled_path_detects_its_own_faults(monkeypatch, capsys):
