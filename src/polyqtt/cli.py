@@ -1,7 +1,8 @@
 """Batch command-line driver: check, run, bound, verify; JSON reporting.
 
 Exit codes: 0 success, 1 static (parse/check) failure or command-line
-mistake, 2 dynamic bound violation or failed run, 3 internal error.
+mistake, 2 dynamic bound violation, failed run or exhausted memory,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -232,7 +233,8 @@ def cmd_bound(args) -> int:
     if report.input_arity == 1:
         print("bound at input n: evaluate at n + 1")
     else:
-        print("bound: constant (no input)")
+        print(f"bound (no input): q(0) = {report.bound_at(0)}; the coefficients"
+              " describe applying the closure")
     return EXIT_OK
 
 
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
     except (FrontendError, CheckError, CompileError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STATIC
+    except MemoryError:
+        print("error: [Resource] out of memory", file=sys.stderr)
+        return EXIT_DYNAMIC
     except Exception as e:  # noqa: BLE001  (contract: internal errors exit 3)
         print(f"internal error: {e!r}", file=sys.stderr)
         return EXIT_INTERNAL

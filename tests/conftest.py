@@ -1,7 +1,10 @@
 import difflib
 import functools
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,30 @@ def fanout_chain(k: int) -> str:
     rec = "rec n at (x. Bool) { zero => true | succ(m, p) => g0 p }"
     lines.append(rf"def drive ^1 : (n ^1 : Nat) -> Bool = \n. g{k} ({rec})")
     return "\n".join(lines) + "\n"
+
+
+def linear_chain(k: int, leaf: str = "if b then false else true") -> str:
+    """A cons-free module where g0 is \\b. leaf, g_i passes its argument to
+    g_(i-1), and drive runs g_(k-1) after n negations: each definition's
+    code nests the previous one's."""
+    lines = ["regime consfree", rf"def g0 ^1 : Bool -> Bool = \b. {leaf}"]
+    lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, k)]
+    rec = "rec n at (x. Bool) { zero => true | succ(m, p) => g0 p }"
+    lines.append(rf"def drive ^1 : (n ^1 : Nat) -> Bool = \n. g{k - 1} ({rec})")
+    return "\n".join(lines) + "\n"
+
+
+def fresh_python(*argv: str, timeout: float = 120):
+    """Run `python *argv` (a script as "-c", script, its arguments...) in a
+    fresh interpreter, at the default recursion limit, with this session's
+    sys.path (src/ and tests/ among it) as PYTHONPATH.  Asserts that it
+    exits 0 and returns the completed process, whose output is text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+    assert out.returncode == 0, out.stderr
+    return out
 
 
 @functools.lru_cache(maxsize=None)

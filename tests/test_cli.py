@@ -4,17 +4,15 @@ verify on every corpus declaration that takes an input.
 Pinned in tests/golden/verify/: to re-pin, copy in the actual file a failure names."""
 
 import json
-import os
 import random
 import re
-import subprocess
 import sys
 
 import pytest
 
 from polyqtt.cli import main
 
-from conftest import CORPUS, FIXTURES, ROOT
+from conftest import CORPUS, FIXTURES, ROOT, fresh_python, linear_chain
 from test_corpus import EXPECTED_REJECTIONS
 
 # a Python repr such as BoolTy() or Var(index=0)
@@ -49,25 +47,28 @@ def test_each_declaration_checked_once(monkeypatch):
 
     from conftest import fanout_chain
 
-    calls = {name: [] for name in ("_check_type", "_value", "_conv")}
-    for name, seen in calls.items():
-        real = getattr(kernel_mod, name)
+    # fan-out chains of depth 12 and 20, and one of 5,000 definitions
+    for k in (12, 20, 4998):
+        calls = {name: [] for name in ("_check_type", "_value", "_conv")}
+        for name, seen in calls.items():
+            real = getattr(kernel_mod, name)
 
-        def counting(*args, real=real, seen=seen):
-            seen.append(args[-1])
-            return real(*args)
+            def counting(*args, real=real, seen=seen):
+                seen.append(args[-1])
+                return real(*args)
 
-        monkeypatch.setattr(kernel_mod, name, counting)
-    mod = load(fanout_chain(12))
-    monkeypatch.undo()
-    # every conversion, and formation or evaluation of a declared type
-    declared = {id(d.ty) for d in mod.decls}
-    counts = {
-        name: sum(name == "_conv" or id(x) in declared for x in seen)
-        for name, seen in calls.items()
-    }
-    assert len(mod.decls) == 14
-    assert counts == {"_check_type": 14, "_value": 14, "_conv": 0}
+            monkeypatch.setattr(kernel_mod, name, counting)
+        mod = load(fanout_chain(k))
+        monkeypatch.undo()
+        # every conversion, and formation or evaluation of a declared type
+        declared = {id(d.ty) for d in mod.decls}
+        counts = {
+            name: sum(name == "_conv" or id(x) in declared for x in seen)
+            for name, seen in calls.items()
+        }
+        assert len(mod.decls) == k + 2
+        assert counts == {"_check_type": k + 2, "_value": k + 2, "_conv": 0}
+        assert mod.outcomes == (None,) * (k + 2)
 
 
 def test_check_failure_exit_1(capsys):
@@ -262,12 +263,15 @@ def test_values_are_shown_by_their_type():
 
 
 def test_run_out_of_fuel_exit_2(capsys):
-    rc = main(
-        ["run", str(CORPUS / "consfree_iter.qtt"), "nested3", "--input", "9",
-         "--fuel", "5"]
-    )
-    assert rc == 2
+    argv = ["run", str(CORPUS / "consfree_iter.qtt"), "nested3"]
+    assert main([*argv, "--input", "9", "--fuel", "5"]) == 2
     assert "out of fuel" in capsys.readouterr().err
+    # on the compiled path: one step short of the 2,599,488 steps at n = 50
+    # it runs out of fuel on its own, and at exactly those steps it finishes
+    assert main([*argv, "--input", "50", "--fuel", "2599487"]) == 2
+    assert capsys.readouterr().err == "run failed (out of fuel)\n"
+    assert main([*argv, "--input", "50", "--fuel", "2599488"]) == 0
+    assert "steps: 2599488\n" in capsys.readouterr().out
 
 
 def test_emit_machine_roundtrips(capsys):
@@ -306,6 +310,20 @@ def test_bound_reports_degree(capsys):
     out = capsys.readouterr().out
     coeffs = eval(out.split("): ")[1].splitlines()[0])
     assert len(coeffs) - 1 == 3  # cubic
+    assert out.splitlines()[-1] == "bound at input n: evaluate at n + 1"
+    # without an input the declaration runs closed, within q(0) steps, to
+    # the closure the coefficients price
+    from polyqtt import machine as m
+
+    from conftest import compiled
+
+    assert main(["bound", str(CORPUS / "lfpl_sort.qtt"), "isort"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "bound coefficients (low to high): [29, 79, 54]",
+        "bound (no input): q(0) = 29; the coefficients describe applying the closure",
+    ]
+    out = m.eval_expr(compiled("lfpl_sort.qtt", "isort").code, (), 29)
+    assert isinstance(out, m.Done) and isinstance(out.value, m.Clo)
 
 
 def test_bound_json_schema(capsys):
@@ -390,6 +408,7 @@ def test_verify_non_nat_input_rejected(capsys):
 
 def test_internal_error_exit_3(monkeypatch, capsys):
     import polyqtt.compiler as compiler_mod
+    from polyqtt import machine
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected")
@@ -398,6 +417,16 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     rc = main(["bound", str(CORPUS / "consfree_iter.qtt"), "parity1"])
     assert rc == 3
     assert "internal error" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # an input too large for memory is a failed run with a diagnostic
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(machine, "eval_nat", exhausted)
+    argv = ["run", str(CORPUS / "lfpl_iter.qtt"), "rebuild1", "--input", "1000000000"]
+    assert main([*argv, "--fuel", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: [Resource] out of memory\n")
 
 
 def test_unknown_declaration_exit_1(capsys):
@@ -502,6 +531,24 @@ def test_check_long_literal_both_regimes(tmp_path, capsys):
         assert "[Id-Refl]" in capsys.readouterr().err
 
 
+def _fresh_cli(*commands: list[str]) -> list[tuple[int, str, str]]:
+    """The exit code, stdout and stderr of each command, run through
+    cli.main one after another in one fresh interpreter at the default
+    recursion limit."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from polyqtt.cli import main\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "verdicts = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        verdicts.append((main(argv), out.getvalue(), err.getvalue()))\n"
+        "print(json.dumps(verdicts))\n"
+    )
+    return json.loads(fresh_python("-c", script, json.dumps(commands)).stdout)
+
+
 def test_deep_nesting_is_a_diagnostic(tmp_path):
     # the front end recurses once per nesting level; in a fresh interpreter
     # (default recursion limit) nesting past the host stack is reported as
@@ -511,31 +558,18 @@ def test_deep_nesting_is_a_diagnostic(tmp_path):
             inner = wrap.format(inner)
         return inner
 
-    def check(decl):
-        path = tmp_path / "deep.qtt"
-        path.write_text(f"regime consfree\n{decl}\n")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        cmd = [sys.executable, "-m", "polyqtt.cli", "check", str(path)]
-        return subprocess.run(cmd, capture_output=True, text=True, env=env)
-
     def conses(n):
         return f"def xs ^0 : List Bool = {nest(n, 'nil', '(cons true {})')}"
 
-    ok = check(conses(120))
-    assert ok.returncode == 0, ok.stderr
     arrows = nest(600, "Bool", "(Bool -> {})")
     # a chain of 600 binders parses, but its resolution recurses deeper
     flat_arrows = nest(600, "Bool", "Bool -> {}")
     lams = nest(600, "true", "\\x. {}")
-    for decl, rule in (
-        (conses(300), "Parse"),
-        (f"def f ^0 : {arrows} = true", "Parse"),
-        (f"def f ^0 : {flat_arrows} = {lams}", "Resolve"),
-    ):
-        out = check(decl)
-        assert out.returncode == 1, out.stderr
-        assert re.search(rf"error at \d+:\d+: \[{rule}\] .*nested too deeply", out.stderr)
-
+    too_deep = {
+        conses(300): "Parse",
+        f"def f ^0 : {arrows} = true": "Parse",
+        f"def f ^0 : {flat_arrows} = {lams}": "Resolve",
+    }
     # six nesting shapes at two depths: each run ends in a verdict with a
     # diagnostic, and at depth 300 each shape keeps its verdict
     shapes = {
@@ -565,41 +599,72 @@ def test_deep_nesting_is_a_diagnostic(tmp_path):
             None,
         ),
     }
+    decls = [conses(120), *too_deep]
+    decls += [decl(depth) for decl, _, _ in shapes.values() for depth in (300, 600)]
+    paths = [tmp_path / f"deep{i}.qtt" for i in range(len(decls))]
+    for path, decl in zip(paths, decls):
+        path.write_text(f"regime consfree\n{decl}\n")
+    verdict = dict(zip(decls, _fresh_cli(*(["check", str(p)] for p in paths))))
+
+    code, _, err = verdict[conses(120)]
+    assert code == 0, err
+    for decl, rule in too_deep.items():
+        code, _, err = verdict[decl]
+        assert code == 1, err
+        assert re.search(rf"error at \d+:\d+: \[{rule}\] .*nested too deeply", err)
     for shape, (decl, code_at_300, rule_at_300) in shapes.items():
         for depth in (300, 600):
-            out = check(decl(depth))
-            assert out.returncode in (0, 1), (shape, depth, out.stderr)
-            if out.returncode == 0:
-                assert out.stdout.startswith("ok:"), (shape, depth)
+            code, out, err = verdict[decl(depth)]
+            assert code in (0, 1), (shape, depth, err)
+            if code == 0:
+                assert out.startswith("ok:"), (shape, depth)
             else:
-                assert re.match(r"error: .*\[[\w-]+\] ", out.stderr), (shape, depth)
-                assert "internal error" not in out.stderr
+                assert re.match(r"error: .*\[[\w-]+\] ", err), (shape, depth)
+                assert "internal error" not in err
             if depth == 300:
-                assert out.returncode == code_at_300, (shape, out.stderr)
+                assert code == code_at_300, (shape, err)
                 if rule_at_300:
-                    assert f"[{rule_at_300}]" in out.stderr, (shape, out.stderr)
+                    assert f"[{rule_at_300}]" in err, (shape, err)
 
 
 def test_chain_of_references_compiles_leaves_first(tmp_path):
     # definitions are compiled leaves first with an explicit stack, so in a
-    # fresh interpreter (default recursion limit) a 1,000-definition chain
-    # of references compiles, runs and verifies; its code, which nests each
-    # definition in the next, prints with an explicit stack too
-    k = 1000
-    lines = ["regime consfree", r"def g0 ^1 : Bool -> Bool = \b. if b then false else true"]
-    lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, k)]
-    rec = "rec n at (x. Bool) { zero => true | succ(m, p) => g0 p }"
-    lines.append(rf"def drive ^1 : (n ^1 : Nat) -> Bool = \n. g{k - 1} ({rec})")
+    # fresh interpreter (default recursion limit) a 5,000-definition chain
+    # of references checks, compiles, runs and verifies; its code, which
+    # nests each definition in the next, prints, and is read back and
+    # printed again, with an explicit stack too
+    from polyqtt.machine import expr_from_sexp, expr_to_sexp
+
     path = tmp_path / "chain.qtt"
-    path.write_text("\n".join(lines) + "\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for args in (
-        ["check"],
-        ["bound", "drive"],
-        ["run", "drive", "--input", "3"],
-        ["verify", "drive", "--max-n", "3"],
-        ["bound", "drive", "--emit-machine"],
-    ):
-        cmd = [sys.executable, "-m", "polyqtt.cli", args[0], str(path), *args[1:]]
-        out = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
-        assert out.returncode == 0, (args, out.stderr)
+    path.write_text(linear_chain(5000))
+    results = _fresh_cli(
+        ["check", str(path)],
+        ["run", str(path), "drive", "--input", "3"],
+        ["verify", str(path), "drive", "--max-n", "3"],
+        ["bound", str(path), "drive", "--emit-machine"],
+    )
+    for code, _, err in results:
+        assert code == 0, err
+    line = results[-1][1].splitlines()[0]
+    assert len(line) > 100_000
+    assert expr_to_sexp(expr_from_sexp(line)) == line
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the commands under "Examples:" and the "Library use" block run as the
+    # README shows them, from a directory whose corpus/ is the corpus, and
+    # the VecBool definition shown with the grammar checks under lfpl
+    readme = (ROOT / "README.md").read_text()
+    (tmp_path / "corpus").symlink_to(CORPUS)
+    monkeypatch.chdir(tmp_path)
+    examples = re.search(r"\nExamples:\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [line.split() for line in examples.splitlines()]
+    assert len(commands) == 4 and {argv[0] for argv in commands} == {"polyqtt"}
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert json.loads((tmp_path / "report.json").read_text())["ok"] is True
+    library = re.search(r"\n## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(library, "README.md", "exec"), {})
+    vecbool = re.search(r"\n```\n(def VecBool .*?)```", readme, re.S).group(1)
+    (tmp_path / "vecbool.qtt").write_text("regime lfpl\n" + vecbool)
+    assert main(["check", "vecbool.qtt"]) == 0

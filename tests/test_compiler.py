@@ -451,6 +451,8 @@ def test_shared_definitions_compile_to_linear_code():
         mod = resolve_module(parse_module(fanout_chain(k)))
         drive = mod.decls[-1]
         prog = compile_declaration(mod.regime, drive.ty, drive.body)
+        # the bound counts each of the 2^k uses of g0 too
+        assert extract_bound(prog).poly.coeffs == (13 * 2**k + 6, 15)
         return len(_reachable(prog.code))
 
     # depth 10 first: unshared code of depth 20 would take gigabytes
@@ -492,22 +494,29 @@ def test_library_path_compiles_each_body_once(monkeypatch):
 
 def test_a_declaration_and_its_references_share_one_code_object():
     # compile_declaration called again returns the same code object, and
-    # it is the object every reference embeds, on either path
+    # it is the object every reference embeds, on either path; on a linear
+    # chain of 5,000 definitions too, whose drive then runs
     from polyqtt.compiler import Module
     from polyqtt.frontend import parse_module, resolve_module
 
-    from conftest import fanout_chain
+    from conftest import fanout_chain, linear_chain
 
-    mod = resolve_module(parse_module(fanout_chain(3)))
-    *chain, drive = mod.decls
-    progs = [compile_declaration(mod.regime, d.ty, d.body) for d in chain]
-    for d, prog in zip(chain, progs):
-        assert compile_declaration(mod.regime, d.ty, d.body).code is prog.code
-        assert Module(mod).compile(d.name).code is prog.code
-    shared = {id(p.code) for p in progs}
-    users = [*progs[1:], compile_declaration(mod.regime, drive.ty, drive.body)]
-    for prog, user in zip(progs, users):
-        assert any(x is prog.code for x in _reachable(user.code, shared))
+    for text in (fanout_chain(3), linear_chain(5000)):
+        mod = resolve_module(parse_module(text))
+        *chain, drive = mod.decls
+        progs = [compile_declaration(mod.regime, d.ty, d.body) for d in chain]
+        for d, prog in zip(chain, progs):
+            assert compile_declaration(mod.regime, d.ty, d.body).code is prog.code
+        # Module.compile finds its name by a scan: the last four suffice
+        module = Module(mod)
+        for d, prog in zip(chain[-4:], progs[-4:]):
+            assert module.compile(d.name).code is prog.code
+        shared = {id(p.code) for p in progs}
+        users = [*progs[1:], compile_declaration(mod.regime, drive.ty, drive.body)]
+        for prog, user in zip(progs, users):
+            assert any(x is prog.code for x in _reachable(user.code, shared))
+    r = run_and_verify(users[-1], 3)
+    assert r.steps == 25_059 and r.ok
 
 
 EL_MODULE = """regime consfree
@@ -634,14 +643,6 @@ def test_an_erased_declaration_has_no_runtime_code():
     assert str(e.value) == "[Tm] 'idB' lives in the erased fragment and has no runtime code"
 
 
-def failing_chain(k: int) -> str:
-    """A cons-free module of k definitions: g0 uses its usage-1 argument
-    twice, and g_i passes its argument to g_(i-1)."""
-    lines = ["regime consfree", r"def g0 ^1 : Bool -> Bool = \b. if b then b else b"]
-    lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, k)]
-    return "\n".join(lines) + "\n"
-
-
 def test_a_failing_root_is_checked_once(monkeypatch):
     # a failed check is kept, so each later definition fails at its
     # reference to the previous one, with the root's rule, at once: one
@@ -649,6 +650,8 @@ def test_a_failing_root_is_checked_once(monkeypatch):
     # exhaust the host stack
     import polyqtt.kernel as kernel_mod
     from polyqtt.compiler import load
+
+    from conftest import linear_chain
 
     bodies = []
     real = kernel_mod.check
@@ -659,6 +662,7 @@ def test_a_failing_root_is_checked_once(monkeypatch):
         return real(regime, ctx, sigma, t, ty)
 
     monkeypatch.setattr(kernel_mod, "check", counting)
-    mod = load(failing_chain(1000))
-    assert len(mod.outcomes) == len(bodies) == 1000
+    # g0 uses its usage-1 argument twice
+    mod = load(linear_chain(5000, leaf="if b then b else b"))
+    assert len(mod.outcomes) == len(bodies) == 5001
     assert {e.rule for e in mod.outcomes} == {"Tm-Lam"}

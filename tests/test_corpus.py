@@ -147,7 +147,7 @@ def test_corpus_pretty_roundtrip():
 def test_erased_arithmetic_normalises():
     mod = load_corpus("consfree_zero.qtt")
     defs = {d.name: d for d in mod.decls}
-    from polyqtt.syntax import Ann, App, SuccCF, ZeroCF
+    from polyqtt.syntax import Ann, App, SuccCF, TrueC, ZeroCF
 
     def lit(n):
         t = ZeroCF()
@@ -161,6 +161,11 @@ def test_erased_arithmetic_normalises():
     mul = Ann(defs["mul"].body, defs["mul"].ty)
     out = normalize_sigma0(Regime.CONS_FREE, (), App(App(mul, lit(3)), lit(4)))
     assert out == lit(12)
+    # and a runtime one: nested3 at 14 takes thousands of beta- and
+    # iota-steps through shared definitions
+    nested3 = load_corpus("consfree_iter.qtt").decl("nested3")
+    out = normalize_sigma0(Regime.CONS_FREE, (), App(Ann(nested3.body, nested3.ty), lit(14)))
+    assert out == TrueC()
 
 
 def _substitute(t, arg, index=0):

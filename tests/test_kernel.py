@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -64,6 +61,8 @@ from polyqtt.syntax import (
     nat_literal,
 )
 
+from conftest import fresh_python
+
 CF = Regime.CONS_FREE
 LF = Regime.LFPL
 
@@ -96,7 +95,7 @@ def test_normalize_type_binds_the_innermost_indices():
     assert e.value.rule == "Normalize"
 
 
-def test_has_free_var_on_a_deep_chain(tmp_path):
+def test_has_free_var_on_a_deep_chain():
     t = Lam(App(Var(0), Var(1)))
     assert has_free_var(t, 0) and not has_free_var(t, 1)
     # a motive binds one more index
@@ -104,30 +103,25 @@ def test_has_free_var_on_a_deep_chain(tmp_path):
     assert has_free_var(motive, 0) and not has_free_var(motive, 1)
     # 100,000 nested lambdas, in a fresh interpreter at the default
     # recursion limit: the walk keeps its own stack
-    script = tmp_path / "deep.py"
-    script.write_text(
+    out = fresh_python(
+        "-c",
         "import sys\n"
         "from polyqtt.syntax import Lam, Var, has_free_var\n"
         "assert sys.getrecursionlimit() == 1000\n"
         "t = Var(100_000)\n"
         "for _ in range(100_000):\n"
         "    t = Lam(t)\n"
-        "print(has_free_var(t, 0), has_free_var(t, 1))\n"
+        "print(has_free_var(t, 0), has_free_var(t, 1))\n",
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "False"]
 
 
-def test_deep_redex_chains_loop(tmp_path):
+def test_deep_redex_chains_loop():
     # 100,000 nested if-redexes on the then-spine and 100,000 nested
     # annotations, normalised in a fresh interpreter at the default
     # recursion limit: each step continues the evaluator's loop
-    script = tmp_path / "chains.py"
-    script.write_text(
+    out = fresh_python(
+        "-c",
         "import sys\n"
         "from polyqtt.kernel import normalize_sigma0\n"
         "from polyqtt.syntax import BOOL_TY, Ann, FalseC, If, Regime, TrueC\n"
@@ -137,13 +131,8 @@ def test_deep_redex_chains_loop(tmp_path):
         "    t = If(TrueC(), t, TrueC())\n"
         "    a = Ann(a, BOOL_TY)\n"
         "print(normalize_sigma0(Regime.CONS_FREE, (), t))\n"
-        "print(normalize_sigma0(Regime.CONS_FREE, (), a))\n"
+        "print(normalize_sigma0(Regime.CONS_FREE, (), a))\n",
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["FalseC()", "FalseC()"]
 
 

@@ -1,9 +1,7 @@
 import copy
 import gc
-import os
 import pickle
 import random
-import subprocess
 import sys
 import threading
 import weakref
@@ -49,7 +47,7 @@ from polyqtt.machine import (
     value_to_sexp,
 )
 
-from conftest import CORPUS, CORPUS_FILES, compiled, load_corpus
+from conftest import CORPUS, CORPUS_FILES, compiled, fresh_python, load_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -371,43 +369,24 @@ def test_value_sexp_roundtrip():
         assert value_from_sexp(value_to_sexp(v)) == v
 
 
-def test_deep_sexps_roundtrip(tmp_path):
-    # the first line --emit-machine prints for a 1,000-definition linear
-    # chain nests each definition in the next, and values 10,000 deep
-    # along first components, second components and closure environments;
-    # all are read and printed without recursion, in a fresh interpreter
-    # at the default recursion limit
-    module = tmp_path / "chain.qtt"
-    lines = ["regime consfree", r"def g0 ^1 : Bool -> Bool = \b. if b then false else true"]
-    lines += [rf"def g{i} ^1 : Bool -> Bool = \b. g{i - 1} b" for i in range(1, 1000)]
-    rec = "rec n at (x. Bool) { zero => true | succ(m, p) => g0 p }"
-    lines.append(rf"def drive ^1 : (n ^1 : Nat) -> Bool = \n. g999 ({rec})")
-    module.write_text("\n".join(lines) + "\n")
-    script = tmp_path / "deep_sexps.py"
-    script.write_text(
-        "import contextlib, io, sys\n"
-        "from polyqtt.cli import main\n"
+def test_deep_sexps_roundtrip():
+    # values 10,000 deep along first components, second components and
+    # closure environments are read and printed without recursion, in a
+    # fresh interpreter at the default recursion limit; deep code is read
+    # and printed in test_cli.py::test_chain_of_references_compiles_leaves_first
+    out = fresh_python(
+        "-c",
+        "import sys\n"
         "from polyqtt.machine import *\n"
         "assert sys.getrecursionlimit() == 1000\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        f"    assert main(['bound', {str(module)!r}, 'drive', '--emit-machine']) == 0\n"
-        "line = out.getvalue().splitlines()[0]\n"
-        "assert len(line) > 30_000\n"
-        "assert expr_to_sexp(expr_from_sexp(line)) == line\n"
         "fst, clo = TRUE, Clo(Var(0), ())\n"
         "for _ in range(10_000):\n"
         "    fst, clo = VPair(fst, UNIT), Clo(Var(0), (UNIT, clo))\n"
         "for v in (fst, nat_value(10_000), clo):\n"
         "    text = value_to_sexp(v)\n"
         "    assert value_from_sexp(text) == v and value_to_sexp(value_from_sexp(text)) == text\n"
-        "print('ok')\n"
+        "print('ok')\n",
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
     assert out.stdout == "ok\n"
 
 
@@ -810,12 +789,12 @@ def test_eval_nat_reruns_a_stuck_program_on_the_reference_loop(monkeypatch):
         eval_nat(MkTrue(), -1)
 
 
-def test_results_convert_back_in_one_pass(tmp_path):
+def test_results_convert_back_in_one_pass():
     # the compiled path's result converter keeps sharing, converts closures
     # with their environments and converts a 100,000-pair natural without
     # recursion, in a fresh interpreter at a recursion limit of 200
-    script = tmp_path / "results.py"
-    script.write_text(
+    out = fresh_python(
+        "-c",
         "import sys\n"
         "from polyqtt import machine\n"
         "from polyqtt.machine import *\n"
@@ -832,13 +811,8 @@ def test_results_convert_back_in_one_pass(tmp_path):
         "w = machine._machine_value((clo, (False, clo)))\n"
         "assert w.fst is w.snd.snd and w.fst.body is body\n"
         "assert w.fst.env == (v, UNIT, v) and w.fst.env[0] is w.fst.env[2]\n"
-        "print('ok')\n"
+        "print('ok')\n",
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
     assert out.stdout == "ok\n"
 
 
@@ -939,11 +913,11 @@ def test_compiled_path_reports_each_stuck_reason():
         assert _eval_compiled(prog, env, 100) == want
 
 
-def test_deep_code_takes_the_compiled_path(tmp_path):
+def test_deep_code_takes_the_compiled_path():
     # 5,000 levels through sequencing, closure bodies and branches, run
     # in a fresh interpreter at the default recursion limit
-    script = tmp_path / "deep.py"
-    script.write_text(
+    out = fresh_python(
+        "-c",
         "import sys\n"
         "from polyqtt.machine import *\n"
         "from polyqtt.machine import _eval_compiled, _eval_reference\n"
@@ -960,51 +934,44 @@ def test_deep_code_takes_the_compiled_path(tmp_path):
         "assert isinstance(want, Done), want\n"
         "assert eval_expr(e, (), 10_000_000) == want\n"
         "assert _eval_compiled(e, (), want.steps - 1) == OutOfFuel()\n"
-        "print(want.steps)\n"
+        "print(want.steps)\n",
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
     assert int(out.stdout) > 15_000
 
 
-def test_deep_recursion_stays_off_the_host_stack(tmp_path):
+def test_deep_recursion_stays_off_the_host_stack():
     # recursors 100,000 and 20,000 deep, through load and run_and_verify,
     # in fresh interpreters at the default recursion limit and at 200: a
     # block loops on itself and calls at most one block, so the depth of
-    # the host stack does not grow with the object program's
-    script = tmp_path / "deep_recursion.py"
-    script.write_text(
+    # the host stack does not grow with the object program's; the largest
+    # input and result crossings into and out of the compiled path
+    script = (
         "import sys\n"
         "from pathlib import Path\n"
         "from polyqtt import load, run_and_verify\n"
+        "from polyqtt.machine import decode_bool, decode_nat\n"
         "if len(sys.argv) > 1:\n"
         "    sys.setrecursionlimit(int(sys.argv[1]))\n"
         f"corpus = Path({str(CORPUS)!r})\n"
         "cf = load((corpus / 'consfree_iter.qtt').read_text())\n"
         "lf = load((corpus / 'lfpl_iter.qtt').read_text())\n"
-        "print(run_and_verify(cf.compile('parity1'), 100_000).steps)\n"
-        "print(run_and_verify(lf.compile('rebuild1'), 20_000).steps)\n"
+        "r = run_and_verify(cf.compile('parity1'), 100_000)\n"
+        "print(r.steps, decode_bool(r.value))\n"
+        "r = run_and_verify(lf.compile('rebuild1'), 20_000)\n"
+        "print(r.steps, decode_nat(r.value))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for limit in ([], ["200"]):
-        out = subprocess.run(
-            [sys.executable, str(script), *limit],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["2000016", "700041"]
+        out = fresh_python("-c", script, *limit, timeout=300)
+        assert out.stdout.split() == ["2000016", "True", "700041", "20000"]
 
 
-def test_deep_values_cross_into_and_out_of_the_compiled_path(tmp_path):
+def test_deep_values_cross_into_and_out_of_the_compiled_path():
     # values 10,000 deep along first components, second components and
     # closure environments are converted without recursion, in a fresh
     # interpreter at the default recursion limit, and returned whole; where
     # a block gets stuck, the reference loop runs the caller's environment
-    script = tmp_path / "deep_values.py"
-    script.write_text(
+    out = fresh_python(
+        "-c",
         "import sys\n"
         "from polyqtt import machine\n"
         "from polyqtt.machine import *\n"
@@ -1022,22 +989,17 @@ def test_deep_values_cross_into_and_out_of_the_compiled_path(tmp_path):
         "    assert not handed\n"
         "    assert eval_expr(stuck, (v,), fuel) == reference(stuck, (v,), fuel)\n"
         "    assert handed.pop() == (v,)\n"
-        "print('ok')\n"
+        "print('ok')\n",
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
     assert out.stdout == "ok\n"
 
 
-def test_shared_values_are_converted_once(tmp_path):
+def test_shared_values_are_converted_once():
     # a pair DAG of depth 64 has 2^64 paths but 65 nodes; both converters
     # visit each node once, and the returned value keeps the sharing.  In
     # a fresh interpreter, so a converter that walks paths times out
-    script = tmp_path / "dag.py"
-    script.write_text(
+    out = fresh_python(
+        "-c",
         "from polyqtt import machine\n"
         "from polyqtt.machine import *\n"
         "v = TRUE\n"
@@ -1055,13 +1017,9 @@ def test_shared_values_are_converted_once(tmp_path):
         "clo = Clo(Var(0), (v, v))\n"
         "w = eval_expr(Var(0), (clo,), machine.COMPILE_MIN_FUEL).value\n"
         "assert w == clo and w.env[0] is w.env[1]\n"
-        "print('ok')\n"
+        "print('ok')\n",
+        timeout=60,
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
     assert out.stdout == "ok\n"
 
 
